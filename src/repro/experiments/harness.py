@@ -655,45 +655,45 @@ def run_crash_recovery(
 
     # Crash run: checkpointing on, engine killed mid-flight.
     env, make_engine, definition = builder(seed)
-    store = CheckpointStore(store_path)
-    doomed_engine = make_engine()
-    doomed_engine.add_service(CheckpointingService(store, strict=True))
-    injector = ProcessCrashInjector(env, crash_after_completions)
-    doomed_engine.add_service(injector)
-    doomed_engine.register_definition(definition)
-    doomed = doomed_engine.start(definition.name)
-    env.run(until=injector.crashed_event)
-    pre_events = [
-        (event.kind, event.activity_name)
-        for event in doomed_engine.service_of_type(TrackingService).events_for(doomed.id)
-    ]
-
-    # Recovery: rehydrate into a fresh engine on the same simulation. When
-    # the crash landed after the last freeze point the instance drained to
-    # completion synchronously — the store's final checkpoint records the
-    # outcome and a real recovery manager would not rehydrate at all.
-    if doomed.status.is_final:
-        recovered = doomed
-        replayed = 0
-        live_tail: list[tuple[str, str | None]] = []
-    else:
-        recovery_engine = make_engine()
-        recovery_engine.add_service(CheckpointingService(store, strict=True))
-        recovered = recovery_engine.rehydrate(store, doomed.id)
-        env.run(recovered.process)
-
-        post_events = [
+    with CheckpointStore(store_path) as store:
+        doomed_engine = make_engine()
+        doomed_engine.add_service(CheckpointingService(store, strict=True))
+        injector = ProcessCrashInjector(env, crash_after_completions)
+        doomed_engine.add_service(injector)
+        doomed_engine.register_definition(definition)
+        doomed = doomed_engine.start(definition.name)
+        env.run(until=injector.crashed_event)
+        pre_events = [
             (event.kind, event.activity_name)
-            for event in recovery_engine.service_of_type(TrackingService).events_for(
-                recovered.id
-            )
+            for event in doomed_engine.service_of_type(TrackingService).events_for(doomed.id)
         ]
-        replayed = sum(1 for kind, _name in post_events if kind == "activity_replayed")
-        live_tail = [
-            event
-            for event in post_events
-            if event[0] not in ("activity_replayed", "instance_rehydrated")
-        ]
+
+        # Recovery: rehydrate into a fresh engine on the same simulation. When
+        # the crash landed after the last freeze point the instance drained to
+        # completion synchronously — the store's final checkpoint records the
+        # outcome and a real recovery manager would not rehydrate at all.
+        if doomed.status.is_final:
+            recovered = doomed
+            replayed = 0
+            live_tail: list[tuple[str, str | None]] = []
+        else:
+            recovery_engine = make_engine()
+            recovery_engine.add_service(CheckpointingService(store, strict=True))
+            recovered = recovery_engine.rehydrate(store, doomed.id)
+            env.run(recovered.process)
+
+            post_events = [
+                (event.kind, event.activity_name)
+                for event in recovery_engine.service_of_type(TrackingService).events_for(
+                    recovered.id
+                )
+            ]
+            replayed = sum(1 for kind, _name in post_events if kind == "activity_replayed")
+            live_tail = [
+                event
+                for event in post_events
+                if event[0] not in ("activity_replayed", "instance_rehydrated")
+            ]
 
     divergences: list[str] = []
     result_match = encode_value(reference.result) == encode_value(recovered.result)

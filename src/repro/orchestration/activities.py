@@ -13,7 +13,6 @@ a running instance effective without restarting it.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Callable, Generator
 from typing import TYPE_CHECKING, Any
 
@@ -97,8 +96,16 @@ class Activity:
             yield from child.iter_tree()
 
     def copy(self) -> "Activity":
-        """A deep copy for transient-modification workflows."""
-        return copy.deepcopy(self)
+        """A structural clone for transient-modification workflows.
+
+        Everything an edit can mutate — child lists, child slots, handler
+        and input maps — is copied; immutable leaves (compiled expressions,
+        callables, literals) are shared with the original. Composites extend
+        this with their own containers.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         raise NotImplementedError
@@ -189,6 +196,11 @@ class Sequence(Activity):
     def children(self) -> list[Activity]:
         return list(self.activities)
 
+    def copy(self) -> "Activity":
+        clone = super().copy()
+        clone.activities = [child.copy() for child in self.activities]
+        return clone
+
     def execute(self, instance: "ProcessInstance") -> Generator:
         completed: set[str] = set()
         while True:
@@ -213,6 +225,11 @@ class Flow(Activity):
 
     def children(self) -> list[Activity]:
         return list(self.activities)
+
+    def copy(self) -> "Activity":
+        clone = super().copy()
+        clone.activities = [child.copy() for child in self.activities]
+        return clone
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         env = instance.env
@@ -297,6 +314,13 @@ class IfElse(Activity):
             branches.append(self.orelse)
         return branches
 
+    def copy(self) -> "Activity":
+        clone = super().copy()
+        clone.then = self.then.copy()
+        if self.orelse is not None:
+            clone.orelse = self.orelse.copy()
+        return clone
+
     def execute(self, instance: "ProcessInstance") -> Generator:
         credits = instance._replay_credits
         if credits:
@@ -346,6 +370,11 @@ class While(Activity):
 
     def children(self) -> list[Activity]:
         return [self.body]
+
+    def copy(self) -> "Activity":
+        clone = super().copy()
+        clone.body = self.body.copy()
+        return clone
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         iterations = 0
@@ -401,6 +430,12 @@ class Invoke(Activity):
         self.extract = dict(extract or {})
         self.timeout_seconds = timeout_seconds
         self.padding_variable = padding_variable
+
+    def copy(self) -> "Activity":
+        clone = super().copy()
+        clone.inputs = dict(self.inputs)
+        clone.extract = dict(self.extract)
+        return clone
 
     def build_payload(self, instance: "ProcessInstance") -> Element:
         if self.input_builder is not None:
@@ -567,6 +602,16 @@ class Scope(Activity):
             nested.append(self.compensation)
         return nested
 
+    def copy(self) -> "Activity":
+        clone = super().copy()
+        clone.body = self.body.copy()
+        clone.fault_handlers = {
+            code: handler.copy() for code, handler in self.fault_handlers.items()
+        }
+        if self.compensation is not None:
+            clone.compensation = self.compensation.copy()
+        return clone
+
     def execute(self, instance: "ProcessInstance") -> Generator:
         try:
             if self.timeout_seconds is None:
@@ -625,6 +670,13 @@ class CompensationScope(Scope):
         nested = super().children()
         nested.extend(self.compensations.values())
         return nested
+
+    def copy(self) -> "Activity":
+        clone = super().copy()
+        clone.compensations = {
+            step: activity.copy() for step, activity in self.compensations.items()
+        }
+        return clone
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         instance._saga_stack.append(self)

@@ -55,7 +55,7 @@ class ProcessDefinition:
         return [activity.name for activity in self.root.iter_tree()]
 
     def copy_tree(self) -> Activity:
-        """A deep copy of the activity tree for a new instance."""
+        """A private copy of the activity tree for a new instance."""
         return self.root.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -91,6 +91,10 @@ class ProcessInstance:
         self.id = instance_id
         self.definition_name = definition_name
         self.root = root
+        self._tree_revision = 0
+        #: The persistence layer's memo of the dehydrated tree,
+        #: ``(root, tree_revision, xml text)``; cold on a fresh instance.
+        self._dehydrated_tree: tuple[Activity, int, str] | None = None
         self.variables = variables
         self.input = input
         self.result: Any = None
@@ -135,6 +139,21 @@ class ProcessInstance:
         self.span = None
 
     # -- tree lookup ------------------------------------------------------------
+
+    @property
+    def tree_revision(self) -> int:
+        """How many times the live activity tree has been edited in place."""
+        return self._tree_revision
+
+    def mark_tree_modified(self) -> None:
+        """Declare that the live tree is about to be edited in place.
+
+        Every path that mutates ``root`` must call this *before* its first
+        edit (a partial failure still leaves the tree changed): the
+        persistence layer serialises the tree once per revision and reuses
+        the text until the revision moves.
+        """
+        self._tree_revision += 1
 
     def find_activity(self, name: str) -> Activity | None:
         for activity in self.root.iter_tree():

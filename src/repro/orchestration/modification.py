@@ -149,6 +149,9 @@ class ProcessModifier:
                 )
             for operation in self._operations:
                 self._validate_against_execution(operation)
+            # Before the first edit: an apply that fails part-way has still
+            # changed the live tree.
+            instance.mark_tree_modified()
             for operation in self._operations:
                 self._perform(instance.root, operation)
         except BaseException as exc:

@@ -55,29 +55,60 @@ class PersistenceError(RuntimeError):
     """Recovery failed: missing, unusable or final checkpoint state."""
 
 
-def capture_checkpoint(instance: ProcessInstance) -> dict[str, Any]:
+#: One boundary's encoded ``(variables, result, fault)``.
+EncodedState = tuple[dict[str, Any], Any, Any]
+
+
+def _dehydrated_tree(instance: ProcessInstance) -> str:
+    """The instance tree as XML, serialised once per tree revision."""
+    memo = instance._dehydrated_tree
+    revision = instance.tree_revision
+    if memo is not None and memo[0] is instance.root and memo[1] == revision:
+        return memo[2]
+    text = serialize_activity(instance.root)
+    instance._dehydrated_tree = (instance.root, revision, text)
+    return text
+
+
+def _encode_state(instance: ProcessInstance) -> EncodedState:
+    return (
+        encode_variables(instance.variables),
+        encode_value(instance.result),
+        encode_value(instance.fault),
+    )
+
+
+def capture_checkpoint(
+    instance: ProcessInstance, state: EncodedState | None = None
+) -> dict[str, Any]:
     """Dehydrate one instance into a checkpoint record payload.
+
+    ``state`` is the encoding of the instance's variables, result and fault
+    when the caller already produced it at this boundary (no process code
+    may have run since); otherwise it is encoded here.
 
     Raises :class:`~repro.orchestration.xmlio.ProcessSerializationError` if
     the activity tree is not fully declarative, or
     :class:`~repro.persistence.encoding.StateEncodingError` if a variable
     cannot be encoded — dehydration never silently drops state.
     """
+    tree = _dehydrated_tree(instance)
+    variables, result, fault = state if state is not None else _encode_state(instance)
     return {
         "type": CHECKPOINT,
         "instance_id": instance.id,
         "definition": instance.definition_name,
         "time": instance.env.now,
         "status": instance.status.value,
-        "tree": serialize_activity(instance.root),
-        "variables": encode_variables(instance.variables),
+        "tree": tree,
+        "variables": variables,
         "executed": sorted(instance.executed_activities),
         "active": sorted(instance.active_activities),
         "completions": dict(instance.completion_counts),
         "compensations": [entry.step for entry in instance._compensations],
-        "result": encode_value(instance.result),
+        "result": result,
         "input": encode_value(instance.input),
-        "fault": encode_value(instance.fault),
+        "fault": fault,
         "compensation_request": (
             None
             if instance._compensation_request is None
@@ -133,9 +164,9 @@ class CheckpointingService(RuntimeService):
         )
 
     def activity_completed(self, instance, activity) -> None:
-        self._sync(instance)
+        state = self._sync(instance)
         self._emit(instance, "activity_completed", {"activity": activity.name})
-        self._checkpoint(instance, reason=f"activity:{activity.name}")
+        self._checkpoint(instance, f"activity:{activity.name}", state)
 
     def activity_replayed(self, instance, activity) -> None:
         self._sync(instance)
@@ -174,23 +205,19 @@ class CheckpointingService(RuntimeService):
         )
 
     def instance_suspended(self, instance) -> None:
-        self._sync(instance)
-        self._checkpoint(instance, reason="suspended")
+        self._checkpoint(instance, "suspended", self._sync(instance))
 
     def instance_resumed(self, instance) -> None:
         self._sync(instance)
 
     def instance_completed(self, instance) -> None:
-        self._sync(instance)
-        self._checkpoint(instance, reason="completed")
+        self._checkpoint(instance, "completed", self._sync(instance))
 
     def instance_faulted(self, instance) -> None:
-        self._sync(instance)
-        self._checkpoint(instance, reason="faulted")
+        self._checkpoint(instance, "faulted", self._sync(instance))
 
     def instance_terminated(self, instance) -> None:
-        self._sync(instance)
-        self._checkpoint(instance, reason="terminated")
+        self._checkpoint(instance, "terminated", self._sync(instance))
 
     def instance_modified(self, instance, operations, bindings) -> None:
         self._journal(instance, operations, bindings)
@@ -222,15 +249,15 @@ class CheckpointingService(RuntimeService):
         )
         self._engine.metrics.counter("persistence.journal_events").inc()
 
-    def _genesis(self, instance: ProcessInstance, kind: str) -> None:
+    def _genesis(self, instance: ProcessInstance, kind: str) -> EncodedState | None:
         """Open an instance's journal with a full snapshot event."""
         if instance.id in self._tainted:
-            return
+            return None
         try:
             payload = capture_checkpoint(instance)
         except (ProcessSerializationError, StateEncodingError) as error:
             self._taint(instance, error)
-            return
+            return None
         data = {key: value for key, value in payload.items() if key != "type"}
         self._mirrors[instance.id] = {
             "variables": dict(payload["variables"]),
@@ -240,22 +267,25 @@ class CheckpointingService(RuntimeService):
             "request": payload["compensation_request"],
         }
         self._emit(instance, kind, data)
+        return payload["variables"], payload["result"], payload["fault"]
 
-    def _sync(self, instance: ProcessInstance) -> None:
-        """Emit delta events for state that changed since the last sync."""
+    def _sync(self, instance: ProcessInstance) -> EncodedState | None:
+        """Emit delta events for state that changed since the last sync.
+
+        Returns the encoding it diffed, for the checkpoint that follows at
+        the same boundary, or None when nothing was encoded.
+        """
         if instance.id in self._tainted:
-            return
+            return None
         mirror = self._mirrors.get(instance.id)
         if mirror is None:
-            self._genesis(instance, "instance_created")
-            return
+            return self._genesis(instance, "instance_created")
         try:
-            variables = encode_variables(instance.variables)
-            result = encode_value(instance.result)
-            fault = encode_value(instance.fault)
+            state = _encode_state(instance)
         except StateEncodingError as error:
             self._taint(instance, error)
-            return
+            return None
+        variables, result, fault = state
         for name, value in variables.items():
             if name not in mirror["variables"] or mirror["variables"][name] != value:
                 self._emit(instance, "variable_set", {"name": name, "value": value})
@@ -281,6 +311,7 @@ class CheckpointingService(RuntimeService):
         if request != mirror["request"]:
             self._emit(instance, "compensation_request_set", {"value": request})
             mirror["request"] = request
+        return state
 
     def _taint(self, instance: ProcessInstance, error: Exception) -> None:
         """Stop journaling an instance whose state cannot be encoded."""
@@ -300,7 +331,9 @@ class CheckpointingService(RuntimeService):
 
     # -- record writers -----------------------------------------------------------
 
-    def _checkpoint(self, instance: ProcessInstance, reason: str) -> None:
+    def _checkpoint(
+        self, instance: ProcessInstance, reason: str, state: EncodedState | None = None
+    ) -> None:
         assert self._engine is not None
         engine = self._engine
         span = None
@@ -312,7 +345,7 @@ class CheckpointingService(RuntimeService):
                 attributes={"reason": reason},
             )
         try:
-            record = capture_checkpoint(instance)
+            record = capture_checkpoint(instance, state)
         except (ProcessSerializationError, StateEncodingError) as error:
             engine.metrics.counter("persistence.checkpoint_errors").inc()
             self.errors.append((instance.id, str(error)))
