@@ -23,7 +23,7 @@ from repro.policy.actions import FederationAction, ShardRoutingAction
 __all__ = ["FEDERATION_CONFIGURE", "FederationService"]
 
 #: The trigger event name scanned for at load time.
-FEDERATION_CONFIGURE = "federation.configure"
+FEDERATION_CONFIGURE = FederationAction.trigger
 
 
 class FederationService:
@@ -33,6 +33,7 @@ class FederationService:
         self.repository = repository
         self._config_rules: list[tuple] = []
         self._routing_rules: list[tuple] = []
+        repository.subscribe(self.refresh_from_policies)
         self.refresh_from_policies()
 
     @property
@@ -41,18 +42,12 @@ class FederationService:
         return bool(self._config_rules or self._routing_rules)
 
     def refresh_from_policies(self) -> None:
-        """Re-scan the repository for ``federation.configure`` policies."""
-        self._config_rules = []
-        self._routing_rules = []
-        for policy in self.repository.adaptation_policies():
-            if FEDERATION_CONFIGURE not in policy.triggers:
-                continue
-            for action in policy.actions:
-                rule = (policy.scope, action)
-                if isinstance(action, FederationAction):
-                    self._config_rules.append(rule)
-                elif isinstance(action, ShardRoutingAction):
-                    self._routing_rules.append(rule)
+        """Re-scan the repository for ``federation.configure`` policies
+        (runs on every repository ``load``/``unload``)."""
+        self._config_rules, self._routing_rules = (
+            [(policy.scope, action) for policy, action in self.repository.configuration(kind)]
+            for kind in (FederationAction, ShardRoutingAction)
+        )
 
     def config(self) -> FederationAction:
         """The fleet tuning (first configured action, or the defaults)."""

@@ -38,7 +38,7 @@ from repro.policy.actions import TracingAction
 __all__ = ["TRACING_TRIGGER", "TraceSampler", "TracingService"]
 
 #: The trigger naming convention for tracing configuration policies.
-TRACING_TRIGGER = "observability.tracing"
+TRACING_TRIGGER = TracingAction.trigger
 
 #: Bucket count of the deterministic hash test (rate resolution 0.01%).
 _BUCKETS = 10_000
@@ -103,18 +103,13 @@ class TracingService:
         self.tracer = tracer
         self.repository = repository
         self.action: TracingAction | None = None
+        repository.subscribe(self.refresh_from_policies)
         self.refresh_from_policies()
 
     def refresh_from_policies(self) -> TracingAction | None:
-        """Re-scan the repository; call after hot-loading documents."""
-        action = None
-        for policy in self.repository.adaptation_policies():
-            if TRACING_TRIGGER not in policy.triggers:
-                continue
-            for candidate in policy.actions:
-                if isinstance(candidate, TracingAction):
-                    action = candidate
-        self.action = action
+        """Re-scan the repository (runs on every ``load``/``unload``)."""
+        found = self.repository.configuration(TracingAction)
+        self.action = action = found[-1][1] if found else None
         self.tracer.configure_sampling(
             TraceSampler.from_action(action) if action is not None else None
         )

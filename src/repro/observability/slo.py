@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 #: The trigger naming convention for SLO declaration policies.
-SLO_TRIGGER = "observability.slo"
+SLO_TRIGGER = SloAction.trigger
 
 #: Latency bucket upper bounds (seconds) of the per-endpoint histograms.
 DEFAULT_LATENCY_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -175,6 +175,7 @@ class SloService:
         self._series: dict[str, _EndpointSeries] = {}
         self._status: dict[tuple[str, str], SloStatus] = {}
         self._process = None
+        repository.subscribe(self._on_repository_change)
         self.refresh_from_policies()
 
     # -- configuration -------------------------------------------------------
@@ -189,28 +190,28 @@ class SloService:
 
         Each policy contributes one objective per ``Slo`` assertion,
         paired with the policy's ``BurnRateAlert`` assertion (or the
-        default thresholds when none is declared). Call after hot-loading
-        documents; the evaluator starts on the next :meth:`ensure_started`.
+        default thresholds when none is declared). The evaluator starts on
+        the next :meth:`ensure_started`.
         """
-        objectives: list[SloObjective] = []
-        for policy in self.repository.adaptation_policies():
-            if SLO_TRIGGER not in policy.triggers:
-                continue
-            alert = next(
-                (a for a in policy.actions if isinstance(a, BurnRateAlertAction)),
-                BurnRateAlertAction(),
+        found = self.repository.configuration(SloAction, BurnRateAlertAction)
+        self.objectives = [
+            SloObjective(
+                policy_name=policy.name,
+                scope=policy.scope,
+                slo=action,
+                alert=next(
+                    (a for p, a in found if p is policy and isinstance(a, BurnRateAlertAction)),
+                    BurnRateAlertAction(),
+                ),
             )
-            for action in policy.actions:
-                if isinstance(action, SloAction):
-                    objectives.append(
-                        SloObjective(
-                            policy_name=policy.name,
-                            scope=policy.scope,
-                            slo=action,
-                            alert=alert,
-                        )
-                    )
-        self.objectives = objectives
+            for policy, action in found
+            if isinstance(action, SloAction)
+        ]
+
+    def _on_repository_change(self) -> None:
+        """Hot reload: follow the repository, evaluator included."""
+        self.refresh_from_policies()
+        self.ensure_started()
 
     def ensure_started(self) -> None:
         """Start the evaluation ticker (idempotent; no-op while inactive)."""
@@ -260,10 +261,14 @@ class SloService:
     # -- evaluation ----------------------------------------------------------
 
     def _run(self):
-        interval = min(o.alert.evaluation_interval_seconds for o in self.objectives)
-        while True:
-            yield self.env.timeout(interval)
+        # Re-read the objectives every tick: a reload may change the
+        # interval, and an unload ends the ticker until the next reload.
+        while self.objectives:
+            yield self.env.timeout(
+                min(o.alert.evaluation_interval_seconds for o in self.objectives)
+            )
             self.evaluate()
+        self._process = None
 
     def evaluate(self) -> None:
         """One evaluation tick: advance windows, fire transitions."""

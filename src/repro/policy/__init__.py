@@ -21,104 +21,38 @@ Documents round-trip to real XML (:mod:`repro.policy.xml`), are stored in a
 lookup and hot reload, and are checked by :mod:`repro.policy.validation`.
 """
 
-from repro.policy.actions import (
-    ActionError,
-    AdaptiveTimeoutAction,
-    BulkheadAction,
-    BurnRateAlertAction,
-    CircuitBreakerAction,
-    CompensateInstanceAction,
-    DelayProcessAction,
-    LoadSheddingAction,
-    PreferBestAction,
-    QuarantineAction,
-    AdaptationAction,
-    AddActivityAction,
-    ConcurrentInvokeAction,
-    ExtendTimeoutAction,
-    FederationAction,
-    IdempotencyAction,
-    InvokeSpec,
-    LoadLevelingAction,
-    RemoveActivityAction,
-    ReplaceActivityAction,
-    ResilienceAction,
-    ResponseCacheAction,
-    RetryAction,
-    SelectionStrategyAction,
-    ShardRoutingAction,
-    SkipAction,
-    SloAction,
-    SubstituteAction,
-    SuspendProcessAction,
-    TerminateProcessAction,
-    TracingAction,
-    TrafficAction,
-)
-from repro.policy.assertions import (
-    MessageCondition,
-    QoSThreshold,
-)
+from repro.policy import actions
+from repro.policy.actions import *  # noqa: F401,F403 - the vocabulary, listed once in its __all__
+from repro.policy.assertions import MessageCondition, QoSThreshold
 from repro.policy.model import (
     AdaptationPolicy,
-    GoalPolicy,
     BusinessValue,
+    GoalPolicy,
     MonitoringPolicy,
     PolicyDocument,
-    PolicyError,
     PolicyScope,
 )
+from repro.policy.reference import render_action_tables
 from repro.policy.repository import PolicyRepository
 from repro.policy.validation import PolicyValidationError, validate_document
 from repro.policy.xml import MASC_POLICY_NS, WSP_NS, parse_policy_document, serialize_policy_document
 
 __all__ = [
-    "ActionError",
-    "AdaptationAction",
+    *actions.__all__,
     "AdaptationPolicy",
-    "AdaptiveTimeoutAction",
-    "AddActivityAction",
-    "BulkheadAction",
-    "BurnRateAlertAction",
     "BusinessValue",
-    "CircuitBreakerAction",
-    "CompensateInstanceAction",
-    "ConcurrentInvokeAction",
-    "DelayProcessAction",
-    "ExtendTimeoutAction",
-    "FederationAction",
     "GoalPolicy",
-    "IdempotencyAction",
-    "InvokeSpec",
-    "LoadLevelingAction",
-    "LoadSheddingAction",
     "MASC_POLICY_NS",
     "MessageCondition",
     "MonitoringPolicy",
     "PolicyDocument",
-    "PolicyError",
     "PolicyRepository",
     "PolicyScope",
     "PolicyValidationError",
-    "PreferBestAction",
-    "QuarantineAction",
     "QoSThreshold",
-    "RemoveActivityAction",
-    "ReplaceActivityAction",
-    "ResilienceAction",
-    "ResponseCacheAction",
-    "RetryAction",
-    "SelectionStrategyAction",
-    "ShardRoutingAction",
-    "SkipAction",
-    "SloAction",
-    "SubstituteAction",
-    "SuspendProcessAction",
-    "TerminateProcessAction",
-    "TracingAction",
-    "TrafficAction",
     "WSP_NS",
     "parse_policy_document",
+    "render_action_tables",
     "serialize_policy_document",
     "validate_document",
 ]

@@ -10,13 +10,29 @@ layers exactly as in the paper:
   invocation retries, Web services substitution, concurrent invocation of
   multiple equivalent services, skipping of activities.
 
-Actions are declarative data; each knows which layer enforces it and how to
-render itself to/from the XML policy dialect.
+Actions are declarative data, and each frozen dataclass below is the *single*
+declaration of its assertion. ``element`` names the XML element; every
+field is an XML attribute named by the camelCase of the field name, typed
+by its annotation; :func:`attr` (a ``dataclasses.field`` whose metadata
+holds the rules) declares its default, its bounds (``gt``/``ge``/``lt``/
+``le``), ``choices``, ``nonempty`` and ``omit_when``, and a ``child`` rule
+makes the field child elements instead.
+:func:`schema` reads those declarations once per class, and the XML codec
+(:mod:`repro.policy.xml`), the constructor-time bound check, the
+validation warnings and the reference tables of ``docs/policy-language.md``
+are all derived from it. Configuration assertions also name the
+``trigger`` whose policies the owning service scans at load time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+import operator
+import re
+from dataclasses import MISSING, dataclass, field, fields
+from types import NoneType
+from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from repro.orchestration import Activity, Invoke, Sequence
 
@@ -37,6 +53,7 @@ __all__ = [
     "InvokeSpec",
     "LoadLevelingAction",
     "LoadSheddingAction",
+    "PolicyError",
     "PreferBestAction",
     "QuarantineAction",
     "RemoveActivityAction",
@@ -55,11 +72,107 @@ __all__ = [
     "TerminateProcessAction",
     "TracingAction",
     "TrafficAction",
+    "XmlField",
+    "attribute_text",
+    "schema",
 ]
 
 
-class ActionError(Exception):
+class PolicyError(Exception):
+    """A policy is malformed or cannot be interpreted."""
+
+
+class ActionError(PolicyError):
     """An action specification is invalid or cannot be enacted."""
+
+
+# ---------------------------------------------------------------------------
+# The assertion schema, read off the dataclass declarations
+# ---------------------------------------------------------------------------
+
+_BOUNDS = {
+    "gt": (operator.gt, ">"),
+    "ge": (operator.ge, ">="),
+    "lt": (operator.lt, "<"),
+    "le": (operator.le, "<="),
+}
+
+
+class XmlField(NamedTuple):
+    """One dataclass field as the XML codec, checker and docs see it."""
+
+    name: str
+    #: XML attribute name: the camelCase of ``name``.
+    xml_name: str
+    #: ``str``, ``int``, ``float`` or ``bool``; for a child field its
+    #: container (``tuple``, ``dict``, or ``None`` for one nested element).
+    type: type | None
+    #: Annotated ``... | None``: ``None`` means "attribute absent".
+    optional: bool
+    #: ``dataclasses.MISSING`` when the attribute is required.
+    default: Any
+    #: The field's metadata (bounds, choices, omit_when, child).
+    rules: Any
+    #: ``(text, predicate)`` per declared constraint — the one source of
+    #: the runtime check, its error message and the reference table.
+    constraints: tuple[tuple[str, Callable[[Any], bool]], ...]
+
+
+def _constraints(rules) -> tuple[tuple[str, Callable[[Any], bool]], ...]:
+    found = [
+        (f"{symbol} {rules[key]}", lambda value, holds=holds, bound=rules[key]: holds(value, bound))
+        for key, (holds, symbol) in _BOUNDS.items()
+        if key in rules
+    ]
+    if "choices" in rules:
+        found.append(("one of " + "/".join(rules["choices"]), rules["choices"].__contains__))
+    if rules.get("nonempty"):
+        found.append(("non-empty", bool))
+    return tuple(found)
+
+
+def attribute_text(value) -> str:
+    """A field value as XML attribute text (``true``/``false``, else ``str``)."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def attr(default=MISSING, *, default_factory=MISSING, **rules):
+    """A dataclass field whose metadata carries the declared rules."""
+    return field(default=default, default_factory=default_factory, metadata=rules)
+
+
+@functools.cache
+def schema(cls) -> tuple[tuple[XmlField, ...], tuple[XmlField, ...]]:
+    """``(attributes, children)`` of an assertion dataclass, in XML order.
+
+    Computed once per class. Attributes that are always written come
+    first, in declaration order, then the omittable ones (optional, or
+    carrying ``omit_when``); plain child elements come before nested
+    assertion elements. That canonical order is part of the wire format.
+    """
+    hints = get_type_hints(cls)
+    attributes: list[XmlField] = []
+    children: list[XmlField] = []
+    for spec in fields(cls):
+        hint = hints[spec.name]
+        alternatives = get_args(hint) or (hint,)
+        described = XmlField(
+            name=spec.name,
+            xml_name=re.sub(r"_(\w)", lambda match: match.group(1).upper(), spec.name),
+            type=get_origin(hint)
+            if "child" in spec.metadata
+            else next(t for t in alternatives if t is not NoneType),
+            optional=NoneType in alternatives,
+            default=spec.default,
+            rules=spec.metadata,
+            constraints=_constraints(spec.metadata),
+        )
+        (children if "child" in spec.metadata else attributes).append(described)
+    attributes.sort(key=lambda f: f.optional or "omit_when" in f.rules)
+    children.sort(key=lambda f: isinstance(f.rules["child"], type))
+    return tuple(attributes), tuple(children)
 
 
 @dataclass(frozen=True)
@@ -81,9 +194,11 @@ class InvokeSpec:
     operation: str
     service_type: str | None = None
     address: str | None = None
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
+    inputs: dict[str, str] = attr(default_factory=dict, child=("Input", "part", "value"))
+    outputs: dict[str, str] = attr(default_factory=dict, child=("Output", "variable", "part"))
     timeout_seconds: float | None = 30.0
+
+    element = "InvokeActivity"
 
     def __post_init__(self) -> None:
         if self.service_type is None and self.address is None:
@@ -106,6 +221,31 @@ class AdaptationAction:
 
     #: Which middleware layer enforces this action.
     layer = "process"
+    #: The XML element name (``None`` on abstract bases).
+    element: str | None = None
+    #: Further element names parsed as this action, never written.
+    parse_aliases: tuple[str, ...] = ()
+    #: For configuration assertions: the trigger whose policies the owning
+    #: service scans at load time (``PolicyRepository.configuration``).
+    trigger: str | None = None
+    #: Element name -> action class, for the parser.
+    by_element: dict[str, type[AdaptationAction]] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "element" in cls.__dict__:
+            for name in (cls.element, *cls.parse_aliases):
+                AdaptationAction.by_element[name] = cls
+
+    def __post_init__(self) -> None:
+        """The generic check: every field against its declared constraints."""
+        for spec in itertools.chain(*schema(type(self))):
+            value = getattr(self, spec.name)
+            if value is None:
+                continue
+            for text, holds in spec.constraints:
+                if not holds(value):
+                    raise ActionError(f"{self.element} {spec.xml_name}={value!r} must be {text}")
 
     def describe(self) -> str:
         return type(self).__name__
@@ -115,31 +255,30 @@ class AdaptationAction:
 # Process orchestration layer actions
 # ---------------------------------------------------------------------------
 
+def _variation(invokes, block_name: str | None, default_name: str) -> Activity:
+    """The variation activity: a lone invoke, or a named block of them."""
+    activities = [spec.to_activity() for spec in invokes]
+    if len(activities) == 1 and block_name is None:
+        return activities[0]
+    return Sequence(block_name or default_name, activities)
+
 
 @dataclass(frozen=True)
 class AddActivityAction(AdaptationAction):
     """Insert a variation activity (or block) into the base process."""
 
     anchor: str
-    position: str = "after"  # before | after | append
-    invokes: tuple[InvokeSpec, ...] = ()
+    position: str = attr("after", choices=("before", "after", "append"))
+    invokes: tuple[InvokeSpec, ...] = attr((), child=InvokeSpec, nonempty=True)
     block_name: str | None = None
-    #: Variable seed values passed from the policy into the instance.
-    bindings: dict[str, str] = field(default_factory=dict)
+    #: Variable seed values passed from the policy into the instance
+    #: (a ``$var`` value resolves from the event context).
+    bindings: dict[str, str] = attr(default_factory=dict, child=("Bind", "variable", "value"))
 
-    layer = "process"
-
-    def __post_init__(self) -> None:
-        if self.position not in ("before", "after", "append"):
-            raise ActionError(f"invalid position {self.position!r}")
-        if not self.invokes:
-            raise ActionError("AddActivityAction needs at least one InvokeSpec")
+    element = "AddActivity"
 
     def build_activity(self) -> Activity:
-        activities = [spec.to_activity() for spec in self.invokes]
-        if len(activities) == 1 and self.block_name is None:
-            return activities[0]
-        return Sequence(self.block_name or f"block:{self.anchor}", activities)
+        return _variation(self.invokes, self.block_name, f"block:{self.anchor}")
 
     def describe(self) -> str:
         names = ", ".join(spec.name for spec in self.invokes)
@@ -158,7 +297,7 @@ class RemoveActivityAction(AdaptationAction):
     target: str
     block_end: str | None = None
 
-    layer = "process"
+    element = "RemoveActivity"
 
     def describe(self) -> str:
         if self.block_end:
@@ -171,21 +310,14 @@ class ReplaceActivityAction(AdaptationAction):
     """Swap an activity for a variation activity/block."""
 
     target: str
-    invokes: tuple[InvokeSpec, ...] = ()
+    invokes: tuple[InvokeSpec, ...] = attr((), child=InvokeSpec, nonempty=True)
     block_name: str | None = None
-    bindings: dict[str, str] = field(default_factory=dict)
+    bindings: dict[str, str] = attr(default_factory=dict, child=("Bind", "variable", "value"))
 
-    layer = "process"
-
-    def __post_init__(self) -> None:
-        if not self.invokes:
-            raise ActionError("ReplaceActivityAction needs at least one InvokeSpec")
+    element = "ReplaceActivity"
 
     def build_activity(self) -> Activity:
-        activities = [spec.to_activity() for spec in self.invokes]
-        if len(activities) == 1 and self.block_name is None:
-            return activities[0]
-        return Sequence(self.block_name or f"replacement:{self.target}", activities)
+        return _variation(self.invokes, self.block_name, f"replacement:{self.target}")
 
     def describe(self) -> str:
         names = ", ".join(spec.name for spec in self.invokes)
@@ -196,7 +328,7 @@ class ReplaceActivityAction(AdaptationAction):
 class SuspendProcessAction(AdaptationAction):
     """Suspend the affected process instance (cross-layer coordination)."""
 
-    layer = "process"
+    element = "Suspend"
 
     def describe(self) -> str:
         return "suspend process instance"
@@ -206,7 +338,7 @@ class SuspendProcessAction(AdaptationAction):
 class ResumeProcessAction(AdaptationAction):
     """Resume the affected process instance."""
 
-    layer = "process"
+    element = "Resume"
 
     def describe(self) -> str:
         return "resume process instance"
@@ -218,7 +350,7 @@ class TerminateProcessAction(AdaptationAction):
 
     reason: str = "terminated by adaptation policy"
 
-    layer = "process"
+    element = "Terminate"
 
     def describe(self) -> str:
         return f"terminate process instance ({self.reason})"
@@ -243,15 +375,12 @@ class CompensateInstanceAction(AdaptationAction):
     """
 
     scope: str | None = None
-    mode: str = "orchestration"  # orchestration | choreography
+    mode: str = attr("orchestration", choices=("orchestration", "choreography"))
     process: str | None = None
     reason: str = "compensated by adaptation policy"
 
-    layer = "process"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("orchestration", "choreography"):
-            raise ActionError(f"unknown compensation mode {self.mode!r}")
+    element = "Compensate"
+    parse_aliases = ("CompensateOnEvent",)
 
     def describe(self) -> str:
         target = f" scope {self.scope!r}" if self.scope else ""
@@ -267,13 +396,9 @@ class DelayProcessAction(AdaptationAction):
     suspend now, resume automatically after ``delay_seconds``.
     """
 
-    delay_seconds: float = 10.0
+    delay_seconds: float = attr(10.0, gt=0)
 
-    layer = "process"
-
-    def __post_init__(self) -> None:
-        if self.delay_seconds <= 0:
-            raise ActionError(f"delay must be positive: {self.delay_seconds}")
+    element = "DelayProcess"
 
     def describe(self) -> str:
         return f"delay process instance by {self.delay_seconds}s"
@@ -281,13 +406,15 @@ class DelayProcessAction(AdaptationAction):
 
 @dataclass(frozen=True)
 class ExtendTimeoutAction(AdaptationAction):
-    """Push out the calling activity's deadline before messaging-layer
-    recovery retries ("increase its timeout interval to avoid the calling
-    process timing out")."""
+    """Push out the calling activity's pending deadline.
 
-    extra_seconds: float = 10.0
+    Used before messaging-layer recovery retries ("increase its timeout
+    interval to avoid the calling process timing out").
+    """
 
-    layer = "process"
+    extra_seconds: float = attr(10.0, gt=0)
+
+    element = "ExtendTimeout"
 
     def describe(self) -> str:
         return f"extend pending timeout by {self.extra_seconds}s"
@@ -306,26 +433,19 @@ class RetryAction(AdaptationAction):
     ``backoff_multiplier`` stretches it geometrically.
     """
 
-    max_retries: int = 3
-    delay_seconds: float = 2.0
+    max_retries: int = attr(3, ge=0)
+    delay_seconds: float = attr(2.0, ge=0)
     backoff_multiplier: float = 1.0
     #: Hard ceiling on the backed-off delay; None leaves it unbounded.
-    max_delay_seconds: float | None = None
+    max_delay_seconds: float | None = attr(None, ge=0)
     #: Fraction of the delay randomized symmetrically around it (0.2 means
     #: ±20%) so independent retriers don't synchronize into bursts.
-    jitter_fraction: float = 0.0
+    jitter_fraction: float = attr(
+        0.0, ge=0, lt=1, omit_when=lambda retry: not retry.jitter_fraction
+    )
 
     layer = "messaging"
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ActionError(f"negative max_retries {self.max_retries}")
-        if self.delay_seconds < 0:
-            raise ActionError(f"negative delay {self.delay_seconds}")
-        if self.max_delay_seconds is not None and self.max_delay_seconds < 0:
-            raise ActionError(f"negative max_delay_seconds {self.max_delay_seconds}")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ActionError(f"jitter_fraction must be in [0, 1): {self.jitter_fraction}")
+    element = "Retry"
 
     def delay_for_attempt(self, attempt: int, rng=None) -> float:
         """Delay before retry ``attempt`` (1-based).
@@ -362,14 +482,17 @@ class SubstituteAction(AdaptationAction):
     (any implementation of the contract from the UDDI registry).
     """
 
-    strategy: str = "best_response_time"
+    strategy: str = attr(
+        "best_response_time",
+        choices=("backup", "best_response_time", "round_robin", "registry"),
+    )
     backup_address: str | None = None
 
     layer = "messaging"
+    element = "Substitute"
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("backup", "best_response_time", "round_robin", "registry"):
-            raise ActionError(f"unknown substitute strategy {self.strategy!r}")
+        super().__post_init__()
         if self.strategy == "backup" and not self.backup_address:
             raise ActionError("substitute strategy 'backup' needs a backup_address")
 
@@ -380,12 +503,16 @@ class SubstituteAction(AdaptationAction):
 
 @dataclass(frozen=True)
 class ConcurrentInvokeAction(AdaptationAction):
-    """Broadcast the request to several equivalent services; first response
-    wins and pending invocations are abandoned."""
+    """Broadcast the request to several equivalent services.
 
-    max_targets: int = 0  # 0 = all registered targets
+    The first response wins and pending invocations are abandoned.
+    """
+
+    #: 0 = all registered targets.
+    max_targets: int = attr(0, ge=0)
 
     layer = "messaging"
+    element = "ConcurrentInvoke"
 
     def describe(self) -> str:
         scope = "all targets" if self.max_targets == 0 else f"{self.max_targets} targets"
@@ -402,13 +529,10 @@ class QuarantineAction(AdaptationAction):
     after ``duration_seconds``.
     """
 
-    duration_seconds: float = 60.0
+    duration_seconds: float = attr(60.0, gt=0)
 
     layer = "messaging"
-
-    def __post_init__(self) -> None:
-        if self.duration_seconds <= 0:
-            raise ActionError(f"quarantine duration must be positive: {self.duration_seconds}")
+    element = "Quarantine"
 
     def describe(self) -> str:
         return f"quarantine endpoint for {self.duration_seconds}s"
@@ -422,10 +546,15 @@ class PreferBestAction(AdaptationAction):
     ordering is adjusted to the measured response times.
     """
 
-    metric: str = "response_time"
-    window: int = 50
+    #: One of the metrics the QoS Measurement Service ranks endpoints by.
+    metric: str = attr(
+        "response_time",
+        choices=("response_time", "reliability", "availability", "throughput"),
+    )
+    window: int = attr(50, ge=1)
 
     layer = "messaging"
+    element = "PreferBest"
 
     def describe(self) -> str:
         return f"prefer best endpoint by {self.metric}"
@@ -443,6 +572,7 @@ class SkipAction(AdaptationAction):
     reason: str = "activity skipped by policy"
 
     layer = "messaging"
+    element = "Skip"
 
     def describe(self) -> str:
         return f"skip invocation ({self.reason})"
@@ -467,6 +597,7 @@ class ResilienceAction(AdaptationAction):
     """
 
     layer = "messaging"
+    trigger = "resilience.configure"
 
 
 @dataclass(frozen=True)
@@ -480,30 +611,14 @@ class CircuitBreakerAction(ResilienceAction):
     all probes succeeding closes it, any probe failing re-opens it.
     """
 
-    failure_rate_threshold: float = 0.5
-    window: int = 20
-    min_calls: int = 5
-    consecutive_failures: int = 5
-    open_seconds: float = 30.0
-    half_open_probes: int = 1
+    failure_rate_threshold: float = attr(0.5, gt=0, le=1)
+    window: int = attr(20, ge=1)
+    min_calls: int = attr(5, ge=1)
+    consecutive_failures: int = attr(5, ge=1)
+    open_seconds: float = attr(30.0, gt=0)
+    half_open_probes: int = attr(1, ge=1)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.failure_rate_threshold <= 1.0:
-            raise ActionError(
-                f"failure_rate_threshold must be in (0, 1]: {self.failure_rate_threshold}"
-            )
-        if self.window < 1:
-            raise ActionError(f"window must be positive: {self.window}")
-        if self.min_calls < 1:
-            raise ActionError(f"min_calls must be positive: {self.min_calls}")
-        if self.consecutive_failures < 1:
-            raise ActionError(
-                f"consecutive_failures must be positive: {self.consecutive_failures}"
-            )
-        if self.open_seconds <= 0:
-            raise ActionError(f"open_seconds must be positive: {self.open_seconds}")
-        if self.half_open_probes < 1:
-            raise ActionError(f"half_open_probes must be positive: {self.half_open_probes}")
+    element = "CircuitBreaker"
 
     def describe(self) -> str:
         return (
@@ -524,17 +639,11 @@ class BulkheadAction(ResilienceAction):
     retryable ``ServiceUnavailable`` fault.
     """
 
-    max_concurrent: int = 16
-    max_queue: int = 32
-    applies_to: str = "endpoint"
+    max_concurrent: int = attr(16, ge=1)
+    max_queue: int = attr(32, ge=0)
+    applies_to: str = attr("endpoint", choices=("endpoint", "vep"))
 
-    def __post_init__(self) -> None:
-        if self.max_concurrent < 1:
-            raise ActionError(f"max_concurrent must be positive: {self.max_concurrent}")
-        if self.max_queue < 0:
-            raise ActionError(f"negative max_queue {self.max_queue}")
-        if self.applies_to not in ("endpoint", "vep"):
-            raise ActionError(f"applies_to must be 'endpoint' or 'vep': {self.applies_to!r}")
+    element = "Bulkhead"
 
     def describe(self) -> str:
         return (
@@ -554,26 +663,21 @@ class AdaptiveTimeoutAction(ResilienceAction):
     used unchanged.
     """
 
-    aggregate: str = "p95"
-    multiplier: float = 3.0
-    min_seconds: float = 0.25
+    aggregate: str = attr("p95", choices=("mean", "max", "p95", "p99"))
+    multiplier: float = attr(3.0, gt=0)
+    min_seconds: float = attr(0.25, gt=0)
     max_seconds: float = 30.0
-    window: int = 50
-    min_samples: int = 5
+    window: int = attr(50, ge=1)
+    min_samples: int = attr(5, ge=1)
+
+    element = "AdaptiveTimeout"
 
     def __post_init__(self) -> None:
-        if self.aggregate not in ("mean", "max", "p95", "p99"):
-            raise ActionError(f"unknown aggregate {self.aggregate!r}")
-        if self.multiplier <= 0:
-            raise ActionError(f"multiplier must be positive: {self.multiplier}")
-        if self.min_seconds <= 0 or self.max_seconds < self.min_seconds:
+        super().__post_init__()
+        if self.max_seconds < self.min_seconds:
             raise ActionError(
-                f"need 0 < min_seconds <= max_seconds: {self.min_seconds}, {self.max_seconds}"
+                f"need min_seconds <= max_seconds: {self.min_seconds}, {self.max_seconds}"
             )
-        if self.window < 1:
-            raise ActionError(f"window must be positive: {self.window}")
-        if self.min_samples < 1:
-            raise ActionError(f"min_samples must be positive: {self.min_samples}")
 
     def describe(self) -> str:
         return (
@@ -594,16 +698,10 @@ class LoadSheddingAction(ResilienceAction):
     configure shedding — it protects the whole bus, not one endpoint.
     """
 
-    max_inflight: int = 64
-    max_retry_queue_depth: int | None = None
+    max_inflight: int = attr(64, ge=1)
+    max_retry_queue_depth: int | None = attr(None, ge=0)
 
-    def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ActionError(f"max_inflight must be positive: {self.max_inflight}")
-        if self.max_retry_queue_depth is not None and self.max_retry_queue_depth < 0:
-            raise ActionError(
-                f"negative max_retry_queue_depth {self.max_retry_queue_depth}"
-            )
+    element = "LoadShedding"
 
     def describe(self) -> str:
         description = f"shed load beyond {self.max_inflight} in-flight mediations"
@@ -629,6 +727,7 @@ class TrafficAction(AdaptationAction):
     """
 
     layer = "messaging"
+    trigger = "traffic.configure"
 
 
 @dataclass(frozen=True)
@@ -642,6 +741,8 @@ class IdempotencyAction(TrafficAction):
     each key at most once, answering duplicates with the recorded first
     response — recovery "must not blindly re-invoke constituents".
     """
+
+    element = "Idempotency"
 
     def describe(self) -> str:
         return "stamp idempotency keys for exactly-once execution"
@@ -660,18 +761,16 @@ class ResponseCacheAction(TrafficAction):
     fabric that drives adaptation.
     """
 
-    ttl_seconds: float = 30.0
-    max_entries: int = 256
-    invalidate_on: tuple[str, ...] = ()
+    ttl_seconds: float = attr(30.0, gt=0)
+    max_entries: int = attr(256, ge=1)
+    invalidate_on: tuple[str, ...] = attr((), child=("InvalidateOn", "event"))
+
+    element = "ResponseCache"
 
     def __post_init__(self) -> None:
-        if self.ttl_seconds <= 0:
-            raise ActionError(f"ttl_seconds must be positive: {self.ttl_seconds}")
-        if self.max_entries < 1:
-            raise ActionError(f"max_entries must be positive: {self.max_entries}")
-        for pattern in self.invalidate_on:
-            if not pattern:
-                raise ActionError("invalidate_on patterns must be non-empty")
+        super().__post_init__()
+        if not all(self.invalidate_on):
+            raise ActionError("invalidate_on patterns must be non-empty")
 
     def describe(self) -> str:
         description = (
@@ -696,22 +795,12 @@ class LoadLevelingAction(TrafficAction):
     ``ServiceUnavailable`` fault.
     """
 
-    rate_per_second: float = 50.0
-    burst: int = 10
-    max_queue: int = 64
-    max_wait_seconds: float = 5.0
+    rate_per_second: float = attr(50.0, gt=0)
+    burst: int = attr(10, ge=1)
+    max_queue: int = attr(64, ge=0)
+    max_wait_seconds: float = attr(5.0, ge=0)
 
-    def __post_init__(self) -> None:
-        if self.rate_per_second <= 0:
-            raise ActionError(
-                f"rate_per_second must be positive: {self.rate_per_second}"
-            )
-        if self.burst < 1:
-            raise ActionError(f"burst must be positive: {self.burst}")
-        if self.max_queue < 0:
-            raise ActionError(f"negative max_queue {self.max_queue}")
-        if self.max_wait_seconds < 0:
-            raise ActionError(f"negative max_wait_seconds {self.max_wait_seconds}")
+    element = "LoadLeveling"
 
     def describe(self) -> str:
         return (
@@ -737,41 +826,22 @@ class FederationAction(AdaptationAction):
     federation policies loaded the fleet runs on its built-in defaults.
     """
 
-    heartbeat_interval_seconds: float = 0.5
+    heartbeat_interval_seconds: float = attr(0.5, gt=0)
     #: A bus is suspected dead after ``heartbeat_interval_seconds`` times
     #: this multiplier without a heartbeat.
-    suspicion_multiplier: float = 3.0
-    gossip_interval_seconds: float = 2.0
+    suspicion_multiplier: float = attr(3.0, gt=1)
+    gossip_interval_seconds: float = attr(2.0, gt=0)
     #: Peers each bus exchanges QoS digests with per gossip round.
-    gossip_fanout: int = 1
+    gossip_fanout: int = attr(1, ge=1)
     #: Leadership lease duration; a dead leader's lease must expire
     #: before a follower may take over.
-    lease_seconds: float = 3.0
+    lease_seconds: float = attr(3.0, gt=0)
     #: Virtual nodes per bus on the consistent-hash ring.
-    virtual_nodes: int = 32
+    virtual_nodes: int = attr(32, ge=1)
 
     layer = "federation"
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval_seconds <= 0:
-            raise ActionError(
-                f"heartbeat_interval_seconds must be positive: "
-                f"{self.heartbeat_interval_seconds}"
-            )
-        if self.suspicion_multiplier <= 1.0:
-            raise ActionError(
-                f"suspicion_multiplier must exceed 1: {self.suspicion_multiplier}"
-            )
-        if self.gossip_interval_seconds <= 0:
-            raise ActionError(
-                f"gossip_interval_seconds must be positive: {self.gossip_interval_seconds}"
-            )
-        if self.gossip_fanout < 1:
-            raise ActionError(f"gossip_fanout must be positive: {self.gossip_fanout}")
-        if self.lease_seconds <= 0:
-            raise ActionError(f"lease_seconds must be positive: {self.lease_seconds}")
-        if self.virtual_nodes < 1:
-            raise ActionError(f"virtual_nodes must be positive: {self.virtual_nodes}")
+    element = "Federation"
+    trigger = "federation.configure"
 
     def describe(self) -> str:
         return (
@@ -790,16 +860,12 @@ class ShardRoutingAction(AdaptationAction):
     that bus is alive; when it is not, placement falls back to the ring.
     """
 
-    bus: str = ""
-    vep_pattern: str = "*"
+    bus: str = attr("", nonempty=True)
+    vep_pattern: str = attr("*", nonempty=True)
 
     layer = "federation"
-
-    def __post_init__(self) -> None:
-        if not self.bus:
-            raise ActionError("ShardRoutingAction needs a bus name")
-        if not self.vep_pattern:
-            raise ActionError("vep_pattern must be non-empty")
+    element = "ShardRouting"
+    trigger = "federation.configure"
 
     def describe(self) -> str:
         return f"route VEPs matching {self.vep_pattern!r} to bus {self.bus!r}"
@@ -842,26 +908,20 @@ class SloAction(AdaptationAction):
     """
 
     name: str = "slo"
-    availability_target: float = 99.0
-    latency_target_seconds: float | None = None
-    latency_percentile: str = "p99"
-    window_seconds: float = 3600.0
+    availability_target: float = attr(99.0, gt=0, lt=100)
+    latency_target_seconds: float | None = attr(None, gt=0)
+    #: Written only beside a latency target, or when it is not the default.
+    latency_percentile: str = attr(
+        "p99",
+        choices=("p50", "p95", "p99"),
+        omit_when=lambda slo: slo.latency_target_seconds is None
+        and slo.latency_percentile == SloAction.latency_percentile,
+    )
+    window_seconds: float = attr(3600.0, gt=0)
 
     layer = "messaging"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.availability_target < 100.0:
-            raise ActionError(
-                f"availability_target must be in (0, 100): {self.availability_target}"
-            )
-        if self.latency_target_seconds is not None and self.latency_target_seconds <= 0:
-            raise ActionError(
-                f"latency_target_seconds must be positive: {self.latency_target_seconds}"
-            )
-        if self.latency_percentile not in ("p50", "p95", "p99"):
-            raise ActionError(f"unknown latency_percentile {self.latency_percentile!r}")
-        if self.window_seconds <= 0:
-            raise ActionError(f"window_seconds must be positive: {self.window_seconds}")
+    element = "Slo"
+    trigger = "observability.slo"
 
     @property
     def error_budget(self) -> float:
@@ -894,32 +954,24 @@ class BurnRateAlertAction(AdaptationAction):
     window drops back under 1.0.
     """
 
-    fast_window_seconds: float = 60.0
-    slow_window_seconds: float = 300.0
-    fast_burn_threshold: float = 14.0
-    slow_burn_threshold: float = 2.0
-    evaluation_interval_seconds: float = 5.0
-    min_requests: int = 10
+    fast_window_seconds: float = attr(60.0, gt=0)
+    slow_window_seconds: float = attr(300.0, gt=0)
+    fast_burn_threshold: float = attr(14.0, gt=0)
+    slow_burn_threshold: float = attr(2.0, gt=0)
+    evaluation_interval_seconds: float = attr(5.0, gt=0)
+    min_requests: int = attr(10, ge=1)
 
     layer = "messaging"
+    element = "BurnRateAlert"
+    trigger = "observability.slo"
 
     def __post_init__(self) -> None:
-        if self.fast_window_seconds <= 0 or self.slow_window_seconds <= 0:
-            raise ActionError("burn-rate windows must be positive")
+        super().__post_init__()
         if self.fast_window_seconds > self.slow_window_seconds:
             raise ActionError(
                 f"fast window ({self.fast_window_seconds:g}s) must not exceed "
                 f"slow window ({self.slow_window_seconds:g}s)"
             )
-        if self.fast_burn_threshold <= 0 or self.slow_burn_threshold <= 0:
-            raise ActionError("burn thresholds must be positive")
-        if self.evaluation_interval_seconds <= 0:
-            raise ActionError(
-                f"evaluation_interval_seconds must be positive: "
-                f"{self.evaluation_interval_seconds}"
-            )
-        if self.min_requests < 1:
-            raise ActionError(f"min_requests must be positive: {self.min_requests}")
 
     def describe(self) -> str:
         return (
@@ -947,17 +999,13 @@ class TracingAction(AdaptationAction):
     either way, because sampling only filters what is exported.
     """
 
-    sample_rate: float = 1.0
+    sample_rate: float = attr(1.0, ge=0, le=1)
     always_sample_faults: bool = True
     always_sample_slo_violations: bool = True
 
     layer = "messaging"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.sample_rate <= 1.0:
-            raise ActionError(
-                f"sample_rate must be within [0, 1]: {self.sample_rate}"
-            )
+    element = "Tracing"
+    trigger = "observability.tracing"
 
     def describe(self) -> str:
         promotions = [
@@ -982,16 +1030,10 @@ class SelectionStrategyAction(AdaptationAction):
     the members burning the error budget.
     """
 
-    strategy: str = "best_reliability"
+    strategy: str = attr("best_reliability", choices=SELECTION_STRATEGIES)
 
     layer = "messaging"
-
-    def __post_init__(self) -> None:
-        if self.strategy not in SELECTION_STRATEGIES:
-            raise ActionError(
-                f"unknown selection strategy {self.strategy!r}; "
-                f"expected one of {SELECTION_STRATEGIES}"
-            )
+    element = "SelectionStrategy"
 
     def describe(self) -> str:
         return f"switch selection strategy to {self.strategy}"

@@ -46,6 +46,8 @@ class MessageCondition:
     value: str | None = None
     applies_to: str = "body"
 
+    element = "MessageCondition"
+
     def __post_init__(self) -> None:
         if self.operator not in _OPERATORS:
             raise ValueError(
@@ -89,6 +91,8 @@ class QoSThreshold:
     value: float
     window: int = 50
     aggregate: str = "mean"  # mean | max | min | p95 | p99
+
+    element = "QoSThreshold"
 
     def __post_init__(self) -> None:
         if self.operator not in ("lt", "lte", "gt", "gte"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.orchestration.expressions import Expression
-from repro.policy.actions import AdaptationAction
+from repro.policy.actions import AdaptationAction, PolicyError, attr, schema
 from repro.policy.assertions import MessageCondition, QoSThreshold
 from repro.soap import FaultCode
 
@@ -29,10 +29,6 @@ __all__ = [
     "PolicyError",
     "PolicyScope",
 ]
-
-
-class PolicyError(Exception):
-    """A policy is malformed or cannot be interpreted."""
 
 
 @dataclass(frozen=True)
@@ -51,6 +47,8 @@ class PolicyScope:
     process: str | None = None
     activity: str | None = None
 
+    element = "Scope"
+
     def matches(self, **subject: str | None) -> bool:
         """True if this scope applies to the described subject."""
         for key in ("service_type", "endpoint", "operation", "process", "activity"):
@@ -64,15 +62,9 @@ class PolicyScope:
 
     def describe(self) -> str:
         parts = [
-            f"{key}={value}"
-            for key, value in (
-                ("serviceType", self.service_type),
-                ("endpoint", self.endpoint),
-                ("operation", self.operation),
-                ("process", self.process),
-                ("activity", self.activity),
-            )
-            if value is not None
+            f"{spec.xml_name}={getattr(self, spec.name)}"
+            for spec in schema(PolicyScope)[0]
+            if getattr(self, spec.name) is not None
         ]
         return "any" if not parts else " ".join(parts)
 
@@ -91,6 +83,8 @@ class BusinessValue:
     currency: str = "AUD"
     reason: str = ""
 
+    element = "BusinessValue"
+
     def describe(self) -> str:
         sign = "+" if self.amount >= 0 else ""
         return f"{sign}{self.amount} {self.currency}" + (f" ({self.reason})" if self.reason else "")
@@ -100,8 +94,26 @@ def _match_event(patterns: tuple[str, ...], event: str) -> bool:
     return any(fnmatch.fnmatchcase(event, pattern) for pattern in patterns)
 
 
+class _Conditional:
+    """The optional relevance ``condition`` of a policy."""
+
+    def _compile_condition(self) -> None:
+        # Compile eagerly so malformed policies fail at load time.
+        compiled = Expression(self.condition) if self.condition is not None else None
+        object.__setattr__(self, "_condition", compiled)
+
+    def condition_holds(self, context: dict[str, Any]) -> bool:
+        compiled = getattr(self, "_condition")
+        if compiled is None:
+            return True
+        try:
+            return bool(compiled.holds(context))
+        except Exception:  # noqa: BLE001 - a failing condition means "not relevant"
+            return False
+
+
 @dataclass(frozen=True)
-class MonitoringPolicy:
+class MonitoringPolicy(_Conditional):
     """A sensor: detects situations and classifies violations.
 
     Evaluation semantics (see ``repro.core.monitoring_service`` and
@@ -132,27 +144,14 @@ class MonitoringPolicy:
             raise PolicyError("monitoring policy needs a name")
         if not self.events:
             raise PolicyError(f"monitoring policy {self.name!r} needs at least one event")
-        if self.condition is not None:
-            # Compile eagerly so malformed policies fail at load time.
-            object.__setattr__(self, "_condition", Expression(self.condition))
-        else:
-            object.__setattr__(self, "_condition", None)
+        self._compile_condition()
 
     def triggered_by(self, event: str) -> bool:
         return _match_event(self.events, event)
 
-    def condition_holds(self, context: dict[str, Any]) -> bool:
-        compiled = getattr(self, "_condition")
-        if compiled is None:
-            return True
-        try:
-            return bool(compiled.holds(context))
-        except Exception:  # noqa: BLE001 - a failing condition means "not relevant"
-            return False
-
 
 @dataclass(frozen=True)
-class AdaptationPolicy:
+class AdaptationPolicy(_Conditional):
     """An effector: what to do when a situation or fault occurs."""
 
     name: str
@@ -184,22 +183,10 @@ class AdaptationPolicy:
             raise PolicyError(
                 f"unknown adaptation type {self.adaptation_type!r} in {self.name!r}"
             )
-        if self.condition is not None:
-            object.__setattr__(self, "_condition", Expression(self.condition))
-        else:
-            object.__setattr__(self, "_condition", None)
+        self._compile_condition()
 
     def triggered_by(self, event: str) -> bool:
         return _match_event(self.triggers, event)
-
-    def condition_holds(self, context: dict[str, Any]) -> bool:
-        compiled = getattr(self, "_condition")
-        if compiled is None:
-            return True
-        try:
-            return bool(compiled.holds(context))
-        except Exception:  # noqa: BLE001
-            return False
 
     @property
     def layers(self) -> set[str]:
@@ -226,10 +213,12 @@ class GoalPolicy:
 
     name: str
     goal: str = "maximize_business_value"
-    scope: PolicyScope = field(default_factory=PolicyScope)
+    scope: PolicyScope = attr(default_factory=PolicyScope, child=PolicyScope)
     time_value_per_second: float = 1.0
     bandwidth_cost_per_message: float = 0.1
     priority: int = 100
+
+    element = "GoalPolicy"
 
     def __post_init__(self) -> None:
         if not self.name:

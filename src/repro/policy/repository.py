@@ -13,13 +13,20 @@ model references:
 Reloading a document with the same name replaces it atomically — the
 paper's hot-reload property: "When a WS-Policy4MASC document changes, these
 changes are automatically enforced the next time adaptation is needed with
-no need to restart any software component."
+no need to restart any software component." Adaptation policies are looked
+up afresh on every event; the services whose standing machinery is
+*configured* from policies (resilience, traffic, federation, SLOs, trace
+sampling) read it through the one load-time scan,
+:meth:`PolicyRepository.configuration`, and :meth:`PolicyRepository.subscribe`
+so that every ``load``/``unload`` re-runs their scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
+from repro.policy.actions import AdaptationAction
 from repro.policy.model import (
     AdaptationPolicy,
     BusinessValue,
@@ -50,6 +57,7 @@ class PolicyRepository:
     def __init__(self) -> None:
         self._documents: dict[str, PolicyDocument] = {}
         self._states: dict[str, str] = {}
+        self._listeners: list[Callable[[], None]] = []
         self.ledger: list[BusinessLedgerEntry] = []
 
     # -- loading -----------------------------------------------------------------
@@ -57,6 +65,7 @@ class PolicyRepository:
     def load(self, document: PolicyDocument) -> PolicyDocument:
         """Add or hot-replace a document (keyed by document name)."""
         self._documents[document.name] = document
+        self._changed()
         return document
 
     def load_xml(self, text: str) -> PolicyDocument:
@@ -64,7 +73,18 @@ class PolicyRepository:
         return self.load(parse_policy_document(text))
 
     def unload(self, document_name: str) -> None:
-        self._documents.pop(document_name, None)
+        if self._documents.pop(document_name, None) is not None:
+            self._changed()
+
+    def subscribe(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` after every ``load``/``unload``, in
+        subscription order (a policy-configured service's
+        ``refresh_from_policies``)."""
+        self._listeners.append(listener)
+
+    def _changed(self) -> None:
+        for listener in self._listeners:
+            listener()
 
     @property
     def documents(self) -> list[PolicyDocument]:
@@ -72,21 +92,18 @@ class PolicyRepository:
 
     # -- lookup ------------------------------------------------------------------
 
-    def monitoring_policies(self) -> list[MonitoringPolicy]:
+    def _policies(self, kind: str) -> list:
+        """Every loaded policy of one kind, lower priority number first."""
         policies = [
-            policy
-            for document in self._documents.values()
-            for policy in document.monitoring_policies
+            policy for document in self._documents.values() for policy in getattr(document, kind)
         ]
         return sorted(policies, key=lambda p: (p.priority, p.name))
 
+    def monitoring_policies(self) -> list[MonitoringPolicy]:
+        return self._policies("monitoring_policies")
+
     def adaptation_policies(self) -> list[AdaptationPolicy]:
-        policies = [
-            policy
-            for document in self._documents.values()
-            for policy in document.adaptation_policies
-        ]
-        return sorted(policies, key=lambda p: (p.priority, p.name))
+        return self._policies("adaptation_policies")
 
     def monitoring_policies_for(self, event: str, **subject) -> list[MonitoringPolicy]:
         """Monitoring policies triggered by ``event`` in the given scope,
@@ -106,13 +123,21 @@ class PolicyRepository:
             if policy.triggered_by(event) and policy.scope.matches(**subject)
         ]
 
-    def goal_policies(self) -> list[GoalPolicy]:
-        policies = [
-            policy
-            for document in self._documents.values()
-            for policy in document.goal_policies
+    def configuration(
+        self, *action_types: type[AdaptationAction]
+    ) -> list[tuple[AdaptationPolicy, AdaptationAction]]:
+        """The load-time scan: ``(policy, action)`` for every assertion of
+        the given configuration types standing in a policy that carries the
+        assertion's own ``trigger``, in priority order."""
+        return [
+            (policy, action)
+            for policy in self.adaptation_policies()
+            for action in policy.actions
+            if isinstance(action, action_types) and action.trigger in policy.triggers
         ]
-        return sorted(policies, key=lambda p: (p.priority, p.name))
+
+    def goal_policies(self) -> list[GoalPolicy]:
+        return self._policies("goal_policies")
 
     def goal_policy_for(self, **subject) -> GoalPolicy | None:
         """The highest-priority goal policy whose scope covers the subject."""
@@ -123,13 +148,11 @@ class PolicyRepository:
 
     def find_policy(self, name: str) -> MonitoringPolicy | AdaptationPolicy | GoalPolicy | None:
         for document in self._documents.values():
-            for policy in document.monitoring_policies:
-                if policy.name == name:
-                    return policy
-            for policy in document.adaptation_policies:
-                if policy.name == name:
-                    return policy
-            for policy in document.goal_policies:
+            for policy in (
+                *document.monitoring_policies,
+                *document.adaptation_policies,
+                *document.goal_policies,
+            ):
                 if policy.name == name:
                     return policy
         return None

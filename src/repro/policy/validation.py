@@ -16,6 +16,7 @@ from repro.policy.actions import (
     AddActivityAction,
     RemoveActivityAction,
     ReplaceActivityAction,
+    ResilienceAction,
     RetryAction,
 )
 from repro.policy.model import PolicyDocument
@@ -71,6 +72,19 @@ def validate_document(
             )
         for action in policy.actions:
             issues.extend(_check_action(policy.name, action, activity_names, known_service_types))
+            # A configuration assertion is read only by the load-time scan
+            # for its trigger; resilience assertions are also enacted by
+            # the Adaptation Manager under any other trigger.
+            scanned = action.trigger in (None, *policy.triggers)
+            if not scanned and not isinstance(action, ResilienceAction):
+                issues.append(
+                    ValidationIssue(
+                        "warning",
+                        policy.name,
+                        f"{action.element} is only read from policies triggered by "
+                        f"{action.trigger!r}; here nothing will ever apply it",
+                    )
+                )
         if policy.state_before is not None and policy.state_after == policy.state_before:
             issues.append(
                 ValidationIssue(

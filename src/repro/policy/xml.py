@@ -9,38 +9,9 @@ equivalent document.
 
 from __future__ import annotations
 
-from repro.policy.actions import (
-    AdaptationAction,
-    AdaptiveTimeoutAction,
-    AddActivityAction,
-    BulkheadAction,
-    BurnRateAlertAction,
-    CircuitBreakerAction,
-    CompensateInstanceAction,
-    DelayProcessAction,
-    ConcurrentInvokeAction,
-    ExtendTimeoutAction,
-    FederationAction,
-    IdempotencyAction,
-    InvokeSpec,
-    LoadLevelingAction,
-    LoadSheddingAction,
-    PreferBestAction,
-    QuarantineAction,
-    RemoveActivityAction,
-    ReplaceActivityAction,
-    ResponseCacheAction,
-    ResumeProcessAction,
-    RetryAction,
-    SelectionStrategyAction,
-    ShardRoutingAction,
-    SkipAction,
-    SloAction,
-    SubstituteAction,
-    SuspendProcessAction,
-    TerminateProcessAction,
-    TracingAction,
-)
+from dataclasses import MISSING
+
+from repro.policy.actions import ActionError, AdaptationAction, attribute_text, schema
 from repro.policy.assertions import MessageCondition, QoSThreshold
 from repro.policy.model import (
     AdaptationPolicy,
@@ -64,6 +35,8 @@ __all__ = [
 WSP_NS = "http://schemas.xmlsoap.org/ws/2004/09/policy"
 MASC_POLICY_NS = "http://masc.web.cse.unsw.edu.au/ns/ws-policy4masc"
 
+_BOOLEANS = {"true": True, "false": False}
+
 
 def _masc(local: str) -> QName:
     return QName(MASC_POLICY_NS, local)
@@ -86,78 +59,34 @@ def document_to_element(document: PolicyDocument) -> Element:
     for policy in document.adaptation_policies:
         root.append(_adaptation_to_element(policy))
     for goal in document.goal_policies:
-        root.append(_goal_to_element(goal))
+        root.append(_declared_to_element(goal))
     return root
 
 
-def _goal_to_element(policy: GoalPolicy) -> Element:
+def _append_unless_empty(element: Element, nested: Element) -> None:
+    """An all-wildcard ``Scope`` is written as no element at all."""
+    if nested.attributes or nested.children:
+        element.append(nested)
+
+
+def _policy_element(tag: str, policy, events: tuple[str, ...], **attributes: str) -> Element:
+    """What sensors and effectors share: name, priority, events, scope, condition."""
     element = Element(
-        _masc("GoalPolicy"),
-        attributes={
-            "name": policy.name,
-            "goal": policy.goal,
-            "timeValuePerSecond": str(policy.time_value_per_second),
-            "bandwidthCostPerMessage": str(policy.bandwidth_cost_per_message),
-            "priority": str(policy.priority),
-        },
+        _masc(tag),
+        attributes={"name": policy.name, "priority": str(policy.priority), **attributes},
     )
-    scope = _scope_to_element(policy.scope)
-    if scope is not None:
-        element.append(scope)
+    for event in events:
+        element.add(_masc("On"), event=event)
+    _append_unless_empty(element, _declared_to_element(policy.scope))
+    if policy.condition is not None:
+        element.add(_masc("Condition"), text=policy.condition)
     return element
 
 
-def _scope_to_element(scope: PolicyScope) -> Element | None:
-    attributes = {
-        key: value
-        for key, value in (
-            ("serviceType", scope.service_type),
-            ("endpoint", scope.endpoint),
-            ("operation", scope.operation),
-            ("process", scope.process),
-            ("activity", scope.activity),
-        )
-        if value is not None
-    }
-    if not attributes:
-        return None
-    return Element(_masc("Scope"), attributes=attributes)
-
-
 def _monitoring_to_element(policy: MonitoringPolicy) -> Element:
-    element = Element(
-        _masc("MonitoringPolicy"),
-        attributes={"name": policy.name, "priority": str(policy.priority)},
-    )
-    for event in policy.events:
-        element.add(_masc("On"), event=event)
-    scope = _scope_to_element(policy.scope)
-    if scope is not None:
-        element.append(scope)
-    if policy.condition is not None:
-        element.add(_masc("Condition"), text=policy.condition)
-    for condition in policy.conditions:
-        attributes = {
-            "xpath": condition.xpath,
-            "operator": condition.operator,
-            "appliesTo": condition.applies_to,
-        }
-        if condition.value is not None:
-            attributes["value"] = condition.value
-        element.append(Element(_masc("MessageCondition"), attributes=attributes))
-    for threshold in policy.qos_thresholds:
-        element.append(
-            Element(
-                _masc("QoSThreshold"),
-                attributes={
-                    "metric": threshold.metric,
-                    "operator": threshold.operator,
-                    "value": str(threshold.value),
-                    "window": str(threshold.window),
-                    "aggregate": threshold.aggregate,
-                },
-            )
-        )
+    element = _policy_element("MonitoringPolicy", policy, policy.events)
+    for assertion in policy.conditions + policy.qos_thresholds:
+        element.append(_declared_to_element(assertion))
     for variable, xpath in policy.extract.items():
         element.add(_masc("Extract"), variable=variable, xpath=xpath)
     if policy.classify_as is not None:
@@ -168,248 +97,47 @@ def _monitoring_to_element(policy: MonitoringPolicy) -> Element:
 
 
 def _adaptation_to_element(policy: AdaptationPolicy) -> Element:
-    element = Element(
-        _masc("AdaptationPolicy"),
-        attributes={
-            "name": policy.name,
-            "priority": str(policy.priority),
-            "type": policy.adaptation_type,
-        },
+    element = _policy_element(
+        "AdaptationPolicy", policy, policy.triggers, type=policy.adaptation_type
     )
-    for trigger in policy.triggers:
-        element.add(_masc("On"), event=trigger)
-    scope = _scope_to_element(policy.scope)
-    if scope is not None:
-        element.append(scope)
-    if policy.condition is not None:
-        element.add(_masc("Condition"), text=policy.condition)
     if policy.state_before is not None:
         element.add(_masc("StateBefore"), text=policy.state_before)
     if policy.state_after is not None:
         element.add(_masc("StateAfter"), text=policy.state_after)
     actions = element.add(_masc("Actions"))
     for action in policy.actions:
-        actions.append(_action_to_element(action))
+        actions.append(_declared_to_element(action))
     if policy.business_value is not None:
-        element.add(
-            _masc("BusinessValue"),
-            amount=str(policy.business_value.amount),
-            currency=policy.business_value.currency,
-            reason=policy.business_value.reason,
-        )
+        element.append(_declared_to_element(policy.business_value))
     return element
 
 
-def _invoke_spec_to_element(spec: InvokeSpec) -> Element:
-    attributes = {"name": spec.name, "operation": spec.operation}
-    if spec.service_type is not None:
-        attributes["serviceType"] = spec.service_type
-    if spec.address is not None:
-        attributes["address"] = spec.address
-    if spec.timeout_seconds is not None:
-        attributes["timeoutSeconds"] = str(spec.timeout_seconds)
-    element = Element(_masc("InvokeActivity"), attributes=attributes)
-    for part, value in spec.inputs.items():
-        element.add(_masc("Input"), part=part, value=str(value))
-    for variable, part in spec.outputs.items():
-        element.add(_masc("Output"), variable=variable, part=part)
+def _declared_to_element(declared) -> Element:
+    """Write one assertion from its dataclass declaration.
+
+    Works for every class :func:`repro.policy.actions.schema` describes:
+    ``None`` attributes and those whose ``omit_when`` holds are left out;
+    ``child`` fields become ``(tag, attribute)`` elements per tuple item,
+    ``(tag, key attribute, value attribute)`` elements per dict entry, or
+    nested assertion elements (one, or one per tuple item).
+    """
+    attributes, children = schema(type(declared))
+    element = Element(_masc(declared.element))
+    for spec in attributes:
+        value = getattr(declared, spec.name)
+        omit_when = spec.rules.get("omit_when")
+        if value is not None and not (omit_when and omit_when(declared)):
+            element.attributes[spec.xml_name] = attribute_text(value)
+    for spec in children:
+        child, value = spec.rules["child"], getattr(declared, spec.name)
+        if isinstance(child, type):
+            for item in value if spec.type is tuple else (value,):
+                _append_unless_empty(element, _declared_to_element(item))
+        else:  # one plain element per tuple item / dict entry
+            tag, *names = child
+            for row in value.items() if spec.type is dict else ((item,) for item in value):
+                element.append(Element(_masc(tag), attributes=dict(zip(names, map(str, row)))))
     return element
-
-
-def _action_to_element(action: AdaptationAction) -> Element:
-    if isinstance(action, RetryAction):
-        attributes = {
-            "maxRetries": str(action.max_retries),
-            "delaySeconds": str(action.delay_seconds),
-            "backoffMultiplier": str(action.backoff_multiplier),
-        }
-        if action.max_delay_seconds is not None:
-            attributes["maxDelaySeconds"] = str(action.max_delay_seconds)
-        if action.jitter_fraction != 0.0:
-            attributes["jitterFraction"] = str(action.jitter_fraction)
-        return Element(_masc("Retry"), attributes=attributes)
-    if isinstance(action, SubstituteAction):
-        attributes = {"strategy": action.strategy}
-        if action.backup_address is not None:
-            attributes["backupAddress"] = action.backup_address
-        return Element(_masc("Substitute"), attributes=attributes)
-    if isinstance(action, ConcurrentInvokeAction):
-        return Element(
-            _masc("ConcurrentInvoke"), attributes={"maxTargets": str(action.max_targets)}
-        )
-    if isinstance(action, SkipAction):
-        return Element(_masc("Skip"), attributes={"reason": action.reason})
-    if isinstance(action, SuspendProcessAction):
-        return Element(_masc("Suspend"))
-    if isinstance(action, ResumeProcessAction):
-        return Element(_masc("Resume"))
-    if isinstance(action, TerminateProcessAction):
-        return Element(_masc("Terminate"), attributes={"reason": action.reason})
-    if isinstance(action, CompensateInstanceAction):
-        attributes = {"mode": action.mode, "reason": action.reason}
-        if action.scope is not None:
-            attributes["scope"] = action.scope
-        if action.process is not None:
-            attributes["process"] = action.process
-        return Element(_masc("Compensate"), attributes=attributes)
-    if isinstance(action, ExtendTimeoutAction):
-        return Element(
-            _masc("ExtendTimeout"), attributes={"extraSeconds": str(action.extra_seconds)}
-        )
-    if isinstance(action, DelayProcessAction):
-        return Element(
-            _masc("DelayProcess"), attributes={"delaySeconds": str(action.delay_seconds)}
-        )
-    if isinstance(action, QuarantineAction):
-        return Element(
-            _masc("Quarantine"), attributes={"durationSeconds": str(action.duration_seconds)}
-        )
-    if isinstance(action, PreferBestAction):
-        return Element(
-            _masc("PreferBest"),
-            attributes={"metric": action.metric, "window": str(action.window)},
-        )
-    if isinstance(action, CircuitBreakerAction):
-        return Element(
-            _masc("CircuitBreaker"),
-            attributes={
-                "failureRateThreshold": str(action.failure_rate_threshold),
-                "window": str(action.window),
-                "minCalls": str(action.min_calls),
-                "consecutiveFailures": str(action.consecutive_failures),
-                "openSeconds": str(action.open_seconds),
-                "halfOpenProbes": str(action.half_open_probes),
-            },
-        )
-    if isinstance(action, BulkheadAction):
-        return Element(
-            _masc("Bulkhead"),
-            attributes={
-                "maxConcurrent": str(action.max_concurrent),
-                "maxQueue": str(action.max_queue),
-                "appliesTo": action.applies_to,
-            },
-        )
-    if isinstance(action, AdaptiveTimeoutAction):
-        return Element(
-            _masc("AdaptiveTimeout"),
-            attributes={
-                "aggregate": action.aggregate,
-                "multiplier": str(action.multiplier),
-                "minSeconds": str(action.min_seconds),
-                "maxSeconds": str(action.max_seconds),
-                "window": str(action.window),
-                "minSamples": str(action.min_samples),
-            },
-        )
-    if isinstance(action, LoadSheddingAction):
-        attributes = {"maxInflight": str(action.max_inflight)}
-        if action.max_retry_queue_depth is not None:
-            attributes["maxRetryQueueDepth"] = str(action.max_retry_queue_depth)
-        return Element(_masc("LoadShedding"), attributes=attributes)
-    if isinstance(action, IdempotencyAction):
-        return Element(_masc("Idempotency"))
-    if isinstance(action, ResponseCacheAction):
-        element = Element(
-            _masc("ResponseCache"),
-            attributes={
-                "ttlSeconds": str(action.ttl_seconds),
-                "maxEntries": str(action.max_entries),
-            },
-        )
-        for pattern in action.invalidate_on:
-            element.add(_masc("InvalidateOn"), event=pattern)
-        return element
-    if isinstance(action, LoadLevelingAction):
-        return Element(
-            _masc("LoadLeveling"),
-            attributes={
-                "ratePerSecond": str(action.rate_per_second),
-                "burst": str(action.burst),
-                "maxQueue": str(action.max_queue),
-                "maxWaitSeconds": str(action.max_wait_seconds),
-            },
-        )
-    if isinstance(action, SloAction):
-        attributes = {
-            "name": action.name,
-            "availabilityTarget": str(action.availability_target),
-            "windowSeconds": str(action.window_seconds),
-        }
-        if action.latency_target_seconds is not None:
-            attributes["latencyTargetSeconds"] = str(action.latency_target_seconds)
-            attributes["latencyPercentile"] = action.latency_percentile
-        return Element(_masc("Slo"), attributes=attributes)
-    if isinstance(action, BurnRateAlertAction):
-        return Element(
-            _masc("BurnRateAlert"),
-            attributes={
-                "fastWindowSeconds": str(action.fast_window_seconds),
-                "slowWindowSeconds": str(action.slow_window_seconds),
-                "fastBurnThreshold": str(action.fast_burn_threshold),
-                "slowBurnThreshold": str(action.slow_burn_threshold),
-                "evaluationIntervalSeconds": str(action.evaluation_interval_seconds),
-                "minRequests": str(action.min_requests),
-            },
-        )
-    if isinstance(action, SelectionStrategyAction):
-        return Element(
-            _masc("SelectionStrategy"), attributes={"strategy": action.strategy}
-        )
-    if isinstance(action, TracingAction):
-        return Element(
-            _masc("Tracing"),
-            attributes={
-                "sampleRate": str(action.sample_rate),
-                "alwaysSampleFaults": "true" if action.always_sample_faults else "false",
-                "alwaysSampleSloViolations": (
-                    "true" if action.always_sample_slo_violations else "false"
-                ),
-            },
-        )
-    if isinstance(action, FederationAction):
-        return Element(
-            _masc("Federation"),
-            attributes={
-                "heartbeatIntervalSeconds": str(action.heartbeat_interval_seconds),
-                "suspicionMultiplier": str(action.suspicion_multiplier),
-                "gossipIntervalSeconds": str(action.gossip_interval_seconds),
-                "gossipFanout": str(action.gossip_fanout),
-                "leaseSeconds": str(action.lease_seconds),
-                "virtualNodes": str(action.virtual_nodes),
-            },
-        )
-    if isinstance(action, ShardRoutingAction):
-        return Element(
-            _masc("ShardRouting"),
-            attributes={"bus": action.bus, "vepPattern": action.vep_pattern},
-        )
-    if isinstance(action, AddActivityAction):
-        attributes = {"anchor": action.anchor, "position": action.position}
-        if action.block_name is not None:
-            attributes["blockName"] = action.block_name
-        element = Element(_masc("AddActivity"), attributes=attributes)
-        for variable, value in action.bindings.items():
-            element.add(_masc("Bind"), variable=variable, value=str(value))
-        for spec in action.invokes:
-            element.append(_invoke_spec_to_element(spec))
-        return element
-    if isinstance(action, RemoveActivityAction):
-        attributes = {"target": action.target}
-        if action.block_end is not None:
-            attributes["blockEnd"] = action.block_end
-        return Element(_masc("RemoveActivity"), attributes=attributes)
-    if isinstance(action, ReplaceActivityAction):
-        attributes = {"target": action.target}
-        if action.block_name is not None:
-            attributes["blockName"] = action.block_name
-        element = Element(_masc("ReplaceActivity"), attributes=attributes)
-        for variable, value in action.bindings.items():
-            element.add(_masc("Bind"), variable=variable, value=str(value))
-        for spec in action.invokes:
-            element.append(_invoke_spec_to_element(spec))
-        return element
-    raise PolicyError(f"cannot serialize action {type(action).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +157,8 @@ def parse_policy_document(source: str | Element) -> PolicyDocument:
         elif child.name == _masc("AdaptationPolicy"):
             document.adaptation_policies.append(_parse_adaptation(child))
         elif child.name == _masc("GoalPolicy"):
-            document.goal_policies.append(
-                GoalPolicy(
-                    name=_required(child, "name"),
-                    goal=child.attributes.get("goal", "maximize_business_value"),
-                    scope=_parse_scope(child.find(_masc("Scope"))),
-                    time_value_per_second=float(
-                        child.attributes.get("timeValuePerSecond", "1.0")
-                    ),
-                    bandwidth_cost_per_message=float(
-                        child.attributes.get("bandwidthCostPerMessage", "0.1")
-                    ),
-                    priority=int(child.attributes.get("priority", "100")),
-                )
-            )
+            where = f"policy {child.attributes.get('name')!r}"
+            document.goal_policies.append(_parse_declared(GoalPolicy, child, where))
         elif child.name in (QName(WSP_NS, "ExactlyOne"), QName(WSP_NS, "All")):
             # WS-Policy operators: flatten — MASC treats all alternatives
             # as available and picks by priority at enforcement time.
@@ -457,16 +173,10 @@ def parse_policy_document(source: str | Element) -> PolicyDocument:
     return document
 
 
-def _parse_scope(element: Element | None) -> PolicyScope:
-    if element is None:
-        return PolicyScope()
-    return PolicyScope(
-        service_type=element.attributes.get("serviceType"),
-        endpoint=element.attributes.get("endpoint"),
-        operation=element.attributes.get("operation"),
-        process=element.attributes.get("process"),
-        activity=element.attributes.get("activity"),
-    )
+def _parse_one(cls, parent: Element, where: str, absent=None):
+    """The single ``cls`` child element of ``parent``, or ``absent``."""
+    element = parent.find(_masc(cls.element))
+    return absent if element is None else _parse_declared(cls, element, where)
 
 
 def _required(element: Element, attribute: str) -> str:
@@ -477,25 +187,11 @@ def _required(element: Element, attribute: str) -> str:
 
 
 def _parse_monitoring(element: Element) -> MonitoringPolicy:
+    where = f"policy {element.attributes.get('name')!r}"
     events = tuple(_required(on, "event") for on in element.find_all(_masc("On")))
-    conditions = tuple(
-        MessageCondition(
-            xpath=_required(mc, "xpath"),
-            operator=mc.attributes.get("operator", "exists"),
-            value=mc.attributes.get("value"),
-            applies_to=mc.attributes.get("appliesTo", "body"),
-        )
-        for mc in element.find_all(_masc("MessageCondition"))
-    )
-    thresholds = tuple(
-        QoSThreshold(
-            metric=_required(th, "metric"),
-            operator=_required(th, "operator"),
-            value=float(_required(th, "value")),
-            window=int(th.attributes.get("window", "50")),
-            aggregate=th.attributes.get("aggregate", "mean"),
-        )
-        for th in element.find_all(_masc("QoSThreshold"))
+    conditions, thresholds = (
+        tuple(_parse_declared(cls, item, where) for item in element.find_all(_masc(cls.element)))
+        for cls in (MessageCondition, QoSThreshold)
     )
     extract = {
         _required(ex, "variable"): _required(ex, "xpath")
@@ -509,7 +205,7 @@ def _parse_monitoring(element: Element) -> MonitoringPolicy:
     return MonitoringPolicy(
         name=_required(element, "name"),
         events=events,
-        scope=_parse_scope(element.find(_masc("Scope"))),
+        scope=_parse_one(PolicyScope, element, where, PolicyScope()),
         condition=element.child_text(_masc("Condition")),
         conditions=conditions,
         qos_thresholds=thresholds,
@@ -520,232 +216,79 @@ def _parse_monitoring(element: Element) -> MonitoringPolicy:
     )
 
 
-def _parse_invoke_spec(element: Element) -> InvokeSpec:
-    timeout_text = element.attributes.get("timeoutSeconds")
-    return InvokeSpec(
-        name=_required(element, "name"),
-        operation=_required(element, "operation"),
-        service_type=element.attributes.get("serviceType"),
-        address=element.attributes.get("address"),
-        inputs={
-            _required(part, "part"): _required(part, "value")
-            for part in element.find_all(_masc("Input"))
-        },
-        outputs={
-            _required(part, "variable"): _required(part, "part")
-            for part in element.find_all(_masc("Output"))
-        },
-        timeout_seconds=float(timeout_text) if timeout_text is not None else None,
-    )
+def _parse_declared(cls, element: Element, where: str):
+    """Read one assertion through its dataclass declaration.
+
+    Strict: an unknown attribute or child, an unparsable number or
+    boolean and an out-of-range value all raise :class:`PolicyError`
+    naming the policy, the element and the attribute. An absent optional
+    attribute is ``None``; any other absent attribute takes the
+    dataclass default.
+    """
+    where = f"{where} <masc:{element.name.local}>"
+    attributes, children = schema(cls)
+    values = {}
+    for spec in attributes:
+        text = element.attributes.get(spec.xml_name)
+        if text is not None:
+            try:
+                values[spec.name] = _BOOLEANS[text] if spec.type is bool else spec.type(text)
+            except (KeyError, ValueError):
+                raise PolicyError(
+                    f"{where}: attribute {spec.xml_name}={text!r} is not "
+                    f"a valid {spec.type.__name__}"
+                ) from None
+        elif spec.optional:
+            values[spec.name] = None
+        elif spec.default is MISSING:
+            raise PolicyError(f"{where} is missing attribute {spec.xml_name!r}")
+    for name in element.attributes:
+        if all(name != spec.xml_name for spec in attributes):
+            raise PolicyError(f"{where}: unknown attribute {name!r}")
+    tags = set()
+    for spec in children:
+        child = spec.rules["child"]
+        tag = _masc(child.element if isinstance(child, type) else child[0])
+        tags.add(tag)
+        found = element.find_all(tag)
+        if isinstance(child, type):
+            nested = tuple(_parse_declared(child, item, where) for item in found)
+            values[spec.name] = nested if spec.type is tuple else nested[0] if nested else child()
+        else:
+            rows = [tuple(_required(item, name) for name in child[1:]) for item in found]
+            values[spec.name] = dict(rows) if spec.type is dict else tuple(r[0] for r in rows)
+    for item in element.children:
+        if item.name not in tags:
+            raise PolicyError(f"{where}: unknown child element {item.name.local!r}")
+    try:
+        return cls(**values)
+    except ActionError as error:
+        raise PolicyError(f"{where}: {error}") from error
 
 
-def _parse_action(element: Element) -> AdaptationAction:
-    local = element.name.local
-    if local == "Retry":
-        max_delay_text = element.attributes.get("maxDelaySeconds")
-        return RetryAction(
-            max_retries=int(element.attributes.get("maxRetries", "3")),
-            delay_seconds=float(element.attributes.get("delaySeconds", "2.0")),
-            backoff_multiplier=float(element.attributes.get("backoffMultiplier", "1.0")),
-            max_delay_seconds=float(max_delay_text) if max_delay_text is not None else None,
-            jitter_fraction=float(element.attributes.get("jitterFraction", "0.0")),
-        )
-    if local == "Substitute":
-        return SubstituteAction(
-            strategy=element.attributes.get("strategy", "best_response_time"),
-            backup_address=element.attributes.get("backupAddress"),
-        )
-    if local == "ConcurrentInvoke":
-        return ConcurrentInvokeAction(max_targets=int(element.attributes.get("maxTargets", "0")))
-    if local == "Skip":
-        return SkipAction(reason=element.attributes.get("reason", "activity skipped by policy"))
-    if local == "Suspend":
-        return SuspendProcessAction()
-    if local == "Resume":
-        return ResumeProcessAction()
-    if local == "Terminate":
-        return TerminateProcessAction(
-            reason=element.attributes.get("reason", "terminated by adaptation policy")
-        )
-    if local in ("Compensate", "CompensateOnEvent"):
-        return CompensateInstanceAction(
-            scope=element.attributes.get("scope"),
-            mode=element.attributes.get("mode", "orchestration"),
-            process=element.attributes.get("process"),
-            reason=element.attributes.get("reason", "compensated by adaptation policy"),
-        )
-    if local == "ExtendTimeout":
-        return ExtendTimeoutAction(extra_seconds=float(element.attributes.get("extraSeconds", "10")))
-    if local == "DelayProcess":
-        return DelayProcessAction(
-            delay_seconds=float(element.attributes.get("delaySeconds", "10"))
-        )
-    if local == "Quarantine":
-        return QuarantineAction(
-            duration_seconds=float(element.attributes.get("durationSeconds", "60"))
-        )
-    if local == "PreferBest":
-        return PreferBestAction(
-            metric=element.attributes.get("metric", "response_time"),
-            window=int(element.attributes.get("window", "50")),
-        )
-    if local == "CircuitBreaker":
-        return CircuitBreakerAction(
-            failure_rate_threshold=float(element.attributes.get("failureRateThreshold", "0.5")),
-            window=int(element.attributes.get("window", "20")),
-            min_calls=int(element.attributes.get("minCalls", "5")),
-            consecutive_failures=int(element.attributes.get("consecutiveFailures", "5")),
-            open_seconds=float(element.attributes.get("openSeconds", "30")),
-            half_open_probes=int(element.attributes.get("halfOpenProbes", "1")),
-        )
-    if local == "Bulkhead":
-        return BulkheadAction(
-            max_concurrent=int(element.attributes.get("maxConcurrent", "16")),
-            max_queue=int(element.attributes.get("maxQueue", "32")),
-            applies_to=element.attributes.get("appliesTo", "endpoint"),
-        )
-    if local == "AdaptiveTimeout":
-        return AdaptiveTimeoutAction(
-            aggregate=element.attributes.get("aggregate", "p95"),
-            multiplier=float(element.attributes.get("multiplier", "3.0")),
-            min_seconds=float(element.attributes.get("minSeconds", "0.25")),
-            max_seconds=float(element.attributes.get("maxSeconds", "30")),
-            window=int(element.attributes.get("window", "50")),
-            min_samples=int(element.attributes.get("minSamples", "5")),
-        )
-    if local == "LoadShedding":
-        depth_text = element.attributes.get("maxRetryQueueDepth")
-        return LoadSheddingAction(
-            max_inflight=int(element.attributes.get("maxInflight", "64")),
-            max_retry_queue_depth=int(depth_text) if depth_text is not None else None,
-        )
-    if local == "Idempotency":
-        return IdempotencyAction()
-    if local == "ResponseCache":
-        return ResponseCacheAction(
-            ttl_seconds=float(element.attributes.get("ttlSeconds", "30")),
-            max_entries=int(element.attributes.get("maxEntries", "256")),
-            invalidate_on=tuple(
-                _required(on, "event") for on in element.find_all(_masc("InvalidateOn"))
-            ),
-        )
-    if local == "LoadLeveling":
-        return LoadLevelingAction(
-            rate_per_second=float(element.attributes.get("ratePerSecond", "50")),
-            burst=int(element.attributes.get("burst", "10")),
-            max_queue=int(element.attributes.get("maxQueue", "64")),
-            max_wait_seconds=float(element.attributes.get("maxWaitSeconds", "5")),
-        )
-    if local == "Slo":
-        latency_text = element.attributes.get("latencyTargetSeconds")
-        return SloAction(
-            name=element.attributes.get("name", "slo"),
-            availability_target=float(element.attributes.get("availabilityTarget", "99.0")),
-            latency_target_seconds=(
-                float(latency_text) if latency_text is not None else None
-            ),
-            latency_percentile=element.attributes.get("latencyPercentile", "p99"),
-            window_seconds=float(element.attributes.get("windowSeconds", "3600")),
-        )
-    if local == "BurnRateAlert":
-        return BurnRateAlertAction(
-            fast_window_seconds=float(element.attributes.get("fastWindowSeconds", "60")),
-            slow_window_seconds=float(element.attributes.get("slowWindowSeconds", "300")),
-            fast_burn_threshold=float(element.attributes.get("fastBurnThreshold", "14")),
-            slow_burn_threshold=float(element.attributes.get("slowBurnThreshold", "2")),
-            evaluation_interval_seconds=float(
-                element.attributes.get("evaluationIntervalSeconds", "5")
-            ),
-            min_requests=int(element.attributes.get("minRequests", "10")),
-        )
-    if local == "SelectionStrategy":
-        return SelectionStrategyAction(
-            strategy=element.attributes.get("strategy", "best_reliability")
-        )
-    if local == "Tracing":
-        return TracingAction(
-            sample_rate=float(element.attributes.get("sampleRate", "1.0")),
-            always_sample_faults=(
-                element.attributes.get("alwaysSampleFaults", "true") == "true"
-            ),
-            always_sample_slo_violations=(
-                element.attributes.get("alwaysSampleSloViolations", "true") == "true"
-            ),
-        )
-    if local == "Federation":
-        return FederationAction(
-            heartbeat_interval_seconds=float(
-                element.attributes.get("heartbeatIntervalSeconds", "0.5")
-            ),
-            suspicion_multiplier=float(element.attributes.get("suspicionMultiplier", "3.0")),
-            gossip_interval_seconds=float(
-                element.attributes.get("gossipIntervalSeconds", "2.0")
-            ),
-            gossip_fanout=int(element.attributes.get("gossipFanout", "1")),
-            lease_seconds=float(element.attributes.get("leaseSeconds", "3.0")),
-            virtual_nodes=int(element.attributes.get("virtualNodes", "32")),
-        )
-    if local == "ShardRouting":
-        return ShardRoutingAction(
-            bus=_required(element, "bus"),
-            vep_pattern=element.attributes.get("vepPattern", "*"),
-        )
-    if local == "AddActivity":
-        return AddActivityAction(
-            anchor=_required(element, "anchor"),
-            position=element.attributes.get("position", "after"),
-            block_name=element.attributes.get("blockName"),
-            bindings={
-                _required(b, "variable"): _required(b, "value")
-                for b in element.find_all(_masc("Bind"))
-            },
-            invokes=tuple(
-                _parse_invoke_spec(spec) for spec in element.find_all(_masc("InvokeActivity"))
-            ),
-        )
-    if local == "RemoveActivity":
-        return RemoveActivityAction(
-            target=_required(element, "target"),
-            block_end=element.attributes.get("blockEnd"),
-        )
-    if local == "ReplaceActivity":
-        return ReplaceActivityAction(
-            target=_required(element, "target"),
-            block_name=element.attributes.get("blockName"),
-            bindings={
-                _required(b, "variable"): _required(b, "value")
-                for b in element.find_all(_masc("Bind"))
-            },
-            invokes=tuple(
-                _parse_invoke_spec(spec) for spec in element.find_all(_masc("InvokeActivity"))
-            ),
-        )
-    raise PolicyError(f"unknown adaptation action element {local!r}")
+def _parse_action(element: Element, where: str) -> AdaptationAction:
+    cls = AdaptationAction.by_element.get(element.name.local)
+    if cls is None:
+        raise PolicyError(f"{where}: unknown adaptation action element {element.name.local!r}")
+    return _parse_declared(cls, element, where)
 
 
 def _parse_adaptation(element: Element) -> AdaptationPolicy:
+    where = f"policy {element.attributes.get('name')!r}"
     actions_element = element.find(_masc("Actions"))
     if actions_element is None:
         raise PolicyError(
             f"adaptation policy {element.attributes.get('name')!r} has no Actions element"
         )
-    business_element = element.find(_masc("BusinessValue"))
-    business_value = None
-    if business_element is not None:
-        business_value = BusinessValue(
-            amount=float(_required(business_element, "amount")),
-            currency=business_element.attributes.get("currency", "AUD"),
-            reason=business_element.attributes.get("reason", ""),
-        )
     return AdaptationPolicy(
         name=_required(element, "name"),
         triggers=tuple(_required(on, "event") for on in element.find_all(_masc("On"))),
-        scope=_parse_scope(element.find(_masc("Scope"))),
+        scope=_parse_one(PolicyScope, element, where, PolicyScope()),
         condition=element.child_text(_masc("Condition")),
         state_before=element.child_text(_masc("StateBefore")),
         state_after=element.child_text(_masc("StateAfter")),
-        actions=tuple(_parse_action(child) for child in actions_element.children),
-        business_value=business_value,
+        actions=tuple(_parse_action(child, where) for child in actions_element.children),
+        business_value=_parse_one(BusinessValue, element, where),
         priority=int(element.attributes.get("priority", "100")),
         adaptation_type=element.attributes.get("type", "correction"),
     )

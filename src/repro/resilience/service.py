@@ -93,6 +93,7 @@ class ResilienceService:
         #: Every breaker transition on this bus, in simulation order.
         self.transitions: list[BreakerTransition] = []
         self.fail_fast_total = 0
+        repository.subscribe(self.refresh_from_policies)
         self.refresh_from_policies()
 
     # -- configuration ----------------------------------------------------------------
@@ -120,30 +121,23 @@ class ResilienceService:
     def refresh_from_policies(self) -> None:
         """Re-scan the repository for ``resilience.configure`` policies.
 
-        Call after hot-loading new policy documents. Live breakers and
-        bulkheads keep their runtime state; their thresholds are updated
-        in place when the matching configuration changed.
+        Runs on every repository ``load``/``unload`` (and after a dynamic
+        :meth:`apply_action`). Live breakers and bulkheads keep their
+        runtime state; their thresholds are updated in place when the
+        matching configuration changed, and they are dropped when no
+        rule configures them any more.
         """
-        self._breaker_rules = list(self._dynamic_rules)
-        self._bulkhead_rules = list(self._dynamic_rules)
-        self._timeout_rules = list(self._dynamic_rules)
-        self._static_shedding = None
-        for policy in self.repository.adaptation_policies():
-            if "resilience.configure" not in policy.triggers:
-                continue
-            for action in policy.actions:
-                rule = (policy.scope, action)
-                if isinstance(action, CircuitBreakerAction):
-                    self._breaker_rules.append(rule)
-                elif isinstance(action, BulkheadAction):
-                    self._bulkhead_rules.append(rule)
-                elif isinstance(action, AdaptiveTimeoutAction):
-                    self._timeout_rules.append(rule)
-                elif isinstance(action, LoadSheddingAction):
-                    # Shedding guards the whole bus: only unscoped policies
-                    # apply, first by priority wins.
-                    if self._static_shedding is None and policy.scope.matches():
-                        self._static_shedding = action
+        scan = self.repository.configuration
+        self._breaker_rules, self._bulkhead_rules, self._timeout_rules = (
+            self._dynamic_rules + [(policy.scope, action) for policy, action in scan(kind)]
+            for kind in (CircuitBreakerAction, BulkheadAction, AdaptiveTimeoutAction)
+        )
+        # Shedding guards the whole bus: only unscoped policies apply,
+        # first by priority wins.
+        self._static_shedding = next(
+            (action for policy, action in scan(LoadSheddingAction) if policy.scope.matches()),
+            None,
+        )
         self._reconfigure_live()
 
     def apply_action(self, action: ResilienceAction, scope=None) -> bool:
@@ -175,17 +169,19 @@ class ResilienceService:
             self.shedder.config = shedding
         if self.shedder is not None:
             self.shedder.retry_queue = self.retry_queue
-        for breaker in self._breakers.values():
-            config = self._match(
-                self._breaker_rules, CircuitBreakerAction, endpoint=breaker.endpoint
-            )
-            if config is not None and config is not breaker.config:
+        for endpoint, breaker in list(self._breakers.items()):
+            config = self._match(self._breaker_rules, CircuitBreakerAction, endpoint=endpoint)
+            if config is None:
+                del self._breakers[endpoint]
+            elif config is not breaker.config:
                 breaker.config = config
-        for address, bulkhead in self._endpoint_bulkheads.items():
+        for address, bulkhead in list(self._endpoint_bulkheads.items()):
             config = self._match(
                 self._bulkhead_rules, BulkheadAction, endpoint=address, applies_to="endpoint"
             )
-            if config is not None:
+            if config is None:
+                del self._endpoint_bulkheads[address]
+            else:
                 bulkhead.max_concurrent = config.max_concurrent
                 bulkhead.max_queue = config.max_queue
 

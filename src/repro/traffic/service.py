@@ -34,9 +34,6 @@ from repro.traffic.leveling import LoadLeveler
 
 __all__ = ["TrafficService"]
 
-#: The trigger event name scanned for at load time.
-TRAFFIC_CONFIGURE = "traffic.configure"
-
 #: Sentinel distinguishing "no leveler configured" from "not derived yet".
 _UNSET = object()
 
@@ -58,6 +55,7 @@ class TrafficService:
         self._caches: dict[ResponseCacheAction, ResponseCache] = {}
         #: Per-VEP levelers; _UNSET until derived, None when unmatched.
         self._levelers: dict[str, LoadLeveler | None] = {}
+        repository.subscribe(self.refresh_from_policies)
         self.refresh_from_policies()
 
     # -- configuration ------------------------------------------------------------
@@ -70,21 +68,12 @@ class TrafficService:
         )
 
     def refresh_from_policies(self) -> None:
-        """Re-scan the repository for ``traffic.configure`` policies."""
-        self._idempotency_rules = []
-        self._cache_rules = []
-        self._leveling_rules = []
-        for policy in self.repository.adaptation_policies():
-            if TRAFFIC_CONFIGURE not in policy.triggers:
-                continue
-            for action in policy.actions:
-                rule = (policy.scope, action)
-                if isinstance(action, IdempotencyAction):
-                    self._idempotency_rules.append(rule)
-                elif isinstance(action, ResponseCacheAction):
-                    self._cache_rules.append(rule)
-                elif isinstance(action, LoadLevelingAction):
-                    self._leveling_rules.append(rule)
+        """Re-scan the repository for ``traffic.configure`` policies
+        (runs on every repository ``load``/``unload``)."""
+        self._idempotency_rules, self._cache_rules, self._leveling_rules = (
+            [(policy.scope, action) for policy, action in self.repository.configuration(kind)]
+            for kind in (IdempotencyAction, ResponseCacheAction, LoadLevelingAction)
+        )
         # Levelers are re-derived lazily against the fresh rules; caches
         # for actions no longer configured are dropped.
         self._levelers.clear()

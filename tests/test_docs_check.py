@@ -52,7 +52,9 @@ def test_docs_exist_and_contain_python_examples():
 def test_fenced_python_blocks_execute(doc, index, source):
     """The documented examples run exactly as printed."""
     namespace = {"__name__": f"docscheck_{doc.replace('.', '_')}_{index}"}
-    exec(compile(source, f"{doc}[block {index}]", "exec"), namespace)
+    # dont_inherit: a documented example must not run under this module's
+    # ``from __future__ import annotations``.
+    exec(compile(source, f"{doc}[block {index}]", "exec", dont_inherit=True), namespace)
 
 
 # --- API audit: the names the prose mentions must exist -----------------------
@@ -136,28 +138,23 @@ class TestPolicyLanguageDocAudit:
         parameters = inspect.signature(validate_document).parameters
         assert {"document", "process", "known_service_types"} <= set(parameters)
 
-    def test_action_elements_map_to_classes(self):
-        """Each documented action element has its implementation class."""
-        from repro.policy import actions
+    def test_action_tables_are_the_rendered_schema(self):
+        """The committed tables equal what the declarations render to."""
+        from repro.policy import render_action_tables
 
-        documented = {
-            "AddActivity": "AddActivityAction",
-            "RemoveActivity": "RemoveActivityAction",
-            "ReplaceActivity": "ReplaceActivityAction",
-            "Suspend": "SuspendProcessAction",
-            "Resume": "ResumeProcessAction",
-            "DelayProcess": "DelayProcessAction",
-            "Terminate": "TerminateProcessAction",
-            "ExtendTimeout": "ExtendTimeoutAction",
-            "Retry": "RetryAction",
-            "Substitute": "SubstituteAction",
-            "ConcurrentInvoke": "ConcurrentInvokeAction",
-            "Skip": "SkipAction",
-            "Quarantine": "QuarantineAction",
-            "PreferBest": "PreferBestAction",
-        }
-        for element, class_name in documented.items():
-            assert hasattr(actions, class_name), f"{element} -> {class_name}"
+        text = (DOCS_DIR / "policy-language.md").read_text(encoding="utf-8")
+        assert render_action_tables(text) == text
+
+    def test_documented_rows_are_exactly_the_declared_elements(self):
+        """Every declared element has a row; every row is a declared element."""
+        from repro.policy import InvokeSpec
+        from repro.policy.actions import AdaptationAction
+
+        text = (DOCS_DIR / "policy-language.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"<!-- actions:\S+ -->\n(.*?)<!-- /actions -->", text, re.DOTALL)
+        documented = re.findall(r"^\| `(\w+)` \|", "".join(blocks), re.MULTILINE)
+        declared = {cls.element for cls in AdaptationAction.by_element.values()}
+        assert sorted(documented) == sorted(declared | {InvokeSpec.element})
 
     def test_goal_policy_machinery(self):
         from repro.core.optimization import UtilityDrivenDecisionMaker  # noqa: F401

@@ -215,6 +215,22 @@ class TestValidation:
         issues = validate_document(document)
         assert any("no observable effect" in issue.message for issue in issues)
 
+    def test_configuration_assertion_without_its_trigger_warns(self):
+        from repro.policy import CircuitBreakerAction, ResponseCacheAction, SloAction
+
+        inert = AdaptationPolicy(
+            "inert", ("fault.Timeout",), (SloAction(), ResponseCacheAction(), CircuitBreakerAction())
+        )
+        read = AdaptationPolicy("read", ("observability.slo", "traffic.configure"), inert.actions[:2])
+        issues = validate_document(document_with(policies=[inert, read]))
+        warnings = [issue.message for issue in issues if issue.policy_name == "inert"]
+        # Resilience assertions stay legal under fault triggers (the
+        # Adaptation Manager enacts them); the other two are never read.
+        assert len(warnings) == 2
+        assert any("Slo" in w and "'observability.slo'" in w for w in warnings)
+        assert any("ResponseCache" in w and "'traffic.configure'" in w for w in warnings)
+        assert not [issue for issue in issues if issue.policy_name == "read"]
+
     def test_clean_document_no_issues(self):
         document = document_with(policies=[simple_policy("a")])
         assert validate_document(document) == []

@@ -289,3 +289,94 @@ class TestFederationVocabulary:
             ShardRoutingAction(bus="")
         with pytest.raises(ActionError):
             ShardRoutingAction(bus="bus-0", vep_pattern="")
+
+
+class TestMalformedActionAttributes:
+    """Hostile or mistyped action attributes fail loudly and locally:
+    a ``PolicyError`` naming the policy, the element and the attribute."""
+
+    @staticmethod
+    def parse(action_xml: str):
+        return parse_policy_document(
+            '<wsp:Policy xmlns:wsp="http://schemas.xmlsoap.org/ws/2004/09/policy" '
+            'xmlns:masc="http://masc.web.cse.unsw.edu.au/ns/ws-policy4masc" Name="d">'
+            '<masc:AdaptationPolicy name="retailer-recovery"><masc:On event="fault.*"/>'
+            f"<masc:Actions>{action_xml}</masc:Actions>"
+            "</masc:AdaptationPolicy></wsp:Policy>"
+        )
+
+    @pytest.mark.parametrize(
+        "action_xml,element,attribute",
+        [
+            ('<masc:Retry maxRetries="lots"/>', "Retry", "maxRetries"),
+            ('<masc:Retry delaySeconds="soon"/>', "Retry", "delaySeconds"),
+            ('<masc:Retry maxRetrys="9"/>', "Retry", "maxRetrys"),
+            ('<masc:Tracing alwaysSampleFaults="False"/>', "Tracing", "alwaysSampleFaults"),
+            ('<masc:ExtendTimeout extraSeconds="-5"/>', "ExtendTimeout", "extraSeconds"),
+            ('<masc:ConcurrentInvoke maxTargets="-3"/>', "ConcurrentInvoke", "maxTargets"),
+            ('<masc:PreferBest metric="karma"/>', "PreferBest", "metric"),
+            ('<masc:PreferBest window="0"/>', "PreferBest", "window"),
+            ('<masc:Retry jitterFraction="nan"/>', "Retry", "jitterFraction"),
+            ('<masc:ShardRouting vepPattern="*"/>', "ShardRouting", "bus"),
+            (
+                '<masc:AddActivity anchor="a"><masc:InvokeActivity name="n" operation="o"'
+                ' address="http://x" timeoutSecs="3"/></masc:AddActivity>',
+                "InvokeActivity",
+                "timeoutSecs",
+            ),
+        ],
+    )
+    def test_error_names_policy_element_and_attribute(self, action_xml, element, attribute):
+        with pytest.raises(PolicyError) as raised:
+            self.parse(action_xml)
+        message = str(raised.value)
+        assert "retailer-recovery" in message
+        assert element in message
+        assert attribute in message
+
+    def test_unknown_child_element_rejected(self):
+        with pytest.raises(PolicyError, match="InvalidateOnn"):
+            self.parse(
+                '<masc:ResponseCache><masc:InvalidateOnn event="e"/></masc:ResponseCache>'
+            )
+
+    def test_constructors_enforce_the_same_bounds(self):
+        from repro.policy import PreferBestAction
+
+        for build in (
+            lambda: ExtendTimeoutAction(extra_seconds=-5),
+            lambda: ConcurrentInvokeAction(max_targets=-3),
+            lambda: PreferBestAction(metric="karma"),
+            lambda: PreferBestAction(window=0),
+        ):
+            with pytest.raises(ActionError):
+                build()
+
+    def test_well_formed_booleans_and_absent_timeout(self):
+        from repro.policy import TracingAction
+
+        document = self.parse(
+            '<masc:Tracing alwaysSampleFaults="false"/>'
+            '<masc:AddActivity anchor="a"><masc:InvokeActivity name="n" operation="o"'
+            ' address="http://x"/></masc:AddActivity>'
+        )
+        tracing, add = document.adaptation_policies[0].actions
+        assert tracing == TracingAction(always_sample_faults=False)
+        # Absent means "no timeout", not the constructor default of 30 s.
+        assert add.invokes[0].timeout_seconds is None
+
+
+def test_slo_latency_percentile_round_trips_without_a_latency_target():
+    from repro.policy import SloAction
+
+    document = PolicyDocument("d")
+    document.adaptation_policies.append(
+        AdaptationPolicy("p", ("observability.slo",), (SloAction(latency_percentile="p50"),))
+    )
+    text = serialize_policy_document(document)
+    assert parse_policy_document(text) == document
+    # The default is still left out, so documents that already round-tripped keep their bytes.
+    document.adaptation_policies[0] = AdaptationPolicy(
+        "p", ("observability.slo",), (SloAction(),)
+    )
+    assert "latencyPercentile" not in serialize_policy_document(document)

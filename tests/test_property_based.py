@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import string
+from dataclasses import MISSING, dataclass
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.metrics import availability_from_records, failures_per_1000
 from repro.orchestration import Expression
@@ -14,12 +15,10 @@ from repro.policy import (
     MonitoringPolicy,
     PolicyDocument,
     PolicyScope,
-    RetryAction,
-    AddActivityAction,
-    SubstituteAction,
     parse_policy_document,
     serialize_policy_document,
 )
+from repro.policy.actions import ActionError, AdaptationAction, attr, schema
 from repro.services import InvocationOutcome, InvocationRecord
 from repro.soap import SoapEnvelope
 from repro.simulation import Environment
@@ -64,6 +63,60 @@ def invocation_records(draw):
     )
 
 
+def attribute_values(spec):
+    """Values of one declared attribute, from its type and bounds."""
+    rules = spec.rules
+    if "choices" in rules:
+        values = st.sampled_from(rules["choices"])
+    elif spec.type is bool:
+        values = st.booleans()
+    elif spec.type is int:
+        low = rules.get("ge", rules.get("gt", -1000) + ("gt" in rules))
+        values = st.integers(low, rules.get("le", rules.get("lt", low + 1001) - ("lt" in rules)))
+    elif spec.type is float:
+        values = st.floats(
+            min_value=rules.get("ge", rules.get("gt", -1e6)),
+            max_value=rules.get("le", rules.get("lt", 1e6)),
+            exclude_min="gt" in rules,
+            exclude_max="lt" in rules,
+            allow_nan=False,
+        )
+    else:
+        values = names if rules.get("nonempty") or spec.default is MISSING else texts
+    return st.none() | values if spec.optional else values
+
+
+@st.composite
+def declared(draw, cls):
+    """An instance of an assertion dataclass with *every* field drawn from
+    its declaration; a draw that a cross-field rule rejects is redrawn."""
+    attributes, children = schema(cls)
+    for _ in range(12):
+        values = {spec.name: draw(attribute_values(spec)) for spec in attributes}
+        for spec in children:
+            child = spec.rules["child"]
+            least = 1 if spec.rules.get("nonempty") else 0
+            if isinstance(child, type):
+                items = st.lists(declared(child), min_size=least, max_size=2)
+                values[spec.name] = tuple(draw(items))
+            elif len(child) == 2:
+                values[spec.name] = tuple(draw(st.lists(names, min_size=least, max_size=3)))
+            else:
+                values[spec.name] = draw(st.dictionaries(names, texts, min_size=least, max_size=3))
+        try:
+            return cls(**values)
+        except ActionError:
+            continue
+    assume(False)
+
+
+def any_action():
+    """Every declared action class, every field."""
+    return st.sampled_from(sorted(set(AdaptationAction.by_element.values()), key=str)).flatmap(
+        declared
+    )
+
+
 @st.composite
 def policy_documents(draw):
     document = PolicyDocument(draw(names))
@@ -83,31 +136,7 @@ def policy_documents(draw):
             )
         )
     for index in range(draw(st.integers(1, 3))):
-        actions = [
-            draw(
-                st.sampled_from(
-                    [
-                        RetryAction(
-                            max_retries=draw(st.integers(0, 9)),
-                            delay_seconds=draw(
-                                st.floats(min_value=0, max_value=60, allow_nan=False)
-                            ),
-                        ),
-                        SubstituteAction("round_robin"),
-                        AddActivityAction(
-                            anchor=draw(names),
-                            invokes=(
-                                InvokeSpec(
-                                    name=draw(names),
-                                    operation=draw(names),
-                                    address=f"http://{draw(names)}",
-                                ),
-                            ),
-                        ),
-                    ]
-                )
-            )
-        ]
+        actions = draw(st.lists(any_action(), min_size=1, max_size=3))
         document.adaptation_policies.append(
             AdaptationPolicy(
                 name=f"a{index}-{draw(names)}",
@@ -153,11 +182,53 @@ def test_element_copy_is_structurally_equal_but_distinct(element):
 @given(policy_documents())
 @settings(max_examples=30)
 def test_policy_document_round_trip_fixed_point(document):
-    """serialize(parse(serialize(d))) == serialize(d): one round trip is a
-    fixed point of the XML mapping."""
+    """parse(serialize(d)) == d, and serialize(parse(serialize(d))) ==
+    serialize(d): one round trip loses nothing and is a fixed point of
+    the XML mapping."""
     once = serialize_policy_document(document)
-    twice = serialize_policy_document(parse_policy_document(once))
-    assert once == twice
+    reparsed = parse_policy_document(once)
+    assert reparsed == document
+    assert serialize_policy_document(reparsed) == once
+
+
+@given(st.data())
+@settings(max_examples=10)
+def test_every_action_class_round_trips(data):
+    """Exhaustive, not sampled: one drawn instance of *each* declared class."""
+    for cls in set(AdaptationAction.by_element.values()):
+        action = data.draw(declared(cls))
+        document = PolicyDocument("d")
+        document.adaptation_policies.append(AdaptationPolicy("p", ("e",), (action,)))
+        assert parse_policy_document(serialize_policy_document(document)) == document
+
+
+@given(st.data())
+@settings(max_examples=20)
+def test_a_new_assertion_is_one_declaration(data):
+    """A class declared here, unknown to ``xml.py``, round-trips."""
+
+    @dataclass(frozen=True)
+    class ThrowAwayAction(AdaptationAction):
+        """Exists only in this test."""
+
+        label: str
+        ratio: float = attr(0.5, gt=0, le=1)
+        attempts: int | None = attr(None, ge=1)
+        verbose: bool = False
+        mode: str = attr("a", choices=("a", "b"))
+        tags: tuple[str, ...] = attr((), child=("Tag", "name"))
+
+        element = "ThrowAway"
+
+    try:
+        action = data.draw(declared(ThrowAwayAction))
+        document = PolicyDocument("d")
+        document.adaptation_policies.append(AdaptationPolicy("p", ("e",), (action,)))
+        text = serialize_policy_document(document)
+        assert ":ThrowAway label=" in text
+        assert parse_policy_document(text) == document
+    finally:
+        del AdaptationAction.by_element["ThrowAway"]
 
 
 @given(policy_documents())
