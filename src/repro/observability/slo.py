@@ -156,8 +156,8 @@ class SloService:
     Inert (``active`` is False) until ``observability.slo`` policies are
     loaded *and* a real :class:`~repro.observability.MetricsRegistry` is
     attached — the SLO engine consumes metrics, so it cannot run against
-    :data:`~repro.observability.NULL_METRICS`. When inactive the bus
-    message path pays a single attribute check per send.
+    :data:`~repro.observability.NULL_METRICS`. When inactive the bus's
+    ``wsbus.send`` stage is composed without the :meth:`record` feed.
     """
 
     def __init__(self, env, repository, metrics=None, tracer=None) -> None:
@@ -175,6 +175,8 @@ class SloService:
         self._series: dict[str, _EndpointSeries] = {}
         self._status: dict[tuple[str, str], SloStatus] = {}
         self._process = None
+        #: Called after every refresh: the hosting bus recomposes its chains.
+        self.on_refresh = lambda: None
         repository.subscribe(self._on_repository_change)
         self.refresh_from_policies()
 
@@ -207,6 +209,7 @@ class SloService:
             for policy, action in found
             if isinstance(action, SloAction)
         ]
+        self.on_refresh()
 
     def _on_repository_change(self) -> None:
         """Hot reload: follow the repository, evaluator included."""

@@ -38,6 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from repro.observability.tracing import correlation_id_for
 from repro.soap.addressing import MASC_NS
 from repro.soap.envelope import SoapEnvelope
 from repro.xmlutils import Element, QName
@@ -49,6 +50,7 @@ __all__ = [
     "format_traceparent",
     "parse_traceparent",
     "stamp_trace_context",
+    "start_hop_span",
     "trace_context_of",
 ]
 
@@ -143,3 +145,24 @@ def stamp_trace_context(envelope: SoapEnvelope, context: TraceContext) -> None:
             del headers[index]
             break
     envelope.add_header(element, transparent=True)
+
+
+def start_hop_span(tracer, name, envelope, attributes, parent=None, carrier=None):
+    """Start the span of one hop of ``envelope``'s journey and carry it on.
+
+    The span correlates on ``envelope`` and joins ``parent`` (a live span)
+    or else the wire context ``envelope`` carries. Returns ``(span,
+    carrier)``: ``carrier`` — a header-shallow copy of ``envelope`` unless
+    the caller passes one it already owns — is stamped with the span's
+    context, so every downstream copy has this hop in its ancestry.
+    """
+    span = tracer.start_span(
+        name,
+        correlation_id=correlation_id_for(envelope),
+        parent=parent if parent is not None else trace_context_of(envelope),
+        attributes=attributes,
+    )
+    if carrier is None or carrier is envelope:
+        carrier = envelope.copy()
+    stamp_trace_context(carrier, context_of_span(span))
+    return span, carrier

@@ -23,12 +23,11 @@ and is hosted by :class:`~repro.wsbus.bus.WsBus`.
 
 from repro.resilience.breaker import BreakerState, BreakerTransition, CircuitBreaker
 from repro.resilience.bulkhead import Bulkhead
-from repro.resilience.service import Admission, ResilienceService
+from repro.resilience.service import ResilienceService
 from repro.resilience.shedding import LoadShedder
 from repro.resilience.timeouts import adaptive_timeout
 
 __all__ = [
-    "Admission",
     "BreakerState",
     "BreakerTransition",
     "Bulkhead",

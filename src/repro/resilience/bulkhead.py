@@ -41,6 +41,7 @@ class Bulkhead:
         self.max_queue = max_queue
         self.in_flight = 0
         self._waiters: deque = deque()
+        self.peak_queue_depth = 0
         self.rejected = 0
         self.queued_total = 0
         self.admitted_total = 0
@@ -68,6 +69,7 @@ class Bulkhead:
             )
         waiter = self.env.event()
         self._waiters.append(waiter)
+        self.peak_queue_depth = max(self.peak_queue_depth, len(self._waiters))
         self.queued_total += 1
         self.admitted_total += 1
         return waiter

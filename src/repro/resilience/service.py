@@ -17,8 +17,10 @@ every other MASC policy. The Adaptation Manager can also (re)apply a
 resilience action at fault time via :meth:`ResilienceService.apply_action`
 (dynamic rules take precedence over statically configured ones).
 
-With no resilience policies loaded the service is inert
-(:attr:`ResilienceService.active` is False) and the bus message path is
+The machinery stands in the message path as stages the bus composes
+(:func:`repro.wsbus.pipeline.compose`); a stage whose rules are not loaded
+is absent, so with no resilience policies loaded
+(:attr:`ResilienceService.active` is False) the bus message path is
 byte-for-byte the pre-resilience one — the ablation switch is purely
 which policies are loaded.
 """
@@ -33,13 +35,13 @@ from repro.policy.actions import (
     LoadSheddingAction,
     ResilienceAction,
 )
-from repro.resilience.breaker import BreakerState, BreakerTransition, CircuitBreaker
+from repro.resilience.breaker import BreakerTransition, CircuitBreaker
 from repro.resilience.bulkhead import Bulkhead
 from repro.resilience.shedding import LoadShedder
 from repro.resilience.timeouts import adaptive_timeout
 from repro.soap import FaultCode, SoapFault, SoapFaultError
 
-__all__ = ["Admission", "ResilienceService"]
+__all__ = ["ResilienceService"]
 
 #: metric name per breaker target state
 _TRANSITION_COUNTERS = {
@@ -47,22 +49,6 @@ _TRANSITION_COUNTERS = {
     "closed": "wsbus.resilience.breaker.closed",
     "half_open": "wsbus.resilience.breaker.half_opened",
 }
-
-
-class Admission:
-    """Capacity holds granted to one VEP mediation; release exactly once."""
-
-    __slots__ = ("holds", "wait")
-
-    def __init__(self, holds, wait=None) -> None:
-        self.holds = holds
-        #: Event to yield on before proceeding (bulkhead queue), or None.
-        self.wait = wait
-
-    def release(self) -> None:
-        for hold in self.holds:
-            hold.release()
-        self.holds = ()
 
 
 class ResilienceService:
@@ -93,6 +79,8 @@ class ResilienceService:
         #: Every breaker transition on this bus, in simulation order.
         self.transitions: list[BreakerTransition] = []
         self.fail_fast_total = 0
+        #: Called after every refresh: the hosting bus recomposes its chains.
+        self.on_refresh = lambda: None
         repository.subscribe(self.refresh_from_policies)
         self.refresh_from_policies()
 
@@ -125,11 +113,13 @@ class ResilienceService:
         :meth:`apply_action`). Live breakers and bulkheads keep their
         runtime state; their thresholds are updated in place when the
         matching configuration changed, and they are dropped when no
-        rule configures them any more.
+        rule configures them any more (VEP bulkheads when the bus
+        recomposes that VEP's chain, see :meth:`admission_stage`).
         """
         scan = self.repository.configuration
         self._breaker_rules, self._bulkhead_rules, self._timeout_rules = (
-            self._dynamic_rules + [(policy.scope, action) for policy, action in scan(kind)]
+            [rule for rule in self._dynamic_rules if isinstance(rule[1], kind)]
+            + [(policy.scope, action) for policy, action in scan(kind)]
             for kind in (CircuitBreakerAction, BulkheadAction, AdaptiveTimeoutAction)
         )
         # Shedding guards the whole bus: only unscoped policies apply,
@@ -139,6 +129,7 @@ class ResilienceService:
             None,
         )
         self._reconfigure_live()
+        self.on_refresh()
 
     def apply_action(self, action: ResilienceAction, scope=None) -> bool:
         """Enact one resilience action at runtime (adaptation pathway).
@@ -167,29 +158,18 @@ class ResilienceService:
             self.shedder = LoadShedder(shedding, retry_queue=self.retry_queue)
         else:
             self.shedder.config = shedding
-        if self.shedder is not None:
-            self.shedder.retry_queue = self.retry_queue
         for endpoint, breaker in list(self._breakers.items()):
-            config = self._match(self._breaker_rules, CircuitBreakerAction, endpoint=endpoint)
+            config = self._match(self._breaker_rules, endpoint=endpoint)
             if config is None:
                 del self._breakers[endpoint]
             elif config is not breaker.config:
                 breaker.config = config
-        for address, bulkhead in list(self._endpoint_bulkheads.items()):
-            config = self._match(
-                self._bulkhead_rules, BulkheadAction, endpoint=address, applies_to="endpoint"
-            )
-            if config is None:
-                del self._endpoint_bulkheads[address]
-            else:
-                bulkhead.max_concurrent = config.max_concurrent
-                bulkhead.max_queue = config.max_queue
+        for address in list(self._endpoint_bulkheads):
+            self._bulkhead(self._endpoint_bulkheads, "endpoint", address, endpoint=address)
 
     @staticmethod
-    def _match(rules, action_type, applies_to=None, **subject):
+    def _match(rules, applies_to=None, **subject):
         for scope, action in rules:
-            if not isinstance(action, action_type):
-                continue
             if applies_to is not None and action.applies_to != applies_to:
                 continue
             if scope.matches(**subject):
@@ -202,7 +182,7 @@ class ResilienceService:
         """The breaker guarding ``endpoint``, created on first demand."""
         breaker = self._breakers.get(endpoint)
         if breaker is None:
-            config = self._match(self._breaker_rules, CircuitBreakerAction, endpoint=endpoint)
+            config = self._match(self._breaker_rules, endpoint=endpoint)
             if config is None:
                 return None
             breaker = CircuitBreaker(
@@ -278,69 +258,136 @@ class ResilienceService:
     # -- adaptive timeouts -------------------------------------------------------------
 
     def timeout_for(self, endpoint: str, fallback: float | None) -> float | None:
-        config = self._match(self._timeout_rules, AdaptiveTimeoutAction, endpoint=endpoint)
+        config = self._match(self._timeout_rules, endpoint=endpoint)
         if config is None:
             return fallback
         return adaptive_timeout(self.qos, endpoint, config, fallback)
 
     # -- bulkheads ---------------------------------------------------------------------
 
+    def _bulkhead(self, live: dict, applies_to: str, key: str, **subject) -> Bulkhead | None:
+        """The bulkhead of one partition under the current rules: kept with
+        its slots and queue, limits updated in place, created on first
+        demand, dropped when no rule configures it any more."""
+        config = self._match(self._bulkhead_rules, applies_to, **subject)
+        if config is None:
+            live.pop(key, None)
+            return None
+        bulkhead = live.get(key)
+        if bulkhead is None:
+            bulkhead = live[key] = Bulkhead(
+                f"{applies_to}:{key}", self.env, config.max_concurrent, config.max_queue
+            )
+        bulkhead.max_concurrent, bulkhead.max_queue = config.max_concurrent, config.max_queue
+        return bulkhead
+
     def endpoint_bulkhead(self, endpoint: str) -> Bulkhead | None:
         bulkhead = self._endpoint_bulkheads.get(endpoint)
         if bulkhead is None:
-            config = self._match(
-                self._bulkhead_rules, BulkheadAction, endpoint=endpoint, applies_to="endpoint"
+            bulkhead = self._bulkhead(
+                self._endpoint_bulkheads, "endpoint", endpoint, endpoint=endpoint
             )
-            if config is None:
-                return None
-            bulkhead = Bulkhead(
-                f"endpoint:{endpoint}", self.env, config.max_concurrent, config.max_queue
-            )
-            self._endpoint_bulkheads[endpoint] = bulkhead
         return bulkhead
 
-    def vep_bulkhead(self, vep_name: str, service_type: str) -> Bulkhead | None:
-        bulkhead = self._vep_bulkheads.get(vep_name)
-        if bulkhead is None:
-            config = self._match(
-                self._bulkhead_rules,
-                BulkheadAction,
-                service_type=service_type,
-                applies_to="vep",
-            )
-            if config is None:
-                return None
-            bulkhead = Bulkhead(
-                f"vep:{vep_name}", self.env, config.max_concurrent, config.max_queue
-            )
-            self._vep_bulkheads[vep_name] = bulkhead
-        return bulkhead
+    # -- the stage in front of a VEP: shedding + the VEP's bulkhead -----------------------
 
-    # -- bus admission (shedding + VEP bulkhead) ---------------------------------------
+    def admission_stage(self, vep):
+        """Admission control in front of ``vep``; None when neither shedding
+        nor a VEP bulkhead covers it. Under overload the bus sheds the
+        request with a retryable fault (or parks it briefly in the VEP
+        bulkhead queue) *before* spending any mediation effort on it.
+        """
+        bulkhead = self._bulkhead(
+            self._vep_bulkheads, "vep", vep.name, service_type=vep.contract.service_type
+        )
+        shedder = self.shedder
+        if shedder is None and bulkhead is None:
+            return None
+        stats, metrics = vep.stats, self.metrics
 
-    def admit_vep_request(self, vep_name: str, service_type: str) -> Admission:
-        """Admit one mediation, or raise its retryable rejection fault."""
-        holds = []
-        if self.shedder is not None:
-            fault = self.shedder.try_admit()
-            if fault is not None:
-                if self.metrics.enabled:
-                    self.metrics.counter("wsbus.resilience.shed").inc()
-                raise SoapFaultError(fault)
-            holds.append(self.shedder)
-        bulkhead = self.vep_bulkhead(vep_name, service_type)
-        wait = None
-        if bulkhead is not None:
+        def admission(request, proceed):
+            holds = []  # released exactly once, however the mediation ends
             try:
-                wait = bulkhead.try_acquire()
-            except SoapFaultError:
-                if self.metrics.enabled:
-                    self.metrics.counter("wsbus.resilience.bulkhead.rejected").inc()
+                wait = None
+                try:
+                    if shedder is not None:
+                        fault = shedder.try_admit()
+                        if fault is not None:
+                            metrics.counter("wsbus.resilience.shed").inc()
+                            raise SoapFaultError(fault)
+                        holds.append(shedder)
+                    if bulkhead is not None:
+                        try:
+                            wait = bulkhead.try_acquire()
+                        except SoapFaultError:
+                            metrics.counter("wsbus.resilience.bulkhead.rejected").inc()
+                            raise
+                        holds.append(bulkhead)
+                except SoapFaultError as error:
+                    stats.shed += 1
+                    metrics.counter("wsbus.vep.shed").inc()
+                    return request.reply_fault(error.fault)
+                # The bulkhead wait lives inside the outer try so a failed
+                # wait event still releases the admission holds.
+                if wait is not None:
+                    yield wait
+                return (yield from proceed(request))
+            finally:
                 for hold in holds:
                     hold.release()
+
+        return admission
+
+    # -- the stages around one delivery attempt ------------------------------------------
+    #
+    # Order matters: the breaker fails fast *before* the bulkhead so a
+    # quarantined endpoint costs neither time nor a concurrency slot; the
+    # adaptive timeout is derived last, when the request is actually about
+    # to go out.
+
+    def breaker_stage(self):
+        if not self._breaker_rules:
+            return None
+
+        def breaker(attempt, proceed):
+            rejection = self.breaker_rejection(attempt.target)
+            if rejection is not None:
+                raise SoapFaultError(rejection)
+            return (yield from proceed(attempt))
+
+        return breaker
+
+    def bulkhead_stage(self):
+        if not any(action.applies_to == "endpoint" for _scope, action in self._bulkhead_rules):
+            return None
+
+        def bulkhead(attempt, proceed):
+            partition = self.endpoint_bulkhead(attempt.target)
+            if partition is None:
+                return (yield from proceed(attempt))
+            try:
+                waiter = partition.try_acquire()
+            except SoapFaultError:
+                self.metrics.counter("wsbus.resilience.bulkhead.rejected").inc()
                 raise
-            holds.append(bulkhead)
-        return Admission(holds, wait)
+            if waiter is not None:
+                yield waiter
+            try:
+                return (yield from proceed(attempt))
+            finally:
+                partition.release()
+
+        return bulkhead
+
+    def timeout_stage(self):
+        if not self._timeout_rules:
+            return None
+
+        def adaptive_timeout(attempt, proceed):
+            attempt.timeout = self.timeout_for(attempt.target, attempt.timeout)
+            return (yield from proceed(attempt))
+
+        return adaptive_timeout
 
     # -- reporting ---------------------------------------------------------------------
 
@@ -358,10 +405,3 @@ class ResilienceService:
             "bulkheads": bulkheads,
             "shedding": self.shedder.stats() if self.shedder is not None else None,
         }
-
-    def open_endpoints(self) -> list[str]:
-        return [
-            address
-            for address, breaker in sorted(self._breakers.items())
-            if breaker.state is not BreakerState.CLOSED
-        ]

@@ -30,7 +30,6 @@ class LoadLeveler:
         self.key = key
         self.env = env
         self.config = config
-        self._interval = 1.0 / config.rate_per_second
         #: GCRA theoretical arrival time.
         self._tat = 0.0
         #: Requests currently sitting out their leveling delay.
@@ -50,7 +49,7 @@ class LoadLeveler:
         """
         now = self.env.now
         config = self.config
-        interval = self._interval
+        interval = 1.0 / config.rate_per_second
         tat = self._tat
         if tat < now:
             tat = now

@@ -128,8 +128,11 @@ class AdaptationManager:
     ) -> Generator:
         """Attempt policy-driven recovery of a failed invocation.
 
-        Returns the recovered response envelope, or raises the final
-        :class:`~repro.soap.SoapFaultError` after dead-lettering.
+        Returns ``(response, target)`` — the recovered response envelope
+        and the member that produced it, read from this recovery's own
+        outcome (overlapping recoveries interleave in :attr:`outcomes`) —
+        or raises the final :class:`~repro.soap.SoapFaultError` after
+        dead-lettering.
         """
         span = None
         if self.tracer.enabled:
@@ -200,7 +203,7 @@ class AdaptationManager:
                 if span is not None:
                     span.set_attribute("recovered_by", policy.name)
                     span.end(status="recovered")
-                return response
+                return response, outcome.final_target
         # All policies exhausted.
         self.metrics.counter("wsbus.adaptation.exhausted").inc()
         if span is not None:

@@ -14,26 +14,20 @@ la[t]ter routes request messages to the real services."
 
 from __future__ import annotations
 
-from collections import deque
-
-from repro.observability import NULL_METRICS, NULL_TRACER, correlation_id_for
+from repro.observability import NULL_METRICS, NULL_TRACER
 from repro.observability.sampling import TracingService
 from repro.observability.slo import SloService
-from repro.observability.trace_context import (
-    context_of_span,
-    stamp_trace_context,
-    trace_context_of,
-)
+from repro.observability.trace_context import start_hop_span
 from repro.policy import PolicyRepository
-from repro.resilience import ResilienceService
+from repro.resilience import Bulkhead, ResilienceService
 from repro.services import Invoker, ServiceRegistry
 from repro.simulation import Environment, RandomSource
 from repro.soap import SoapFaultError
 from repro.traffic import TrafficService
-from repro.transport import Network
+from repro.transport import LatencyModel, Network
 from repro.wsbus.adaptation import AdaptationManager
 from repro.wsbus.monitoring import BusMonitoringService
-from repro.wsbus.pipeline import MessagePipeline
+from repro.wsbus.pipeline import MessagePipeline, SendAttempt, compose
 from repro.wsbus.qos import QoSMeasurementService
 from repro.wsbus.retry import DeadLetterQueue, RetryQueue
 from repro.wsbus.selection import SelectionService
@@ -41,56 +35,6 @@ from repro.wsbus.vep import VirtualEndpoint
 from repro.wsdl import ServiceContract
 
 __all__ = ["WsBus"]
-
-
-class _MediationGate:
-    """FIFO admission gate bounding concurrent mediations on one bus.
-
-    Models the finite processing capacity of a single bus instance: a
-    mediation slot is held for the full VEP handling of one request, and
-    arrivals beyond ``capacity`` wait in FIFO order. This is the resource
-    a federated fleet shards — N buses bring N times the slots.
-    """
-
-    __slots__ = ("env", "capacity", "inflight", "waiters", "peak_waiting", "total_admitted")
-
-    def __init__(self, env, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"mediation capacity must be positive: {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.inflight = 0
-        self.waiters: deque = deque()
-        self.peak_waiting = 0
-        self.total_admitted = 0
-
-    def acquire(self):
-        self.total_admitted += 1
-        if self.inflight < self.capacity:
-            self.inflight += 1
-            return
-        waiter = self.env.event()
-        self.waiters.append(waiter)
-        if len(self.waiters) > self.peak_waiting:
-            self.peak_waiting = len(self.waiters)
-        yield waiter
-
-    def release(self) -> None:
-        if self.waiters:
-            # The slot passes directly to the oldest waiter; ``inflight``
-            # stays constant.
-            self.waiters.popleft().succeed(None)
-        else:
-            self.inflight -= 1
-
-    def stats(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "inflight": self.inflight,
-            "waiting": len(self.waiters),
-            "peak_waiting": self.peak_waiting,
-            "admitted": self.total_admitted,
-        }
 
 
 class WsBus:
@@ -199,17 +143,187 @@ class WsBus:
         self.monitoring.add_sink(self.traffic.handle_event)
         #: Per-message mediation processing cost applied inside each VEP;
         #: calibrated so mediation adds roughly the paper's ~10% RTT.
-        from repro.transport import LatencyModel as _LatencyModel
-
-        self.mediation_overhead = _LatencyModel(
+        self.mediation_overhead = LatencyModel(
             base_seconds=0.0006, per_kb_seconds=0.00004, jitter_fraction=0.1
         )
         self._overhead_rng = (random_source or RandomSource()).stream("wsbus.mediation")
         #: Optional bound on concurrent mediations across this bus's VEPs
-        #: (the capacity one instance can sustain). ``None`` keeps the
-        #: pre-federation unbounded behavior byte-identical.
+        #: (the capacity one instance can sustain): a slot is held for the
+        #: full VEP handling of one request and arrivals beyond the bound
+        #: wait in FIFO order. This is the resource a federated fleet
+        #: shards — N buses bring N times the slots.
         self.mediation_capacity = mediation_capacity
-        self._gate = _MediationGate(env, mediation_capacity) if mediation_capacity else None
+        if mediation_capacity is not None and mediation_capacity < 0:
+            raise ValueError(f"mediation capacity must be positive: {mediation_capacity}")
+        self._gate = (
+            Bulkhead(f"bus:{name}", env, mediation_capacity, max_queue=float("inf"))
+            if mediation_capacity
+            else None
+        )
+        # Whatever flips a tier's presence (a repository load/unload, a
+        # fault-time ``apply_action``, a refresh by hand) ends in that
+        # service's refresh, which recomposes the chains below.
+        self.resilience.on_refresh = self.traffic.on_refresh = self.slo.on_refresh = self._compose
+        self._compose()
+
+    # -- the mediation path: one chain per VEP, one per delivery attempt -------------
+
+    def _compose(self) -> None:
+        """(Re)build the send chain and every deployed VEP's chain.
+
+        Each list names every stage that can stand in the chain, outermost
+        first; a factory returns None where its tier does not cover the
+        subject, and that stage is then absent — not skipped per message.
+        Requests in flight finish on the chain they started on.
+        """
+        self._deliver = compose(
+            [
+                self.resilience.breaker_stage(),
+                self.resilience.bulkhead_stage(),
+                self.resilience.timeout_stage(),
+                self._send_stage(),
+            ],
+            self._invoke,
+        )
+        for vep in self.veps.values():
+            endpoint = self.network.endpoint(vep.address)
+            if endpoint is not None:
+                endpoint.handler = self._vep_chain(vep)
+
+    def _vep_chain(self, vep: VirtualEndpoint):
+        """``vep``'s handler: its mediation core behind the stages that cover it."""
+        return compose(
+            [
+                self._mediate_stage(),
+                self.traffic.cache_stage(vep),
+                self.traffic.idempotency_stage(vep),
+                self.traffic.leveling_stage(vep),
+                self.resilience.admission_stage(vep),
+                self._handle_stage(vep),
+            ],
+            vep.handle,
+        )
+
+    def _mediate_stage(self):
+        """The mediation-capacity gate; absent on an unbounded bus.
+
+        When tracing is on the whole gated pass runs under a
+        ``wsbus.mediate`` span whose self-time (everything not covered by
+        the child ``vep.handle`` span) is the admission-queue wait — the
+        quantity trace analytics attributes as *queue-wait*.
+        """
+        gate = self._gate
+        if gate is None:
+            return None
+        env, tracing = self.env, self.tracer.enabled
+
+        def mediate(envelope, proceed):
+            span = None
+            if tracing:
+                span, envelope = start_hop_span(
+                    self.tracer, "wsbus.mediate", envelope, {"bus": self.name}
+                )
+            queued_at = env.now
+            slot = gate.try_acquire()
+            if slot is not None:
+                yield slot
+            self.metrics.histogram("wsbus.mediation.queue_seconds").observe(
+                env.now - queued_at
+            )
+            if span is not None:
+                span.set_attribute("queue_seconds", round(env.now - queued_at, 9))
+            try:
+                return (yield from proceed(envelope))
+            finally:
+                gate.release()
+                if span is not None:
+                    span.end()
+
+        return mediate
+
+    def _handle_stage(self, vep: VirtualEndpoint):
+        """The ``vep.handle`` span and metrics of one mediation pass; absent
+        when the bus has neither a tracer nor a metrics registry.
+
+        Innermost by construction: it hands the mediation core the span
+        the pass runs under, so selection, pipeline modules, recovery and
+        retries nest below it.
+        """
+        env, metrics, tracing = self.env, self.metrics, self.tracer.enabled
+        if not tracing and not metrics.enabled:
+            return None
+
+        def handle(request, proceed):
+            span = None
+            if tracing:
+                attributes = {"vep": vep.name, "strategy": vep.selection_strategy}
+                if self.adaptation.owner_label is not None:
+                    attributes["bus"] = self.adaptation.owner_label
+                span, request = start_hop_span(self.tracer, "vep.handle", request, attributes)
+            started = env.now
+            try:
+                reply = yield from proceed(request, span)
+            except BaseException as error:
+                if span is not None:
+                    span.end(status=f"error:{type(error).__name__}")
+                raise
+            metrics.histogram("wsbus.vep.handle.seconds").observe(env.now - started)
+            metrics.counter("wsbus.vep.requests").inc()
+            if reply.is_fault:
+                metrics.counter("wsbus.vep.faults").inc()
+            if span is not None:
+                span.end(status=f"fault:{reply.fault.code.value}" if reply.is_fault else None)
+            return reply
+
+        return handle
+
+    def _send_stage(self):
+        """The ``wsbus.send`` span, metrics and SLO feed of one delivery
+        attempt; absent when the bus has neither a tracer nor a metrics
+        registry.
+
+        The span correlates on the *original* envelope (the re-routed copy
+        carries a fresh message ID) so every attempt for one request joins
+        the same correlated trace.
+        """
+        env, metrics, tracing = self.env, self.metrics, self.tracer.enabled
+        if not tracing and not metrics.enabled:
+            return None
+        record = self.slo.record if self.slo.active else None
+
+        def send(attempt, proceed):
+            span = None
+            ids = (None, None, None)
+            if tracing:
+                span, attempt.outbound = start_hop_span(
+                    self.tracer,
+                    "wsbus.send",
+                    attempt.original,
+                    {"target": attempt.target, "operation": attempt.operation},
+                    carrier=attempt.outbound,
+                )
+                ids = (span.trace_id, span.correlation_id, span.span_id)
+            started = env.now
+            metrics.counter("wsbus.send.attempts").inc()
+            failure = None
+            try:
+                response = yield from proceed(attempt)
+            except SoapFaultError as error:
+                failure = error
+                metrics.counter("wsbus.send.failures").inc()
+            else:
+                metrics.histogram("wsbus.send.seconds").observe(env.now - started)
+            if record is not None:
+                record(attempt.target, env.now - started, failure is None, *ids)
+            if span is not None:
+                span.end(
+                    status=None if failure is None else f"fault:{failure.fault.code.value}"
+                )
+            if failure is not None:
+                raise failure
+            return response
+
+        return send
 
     # -- outbound sending (shared by VEPs, retry queue, adaptation manager) --------
 
@@ -219,104 +333,21 @@ class WsBus:
         if envelope.addressing.to != target:
             outbound = envelope.copy()
             outbound.addressing = envelope.addressing.retargeted(target)
-        effective = timeout if timeout is not None else self.member_timeout
-        if self.resilience.active:
-            return self._resilient_send(envelope, outbound, operation, target, effective)
-        if self.tracer.enabled or self.metrics.enabled:
-            return self._traced_send(envelope, outbound, operation, target, effective)
-        return self.invoker.send(outbound, operation=operation, timeout=effective)
-
-    def _resilient_send(self, original, outbound, operation: str, target: str, timeout):
-        """One delivery attempt under the resilience machinery.
-
-        Order matters: the breaker fails fast *before* the bulkhead so a
-        quarantined endpoint costs neither time nor a concurrency slot;
-        the adaptive timeout is derived last, when the request is actually
-        about to go out.
-        """
-        resilience = self.resilience
-        rejection = resilience.breaker_rejection(target)
-        if rejection is not None:
-            raise SoapFaultError(rejection)
-        bulkhead = resilience.endpoint_bulkhead(target)
-        waiter = None
-        if bulkhead is not None:
-            try:
-                waiter = bulkhead.try_acquire()
-            except SoapFaultError:
-                if self.metrics.enabled:
-                    self.metrics.counter("wsbus.resilience.bulkhead.rejected").inc()
-                raise
-            if waiter is not None:
-                yield waiter
-        effective = resilience.timeout_for(target, timeout)
-        try:
-            if self.tracer.enabled or self.metrics.enabled:
-                return (
-                    yield from self._traced_send(
-                        original, outbound, operation, target, effective
-                    )
-                )
-            return (
-                yield from self.invoker.send(
-                    outbound, operation=operation, timeout=effective
-                )
-            )
-        finally:
-            if bulkhead is not None:
-                bulkhead.release()
-
-    def _traced_send(self, original, outbound, operation: str, target: str, timeout):
-        """The tracing/metrics wrapper of one delivery attempt.
-
-        The span correlates on the *original* envelope (the re-routed copy
-        carries a fresh message ID) so every attempt for one request joins
-        the same correlated trace.
-        """
-        span = None
-        if self.tracer.enabled:
-            span = self.tracer.start_span(
-                "wsbus.send",
-                correlation_id=correlation_id_for(original),
-                parent=trace_context_of(original),
-                attributes={"target": target, "operation": operation},
-            )
-            if outbound is original:
-                outbound = original.copy()
-            stamp_trace_context(outbound, context_of_span(span))
-        started = self.env.now
-        self.metrics.counter("wsbus.send.attempts").inc()
-        try:
-            response = yield from self.invoker.send(
-                outbound, operation=operation, timeout=timeout
-            )
-        except SoapFaultError as error:
-            self.metrics.counter("wsbus.send.failures").inc()
-            if self.slo.active:
-                self.slo.record(
-                    target,
-                    self.env.now - started,
-                    ok=False,
-                    trace_id=span.trace_id if span is not None else None,
-                    correlation_id=span.correlation_id if span is not None else None,
-                    span_id=span.span_id if span is not None else None,
-                )
-            if span is not None:
-                span.end(status=f"fault:{error.fault.code.value}")
-            raise
-        self.metrics.histogram("wsbus.send.seconds").observe(self.env.now - started)
-        if self.slo.active:
-            self.slo.record(
+        return self._deliver(
+            SendAttempt(
+                envelope,
+                outbound,
+                operation,
                 target,
-                self.env.now - started,
-                ok=True,
-                trace_id=span.trace_id if span is not None else None,
-                correlation_id=span.correlation_id if span is not None else None,
-                span_id=span.span_id if span is not None else None,
+                timeout if timeout is not None else self.member_timeout,
             )
-        if span is not None:
-            span.end()
-        return response
+        )
+
+    def _invoke(self, attempt: SendAttempt):
+        """The send chain's core: hand the attempt to the invoker."""
+        return self.invoker.send(
+            attempt.outbound, operation=attempt.operation, timeout=attempt.timeout
+        )
 
     # -- VEP management --------------------------------------------------------------
 
@@ -355,62 +386,19 @@ class WsBus:
             overhead_rng=self._overhead_rng,
             tracer=self.tracer,
             metrics=self.metrics,
-            resilience=self.resilience,
-            traffic=self.traffic,
         )
         if from_registry:
             vep.refresh_members_from_registry()
         for member in vep.members:
             self.slo.register_endpoint(member, contract.service_type)
         vep.address = address or f"{self.base_address}/{name}"
-        handler = vep.handle if self._gate is None else self._gated(vep.handle)
-        endpoint = self.network.register(vep.address, handler)
+        endpoint = self.network.register(vep.address, self._vep_chain(vep))
         if self.colocated_with_clients:
-            from repro.transport import LatencyModel
-
             endpoint.latency = LatencyModel(
                 base_seconds=0.0001, per_kb_seconds=0.00001, jitter_fraction=0.05
             )
         self.veps[name] = vep
         return vep
-
-    def _gated(self, handler):
-        """Wrap a VEP handler behind the bus's mediation-capacity gate.
-
-        When tracing is on the whole gated pass runs under a
-        ``wsbus.mediate`` span whose self-time (everything not covered by
-        the child ``vep.handle`` span) is the admission-queue wait — the
-        quantity trace analytics attributes as *queue-wait*.
-        """
-        gate = self._gate
-
-        def mediate(envelope):
-            span = None
-            if self.tracer.enabled:
-                span = self.tracer.start_span(
-                    "wsbus.mediate",
-                    correlation_id=correlation_id_for(envelope),
-                    parent=trace_context_of(envelope),
-                    attributes={"bus": self.name},
-                )
-                envelope = envelope.copy()
-                stamp_trace_context(envelope, context_of_span(span))
-            queued_at = self.env.now
-            yield from gate.acquire()
-            if self.metrics.enabled:
-                self.metrics.histogram("wsbus.mediation.queue_seconds").observe(
-                    self.env.now - queued_at
-                )
-            if span is not None:
-                span.set_attribute("queue_seconds", round(self.env.now - queued_at, 9))
-            try:
-                return (yield from handler(envelope))
-            finally:
-                gate.release()
-                if span is not None:
-                    span.end()
-
-        return mediate
 
     def vep(self, name: str) -> VirtualEndpoint | None:
         return self.veps.get(name)
@@ -506,8 +494,15 @@ class WsBus:
             },
             "dead_letters": len(self.dead_letters),
         }
-        if self._gate is not None:
-            summary["mediation_gate"] = self._gate.stats()
+        gate = self._gate
+        if gate is not None:
+            summary["mediation_gate"] = {
+                "capacity": gate.max_concurrent,
+                "inflight": gate.in_flight,
+                "waiting": gate.queue_depth,
+                "peak_waiting": gate.peak_queue_depth,
+                "admitted": gate.admitted_total,
+            }
         if self.resilience.active:
             summary["resilience"] = self.resilience.summary()
         if self.traffic.active:

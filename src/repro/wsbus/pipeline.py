@@ -9,11 +9,20 @@ particular service operation."
 
 Module applicability is decided per message with "simple rules expressed
 as a regular expression or XPath query against the header or the payload".
+
+The same idea one level out: the tiers standing around a VEP's mediation
+core and around one delivery attempt are **stages**, chained by
+:func:`compose`. A stage is a generator function ``stage(request,
+proceed)`` that may answer itself (short-circuit), wait, hand ``proceed``
+a restamped request, or observe the reply. The bus composes each chain
+when a tier's presence changes, never per message: a tier that is not
+configured is not in the chain.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -28,7 +37,45 @@ __all__ = [
     "MessagePipeline",
     "MessageProcessingModule",
     "PipelineContext",
+    "SendAttempt",
+    "compose",
+    "stages_of",
 ]
+
+
+def compose(stages, core):
+    """The handler running ``stages`` (outermost first) around ``core``.
+
+    A ``None`` entry is a stage whose tier is absent and is left out; with
+    nothing left the handler *is* ``core``: no wrapper frame.
+    """
+    handler = core
+    for stage in reversed(stages):
+        if stage is not None:
+            handler = partial(stage, proceed=handler)
+    return handler
+
+
+def stages_of(handler) -> list:
+    """The stages standing in a composed ``handler``, outermost first."""
+    standing = []
+    while isinstance(handler, partial):
+        standing.append(handler.func)
+        handler = handler.keywords["proceed"]
+    return standing
+
+
+@dataclass(slots=True)
+class SendAttempt:
+    """One delivery attempt, the send chain's request: ``outbound`` goes on
+    the wire to ``target``; spans correlate on ``original``, the caller's
+    envelope (a re-routed copy carries a fresh message ID)."""
+
+    original: SoapEnvelope
+    outbound: SoapEnvelope
+    operation: str
+    target: str
+    timeout: float | None
 
 
 @dataclass

@@ -15,12 +15,8 @@ from collections.abc import Generator
 from dataclasses import dataclass
 from typing import Any
 
-from repro.observability import NULL_METRICS, NULL_TRACER, correlation_id_for
-from repro.observability.trace_context import (
-    context_of_span,
-    stamp_trace_context,
-    trace_context_of,
-)
+from repro.observability import NULL_METRICS, NULL_TRACER
+from repro.observability.trace_context import start_hop_span
 from repro.policy.actions import RetryAction
 from repro.soap import FaultCode, SoapEnvelope, SoapFault, SoapFaultError
 
@@ -205,22 +201,21 @@ class RetryQueue:
 
     def _redeliver(self, entry: _RetryEntry) -> Generator:
         span = None
+        carrier = entry.envelope
         if self.tracer.enabled:
             # A live parent span (adaptation manager) wins; otherwise join
             # the wire context stamped on the envelope — this is what keeps
             # a dead-letter *replay* inside the original request's trace.
-            parent = entry.parent_span
-            if parent is None:
-                parent = trace_context_of(entry.envelope)
-            span = self.tracer.start_span(
+            span, carrier = start_hop_span(
+                self.tracer,
                 "wsbus.retry",
-                correlation_id=correlation_id_for(entry.envelope),
-                parent=parent,
-                attributes={
+                entry.envelope,
+                {
                     "target": entry.target,
                     "operation": entry.operation,
                     "max_retries": entry.policy.max_retries,
                 },
+                parent=entry.parent_span,
             )
         try:
             while entry.attempts_made < entry.policy.max_retries:
@@ -230,12 +225,9 @@ class RetryQueue:
                     yield self.env.timeout(delay)
                 self.redeliveries_attempted += 1
                 self.metrics.counter("wsbus.retry.attempts").inc()
-                attempt_envelope = entry.envelope.copy()
-                if span is not None:
-                    stamp_trace_context(attempt_envelope, context_of_span(span))
                 try:
                     response = yield self.env.process(
-                        self.sender(attempt_envelope, entry.operation, entry.target),
+                        self.sender(carrier.copy(), entry.operation, entry.target),
                         name=("redeliver", entry.target),
                     )
                 except SoapFaultError as error:

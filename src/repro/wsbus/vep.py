@@ -13,18 +13,12 @@ from __future__ import annotations
 from collections.abc import Generator
 from dataclasses import dataclass
 
-from repro.observability import NULL_METRICS, NULL_TRACER, correlation_id_for
-from repro.observability.trace_context import (
-    context_of_span,
-    stamp_trace_context,
-    trace_context_of,
-)
+from repro.observability import NULL_METRICS, NULL_TRACER
 from repro.soap import FaultCode, SoapEnvelope, SoapFault, SoapFaultError
-from repro.traffic.idempotency import stamp_idempotency_key
 from repro.wsbus.adaptation import AdaptationManager, broadcast_first_response
 from repro.wsbus.monitoring import BusMonitoringService, MonitoringPoint
 from repro.wsbus.pipeline import MessagePipeline, PipelineContext
-from repro.wsbus.selection import SelectionService
+from repro.wsbus.selection import STRATEGIES, SelectionService
 from repro.wsdl import ContractViolation, ServiceContract
 
 __all__ = ["VepStats", "VirtualEndpoint"]
@@ -72,8 +66,6 @@ class VirtualEndpoint:
         overhead_rng=None,
         tracer=None,
         metrics=None,
-        resilience=None,
-        traffic=None,
     ) -> None:
         self.name = name
         self.contract = contract
@@ -82,8 +74,6 @@ class VirtualEndpoint:
         self.selection = selection
         self.monitoring = monitoring
         self.adaptation = adaptation
-        from repro.wsbus.selection import STRATEGIES
-
         if selection_strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown selection strategy {selection_strategy!r}; "
@@ -111,12 +101,6 @@ class VirtualEndpoint:
         self.overhead_rng = overhead_rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        #: Optional :class:`~repro.resilience.ResilienceService` providing
-        #: admission control (load shedding + per-VEP bulkhead).
-        self.resilience = resilience
-        #: Optional :class:`~repro.traffic.TrafficService` providing the
-        #: shaping tier (response cache, idempotency keys, load leveling).
-        self.traffic = traffic
         self.address: str | None = None  # set by the bus on deployment
         self.stats = VepStats()
 
@@ -146,166 +130,16 @@ class VirtualEndpoint:
 
     # -- the message path -------------------------------------------------------------
 
-    def handle(self, request: SoapEnvelope) -> Generator:
-        """Network handler: traffic shaping, admission control, mediation.
+    def handle(self, request: SoapEnvelope, span=None) -> Generator:
+        """The mediation core: inspectors, monitoring, selection, recovery.
 
-        The traffic-shaping tier (response cache, idempotency stamping,
-        queue-based load leveling) runs first — a cache hit never touches
-        admission control at all, and a leveled request waits its turn
-        *before* occupying a shedder or bulkhead slot. With no traffic
-        policies loaded the tier is inert and the path is unchanged.
+        A bare bus registers this as the network handler; the tiers its
+        policies configure are stages composed in front of it
+        (:func:`repro.wsbus.pipeline.compose`). The innermost of them hands
+        over the ``span`` the pass runs under (``None``: tracing is off).
         """
-        traffic = self.traffic
-        if traffic is not None and traffic.active:
-            return (yield from self._shaped_handle(request))
-        return (yield from self._admitted_handle(request))
-
-    def _shaped_handle(self, request: SoapEnvelope) -> Generator:
-        """The mediation path behind the policy-driven traffic tier."""
-        traffic = self.traffic
-        service_type = self.contract.service_type
-        operation = self._resolve_operation(request)
-        cache = cache_key = None
-        if operation is not None:
-            cache = traffic.cache_for(service_type, operation)
-            if cache is not None:
-                cache_key = cache.key_for(service_type, operation, request)
-                cached_body = cache.get(cache_key)
-                if cached_body is not None:
-                    self.stats.requests += 1
-                    self.stats.successes += 1
-                    self.stats.cache_hits += 1
-                    if self.metrics.enabled:
-                        self.metrics.counter("wsbus.traffic.cache.hits").inc()
-                    if self.tracer.enabled:
-                        span = self.tracer.start_span(
-                            "traffic.cache_hit",
-                            correlation_id=correlation_id_for(request),
-                            attributes={"vep": self.name, "operation": operation},
-                        )
-                        span.end()
-                    return request.reply(cached_body)
-                if self.metrics.enabled:
-                    self.metrics.counter("wsbus.traffic.cache.misses").inc()
-            if traffic.stamps(service_type, operation):
-                # Stamp the key onto a header-shallow copy (never mutate
-                # the client's own envelope). copy()/retargeted() preserve
-                # headers, so every redelivery path downstream — retry,
-                # dead-letter replay, broadcast, substitution — carries
-                # the same key to the service container's dedupe store.
-                stamped = request.copy()
-                if stamp_idempotency_key(stamped) is not None:
-                    request = stamped
-                    if self.metrics.enabled:
-                        self.metrics.counter(
-                            "wsbus.traffic.idempotency.stamped"
-                        ).inc()
-        leveler = traffic.leveler_for(self.name, service_type)
-        if leveler is not None:
-            try:
-                wait = leveler.admit()
-            except SoapFaultError as error:
-                self.stats.throttled += 1
-                if self.metrics.enabled:
-                    self.metrics.counter("wsbus.traffic.throttled").inc()
-                return request.reply_fault(error.fault)
-            if wait is not None:
-                self.stats.leveled += 1
-                if self.metrics.enabled:
-                    self.metrics.counter("wsbus.traffic.leveled").inc()
-                try:
-                    yield wait
-                finally:
-                    leveler.release()
-        reply = yield from self._admitted_handle(request)
-        if (
-            cache is not None
-            and cache_key is not None
-            and not reply.is_fault
-            and reply.body is not None
-        ):
-            cache.put(cache_key, reply.body)
-        return reply
-
-    def _admitted_handle(self, request: SoapEnvelope) -> Generator:
-        """Admission control + the mediation path.
-
-        Under overload the bus sheds this request with a retryable fault
-        (or parks it briefly in the VEP bulkhead queue) *before* spending
-        any mediation effort on it.
-        """
-        if self.resilience is None or not self.resilience.active:
-            return (yield from self._observed_handle(request))
-        try:
-            admission = self.resilience.admit_vep_request(
-                self.name, self.contract.service_type
-            )
-        except SoapFaultError as error:
-            self.stats.shed += 1
-            if self.metrics.enabled:
-                self.metrics.counter("wsbus.vep.shed").inc()
-            return request.reply_fault(error.fault)
-        try:
-            # The bulkhead wait lives inside the try so a failed wait
-            # event still releases the admission holds.
-            if admission.wait is not None:
-                yield admission.wait
-            return (yield from self._observed_handle(request))
-        finally:
-            admission.release()
-
-    def _observed_handle(self, request: SoapEnvelope) -> Generator:
-        """The mediation path under its observability wrapper.
-
-        When tracing is enabled the whole pass runs under a ``vep.handle``
-        span correlated on the request (ProcessInstanceID if the engine is
-        calling, message ID otherwise); child spans cover selection,
-        pipeline stages, recovery and retries. Disabled: one branch.
-
-        The span joins the request's wire trace context (the
-        ``masc:TraceContext`` header) when one is stamped — a request
-        mediated by another bus, a dead-letter replay, a gated mediation
-        pass — and re-stamps its own context onto a header-shallow copy so
-        every downstream copy (retry, replay, broadcast, substitution,
-        cross-bus failover) carries this hop in its ancestry.
-        """
-        if not self.tracer.enabled and not self.metrics.enabled:
-            return (yield from self._handle(request, None))
-        span = None
-        if self.tracer.enabled:
-            attributes = {"vep": self.name, "strategy": self.selection_strategy}
-            if self.adaptation is not None and self.adaptation.owner_label is not None:
-                attributes["bus"] = self.adaptation.owner_label
-            span = self.tracer.start_span(
-                "vep.handle",
-                correlation_id=correlation_id_for(request),
-                parent=trace_context_of(request),
-                attributes=attributes,
-            )
-            request = request.copy()
-            stamp_trace_context(request, context_of_span(span))
-        started = self.env.now
-        try:
-            reply = yield from self._handle(request, span)
-        except BaseException as error:
-            if span is not None:
-                span.end(status=f"error:{type(error).__name__}")
-            raise
-        if self.metrics.enabled:
-            self.metrics.histogram("wsbus.vep.handle.seconds").observe(
-                self.env.now - started
-            )
-            self.metrics.counter("wsbus.vep.requests").inc()
-            if reply.is_fault:
-                self.metrics.counter("wsbus.vep.faults").inc()
-        if span is not None:
-            span.end(status=f"fault:{reply.fault.code.value}" if reply.is_fault else None)
-        return reply
-
-    def _handle(self, request: SoapEnvelope, span) -> Generator:
-        """The mediation path proper (``span`` is None when tracing is off)."""
         self.stats.requests += 1
-        operation = self._resolve_operation(request)
+        operation = self.operation_of(request)
         if operation is None:
             self.stats.failures += 1
             return request.reply_fault(
@@ -342,9 +176,7 @@ class VirtualEndpoint:
             if self.broadcast:
                 response, target = yield from self._invoke_broadcast(request, operation)
             else:
-                response, target = yield from self._invoke_with_recovery(
-                    request, operation, span
-                )
+                response, target = yield from self._invoke_with_recovery(request, context)
         except SoapFaultError as error:
             self.stats.failures += 1
             self.monitoring.notify_fault(error.fault, request, point)
@@ -358,45 +190,43 @@ class VirtualEndpoint:
         violation_fault = self.monitoring.check_message("response", response, response_point)
         if violation_fault is not None:
             self.stats.violations += 1
-            recovered = yield from self._recover_or_fail(
-                request, operation, violation_fault, target or "", span
-            )
-            if isinstance(recovered, SoapFault):
+            try:
+                response, context.target = yield from self._recover(
+                    request, operation, violation_fault, target or "", span
+                )
+            except SoapFaultError as error:
                 self.stats.failures += 1
-                return request.reply_fault(recovered)
-            response, target = recovered
+                return request.reply_fault(error.fault)
         response = self.pipeline.run_response(response, context)
         response_cost = self._mediation_delay(response.size_bytes)
         if response_cost is not None:
             yield response_cost
         self.stats.successes += 1
-        body = response.body if response.body is not None else None
-        reply = request.reply(body) if body is not None else request.reply_fault(
-            SoapFault(FaultCode.SERVER, "member returned an empty response", source=self.name)
-        )
-        return reply
+        if response.body is None:
+            return request.reply_fault(
+                SoapFault(
+                    FaultCode.SERVER, "member returned an empty response", source=self.name
+                )
+            )
+        return request.reply(response.body)
 
     def _invoke_with_recovery(
-        self, request: SoapEnvelope, operation: str, span=None
+        self, request: SoapEnvelope, context: PipelineContext
     ) -> Generator:
         """Select, bind, invoke; recover through adaptation policies."""
+        operation = context.operation
+        span = context.span
         target = self.selection.select(
             self.name,
             self.selection_strategy,
             self.members,
             envelope=request,
-            context=PipelineContext(env=self.env, vep=self, operation=operation),
+            context=context,
         )
         if span is not None:
             span.add_event("member_selected", target=target)
         if target is None:
-            raise SoapFaultError(
-                SoapFault(
-                    FaultCode.SERVICE_UNAVAILABLE,
-                    f"VEP {self.name!r} has no registered members",
-                    source=self.name,
-                )
-            )
+            raise self._unavailable(f"VEP {self.name!r} has no registered members")
         outbound = request.copy()
         outbound.addressing = request.addressing.retargeted(target)
         try:
@@ -410,14 +240,9 @@ class VirtualEndpoint:
             )
             fault = self.monitoring.classify(error.fault, point)
             self.monitoring.notify_fault(fault, request, point)
-            result = yield from self._recover_or_fail(
-                request, operation, fault, target, span
-            )
-            if isinstance(result, SoapFault):
-                raise SoapFaultError(result) from error
-            return result
+            return (yield from self._recover(request, operation, fault, target, span))
 
-    def _recover_or_fail(
+    def _recover(
         self,
         request: SoapEnvelope,
         operation: str,
@@ -425,39 +250,22 @@ class VirtualEndpoint:
         failed_target: str,
         span=None,
     ) -> Generator:
-        """Run the adaptation manager; returns (response, target) or a fault."""
-        try:
-            response = yield from self.adaptation.recover(
-                self, request, operation, fault, failed_target, parent_span=span
-            )
-        except SoapFaultError as error:
-            return error.fault
+        """Run the adaptation manager: ``(response, target)``, or its final
+        :class:`~repro.soap.SoapFaultError`."""
+        recovered = yield from self.adaptation.recover(
+            self, request, operation, fault, failed_target, parent_span=span
+        )
         self.stats.recovered += 1
         self.metrics.counter("wsbus.vep.recovered").inc()
-        final_target = None
-        if self.adaptation.outcomes:
-            final_target = self.adaptation.outcomes[-1].final_target
-        return response, final_target
+        return recovered
 
     def _invoke_broadcast(self, request: SoapEnvelope, operation: str) -> Generator:
         """Concurrent invocation of all members; first response wins."""
         if not self.members:
-            raise SoapFaultError(
-                SoapFault(
-                    FaultCode.SERVICE_UNAVAILABLE,
-                    f"VEP {self.name!r} has no registered members",
-                    source=self.name,
-                )
-            )
+            raise self._unavailable(f"VEP {self.name!r} has no registered members")
         targets = self.selection.broadcast_targets(self.members, vep_name=self.name)
         if not targets:
-            raise SoapFaultError(
-                SoapFault(
-                    FaultCode.SERVICE_UNAVAILABLE,
-                    f"all members of VEP {self.name!r} are quarantined",
-                    source=self.name,
-                )
-            )
+            raise self._unavailable(f"all members of VEP {self.name!r} are quarantined")
         try:
             response, winner = yield from broadcast_first_response(
                 self.env, self.sender, request, operation, targets
@@ -485,7 +293,13 @@ class VirtualEndpoint:
 
     # -- utilities -----------------------------------------------------------------------
 
-    def _resolve_operation(self, request: SoapEnvelope) -> str | None:
+    def _unavailable(self, reason: str) -> SoapFaultError:
+        return SoapFaultError(
+            SoapFault(FaultCode.SERVICE_UNAVAILABLE, reason, source=self.name)
+        )
+
+    def operation_of(self, request: SoapEnvelope) -> str | None:
+        """The contract operation ``request`` addresses, or None."""
         action = request.addressing.action or ""
         operation = self.contract.operation_for_action(action)
         if operation is not None:

@@ -190,3 +190,44 @@ class TestPolicyLanguageDocAudit:
             "retailer-retry-then-failover",
             "maximize-trading-value",
         } <= names
+
+
+class TestArchitectureDocAudit:
+    def test_stage_table_is_what_a_fully_configured_bus_composes(self):
+        """Stage, chain and owning package, in the order the bus composes."""
+        from repro.casestudies.scm import (
+            RETAILER_CONTRACT,
+            resilience_policy_document,
+            slo_policy_document,
+            traffic_policy_document,
+        )
+        from repro.observability import MetricsRegistry, Tracer
+        from repro.policy import PolicyRepository
+        from repro.simulation import Environment
+        from repro.transport import Network
+        from repro.wsbus import WsBus
+        from repro.wsbus.pipeline import stages_of
+
+        env = Environment()
+        repository = PolicyRepository()
+        for document in (
+            resilience_policy_document(), traffic_policy_document(), slo_policy_document()
+        ):
+            repository.load(document)
+        bus = WsBus(
+            env, Network(env), repository=repository, tracer=Tracer(clock=lambda: env.now),
+            metrics=MetricsRegistry(), mediation_capacity=2,
+        )
+        vep = bus.create_vep("retailers", RETAILER_CONTRACT, members=["http://scm/retailerA"])
+        composed = [
+            (stage.__name__, chain, ".".join(stage.__module__.split(".")[:2]))
+            for chain, handler in (
+                ("VEP", bus.network.endpoint(vep.address).handler),
+                ("send", bus._deliver),
+            )
+            for stage in stages_of(handler)
+        ]
+        text = (DOCS_DIR / "architecture.md").read_text(encoding="utf-8")
+        table = re.search(r"<!-- stages -->\n(.*?)<!-- /stages -->", text, re.DOTALL).group(1)
+        documented = re.findall(r"^\| `(\w+)` \| (\w+) \| `([\w.]+)` \|", table, re.MULTILINE)
+        assert documented == composed

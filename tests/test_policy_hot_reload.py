@@ -9,7 +9,9 @@ fleet was built, and go inert again when they are unloaded.
 
 from __future__ import annotations
 
+from conftest import run_process
 from repro.casestudies.scm import (
+    RETAILER_CONTRACT,
     federation_policy_document,
     resilience_policy_document,
     slo_policy_document,
@@ -20,6 +22,7 @@ from repro.federation import BusFleet
 from repro.observability import MetricsRegistry, Tracer
 from repro.policy import PolicyRepository
 from repro.resilience.breaker import BreakerState
+from repro.soap import SoapEnvelope
 from repro.wsbus import WsBus
 from repro.xmlutils import Element
 
@@ -76,6 +79,17 @@ def test_unchanged_configuration_keeps_live_state_across_a_reload(env, network):
     assert breaker.state is BreakerState.OPEN
     cache = bus.traffic.cache_for("Retailer", "getCatalog")
     cache.put("key", Element("catalog"))
+    # The per-VEP machinery: one request through the VEP (nobody answers at
+    # the member, which is beside the point) advances the leveler's arrival
+    # clock and passes the VEP bulkhead.
+    vep = bus.create_vep("retailers", RETAILER_CONTRACT, members=[RETAILER])
+    request = SoapEnvelope.request(vep.address, "urn:op:getCatalog", Element("getCatalog"))
+    run_process(env, network.endpoint(vep.address).handler(request))
+    leveler = bus.traffic._levelers["retailers"]
+    bulkhead = bus.resilience._vep_bulkheads["retailers"]
+    arrival_clock = leveler._tat
+    assert leveler.stats()["immediate"] == 1 and arrival_clock > 0.0
+    assert bulkhead.stats()["admitted"] == 1
 
     # An unrelated document arrives, and the same configuration is re-loaded.
     repository.load(slo_policy_document())
@@ -86,12 +100,31 @@ def test_unchanged_configuration_keeps_live_state_across_a_reload(env, network):
     assert breaker.state is BreakerState.OPEN
     assert bus.traffic.cache_for("Retailer", "getCatalog") is cache
     assert cache.stats()["entries"] == 1
+    assert bus.traffic._levelers["retailers"] is leveler
+    assert leveler._tat == arrival_clock and leveler.stats()["immediate"] == 1
+    assert bus.resilience._vep_bulkheads["retailers"] is bulkhead
 
-    # A changed threshold reaches the live breaker without resetting it.
-    repository.load(resilience_policy_document(consecutive_failures=7))
+    # A changed threshold reaches the live breaker without resetting it,
+    # and changed limits reach the live VEP bulkhead and leveler.
+    repository.load(resilience_policy_document(consecutive_failures=7, vep_max_concurrent=9))
+    repository.load(traffic_policy_document(rate_per_second=5.0))
     assert bus.resilience.breaker_for(RETAILER) is breaker
     assert breaker.config.consecutive_failures == 7
     assert breaker.state is BreakerState.OPEN
+    assert bus.resilience._vep_bulkheads["retailers"] is bulkhead
+    assert bulkhead.max_concurrent == 9 and bulkhead.stats()["admitted"] == 1
+    assert bus.traffic._levelers["retailers"] is leveler
+    assert leveler.config.rate_per_second == 5.0 and leveler._tat == arrival_clock
+
+    # The VEP bulkhead goes with its rule even while other resilience rules stay.
+    trimmed = resilience_policy_document(consecutive_failures=7)
+    trimmed.adaptation_policies[:] = [
+        policy for policy in trimmed.adaptation_policies if policy.name != "retailer-vep-bulkhead"
+    ]
+    repository.load(trimmed)
+    assert bus.resilience.active
+    assert "retailers" not in bus.resilience._vep_bulkheads
+    assert "vep:retailers" not in bus.stats_summary()["resilience"]["bulkheads"]
 
 
 def test_explicit_refresh_still_works_without_a_notification(env, network):

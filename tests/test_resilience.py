@@ -328,28 +328,39 @@ class TestVepAdmissionAccounting:
         *outside* the try/finally that releases the admission holds, so a
         failed wait event leaked a shedder slot forever — a slow leak of
         bus capacity under exactly the overloads shedding exists for."""
-        from repro.resilience import Admission
-
         container.deploy(EchoService(env, "echo-a", "http://svc/a"))
-        bus = WsBus(
-            env, network, repository=PolicyRepository(), member_timeout=5.0
+        repository = PolicyRepository()
+        document = PolicyDocument("admission")
+        document.adaptation_policies.append(
+            AdaptationPolicy(
+                name="shed-and-vep-bulkhead",
+                triggers=("resilience.configure",),
+                scope=PolicyScope(),
+                actions=(
+                    LoadSheddingAction(max_inflight=4),
+                    BulkheadAction(max_concurrent=1, max_queue=1, applies_to="vep"),
+                ),
+                priority=10,
+            )
         )
+        repository.load(document)
+        bus = WsBus(env, network, repository=repository, member_timeout=5.0)
         vep = bus.create_vep(
             "echo", ECHO_CONTRACT, members=["http://svc/a"],
             selection_strategy="primary",
         )
-        shedder = LoadShedder(LoadSheddingAction(max_inflight=4))
-        failing_wait = env.event()
-        failing_wait.fail(RuntimeError("queue collapsed"), delay=0.1)
+        admission = bus.resilience.admission_stage(vep)
+        shedder = bus.resilience.shedder
+        bulkhead = bus.resilience._vep_bulkheads["echo"]
+        # The only slot is taken, so the request queues on the bulkhead ...
+        assert bulkhead.try_acquire() is None
 
-        class StubResilience:
-            active = True
+        def collapse():
+            # ... and its wait event fails instead of granting a slot.
+            yield env.timeout(0.1)
+            bulkhead._waiters.popleft().fail(RuntimeError("queue collapsed"))
 
-            def admit_vep_request(self, vep_name, service_type):
-                assert shedder.try_admit() is None
-                return Admission([shedder], failing_wait)
-
-        vep.resilience = StubResilience()
+        env.process(collapse())
         request = SoapEnvelope.request(
             vep.address or "http://vep/echo",
             "urn:op:echo",
@@ -358,7 +369,7 @@ class TestVepAdmissionAccounting:
 
         def driver():
             with pytest.raises(RuntimeError):
-                yield from vep.handle(request)
+                yield from admission(request, vep.handle)
 
         run_process(env, driver())
         assert shedder.in_flight == 0

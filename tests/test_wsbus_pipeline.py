@@ -1,9 +1,30 @@
 """Unit tests for the message pipeline, inspectors and transformations."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from conftest import ECHO_CONTRACT, EchoService, SlowEchoService, run_process
+from repro.casestudies.scm import (
+    RETAILER_CONTRACT,
+    resilience_policy_document,
+    slo_policy_document,
+    traffic_policy_document,
+)
+from repro.observability import MetricsRegistry, Tracer
+from repro.policy import (
+    AdaptationPolicy,
+    CircuitBreakerAction,
+    LoadSheddingAction,
+    PolicyDocument,
+    PolicyRepository,
+    SubstituteAction,
+)
+from repro.services import Invoker
 from repro.simulation import Environment
-from repro.soap import SoapEnvelope
+from repro.soap import SoapEnvelope, SoapFaultError
+from repro.transport import Network
 from repro.wsbus import (
     AggregatorModule,
     ApplicabilityRule,
@@ -16,7 +37,9 @@ from repro.wsbus import (
     PayloadTransformModule,
     PipelineContext,
     SplitterModule,
+    WsBus,
 )
+from repro.wsbus.pipeline import stages_of
 from repro.wsdl import ContractViolation, MessageSchema, Operation, PartSchema, ServiceContract
 from repro.xmlutils import Element
 
@@ -228,3 +251,211 @@ class TestSplitterAggregator:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             AggregatorModule(batch_size=0)
+
+
+# -- the composed mediation path ----------------------------------------------------
+#
+# The VEP chain and the send chain are composed from per-tier stages when
+# something that decides a tier's presence changes; these tests pin which
+# stages stand where, and that every way of flipping a tier recomposes.
+
+RETAILER = "http://scm/retailerA"
+
+TRAFFIC = ["cache", "idempotency", "leveling"]
+SEND_RESILIENCE = ["breaker", "bulkhead", "adaptive_timeout"]
+
+
+def chains(bus, vep):
+    """(VEP chain, send chain) as stage names, outermost first."""
+    return tuple(
+        [stage.__name__ for stage in stages_of(handler)]
+        for handler in (bus.network.endpoint(vep.address).handler, bus._deliver)
+    )
+
+
+def retailer_bus(env, network, *documents, **bus_kwargs):
+    repository = PolicyRepository()
+    for document in documents:
+        repository.load(document)
+    bus = WsBus(env, network, repository=repository, member_timeout=5.0, **bus_kwargs)
+    return bus, bus.create_vep("retailers", RETAILER_CONTRACT, members=[RETAILER])
+
+
+class TestComposedStages:
+    def test_bare_bus_has_no_stage_and_no_wrapper_frame(self, env, network):
+        bus, vep = retailer_bus(env, network)
+        assert chains(bus, vep) == ([], [])
+        # The registered handler *is* the mediation core ...
+        assert network.endpoint(vep.address).handler == vep.handle
+        # ... and the send path is Invoker.send behind only the retarget copy.
+        request = SoapEnvelope.request(vep.address, "urn:op:getCatalog", Element("getCatalog"))
+        sending = bus._send(request, "getCatalog", RETAILER)
+        assert sending.gi_code is Invoker.send.__code__
+        outbound = sending.gi_frame.f_locals["envelope"]
+        assert outbound is not request and outbound.addressing.to == RETAILER
+        sending.close()
+
+    def test_each_tier_contributes_its_own_stages_in_order(self, env, network):
+        tracer = Tracer(clock=lambda: env.now)
+        cases = [
+            ((resilience_policy_document(),), {}, ["admission"], SEND_RESILIENCE),
+            ((traffic_policy_document(),), {}, TRAFFIC, []),
+            ((slo_policy_document(),), {"metrics": MetricsRegistry()}, ["handle"], ["send"]),
+            ((), {"tracer": tracer}, ["handle"], ["send"]),
+            ((), {"mediation_capacity": 2}, ["mediate"], []),
+            (
+                (resilience_policy_document(), traffic_policy_document(), slo_policy_document()),
+                {"tracer": tracer, "metrics": MetricsRegistry(), "mediation_capacity": 2},
+                ["mediate", *TRAFFIC, "admission", "handle"],
+                [*SEND_RESILIENCE, "send"],
+            ),
+        ]
+        for documents, bus_kwargs, vep_chain, send_chain in cases:
+            bus, vep = retailer_bus(env, Network(env), *documents, **bus_kwargs)
+            assert chains(bus, vep) == (vep_chain, send_chain), (documents, bus_kwargs)
+
+    def test_a_tier_that_does_not_cover_a_vep_stands_no_stage_before_it(self, env, network):
+        # Shedding is bus-wide; the traffic rules and the VEP bulkhead are
+        # scoped to Retailers, so an Echo VEP on the same bus gets neither.
+        bus, retailers = retailer_bus(
+            env, network, resilience_policy_document(), traffic_policy_document()
+        )
+        echo = bus.create_vep("echo", ECHO_CONTRACT, members=["http://svc/a"])
+        assert chains(bus, retailers)[0] == [*TRAFFIC, "admission"]
+        assert chains(bus, echo)[0] == ["admission"]
+        assert set(bus.resilience._vep_bulkheads) == set(bus.traffic._levelers) == {"retailers"}
+
+    def test_the_slo_feed_follows_the_slo_policies(self, env, network):
+        bus, vep = retailer_bus(env, network, metrics=MetricsRegistry())
+
+        def failed_sends():
+            request = SoapEnvelope.request(vep.address, "urn:op:getCatalog", Element("getCatalog"))
+            with pytest.raises(SoapFaultError):
+                run_process(env, bus._send(request, "getCatalog", RETAILER))
+            return bus.metrics.snapshot()["counters"].get(
+                f'wsbus.endpoint.failures{{endpoint="{RETAILER}"}}', 0
+            )
+
+        assert failed_sends() == 0
+        bus.repository.load(slo_policy_document())
+        assert bus.slo.active and failed_sends() == 1
+        bus.repository.unload(slo_policy_document().name)
+        assert not bus.slo.active and failed_sends() == 1
+
+
+class TestRecomposition:
+    def test_load_and_unload_recompose(self, env, network):
+        bus, vep = retailer_bus(env, network)
+        documents = [resilience_policy_document(), traffic_policy_document()]
+        for document in documents:
+            bus.repository.load(document)
+        assert bus.resilience.active and bus.traffic.active
+        assert chains(bus, vep) == ([*TRAFFIC, "admission"], SEND_RESILIENCE)
+        for document in documents:
+            bus.repository.unload(document.name)
+        assert not bus.resilience.active and not bus.traffic.active
+        assert chains(bus, vep) == ([], [])
+        assert network.endpoint(vep.address).handler == vep.handle
+
+    def test_a_refresh_by_hand_recomposes(self, env, network):
+        bus, vep = retailer_bus(env, network)
+        bus.repository._documents["scm-traffic"] = traffic_policy_document()
+        bus.traffic.refresh_from_policies()
+        assert bus.traffic.active and chains(bus, vep)[0] == TRAFFIC
+
+    def test_a_resilience_action_enacted_at_fault_time_recomposes(
+        self, env, network, container
+    ):
+        container.deploy(EchoService(env, "echo-b", "http://svc/b"))
+        bus, _ = retailer_bus(env, network)
+        document = PolicyDocument("tighten-on-fault")
+        document.adaptation_policies.append(
+            AdaptationPolicy(
+                name="tighten-on-fault",
+                triggers=("fault.*",),
+                actions=(
+                    CircuitBreakerAction(consecutive_failures=1),
+                    LoadSheddingAction(max_inflight=4),
+                    SubstituteAction("round_robin"),
+                ),
+                priority=10,
+            )
+        )
+        bus.repository.load(document)
+        vep = bus.create_vep(
+            "echo", ECHO_CONTRACT, members=["http://svc/down", "http://svc/b"],
+            selection_strategy="primary",
+        )
+        assert not bus.resilience.active and chains(bus, vep) == ([], [])
+        invoker = Invoker(env, network, caller="client")
+        payload = ECHO_CONTRACT.operation("echo").input.build(text="hi")
+        response = run_process(env, invoker.invoke(vep.address, "echo", payload, timeout=30.0))
+        assert response.body.child_text("text") == "hi@echo-b"
+        assert bus.resilience.active
+        assert chains(bus, vep) == (["admission"], ["breaker"])
+
+    def test_a_request_in_flight_across_a_flip_finishes_on_its_own_chain(
+        self, env, network, container
+    ):
+        container.deploy(SlowEchoService(env, "slow", RETAILER, delay=1.0))
+        # The Retailer-scoped policies, over a contract the echo service answers.
+        contract = ServiceContract(service_type="Retailer", operations=ECHO_CONTRACT.operations)
+        bus, _ = retailer_bus(
+            env, network, resilience_policy_document(), traffic_policy_document(),
+            mediation_capacity=2,
+        )
+        vep = bus.create_vep("echo", contract, members=[RETAILER])
+        assert chains(bus, vep)[0] == ["mediate", "idempotency", "leveling", "admission"]
+        shedder = bus.resilience.shedder
+        vep_bulkhead = bus.resilience._vep_bulkheads["echo"]
+        leveler = bus.traffic._levelers["echo"]
+        held = []
+
+        def flip():
+            yield env.timeout(0.5)
+            held.append((shedder.in_flight, vep_bulkhead.in_flight, bus._gate.in_flight))
+            bus.repository.unload("scm-resilience")
+            bus.repository.unload("scm-traffic")
+
+        env.process(flip())
+        request = SoapEnvelope.request(
+            vep.address, "urn:op:echo", ECHO_CONTRACT.operation("echo").input.build(text="x")
+        )
+        reply = run_process(env, network.endpoint(vep.address).handler(request))
+        assert not reply.is_fault and env.now > 1.0
+        assert held == [(1, 1, 1)]
+        assert chains(bus, vep) == (["mediate"], [])
+        assert (shedder.in_flight, vep_bulkhead.in_flight, bus._gate.in_flight) == (0, 0, 0)
+        assert leveler.stats()["immediate"] == 1 and leveler.waiting == 0
+        assert bus.resilience.shedder is None and not bus.resilience._vep_bulkheads
+
+
+class TestImportBoundaries:
+    """The chain is mechanism, what stands in it is policy: the mediation
+    core knows no tier, and no tier reaches into the core's module."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    @staticmethod
+    def imported_modules(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules.add(node.module)
+                modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+        return modules
+
+    @pytest.mark.parametrize("module", ["vep.py", "pipeline.py"])
+    def test_the_core_imports_no_tier(self, module):
+        forbidden = ("repro.traffic", "repro.resilience", "repro.observability.trace_context")
+        imported = self.imported_modules(self.SRC / "wsbus" / module)
+        assert not [name for name in imported if name.startswith(forbidden)]
+
+    @pytest.mark.parametrize("package", ["traffic", "resilience", "observability", "federation"])
+    def test_no_tier_imports_the_core(self, package):
+        for path in sorted((self.SRC / package).glob("*.py")):
+            imported = self.imported_modules(path)
+            assert "repro.wsbus.vep" not in imported, path

@@ -19,7 +19,7 @@ from repro.services import Invoker
 from repro.soap import FaultCode, SoapFaultError
 from repro.wsbus import WsBus
 from repro.wsbus.selection import ContentRule
-from repro.wsbus.pipeline import ApplicabilityRule
+from repro.wsbus.pipeline import ApplicabilityRule, MessagePipeline, MessageProcessingModule
 
 
 @pytest.fixture
@@ -145,6 +145,41 @@ class TestRecovery:
         )
         network.endpoint("http://svc/a").available = False
         assert call(env, network, vep.address) == "hi@echo-b"
+
+    def test_overlapping_recoveries_each_report_their_own_substitute(
+        self, env, network, container, world
+    ):
+        """Regression: the VEP read the recovered member off the *last*
+        entry of the shared ``adaptation.outcomes`` list, so the first of
+        two overlapping recoveries to finish reported the other's (still
+        unset) target to the response-side pipeline and monitoring."""
+        bus, repository = world
+        load_recovery(repository, (SubstituteAction("round_robin"),))
+        container.deploy(SlowEchoService(env, "echo-slow", "http://svc/slow", delay=2.0))
+
+        targets = []
+
+        class TargetRecorder(MessageProcessingModule):
+            def process_response(self, envelope, context):
+                targets.append(context.target)
+                return envelope
+
+        vep = bus.create_vep(
+            "echo", ECHO_CONTRACT,
+            members=["http://svc/a", "http://svc/b", "http://svc/slow"],
+            selection_strategy="primary",
+            pipeline=MessagePipeline([TargetRecorder("targets")]),
+        )
+        network.endpoint("http://svc/a").available = False
+        invoker = Invoker(env, network, caller="client")
+        payload = ECHO_CONTRACT.operation("echo").input.build(text="hi")
+        # Both fail on a; the first substitutes to b and answers while the
+        # second is still waiting on the slow member.
+        for _ in range(2):
+            env.process(invoker.invoke(vep.address, "echo", payload, timeout=60.0))
+        env.run()
+        assert vep.stats.recovered == 2
+        assert targets == ["http://svc/b", "http://svc/slow"]
 
     def test_backup_substitute(self, env, network, world):
         bus, repository = world
