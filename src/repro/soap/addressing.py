@@ -14,10 +14,22 @@ from dataclasses import dataclass, field, replace
 
 from repro.xmlutils import Element, QName
 
-__all__ = ["AddressingHeaders", "MASC_NS", "WSA_NS", "new_message_id"]
+__all__ = ["AddressingHeaders", "HEADER_BLOCKS", "MASC_NS", "WSA_NS", "new_message_id"]
 
 WSA_NS = "http://www.w3.org/2005/08/addressing"
 MASC_NS = "http://masc.web.cse.unsw.edu.au/ns/masc"
+
+#: The header blocks in document order: (field, namespace, local name). A
+#: field that is None writes no block. The envelope sizes messages from this
+#: table without building the blocks.
+HEADER_BLOCKS = (
+    ("to", WSA_NS, "To"),
+    ("action", WSA_NS, "Action"),
+    ("message_id", WSA_NS, "MessageID"),
+    ("relates_to", WSA_NS, "RelatesTo"),
+    ("reply_to", WSA_NS, "ReplyTo"),
+    ("process_instance_id", MASC_NS, "ProcessInstanceID"),
+)
 
 _message_counter = itertools.count(1)
 
@@ -79,19 +91,11 @@ class AddressingHeaders:
 
     def to_elements(self) -> list[Element]:
         """Header blocks in document order."""
-        blocks: list[Element] = []
-
-        def block(local: str, ns: str, text: str | None) -> None:
-            if text is not None:
-                blocks.append(Element(QName(ns, local), text=text))
-
-        block("To", WSA_NS, self.to)
-        block("Action", WSA_NS, self.action)
-        block("MessageID", WSA_NS, self.message_id)
-        block("RelatesTo", WSA_NS, self.relates_to)
-        block("ReplyTo", WSA_NS, self.reply_to)
-        block("ProcessInstanceID", MASC_NS, self.process_instance_id)
-        return blocks
+        return [
+            Element(QName(namespace, local), text=text)
+            for attribute, namespace, local in HEADER_BLOCKS
+            if (text := getattr(self, attribute)) is not None
+        ]
 
     @classmethod
     def from_elements(cls, blocks: list[Element]) -> "AddressingHeaders":

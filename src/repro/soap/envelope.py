@@ -11,10 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
-from repro.soap.addressing import AddressingHeaders
+from repro.soap.addressing import HEADER_BLOCKS, MASC_NS, WSA_NS, AddressingHeaders
 from repro.soap.faults import SoapFault
-from repro.xmlutils import Element, QName, XmlError, parse_xml, serialize_xml
-from repro.xmlutils.element import _escape_cdata
+from repro.xmlutils import (
+    Element,
+    QName,
+    SizeSummary,
+    XmlError,
+    combined_size,
+    escaped_size,
+    parse_xml,
+    serialize_xml,
+    size_summary,
+)
 
 __all__ = ["SOAP_ENV_NS", "SoapEnvelope", "SoapHeader"]
 
@@ -23,6 +32,7 @@ SOAP_ENV_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 _ENVELOPE_NAME = QName(SOAP_ENV_NS, "Envelope")
 _HEADER_NAME = QName(SOAP_ENV_NS, "Header")
 _BODY_NAME = QName(SOAP_ENV_NS, "Body")
+_FAULT_NAME = QName(SOAP_ENV_NS, "Fault")
 _MUST_UNDERSTAND_ATTR = QName(SOAP_ENV_NS, "mustUnderstand").clark()
 
 
@@ -48,29 +58,76 @@ def _borrowed(
     return node
 
 
-#: Serialized envelope sizes memoized per shared *body* payload tree:
-#: body identity -> {addressing shape -> byte length before padding}. Two
-#: envelopes that share a body object and agree on which addressing fields
-#: are present and on each field's escaped byte length serialize to the same
-#: number of bytes (addressing blocks are flat text elements, and namespace
-#: prefix assignment depends only on the presence pattern and the body), so
-#: the expensive serialize-and-measure runs once per shape. Entries die with
-#: the body tree. Envelopes with extension headers or faults never consult
-#: the memo. Like the size cache itself, the memo relies on the middleware's
-#: copy-on-write discipline: shared body trees are replaced, never edited in
-#: place.
-_BODY_SIZE_MEMO: "WeakKeyDictionary[Element, dict[tuple, int]]" = WeakKeyDictionary()
+#: What is known about the size of a shared *body* payload tree: body
+#: identity -> (size summary of the tree, {addressing shape -> byte length
+#: before padding of a plain envelope around it}). The summary is the part
+#: of any envelope's size that the body contributes whatever surrounds it
+#: (``repro.xmlutils.size_summary``); every sizing of an envelope with this
+#: body starts from it instead of walking the tree again. The shapes are
+#: finished sums for envelopes with no visible extension header: two of
+#: those that share a body and agree on which addressing fields are present
+#: and on each field's escaped byte length have the same size, so interned
+#: payloads skip even the arithmetic (a finished sum, like a cached size,
+#: reflects the prefixes registered with ElementTree when it was made; a
+#: summary does not depend on them). Entries die with the body tree. Header
+#: blocks and faults are measured per sizing, never memoized. Like the size
+#: cache itself, the memo relies on the middleware's copy-on-write
+#: discipline: shared body trees are replaced, never edited in place.
+_BODY_SIZE_MEMO: "WeakKeyDictionary[Element, tuple[SizeSummary, dict[tuple, int]]]" = (
+    WeakKeyDictionary()
+)
+
+def _frame(local: str) -> tuple[int, int]:
+    """The bytes of ``<p:local>…</p:local>`` and of ``<p:local />`` that are
+    neither prefix nor content — how ``size_summary`` counts an element
+    with and without content. The first form writes the prefix twice."""
+    width = len(local.encode("utf-8"))
+    return 2 * width + 5, width + 4
 
 
-def _escaped_size(text: str | None) -> int | None:
-    # Inlined escaped_text_size: this runs six times per size-memo lookup.
-    # Addressing values are almost always plain ASCII URIs/URNs, where the
-    # escaped UTF-8 length is just the string length — skip the regex + encode.
-    if text is None:
-        return None
-    if "&" not in text and "<" not in text and ">" not in text and text.isascii():
-        return len(text)
-    return len(_escape_cdata(text).encode("utf-8"))
+_ENVELOPE_OPEN, _ = _frame(_ENVELOPE_NAME.local)  # always has children
+_HEADER_OPEN, _HEADER_EMPTY = _frame(_HEADER_NAME.local)
+_BODY_OPEN, _BODY_EMPTY = _frame(_BODY_NAME.local)
+#: (namespace, frame with text, frame when empty) per addressing block, in
+#: document order — the order of an addressing *shape*.
+_ADDRESSING_FRAMES = tuple((namespace, *_frame(local)) for _, namespace, local in HEADER_BLOCKS)
+
+
+def _envelope_size(
+    shape: tuple, headers: list[SizeSummary], content: SizeSummary | None
+) -> int:
+    """Serialized size of the envelope whose addressing fields have the
+    escaped text sizes ``shape`` (None: absent), whose visible extension
+    headers have the summaries ``headers`` and whose body holds ``content``.
+
+    The Envelope/Header/Body scaffolding and the flat addressing blocks are
+    summarized arithmetically and combined with the rest in document order.
+    """
+    fixed = 0
+    uses = {SOAP_ENV_NS: 0}  # the root's namespace is the first one met
+    for (namespace, with_text, empty), text_size in zip(_ADDRESSING_FRAMES, shape):
+        if text_size is None:
+            continue
+        if text_size:
+            fixed += with_text + text_size
+            uses[namespace] = uses.get(namespace, 0) + 2
+        else:
+            fixed += empty
+            uses[namespace] = uses.get(namespace, 0) + 1
+    # Envelope always has children; Header has them when there is any
+    # addressing block or visible extension, Body when there is content.
+    header_open = bool(fixed or headers)
+    body_open = content is not None
+    fixed += (
+        _ENVELOPE_OPEN
+        + (_HEADER_OPEN if header_open else _HEADER_EMPTY)
+        + (_BODY_OPEN if body_open else _BODY_EMPTY)
+    )
+    uses[SOAP_ENV_NS] = 2 + (2 if header_open else 1) + (2 if body_open else 1)
+    parts = [(fixed, tuple(uses.items())), *headers]
+    if body_open:
+        parts.append(content)
+    return combined_size(parts)
 
 
 @dataclass
@@ -86,6 +143,21 @@ class SoapHeader:
     #: whether tracing is on or off — simulated timings never depend on
     #: whether anyone is watching.
     transparent: bool = False
+
+
+def _wire_header(extension: SoapHeader) -> Element:
+    """The block as serialized: a shallow wrapper carrying the
+    ``mustUnderstand`` attribute when the header demands it (read-only,
+    like every :func:`_borrowed` view), else the block itself."""
+    element = extension.element
+    if not extension.must_understand:
+        return element
+    return _borrowed(
+        element.name,
+        element._children,
+        {**element.attributes, _MUST_UNDERSTAND_ATTR: "1"},
+        element.text,
+    )
 
 
 #: Fields whose reassignment changes the serialized form (and therefore
@@ -234,28 +306,29 @@ class SoapEnvelope:
         transparent: bool = False,
     ) -> None:
         self.headers.append(SoapHeader(element, must_understand, transparent))
-        self._size_cache = None
+        if not transparent:  # transparent headers are not part of the size
+            self._size_cache = None
 
     # -- XML mapping --------------------------------------------------------------
 
     def to_element(self) -> Element:
-        envelope = Element(QName(SOAP_ENV_NS, "Envelope"))
-        header = envelope.add(QName(SOAP_ENV_NS, "Header"))
+        envelope = Element(_ENVELOPE_NAME)
+        header = envelope.add(_HEADER_NAME)
         for block in self.addressing.to_elements():
             header.append(block)
         for extension in self.headers:
             child = extension.element.copy()
             if extension.must_understand:
-                child.attributes[QName(SOAP_ENV_NS, "mustUnderstand").clark()] = "1"
+                child.attributes[_MUST_UNDERSTAND_ATTR] = "1"
             header.append(child)
-        body = envelope.add(QName(SOAP_ENV_NS, "Body"))
+        body = envelope.add(_BODY_NAME)
         if self.fault is not None:
             body.append(self.fault.to_element())
         elif self.body is not None:
             body.append(self.body.copy())
         return envelope
 
-    def _wire_element(self, visible_only: bool = False) -> Element:
+    def _wire_element(self) -> Element:
         """The serialization view of this envelope.
 
         Structurally identical to :meth:`to_element` (and serializes to the
@@ -264,22 +337,10 @@ class SoapEnvelope:
         (Envelope/Header/Body, the flat addressing blocks, and a shallow
         wrapper per ``mustUnderstand`` header) is allocated per call. The
         returned tree is a read-only view — callers that hand the tree out
-        for mutation must use :meth:`to_element`. With ``visible_only`` the
-        view drops transparent headers — the size-accounting form.
+        for mutation must use :meth:`to_element`.
         """
         header_children = self.addressing.to_elements()
-        for extension in self.headers:
-            if visible_only and extension.transparent:
-                continue
-            element = extension.element
-            if extension.must_understand:
-                element = _borrowed(
-                    element.name,
-                    element._children,
-                    {**element.attributes, _MUST_UNDERSTAND_ATTR: "1"},
-                    element.text,
-                )
-            header_children.append(element)
+        header_children.extend(_wire_header(extension) for extension in self.headers)
         body_children: list[Element] = []
         if self.fault is not None:
             body_children.append(self.fault.to_element())
@@ -300,17 +361,23 @@ class SoapEnvelope:
     def size_bytes(self) -> int:
         """Serialized size plus padding; drives transport latency.
 
-        Serializing is by far the most expensive step of a simulated send,
-        and the same envelope's size is read several times per exchange
+        The size is measured, never serialized: it is the sum of the
+        envelope scaffolding and addressing blocks (arithmetic on their
+        escaped text lengths), the size summary of each visible extension
+        header and of the fault (walked per sizing) and the body's summary
+        (walked once per shared tree, see ``_BODY_SIZE_MEMO``), with
+        prefixes and declarations added as ``serialize_xml`` would assign
+        them — always ``len(to_xml().encode("utf-8"))`` of the same
+        envelope without its transparent headers.
+
+        The same envelope's size is read several times per exchange
         (latency sampling on each hop, invocation records), so the value is
         cached. Reassigning any content field — including the retargeting
-        reassignment of ``addressing`` — invalidates the cache.
-
-        On a cache miss, plain payload envelopes (no extension headers, no
-        fault) first consult the per-body size memo: workload generators
+        reassignment of ``addressing`` — invalidates the cache. On a cache
+        miss, envelopes without visible extension headers first look their
+        addressing shape up in the per-body memo: workload generators
         intern their constant payloads, so the thousands of envelopes that
-        share one payload tree pay for serialization once per addressing
-        shape instead of once per message.
+        share one payload tree are summed once per shape.
 
         Transparent headers (observability metadata) never count: an
         envelope whose only extension headers are transparent sizes
@@ -320,50 +387,59 @@ class SoapEnvelope:
         cached = self._size_cache
         if cached is not None:
             return cached
-        body = self.body
+        addressing = self.addressing
+        to = addressing.to
+        action = addressing.action
+        message_id = addressing.message_id
+        relates_to = addressing.relates_to
+        reply_to = addressing.reply_to
+        process_instance_id = addressing.process_instance_id
+        shape = (
+            None if to is None else escaped_size(to),
+            None if action is None else escaped_size(action),
+            None if message_id is None else escaped_size(message_id),
+            None if relates_to is None else escaped_size(relates_to),
+            None if reply_to is None else escaped_size(reply_to),
+            None if process_instance_id is None else escaped_size(process_instance_id),
+        )
         headers = self.headers
-        if body is not None and (
-            not headers or all(header.transparent for header in headers)
-        ):
-            shapes = _BODY_SIZE_MEMO.get(body)
-            if shapes is None:
-                shapes = _BODY_SIZE_MEMO.setdefault(body, {})
-            addressing = self.addressing
-            shape = (
-                _escaped_size(addressing.to),
-                _escaped_size(addressing.action),
-                _escaped_size(addressing.message_id),
-                _escaped_size(addressing.relates_to),
-                _escaped_size(addressing.reply_to),
-                _escaped_size(addressing.process_instance_id),
+        if headers:  # the visible ones, summarized
+            headers = [
+                size_summary(_wire_header(extension))
+                for extension in headers
+                if not extension.transparent
+            ]
+        body = self.body
+        if body is None:
+            fault = self.fault
+            size = _envelope_size(
+                shape, headers, None if fault is None else size_summary(fault.to_element())
             )
-            size = shapes.get(shape)
-            if size is None:
-                size = shapes[shape] = len(
-                    serialize_xml(self._wire_element(visible_only=True)).encode("utf-8")
-                )
-            cached = size + self.padding
         else:
-            cached = len(
-                serialize_xml(self._wire_element(visible_only=True)).encode("utf-8")
-            ) + self.padding
-        self._size_cache = cached
+            known = _BODY_SIZE_MEMO.get(body)
+            if known is None:
+                known = _BODY_SIZE_MEMO[body] = (size_summary(body), {})
+            summary, shapes = known
+            if headers:
+                size = _envelope_size(shape, headers, summary)
+            else:
+                size = shapes.get(shape)
+                if size is None:
+                    size = shapes[shape] = _envelope_size(shape, headers, summary)
+        cached = self._size_cache = size + self.padding
         return cached
 
     @classmethod
     def from_element(cls, element: Element) -> "SoapEnvelope":
-        if element.name != QName(SOAP_ENV_NS, "Envelope"):
+        if element.name != _ENVELOPE_NAME:
             raise XmlError(f"not a SOAP envelope: {element.name}")
-        header = element.find(QName(SOAP_ENV_NS, "Header"))
-        body = element.find(QName(SOAP_ENV_NS, "Body"))
+        header = element.find(_HEADER_NAME)
+        body = element.find(_BODY_NAME)
         if body is None:
             raise XmlError("SOAP envelope without a Body")
         addressing_blocks: list[Element] = []
         extensions: list[SoapHeader] = []
-        mu_attr = QName(SOAP_ENV_NS, "mustUnderstand").clark()
         if header is not None:
-            from repro.soap.addressing import MASC_NS, WSA_NS
-
             for child in header.children:
                 if child.name.namespace == WSA_NS or (
                     child.name.namespace == MASC_NS and child.name.local == "ProcessInstanceID"
@@ -373,7 +449,7 @@ class SoapEnvelope:
                     extensions.append(
                         SoapHeader(
                             child.copy(),
-                            child.attributes.get(mu_attr) == "1",
+                            child.attributes.get(_MUST_UNDERSTAND_ATTR) == "1",
                             # Observability metadata re-enters transparent, so
                             # a parse/serialize round trip preserves sizing.
                             child.name.namespace == MASC_NS
@@ -384,7 +460,7 @@ class SoapEnvelope:
         payload: Element | None = None
         if body.children:
             first = body.children[0]
-            if first.name == QName(SOAP_ENV_NS, "Fault"):
+            if first.name == _FAULT_NAME:
                 fault = SoapFault.from_element(first)
             else:
                 payload = first.copy()

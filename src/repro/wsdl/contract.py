@@ -107,12 +107,12 @@ class MessageSchema:
         Workloads and services that emit the same payload thousands of times
         (every ``getCatalog`` request, every catalog reply) get one element
         tree back for all of them, which lets the SOAP layer's per-body size
-        memo collapse serialization to once per addressing shape. The
-        returned tree is shared: callers must treat it as immutable and
-        follow the middleware's copy-on-write discipline (replace bodies,
-        never edit them in place — exactly what the envelope fast-path
-        ``copy`` already requires). Unhashable part values fall back to a
-        fresh :meth:`build`.
+        memo measure the tree once and sum an envelope around it once per
+        addressing shape. The returned tree is shared: callers must treat it
+        as immutable and follow the middleware's copy-on-write discipline
+        (replace bodies, never edit them in place — exactly what the
+        envelope fast-path ``copy`` already requires). Unhashable part
+        values fall back to a fresh :meth:`build`.
         """
         try:
             return _build_interned(self, namespace, tuple(parts.items()))

@@ -11,11 +11,14 @@ selection and simple equality/comparison predicates.
 
 from repro.xmlutils.element import (
     Element,
+    SizeSummary,
     XmlError,
-    escaped_text_size,
+    combined_size,
+    escaped_size,
     parse_xml,
     serialize_xml,
     serialize_xml_reference,
+    size_summary,
 )
 from repro.xmlutils.qname import QName
 from repro.xmlutils.xpath import XPath, XPathError, xpath_evaluate, xpath_value
@@ -23,13 +26,16 @@ from repro.xmlutils.xpath import XPath, XPathError, xpath_evaluate, xpath_value
 __all__ = [
     "Element",
     "QName",
+    "SizeSummary",
     "XPath",
     "XPathError",
     "XmlError",
-    "escaped_text_size",
+    "combined_size",
+    "escaped_size",
     "parse_xml",
     "serialize_xml",
     "serialize_xml_reference",
+    "size_summary",
     "xpath_evaluate",
     "xpath_value",
 ]

@@ -19,11 +19,14 @@ from repro.xmlutils.qname import QName
 
 __all__ = [
     "Element",
+    "SizeSummary",
     "XmlError",
-    "escaped_text_size",
+    "combined_size",
+    "escaped_size",
     "parse_xml",
     "serialize_xml",
     "serialize_xml_reference",
+    "size_summary",
 ]
 
 
@@ -320,14 +323,127 @@ def serialize_xml(element: Element, indent: bool = False) -> str:
     return "".join(out)
 
 
-def escaped_text_size(text: str) -> int:
+# -- measuring without serializing ---------------------------------------------
+#
+# The transport's latency model needs the *length* of a serialized message,
+# not its bytes. Everything ``serialize_xml`` writes for a subtree has a
+# width that is known without building a string, except the namespace
+# prefixes: which prefix a URI gets (``ns0``, ``ns10``, a registered one)
+# depends on how many namespaces the whole document declared before it. A
+# *size summary* therefore splits a subtree into the bytes that are the same
+# in every document and, per namespace URI in first-appearance order, how
+# often that URI's prefix is written; ``combined_size`` assigns the prefixes
+# for a sequence of summaries laid out in document order and adds their
+# widths and the root's ``xmlns`` declarations. ``serialize_xml`` stays the
+# only producer of bytes and is the oracle the measurer is tested against.
+
+#: ``(fixed_bytes, ((namespace_uri, prefixed_name_uses), ...))``.
+SizeSummary = tuple[int, tuple[tuple[str, int], ...]]
+
+
+def _utf8_size(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+def escaped_size(text: str) -> int:
     """UTF-8 byte length of ``text`` once escaped as element character data.
 
-    This is exactly the number of bytes ``text`` contributes to a serialized
-    document, which lets callers predict how a serialized size changes when
-    only flat text fields change (the SOAP envelope size memo relies on it).
+    Exactly the number of bytes ``text`` contributes to a serialized
+    document; plain ASCII without markup characters — nearly every URI,
+    URN and identifier the middleware writes — is just its length.
     """
-    return len(_escape_cdata(text).encode("utf-8"))
+    if text.isascii():
+        size = len(text)
+        if "&" not in text and "<" not in text and ">" not in text:
+            return size
+    else:
+        size = len(text.encode("utf-8"))
+    # &amp; is four bytes wider than its source, &lt; and &gt; three.
+    return size + 4 * text.count("&") + 3 * (text.count("<") + text.count(">"))
+
+
+def _escaped_attribute_size(text: str) -> int:
+    # The width of _escape_attrib(text): cdata escaping plus &quot; and the
+    # &#13; &#10; &#09; entities, each four or five bytes wider than its source.
+    size = escaped_size(text)
+    if '"' in text:
+        size += 5 * text.count('"')
+    if "\r" in text or "\n" in text or "\t" in text:
+        size += 4 * (text.count("\r") + text.count("\n") + text.count("\t"))
+    return size
+
+
+def _measure(element: Element, uses: dict[str, int]) -> int:
+    # One element's share of _write_element's output, prefixes excluded;
+    # visits names in _QNameTable.collect's order so ``uses`` records
+    # namespaces in the order the serializer would first meet them.
+    name = element.name
+    width = _utf8_size(name.local)
+    text = element.text
+    children = element._children
+    if text or children:
+        written = 2  # <tag> and </tag>
+        size = 2 * width + 5
+        if text:
+            size += escaped_size(text)
+    else:
+        written = 1  # <tag />
+        size = width + 4
+    uri = name.namespace
+    if uri:
+        uses[uri] = uses.get(uri, 0) + written
+    for key, value in element.attributes.items():
+        if key.startswith("{"):
+            attribute_uri, _, key = key[1:].rpartition("}")
+            uses[attribute_uri] = uses.get(attribute_uri, 0) + 1
+        size += 4 + _utf8_size(key) + _escaped_attribute_size(value)  # ' k="v"'
+    for child in children:
+        size += _measure(child, uses)
+    return size
+
+
+def size_summary(element: Element) -> SizeSummary:
+    """The prefix-independent size of ``element``'s subtree, in one pass.
+
+    The result depends only on the subtree, never on the document it is
+    placed in, so it can be computed once for a shared tree and combined
+    with different surroundings (:func:`combined_size`).
+    """
+    uses: dict[str, int] = {}
+    fixed = _measure(element, uses)
+    return fixed, tuple(uses.items())
+
+
+def combined_size(summaries: Iterable[SizeSummary]) -> int:
+    """``len(serialize_xml(document).encode("utf-8"))`` for the document whose
+    parts, in document order, have the given summaries.
+
+    A part is an element subtree, or any slice of the document summarized
+    by the same rules (the SOAP layer summarizes its envelope scaffolding
+    arithmetically). Prefixes follow :class:`_QNameTable`.
+    """
+    total = 0
+    uses: dict[str, int] = {}
+    for fixed, namespaces in summaries:
+        total += fixed
+        for uri, count in namespaces:
+            uses[uri] = uses.get(uri, 0) + count
+    declared = 0
+    for uri, count in uses.items():
+        if uri == _XML_NS:
+            total += 4 * count  # "xml:", never declared
+            continue
+        prefix = _ET_PREFIXES.get(uri)
+        if prefix is None:
+            width = 3 if declared < 10 else 2 + len(str(declared))  # ns%d
+        else:
+            width = _utf8_size(prefix)
+        if prefix != "xml":
+            declared += 1
+            total += 10 + width + _escaped_attribute_size(uri)  # ' xmlns:p="uri"'
+        if width:
+            total += (width + 1) * count  # "p:"
+    return total
 
 
 def serialize_xml_reference(element: Element, indent: bool = False) -> str:

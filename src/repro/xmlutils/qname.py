@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = ["QName"]
 
 
@@ -24,8 +26,16 @@ class QName:
         raise AttributeError("QName is immutable")
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def parse(cls, text: str) -> "QName":
-        """Parse Clark notation (``{uri}local``) or a bare local name."""
+        """Parse Clark notation (``{uri}local``) or a bare local name.
+
+        String lookups (``Element.find("{uri}local")``, comparing a name
+        with a string) parse the same dozen names over and over, so the
+        most recent results are kept: a ``QName`` is immutable and may be
+        shared. The memo is bounded because ``parse_xml`` sends every tag
+        of a foreign document through here.
+        """
         if text.startswith("{"):
             uri, _, local = text[1:].partition("}")
             return cls(uri, local)

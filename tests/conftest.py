@@ -1,4 +1,4 @@
-"""Shared fixtures: a minimal echo/calc service world."""
+"""Shared fixtures: a minimal echo/calc service world, and the size oracle."""
 
 from __future__ import annotations
 
@@ -89,3 +89,13 @@ def echo_service(env, container):
 def run_process(env, generator):
     """Drive a generator to completion on the simulation."""
     return env.run(env.process(generator))
+
+
+def serialized_size(envelope):
+    """What ``envelope.size_bytes`` must equal: the UTF-8 length of the
+    envelope serialized by ``serialize_xml`` (behind ``to_xml``) without
+    its transparent headers, plus padding. The reference for every
+    differential test of the measured size."""
+    visible = envelope.copy()
+    visible.headers = [header for header in envelope.headers if not header.transparent]
+    return len(visible.to_xml().encode("utf-8")) + envelope.padding

@@ -3,6 +3,7 @@
 import string
 from dataclasses import MISSING, dataclass
 
+from conftest import serialized_size
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.metrics import availability_from_records, failures_per_1000
@@ -20,9 +21,24 @@ from repro.policy import (
 )
 from repro.policy.actions import ActionError, AdaptationAction, attr, schema
 from repro.services import InvocationOutcome, InvocationRecord
-from repro.soap import SoapEnvelope
+from repro.soap import (
+    MASC_NS,
+    WSA_NS,
+    AddressingHeaders,
+    FaultCode,
+    SoapEnvelope,
+    SoapFault,
+)
 from repro.simulation import Environment
-from repro.xmlutils import Element, QName, parse_xml, serialize_xml
+from repro.traffic.idempotency import stamp_idempotency_key
+from repro.xmlutils import (
+    Element,
+    QName,
+    combined_size,
+    parse_xml,
+    serialize_xml,
+    size_summary,
+)
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -34,16 +50,28 @@ texts = st.text(
 ).map(str.strip)
 
 
+#: Namespaces an element or attribute may be drawn in: none, generated
+#: prefixes, one of ElementTree's well-known prefixes, and two the SOAP
+#: envelope itself uses. Attributes may also be ``xml:`` ones.
+namespaces = st.sampled_from(
+    ["", "", "urn:a", "urn:b", "urn:c", "http://schemas.xmlsoap.org/wsdl/", WSA_NS, MASC_NS]
+)
+attribute_namespaces = namespaces | st.just("http://www.w3.org/XML/1998/namespace")
+
+
 @st.composite
-def elements(draw, depth=0):
-    element = Element(draw(names))
+def elements(draw, depth=0, names=names, texts=texts):
+    element = Element(QName(draw(namespaces), draw(names)))
     for key in draw(st.lists(names, max_size=3, unique=True)):
-        element.attributes[key] = draw(texts)
+        namespace = draw(attribute_namespaces)
+        element.attributes[f"{{{namespace}}}{key}" if namespace else key] = draw(texts)
     text = draw(texts)
     if text:
         element.text = text
     if depth < 3:
-        for child in draw(st.lists(elements(depth=depth + 1), max_size=3)):
+        for child in draw(
+            st.lists(elements(depth=depth + 1, names=names, texts=texts), max_size=3)
+        ):
             element.append(child)
     return element
 
@@ -179,6 +207,20 @@ def test_element_copy_is_structurally_equal_but_distinct(element):
     assert all(a is not b for a, b in zip(duplicate.iter(), element.iter()))
 
 
+#: Anything the serializer will write, valid XML or not: names and values
+#: with non-ASCII characters and every character an escaper rewrites.
+wild_names = st.text(min_size=1, max_size=8)
+wild_texts = st.text(max_size=20) | st.text(alphabet="&<>\"\r\n\t'aé中", max_size=12)
+
+
+@given(elements(names=names | wild_names, texts=texts | wild_texts))
+@settings(max_examples=200)
+def test_measured_size_is_the_serialized_size(element):
+    """combiner(summary(tree)) == the UTF-8 length of serialize_xml(tree)."""
+    expected = len(serialize_xml(element).encode("utf-8"))
+    assert combined_size([size_summary(element)]) == expected
+
+
 @given(policy_documents())
 @settings(max_examples=30)
 def test_policy_document_round_trip_fixed_point(document):
@@ -253,6 +295,59 @@ def test_envelope_round_trip_preserves_body(body, padding):
     parsed = SoapEnvelope.from_xml(envelope.to_xml())
     assert parsed.body.structurally_equal(body)
     assert envelope.size_bytes >= padding
+
+
+addressing_values = st.none() | st.just("") | texts | wild_texts
+
+
+@st.composite
+def envelopes(draw):
+    """Any envelope the middleware can build: each addressing field absent,
+    empty or set; a payload, a fault or an empty body; visible,
+    ``mustUnderstand`` and transparent extension headers; padding."""
+    addressing = AddressingHeaders(
+        to=draw(addressing_values),
+        action=draw(addressing_values),
+        message_id=draw(addressing_values),
+        relates_to=draw(addressing_values),
+        reply_to=draw(addressing_values),
+        process_instance_id=draw(addressing_values),
+    )
+    content = draw(st.sampled_from(["body", "fault", "empty"]))
+    envelope = SoapEnvelope(
+        addressing=addressing,
+        body=draw(elements()) if content == "body" else None,
+        fault=SoapFault(
+            draw(st.sampled_from(FaultCode)),
+            draw(wild_texts),
+            actor=draw(st.none() | texts),
+            detail=draw(st.none() | elements(depth=2)),
+        )
+        if content == "fault"
+        else None,
+        padding=draw(st.integers(0, 10_000)),
+    )
+    for header in draw(st.lists(elements(depth=2, texts=texts | wild_texts), max_size=3)):
+        envelope.add_header(
+            header, must_understand=draw(st.booleans()), transparent=draw(st.booleans())
+        )
+    return envelope
+
+
+@given(envelopes(), st.booleans(), texts)
+@settings(max_examples=200)
+def test_envelope_size_is_its_serialized_size(envelope, keyed, new_target):
+    assert envelope.size_bytes == serialized_size(envelope)
+    if keyed:
+        stamp_idempotency_key(envelope)
+        assert envelope.size_bytes == serialized_size(envelope)
+    # The per-attempt working copy: shares trees and the cached size, then
+    # is retargeted; a second envelope around the same body hits the memo.
+    attempt = envelope.copy()
+    assert attempt.size_bytes == envelope.size_bytes
+    attempt.addressing = attempt.addressing.retargeted(new_target)
+    assert attempt.size_bytes == serialized_size(attempt)
+    assert envelope.size_bytes == serialized_size(envelope)
 
 
 @given(elements())

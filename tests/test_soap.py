@@ -1,8 +1,15 @@
 """Unit tests for the SOAP envelope model."""
 
-import pytest
+import xml.etree.ElementTree as ET
 
+import pytest
+from conftest import serialized_size
+
+from repro.observability.trace_context import TraceContext, stamp_trace_context
 from repro.soap import (
+    MASC_NS,
+    SOAP_ENV_NS,
+    WSA_NS,
     AddressingHeaders,
     FaultCode,
     SoapEnvelope,
@@ -10,8 +17,11 @@ from repro.soap import (
     SoapFaultError,
     new_message_id,
 )
+from repro.soap.addressing import HEADER_BLOCKS
+from repro.soap.envelope import _BODY_SIZE_MEMO
 from repro.soap.faults import TRANSIENT_FAULT_CODES, timeout, unavailable
-from repro.xmlutils import Element
+from repro.traffic.idempotency import stamp_idempotency_key
+from repro.xmlutils import Element, QName
 
 
 class TestAddressing:
@@ -263,3 +273,148 @@ class TestEnvelopeSharingSafety:
         b = SoapEnvelope.request("http://svc/b-longer", "urn:op:getCatalog", second)
         assert a.size_bytes == len(a.to_xml().encode("utf-8"))
         assert b.size_bytes == len(b.to_xml().encode("utf-8"))
+
+
+def _trace_context():
+    return TraceContext(trace_id="ab" * 16, span_id="cd" * 8, correlation_id="corr-1")
+
+
+class TestMeasuredSize:
+    """``size_bytes`` is arithmetic; ``serialized_size`` (serialize, encode,
+    count) is the oracle it must agree with on every kind of envelope."""
+
+    def _request(self, body=None, **kwargs):
+        body = Element("q", text="payload") if body is None else body
+        return SoapEnvelope.request("http://svc/a", "urn:op:x", body, **kwargs)
+
+    def test_plain_request_and_reply(self):
+        request = self._request(reply_to="http://client/1", process_instance_id="proc-7")
+        reply = request.reply(Element(QName("urn:app", "ok"), text="fine"))
+        assert request.size_bytes == serialized_size(request)
+        assert reply.size_bytes == serialized_size(reply)
+
+    @pytest.mark.parametrize("field", [field for field, _, _ in HEADER_BLOCKS])
+    @pytest.mark.parametrize("value", [None, "", "urn:x&y<z>", "ünï-cödé"])
+    def test_each_addressing_field_absent_empty_escaped_non_ascii(self, field, value):
+        envelope = SoapEnvelope(
+            addressing=AddressingHeaders(**{field: value}), body=Element("q")
+        )
+        assert envelope.size_bytes == serialized_size(envelope)
+
+    def test_no_addressing_and_no_content_uses_the_short_forms(self):
+        envelope = SoapEnvelope(addressing=AddressingHeaders(message_id=None))
+        assert "Header />" in envelope.to_xml() and "Body />" in envelope.to_xml()
+        assert envelope.size_bytes == serialized_size(envelope)
+        envelope.add_header(Element("only-extension"))
+        assert "Header>" in envelope.to_xml()
+        assert envelope.size_bytes == serialized_size(envelope)
+
+    def test_process_instance_without_wsa_fields_numbers_masc_first(self):
+        envelope = SoapEnvelope(
+            addressing=AddressingHeaders(message_id=None, process_instance_id="p-1"),
+            body=Element(QName(WSA_NS, "late")),
+        )
+        xml = envelope.to_xml()
+        assert f'xmlns:ns1="{MASC_NS}"' in xml and f'xmlns:ns2="{WSA_NS}"' in xml
+        assert envelope.size_bytes == serialized_size(envelope)
+
+    def test_extension_headers_count_in_document_order(self):
+        envelope = self._request(Element(QName("urn:h2", "body"), attributes={"{urn:h1}a": "1"}))
+        envelope.add_header(Element(QName("urn:h1", "first"), text="1"))
+        envelope.add_header(Element(QName("urn:h2", "second"), attributes={"k": 'v"&'}))
+        envelope.add_header(Element("plain"))
+        assert envelope.size_bytes == serialized_size(envelope)
+
+    def test_must_understand_attribute_is_counted_once(self):
+        envelope = self._request()
+        envelope.add_header(Element(QName("urn:sec", "token"), text="t"), must_understand=True)
+        assert envelope.size_bytes == serialized_size(envelope)
+        assert envelope.size_bytes - self._request().size_bytes > len("mustUnderstand")
+        # Parsed back, the block carries the attribute itself *and* the flag.
+        parsed = SoapEnvelope.from_xml(envelope.to_xml())
+        assert parsed.headers[0].must_understand
+        assert parsed.size_bytes == serialized_size(parsed) == envelope.size_bytes
+
+    def test_stamped_idempotency_key(self):
+        envelope = self._request()
+        plain = envelope.size_bytes
+        key = stamp_idempotency_key(envelope)
+        assert key == envelope.addressing.message_id
+        assert envelope.size_bytes == serialized_size(envelope) > plain
+
+    def test_fault_envelopes(self):
+        request = self._request()
+        bare = request.reply_fault(timeout("no answer <in time> & counting"))
+        detailed = request.reply_fault(
+            SoapFault(
+                FaultCode.SERVICE_FAILURE,
+                "bad",
+                actor="http://svc/a",
+                detail=Element(QName("urn:app", "why"), text="détail"),
+            )
+        )
+        for envelope in (bare, detailed):
+            assert envelope.size_bytes == serialized_size(envelope)
+        bare.add_header(Element(QName("urn:h", "x")), must_understand=True)
+        assert bare.size_bytes == serialized_size(bare)
+
+    def test_body_sharing_the_envelope_namespaces(self):
+        body = Element(QName(SOAP_ENV_NS, "NotAFault"), attributes={f"{{{MASC_NS}}}a": "1"})
+        body.add(QName(WSA_NS, "To"), text="shadow")
+        envelope = self._request(body, process_instance_id="p")
+        assert envelope.size_bytes == serialized_size(envelope)
+
+    def test_many_namespaces_widen_the_generated_prefixes(self):
+        body = Element("wide")
+        for index in range(12):
+            body.add(QName(f"urn:n{index}", "c"), text=str(index))
+        envelope = self._request(body)
+        assert "ns12:c" in envelope.to_xml()
+        assert envelope.size_bytes == serialized_size(envelope)
+
+    def test_registered_prefix_for_the_envelope_namespace(self):
+        # (A fresh body per envelope: finished sums, like cached sizes, are
+        # not revisited when the prefix registry changes under them.)
+        generated = self._request(Element(QName("urn:app", "q"))).size_bytes
+        ET.register_namespace("soapenv", SOAP_ENV_NS)
+        try:
+            envelope = self._request(Element(QName("urn:app", "q")))
+            assert "<soapenv:Envelope" in envelope.to_xml()
+            assert envelope.size_bytes == serialized_size(envelope) != generated
+        finally:
+            del ET.register_namespace._namespace_map[SOAP_ENV_NS]
+
+    def test_padding_and_copy_then_retarget(self):
+        envelope = self._request(padding=4096)
+        envelope.add_header(Element(QName("urn:h", "x"), text="1"))
+        attempt = envelope.copy()
+        assert attempt.size_bytes == envelope.size_bytes == serialized_size(envelope)
+        attempt.addressing = attempt.addressing.retargeted("http://svc/a-much-longer-address")
+        delta = len("http://svc/a-much-longer-address") - len("http://svc/a")
+        assert attempt.size_bytes == envelope.size_bytes + delta == serialized_size(attempt)
+
+    def test_one_memo_entry_per_body_serves_plain_and_headered_envelopes(self):
+        body = Element(QName("urn:app", "q"), text="shared")
+        plain = self._request(body)
+        headered = self._request(body)
+        headered.add_header(Element(QName("urn:h", "x"), text="1"))
+        assert headered.size_bytes == serialized_size(headered)
+        summary, shapes = _BODY_SIZE_MEMO[body]
+        assert shapes == {}  # a headered sizing is never remembered as a shape
+        assert plain.size_bytes == serialized_size(plain)
+        assert _BODY_SIZE_MEMO[body][0] is summary
+        assert list(shapes.values()) == [plain.size_bytes]
+
+    def test_transparent_header_keeps_the_cached_size(self):
+        envelope = self._request()
+        before = envelope.size_bytes
+        assert envelope._size_cache == before
+        stamp_trace_context(envelope, _trace_context())
+        assert envelope._size_cache == before  # survived the stamp
+        assert envelope.size_bytes == before == serialized_size(envelope)
+        assert "TraceContext" in envelope.to_xml()
+        stamp_trace_context(envelope, _trace_context())  # re-stamp at the next hop
+        assert envelope._size_cache == before
+        envelope.add_header(Element("visible"))
+        assert envelope._size_cache is None
+        assert envelope.size_bytes == serialized_size(envelope) > before

@@ -1,15 +1,21 @@
 """Unit tests for the XML element tree and QNames."""
 
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from repro.xmlutils import (
     Element,
     QName,
     XmlError,
+    combined_size,
+    escaped_size,
     parse_xml,
     serialize_xml,
     serialize_xml_reference,
+    size_summary,
 )
+from repro.xmlutils.element import _escape_attrib, _escape_cdata, _escaped_attribute_size
 
 
 class TestQName:
@@ -43,6 +49,17 @@ class TestQName:
     def test_empty_local_rejected(self):
         with pytest.raises(ValueError):
             QName("ns", "")
+
+    def test_repeated_parse_allocates_nothing(self):
+        assert QName.parse("{urn:ns}again") is QName.parse("{urn:ns}again")
+        assert Element("r").find("{urn:ns}again") is None
+
+    def test_parse_memo_is_bounded(self):
+        # parse_xml sends every tag of a foreign document through parse.
+        limit = QName.parse.cache_info().maxsize
+        for index in range(limit + 50):
+            QName.parse(f"{{urn:hostile}}tag{index}")
+        assert QName.parse.cache_info().currsize <= limit
 
 
 class TestElementTree:
@@ -207,6 +224,52 @@ def _unicode_tree():
     return root
 
 
+def _twelve_namespaces_tree():
+    # The eleventh and twelfth generated prefixes, ns10 and ns11, are four
+    # characters wide.
+    root = Element(QName("urn:n0", "root"))
+    for index in range(1, 12):
+        root.add(QName(f"urn:n{index}", "child"), text="t")
+    root.add(QName("urn:n11", "again"))
+    return root
+
+
+def _attribute_first_namespace_tree():
+    # urn:attr is met on an attribute before any element uses it, so it is
+    # numbered before urn:later.
+    root = Element(QName("urn:root", "r"), attributes={"{urn:attr}a": "1", "plain": "2"})
+    root.add(QName("urn:later", "c"), **{"{urn:attr}b": "3"})
+    root.add(QName("urn:attr", "d"))
+    return root
+
+
+def _every_escape_tree():
+    # Every character either escaper rewrites; the parser would normalize a
+    # raw carriage return in text, so that one goes in attribute values only.
+    text = "& < > \" \n \t ' &amp; <![CDATA[x]]>"
+    value = text + " \r"
+    root = Element("doc", text=text, attributes={"v": value, "{urn:a&b}w": value})
+    root.add(QName('urn:q"uote<>', "c"), text=text)
+    return root
+
+
+def _non_ascii_names_tree():
+    root = Element(
+        QName("urn:ünï", "racine"), attributes={"clé": "naïve", "{urn:ünï}ключ": "значение"}
+    )
+    root.add("élément", text="中文 — 😀")
+    root.add(QName("urn:日本", "要素"))
+    return root
+
+
+def _mixed_content_tree():
+    root = Element("r", text="before")
+    child = root.add("c", text="")
+    child.add("leaf")
+    root.add("d", text="text").add("e", text="deep")
+    return root
+
+
 def _deep_repeated_namespace_tree():
     root = Element(QName("urn:x", "a"))
     node = root
@@ -226,6 +289,11 @@ class TestFastSerializerDifferential:
         "empty_elements": _empty_elements_tree,
         "unicode": _unicode_tree,
         "deep_repeated_namespace": _deep_repeated_namespace_tree,
+        "twelve_namespaces": _twelve_namespaces_tree,
+        "attribute_first_namespace": _attribute_first_namespace_tree,
+        "every_escape": _every_escape_tree,
+        "non_ascii_names": _non_ascii_names_tree,
+        "mixed_content": _mixed_content_tree,
     }
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -243,3 +311,81 @@ class TestFastSerializerDifferential:
         before = serialize_xml_reference(tree)
         serialize_xml(tree)
         assert serialize_xml_reference(tree) == before
+
+
+def _serialized_bytes(tree):
+    return len(serialize_xml(tree).encode("utf-8"))
+
+
+class TestSizeSummaryDifferential:
+    """Measuring a tree must give the length of serializing it, byte for byte."""
+
+    CORPUS = TestFastSerializerDifferential.CORPUS
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_measured_size_matches_serialized_size(self, name):
+        tree = self.CORPUS[name]()
+        assert combined_size([size_summary(tree)]) == _serialized_bytes(tree)
+
+    def test_generated_prefix_width_grows_with_the_declaration_count(self):
+        tree = _twelve_namespaces_tree()
+        assert "ns10:child" in serialize_xml(tree) and "ns11:again" in serialize_xml(tree)
+        assert combined_size([size_summary(tree)]) == _serialized_bytes(tree)
+
+    def test_summary_lists_namespaces_in_first_appearance_order(self):
+        fixed, namespaces = size_summary(_attribute_first_namespace_tree())
+        assert [uri for uri, _ in namespaces] == ["urn:root", "urn:attr", "urn:later"]
+        # <r> </r>; a, b, <d />; <c />
+        assert dict(namespaces) == {"urn:root": 2, "urn:attr": 3, "urn:later": 1}
+        assert fixed > 0
+
+    def test_registered_prefix_is_used_and_counted(self):
+        uri = "urn:test:registered-for-sizing"
+        tree = Element(QName(uri, "root"), attributes={f"{{{uri}}}a": "1"})
+        tree.add(QName("urn:other", "c"))
+        generated = _serialized_bytes(tree)
+        assert combined_size([size_summary(tree)]) == generated
+        ET.register_namespace("quitelongprefix", uri)
+        try:
+            assert "<quitelongprefix:root" in serialize_xml(tree)
+            assert _serialized_bytes(tree) > generated
+            assert combined_size([size_summary(tree)]) == _serialized_bytes(tree)
+        finally:
+            del ET.register_namespace._namespace_map[uri]
+
+    def test_xml_namespace_is_never_declared(self):
+        tree = _xml_namespace_tree()
+        tree.add(QName("urn:a", "c"))  # ns0: the xml namespace took no number
+        assert 'xml:lang="en"' in serialize_xml(tree) and "<ns0:c" in serialize_xml(tree)
+        assert combined_size([size_summary(tree)]) == _serialized_bytes(tree)
+
+    def test_summary_is_independent_of_the_surrounding_document(self):
+        # One summary of a subtree, combined into two documents that give
+        # its namespaces different prefixes (ns1.. and ns10..).
+        subtree = _multi_namespace_tree()
+        summary = size_summary(subtree)
+        for padding_namespaces in (0, 9):
+            root = Element(QName("urn:wrapper", "w"), text="t")
+            for index in range(padding_namespaces):
+                root.add(QName(f"urn:pad{index}", "p"))
+            surroundings = size_summary(root)
+            root._children.append(subtree)  # borrowed, like the SOAP wire view
+            assert combined_size([surroundings, summary]) == _serialized_bytes(root)
+        assert size_summary(subtree) == summary
+
+    @pytest.mark.parametrize(
+        "text", ["", "plain", "a&b", "<<>>", "\"\r\n\t", "naïve & <中文>", "&amp;", "😀"]
+    )
+    def test_escaped_sizes_match_the_escapers(self, text):
+        assert escaped_size(text) == len(_escape_cdata(text).encode("utf-8"))
+        assert _escaped_attribute_size(text) == len(_escape_attrib(text).encode("utf-8"))
+
+    def test_carriage_return_in_text_is_written_raw(self):
+        tree = Element("r", text="a\rb", attributes={"v": "a\rb"})
+        assert combined_size([size_summary(tree)]) == _serialized_bytes(tree)
+
+    def test_measuring_does_not_mutate_the_tree(self):
+        tree = _multi_namespace_tree()
+        before = serialize_xml(tree)
+        size_summary(tree)
+        assert serialize_xml(tree) == before
