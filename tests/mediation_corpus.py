@@ -51,22 +51,25 @@ def _overload_storm(traffic: bool):
     return [], result.metrics, result.bus.stats_summary()
 
 
+#: The crash+outage fleet storm (``tests/decision_corpus.py`` runs it too).
+FLEET_STORM = dict(
+    seed=7,
+    shards=3,
+    partitions=6,
+    clients_per_partition=2,
+    requests=30,
+    slo=True,
+    crash_bus="bus-1",
+    crash_at=1.5,
+    outage_endpoint="http://scm/retailerA",
+    outage_at=0.5,
+    outage_duration=3.0,
+)
+
+
 def _fleet_storm():
     tracer, exporter = _traced()
-    result = run_fleet_storm(
-        seed=7,
-        shards=3,
-        partitions=6,
-        clients_per_partition=2,
-        requests=30,
-        slo=True,
-        crash_bus="bus-1",
-        crash_at=1.5,
-        outage_endpoint="http://scm/retailerA",
-        outage_at=0.5,
-        outage_duration=3.0,
-        tracer=tracer,
-    )
+    result = run_fleet_storm(**FLEET_STORM, tracer=tracer)
     return exporter.spans, result.metrics, result.fleet_stats
 
 
