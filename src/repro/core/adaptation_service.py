@@ -279,37 +279,36 @@ class MASCAdaptationService(RuntimeService, EnforcementPoint):
         their actions translate to engine verdicts: Retry → re-run the
         activity with the policy's delay pattern, Skip → treat the
         activity as completed, ReplaceActivity (targeting this activity)
-        → run the variation activity instead. First applicable policy wins
-        (priority order); no policy means the fault propagates as usual.
+        → run the variation activity instead. The first applicable policy
+        with a translatable action wins (priority order) and is accounted
+        for then; no policy means the fault propagates as usual.
         """
         from repro.orchestration import FaultVerdict
         from repro.policy.actions import ReplaceActivityAction, RetryAction, SkipAction
 
         repository = self.decision_maker.repository
-        policies = repository.adaptation_policies_for(
-            f"process-fault.{fault.code.value}",
+        event = MASCEvent(
+            name=f"process-fault.{fault.code.value}",
+            time=self.engine.env.now,
             process=instance.definition_name,
             activity=activity.name,
+            process_instance_id=instance.id,
+            context={
+                "fault_code": fault.code.value,
+                "fault_reason": fault.fault.reason,
+                "activity": activity.name,
+                "attempts": attempts,
+                **{
+                    key: value
+                    for key, value in instance.variables.items()
+                    if isinstance(value, (str, int, float, bool))
+                },
+            },
         )
-        context = {
-            "fault_code": fault.code.value,
-            "fault_reason": fault.fault.reason,
-            "activity": activity.name,
-            "attempts": attempts,
-        }
-        context.update(
-            {
-                key: value
-                for key, value in instance.variables.items()
-                if isinstance(value, (str, int, float, bool))
-            }
-        )
-        subject_key = f"instance:{instance.id}"
-        for policy in policies:
-            if not policy.condition_holds(context):
-                continue
-            if not repository.check_state(policy, subject_key):
-                continue
+        subject_key = event.subject_key()
+        for policy in repository.applicable(
+            event.name, subject_key, event.context, **event.subject()
+        ):
             for action in policy.actions:
                 if isinstance(action, RetryAction):
                     if attempts >= action.max_retries:
@@ -332,8 +331,7 @@ class MASCAdaptationService(RuntimeService, EnforcementPoint):
                     )
                 else:
                     continue
-                repository.transition(policy, subject_key)
-                repository.record_business_value(self.engine.env.now, policy, subject_key)
+                repository.applied(policy, subject_key, event.time)
                 self.engine.metrics.counter(f"masc.advisor.{verdict.kind}").inc()
                 self._report(
                     instance,

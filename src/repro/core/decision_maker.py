@@ -72,9 +72,6 @@ class MASCPolicyDecisionMaker:
         self._points[point.layer] = point
         return point
 
-    def enforcement_point(self, layer: str) -> EnforcementPoint | None:
-        return self._points.get(layer)
-
     # -- decision handling ---------------------------------------------------------
 
     def handle(self, event: MASCEvent) -> list[PolicyDecision]:
@@ -113,6 +110,8 @@ class MASCPolicyDecisionMaker:
         return made
 
     def _apply(self, policy: AdaptationPolicy, event: MASCEvent) -> PolicyDecision:
+        """Dispatch one policy's actions to their enforcement points; the
+        policy is accounted for only when every action succeeded."""
         subject_key = event.subject_key()
         decision = PolicyDecision(
             time=self.env.now,
@@ -120,15 +119,9 @@ class MASCPolicyDecisionMaker:
             policy_name=policy.name,
             subject_key=subject_key,
             applied=False,
+            detail=self.repository.rejection(policy, event.context, subject_key),
         )
-        if not policy.condition_holds(event.context):
-            decision.detail = "condition not satisfied"
-            return decision
-        if not self.repository.check_state(policy, subject_key):
-            decision.detail = (
-                f"subject in state {self.repository.state_of(subject_key)!r}, "
-                f"policy requires {policy.state_before!r}"
-            )
+        if decision.detail is not None:
             return decision
         all_ok = True
         for action in policy.actions:
@@ -150,8 +143,7 @@ class MASCPolicyDecisionMaker:
                 all_ok = False
         decision.applied = all_ok
         if all_ok:
-            self.repository.transition(policy, subject_key)
-            self.repository.record_business_value(self.env.now, policy, subject_key)
+            self.repository.applied(policy, subject_key, self.env.now)
         return decision
 
     # -- reporting -----------------------------------------------------------------

@@ -22,20 +22,15 @@ MonitoringStore`, and evaluates monitoring policies:
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Any
 
 from repro.core.events import MASCEvent
 from repro.core.monitoring_store import MonitoringStore, StoredMessage
 from repro.policy import MonitoringPolicy, PolicyRepository
+from repro.policy.model import QoSLookup
 from repro.services import ServiceRegistry
 from repro.soap import FaultCode, SoapEnvelope
-from repro.xmlutils import XPath
 
 __all__ = ["MASCMonitoringService"]
-
-#: Signature of a QoS aggregate lookup:
-#: (metric, window, aggregate, endpoint) -> observed value or None.
-QoSLookup = Callable[[str, int, str, str | None], float | None]
 
 
 class MASCMonitoringService:
@@ -57,7 +52,6 @@ class MASCMonitoringService:
         self.registry = registry
         self.qos_lookup = qos_lookup
         self._sinks: list[Callable[[MASCEvent], None]] = []
-        self._xpath_cache: dict[str, XPath] = {}
         #: Counters for experiment reporting.
         self.messages_observed = 0
         self.policies_fired = 0
@@ -115,118 +109,67 @@ class MASCMonitoringService:
     # -- policy evaluation -----------------------------------------------------------
 
     def _evaluate_policies(self, message: StoredMessage) -> None:
-        event_name = f"message.{message.direction}"
+        """Map each in-scope policy's verdict onto MASC events: a fired
+        detection raises its ``emits``, a violated constraint raises
+        ``fault.<Code>``, and either way every breached threshold raises
+        ``fault.<Code or SLAViolation>``."""
         subject = {
             "service_type": self._service_type_of(message.target),
             "endpoint": message.target,
             "operation": message.operation,
         }
-        policies = self.repository.monitoring_policies_for(event_name, **subject)
-        for policy in policies:
-            self._evaluate_policy(policy, message, subject)
-
-    def _evaluate_policy(
-        self, policy: MonitoringPolicy, message: StoredMessage, subject: dict
-    ) -> None:
-        context = self._extract_context(policy, message.envelope)
-        if not policy.condition_holds(context):
-            return
-        conditions_hold = all(
-            condition.evaluate(message.envelope) for condition in policy.conditions
-        )
-        if policy.classify_as is not None:
-            # Constraint semantics: violated conditions raise a typed fault.
-            if policy.conditions and not conditions_hold:
-                self.violations_raised += 1
-                self._raise(
-                    MASCEvent(
-                        name=f"fault.{policy.classify_as.value}",
-                        time=self.env.now,
-                        process_instance_id=message.process_instance_id,
-                        envelope=message.envelope,
-                        context=context,
-                        raised_by=policy.name,
-                        **subject,
-                    )
-                )
-            self._check_qos(policy, message, subject, context)
-            return
-        # Detection semantics: all conditions holding fires the policy.
-        if conditions_hold:
-            self.policies_fired += 1
-            for emitted in policy.emits:
-                self._raise(
-                    MASCEvent(
-                        name=emitted,
-                        time=self.env.now,
-                        process_instance_id=message.process_instance_id,
-                        envelope=message.envelope,
-                        context=dict(context),
-                        raised_by=policy.name,
-                        **subject,
-                    )
-                )
-        self._check_qos(policy, message, subject, context)
-
-    def _check_qos(
-        self, policy: MonitoringPolicy, message: StoredMessage, subject: dict, context: dict
-    ) -> None:
-        if not policy.qos_thresholds or self.qos_lookup is None:
-            return
-        for threshold in policy.qos_thresholds:
-            observed = self.qos_lookup(
-                threshold.metric, threshold.window, threshold.aggregate, message.target
-            )
-            if threshold.holds(observed):
+        for policy in self.repository.monitoring_policies_for(
+            f"message.{message.direction}", **subject
+        ):
+            verdict = policy.evaluate(message.envelope, self.qos_lookup, message.target)
+            if verdict is None:
                 continue
-            self.violations_raised += 1
+            if policy.classify_as is not None:
+                if not verdict.conditions_hold:
+                    self.violations_raised += 1
+                    self._raise_from(
+                        policy, message, subject, f"fault.{policy.classify_as.value}", verdict.context
+                    )
+            elif verdict.conditions_hold:
+                self.policies_fired += 1
+                for emitted in policy.emits:
+                    self._raise_from(policy, message, subject, emitted, dict(verdict.context))
             code = policy.classify_as or FaultCode.SLA_VIOLATION
-            violation_context = dict(context)
-            violation_context["violated_metric"] = threshold.metric
-            violation_context["observed_value"] = observed
-            violation_context["threshold_value"] = threshold.value
-            self._raise(
-                MASCEvent(
-                    name=f"fault.{code.value}",
-                    time=self.env.now,
-                    process_instance_id=message.process_instance_id,
-                    envelope=message.envelope,
-                    context=violation_context,
-                    raised_by=policy.name,
-                    **subject,
+            for threshold, observed in verdict.breaches:
+                self.violations_raised += 1
+                self._raise_from(
+                    policy,
+                    message,
+                    subject,
+                    f"fault.{code.value}",
+                    {
+                        **verdict.context,
+                        "violated_metric": threshold.metric,
+                        "observed_value": observed,
+                        "threshold_value": threshold.value,
+                    },
                 )
-            )
 
-    def _extract_context(
-        self, policy: MonitoringPolicy, envelope: SoapEnvelope
-    ) -> dict[str, Any]:
-        context: dict[str, Any] = {}
-        if envelope.body is None:
-            return context
-        for variable, xpath in policy.extract.items():
-            compiled = self._xpath_cache.get(xpath)
-            if compiled is None:
-                compiled = XPath(xpath)
-                self._xpath_cache[xpath] = compiled
-            context[variable] = _coerce(compiled.value(envelope.body))
-        return context
+    def _raise_from(
+        self,
+        policy: MonitoringPolicy,
+        message: StoredMessage,
+        subject: dict,
+        name: str,
+        context: dict,
+    ) -> None:
+        self._raise(
+            MASCEvent(
+                name=name,
+                time=self.env.now,
+                process_instance_id=message.process_instance_id,
+                envelope=message.envelope,
+                context=context,
+                raised_by=policy.name,
+                **subject,
+            )
+        )
 
     def _raise(self, event: MASCEvent) -> None:
         for sink in self._sinks:
             sink(event)
-
-
-def _coerce(text: str | None) -> Any:
-    if text is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if text in ("true", "false"):
-        return text == "true"
-    return text

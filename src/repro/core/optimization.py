@@ -88,14 +88,12 @@ class UtilityDrivenDecisionMaker(MASCPolicyDecisionMaker):
         goal = self.repository.goal_policy_for(**event.subject())
         if goal is None:
             return super().handle(event)
-        candidates = self.repository.adaptation_policies_for(event.name, **event.subject())
         # Keep only policies whose guard conditions pass; rank the rest.
-        viable = [
-            policy
-            for policy in candidates
-            if policy.condition_holds(event.context)
-            and self.repository.check_state(policy, event.subject_key())
-        ]
+        viable = list(
+            self.repository.applicable(
+                event.name, event.subject_key(), event.context, **event.subject()
+            )
+        )
         if not viable:
             return super().handle(event)  # records the non-applications
         estimates = sorted(

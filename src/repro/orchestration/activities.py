@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any
 from repro.orchestration.errors import DefinitionError, ProcessFault, ProcessTerminated
 from repro.orchestration.expressions import Expression
 from repro.soap import FaultCode, SoapFault
-from repro.xmlutils import Element
+from repro.xmlutils import Element, coerce_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.orchestration.instance import ProcessInstance
@@ -58,23 +58,6 @@ def as_condition(condition: str | Expression | Condition) -> Condition:
     if callable(condition):
         return condition
     raise DefinitionError(f"not a valid condition: {condition!r}")
-
-
-def _coerce(text: str | None) -> Any:
-    """Best-effort typing of message part text for use in conditions."""
-    if text is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if text in ("true", "false"):
-        return text == "true"
-    return text
 
 
 class Activity:
@@ -467,7 +450,7 @@ class Invoke(Activity):
             instance.variables[self.output_variable] = response.body
         for variable, part in self.extract.items():
             text = response.body.child_text(part) if response.body is not None else None
-            instance.variables[variable] = _coerce(text)
+            instance.variables[variable] = coerce_text(text)
 
 
 def _resolve_input(spec: Any, variables: dict[str, Any]) -> Any:

@@ -29,6 +29,7 @@ from repro.policy.model import (
     BusinessValue,
     GoalPolicy,
     MonitoringPolicy,
+    MonitoringVerdict,
     PolicyDocument,
     PolicyScope,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "MASC_POLICY_NS",
     "MessageCondition",
     "MonitoringPolicy",
+    "MonitoringVerdict",
     "PolicyDocument",
     "PolicyRepository",
     "PolicyScope",

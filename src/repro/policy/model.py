@@ -12,19 +12,22 @@ those clauses is a field below.
 from __future__ import annotations
 
 import fnmatch
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.orchestration.expressions import Expression
 from repro.policy.actions import AdaptationAction, PolicyError, attr, schema
 from repro.policy.assertions import MessageCondition, QoSThreshold
-from repro.soap import FaultCode
+from repro.soap import FaultCode, SoapEnvelope
+from repro.xmlutils import XPath, XPathError, coerce_text
 
 __all__ = [
     "AdaptationPolicy",
     "BusinessValue",
     "GoalPolicy",
     "MonitoringPolicy",
+    "MonitoringVerdict",
     "PolicyDocument",
     "PolicyError",
     "PolicyScope",
@@ -112,20 +115,39 @@ class _Conditional:
             return False
 
 
+#: A QoS aggregate look-up: (metric, window, aggregate, endpoint) -> the
+#: observed value, or None when nothing has been measured yet.
+QoSLookup = Callable[[str, int, str, str | None], float | None]
+
+
+class MonitoringVerdict(NamedTuple):
+    """What one relevant monitoring policy found in one message."""
+
+    #: The ``extract`` variables, coerced (:func:`repro.xmlutils.coerce_text`).
+    context: dict[str, Any]
+    #: Whether every message condition holds (true when there is none).
+    conditions_hold: bool
+    #: ``(threshold, observed)`` per breached QoS threshold, looked up only
+    #: as the consumer iterates.
+    breaches: Iterable[tuple[QoSThreshold, float]]
+
+
 @dataclass(frozen=True)
 class MonitoringPolicy(_Conditional):
     """A sensor: detects situations and classifies violations.
 
-    Evaluation semantics (see ``repro.core.monitoring_service`` and
-    ``repro.wsbus.monitoring``):
-
     - the policy is considered when one of ``events`` occurs within scope;
     - ``extract`` pulls XPath values out of the observed message into the
       evaluation context (so adaptation conditions can reference them);
-    - if ``condition`` and all message ``conditions`` hold, the policy
-      *fires*: it emits every event in ``emits``;
-    - if a message condition or QoS threshold is **violated**, the policy
-      raises a violation classified as ``classify_as``.
+    - if ``condition`` does not hold on that context the policy is not
+      relevant to the message (:meth:`evaluate` returns ``None``);
+    - a *detection* policy (no ``classify_as``) fires when all message
+      ``conditions`` hold: every event in ``emits`` is raised;
+    - a *constraint* policy (with ``classify_as``) is violated when a
+      message condition does not hold: the violation is classified as
+      ``classify_as``;
+    - each breached QoS threshold raises a violation classified as
+      ``classify_as``, or ``SLAViolation`` without one.
     """
 
     name: str
@@ -145,9 +167,45 @@ class MonitoringPolicy(_Conditional):
         if not self.events:
             raise PolicyError(f"monitoring policy {self.name!r} needs at least one event")
         self._compile_condition()
+        compiled = {}
+        for variable, expression in self.extract.items():
+            try:
+                compiled[variable] = XPath(expression)
+            except XPathError as error:
+                raise PolicyError(
+                    f"monitoring policy {self.name!r}: extract variable {variable!r} "
+                    f"has a malformed XPath {expression!r}: {error}"
+                ) from error
+        object.__setattr__(self, "_extract", compiled)
 
     def triggered_by(self, event: str) -> bool:
         return _match_event(self.events, event)
+
+    def evaluate(
+        self, envelope: SoapEnvelope, qos_lookup: QoSLookup | None, endpoint: str | None
+    ) -> MonitoringVerdict | None:
+        """Evaluate this policy on one message observed at ``endpoint``;
+        ``None`` when the relevance condition fails. Without a
+        ``qos_lookup`` no threshold is checked."""
+        context: dict[str, Any] = {}
+        if envelope.body is not None:
+            for variable, xpath in getattr(self, "_extract").items():
+                context[variable] = coerce_text(xpath.value(envelope.body))
+        if not self.condition_holds(context):
+            return None
+        return MonitoringVerdict(
+            context,
+            all(condition.evaluate(envelope) for condition in self.conditions),
+            self._breaches(qos_lookup, endpoint) if qos_lookup is not None else (),
+        )
+
+    def _breaches(
+        self, qos_lookup: QoSLookup, endpoint: str | None
+    ) -> Iterator[tuple[QoSThreshold, float]]:
+        for threshold in self.qos_thresholds:
+            observed = qos_lookup(threshold.metric, threshold.window, threshold.aggregate, endpoint)
+            if not threshold.holds(observed):
+                yield threshold, observed
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,15 @@ Reloading a document with the same name replaces it atomically — the
 paper's hot-reload property: "When a WS-Policy4MASC document changes, these
 changes are automatically enforced the next time adaptation is needed with
 no need to restart any software component." Adaptation policies are looked
-up afresh on every event; the services whose standing machinery is
+up afresh on every event, and the repository is the one interpreter of
+their guard and accounting clauses: :meth:`PolicyRepository.applicable`
+yields, lazily and in priority order, each policy whose trigger and scope
+match, whose relevance condition holds and whose required pre-state is the
+subject's state when its turn comes; :meth:`PolicyRepository.rejection`
+words a non-application for the audit trail; and
+:meth:`PolicyRepository.applied` books the post-state and the business
+value. The decision sites keep their dispatch and *when* they call
+``applied``. The services whose standing machinery is
 *configured* from policies (resilience, traffic, federation, SLOs, trace
 sampling) read it through the one load-time scan,
 :meth:`PolicyRepository.configuration`, and :meth:`PolicyRepository.subscribe`
@@ -23,8 +31,9 @@ so that every ``load``/``unload`` re-runs their scan.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.policy.actions import AdaptationAction
 from repro.policy.model import (
@@ -157,6 +166,40 @@ class PolicyRepository:
                     return policy
         return None
 
+    # -- evaluation: guard and accounting clauses ------------------------------------
+
+    def applicable(
+        self, event: str, subject_key: str, context: dict[str, Any], **subject
+    ) -> Iterator[AdaptationPolicy]:
+        """The adaptation policies to apply for ``event``, in priority order.
+
+        Lazy: each policy's guard is checked when its turn comes, so a
+        policy sees the post-state a caller booked (:meth:`applied`) for
+        the policies yielded before it.
+        """
+        for policy in self.adaptation_policies_for(event, **subject):
+            if self.rejection(policy, context, subject_key) is None:
+                yield policy
+
+    def rejection(
+        self, policy: AdaptationPolicy, context: dict[str, Any], subject_key: str
+    ) -> str | None:
+        """Why ``policy`` does not apply right now (the audit-trail text),
+        or ``None`` if its relevance condition and required pre-state hold."""
+        if not policy.condition_holds(context):
+            return "condition not satisfied"
+        if not self.check_state(policy, subject_key):
+            return (
+                f"subject in state {self.state_of(subject_key)!r}, "
+                f"policy requires {policy.state_before!r}"
+            )
+        return None
+
+    def applied(self, policy: AdaptationPolicy, subject_key: str, time: float) -> None:
+        """Account for an applied policy: post-state, then business value."""
+        self.transition(policy, subject_key)
+        self.record_business_value(time, policy, subject_key)
+
     # -- subject states -------------------------------------------------------------
 
     def state_of(self, subject_key: str) -> str:
@@ -167,9 +210,7 @@ class PolicyRepository:
 
     def check_state(self, policy: AdaptationPolicy, subject_key: str) -> bool:
         """True if the subject is in the policy's required pre-state."""
-        if policy.state_before is None:
-            return True
-        return self.state_of(subject_key) == policy.state_before
+        return policy.state_before is None or self.state_of(subject_key) == policy.state_before
 
     def transition(self, policy: AdaptationPolicy, subject_key: str) -> None:
         """Apply the policy's post-state, if it declares one."""

@@ -157,28 +157,27 @@ class AdaptationManager:
             recovered=False,
         )
         self.outcomes.append(outcome)
-        subject = {
-            "service_type": vep.contract.service_type,
-            "endpoint": failed_target,
-            "operation": operation,
-        }
-        policies = self.repository.adaptation_policies_for(
-            f"fault.{fault.code.value}", **subject
+        # The subject is the failed member, even when the envelope carries
+        # a process-instance id: recovery state is kept per endpoint.
+        event = MASCEvent.for_fault(
+            self.env.now,
+            fault,
+            service_type=vep.contract.service_type,
+            endpoint=failed_target,
+            operation=operation,
+            context={
+                "fault_code": fault.code.value,
+                "fault_reason": fault.reason,
+                "operation": operation,
+                "target": failed_target,
+            },
         )
-        context = {
-            "fault_code": fault.code.value,
-            "fault_reason": fault.reason,
-            "operation": operation,
-            "target": failed_target,
-        }
+        subject_key = event.subject_key()
         last_error: SoapFaultError = fault.to_exception()
         excluded: set[str] = {failed_target}
-        for policy in policies:
+        for policy in self.repository.adaptation_policies_for(event.name, **event.subject()):
             outcome.policies_consulted.append(policy.name)
-            if not policy.condition_holds(context):
-                continue
-            subject_key = f"endpoint:{failed_target}"
-            if not self.repository.check_state(policy, subject_key):
+            if self.repository.rejection(policy, event.context, subject_key) is not None:
                 continue
             try:
                 response = yield from self._enact_policy(
@@ -197,8 +196,7 @@ class AdaptationManager:
                 continue
             if response is not None:
                 outcome.recovered = True
-                self.repository.transition(policy, subject_key)
-                self.repository.record_business_value(self.env.now, policy, subject_key)
+                self.repository.applied(policy, subject_key, self.env.now)
                 self.metrics.counter("wsbus.adaptation.recovered").inc()
                 if span is not None:
                     span.set_attribute("recovered_by", policy.name)
@@ -250,14 +248,11 @@ class AdaptationManager:
                 )
                 event = replace(event, trace_parent=wire)
             return self.forward_to.handle_event(event)
-        policies = self.repository.adaptation_policies_for(event.name, **event.subject())
         enacted: list[EventAdaptation] = []
-        for policy in policies:
-            if not policy.condition_holds(event.context):
-                continue
-            subject_key = event.subject_key()
-            if not self.repository.check_state(policy, subject_key):
-                continue
+        subject_key = event.subject_key()
+        for policy in self.repository.applicable(
+            event.name, subject_key, event.context, **event.subject()
+        ):
             span = None
             if self.tracer.enabled:
                 attributes = {
@@ -318,8 +313,8 @@ class AdaptationManager:
                         )
                 else:
                     record.actions_taken.append(f"unsupported-here: {action.describe()}")
-            self.repository.transition(policy, subject_key)
-            self.repository.record_business_value(self.env.now, policy, subject_key)
+            # Accounted for once its actions were walked, whatever each did.
+            self.repository.applied(policy, subject_key, self.env.now)
             self.metrics.counter("wsbus.adaptation.event_driven").inc()
             self.event_adaptations.append(record)
             enacted.append(record)
@@ -451,13 +446,12 @@ class AdaptationManager:
         if self.process_enforcement is None:
             outcome.actions_taken.append(f"skipped(no-process-layer): {action.describe()}")
             return
-        event = MASCEvent(
-            name=f"fault.{fault.code.value}",
-            time=self.env.now,
+        event = MASCEvent.for_fault(
+            self.env.now,
+            fault,
             operation=operation,
             process_instance_id=envelope.addressing.process_instance_id,
             envelope=envelope,
-            fault=fault,
             context={"operation": operation},
             trace_parent=parent_span,
         )

@@ -23,7 +23,6 @@ from repro.observability import NULL_METRICS, NULL_TRACER, correlation_id_for
 from repro.policy import PolicyRepository
 from repro.soap import FaultCode, SoapEnvelope, SoapFault
 from repro.wsbus.qos import QoSMeasurementService
-from repro.xmlutils import XPath
 
 __all__ = ["BusMonitoringService", "MonitoringPoint"]
 
@@ -61,7 +60,6 @@ class BusMonitoringService:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._sinks: list[Callable[[MASCEvent], None]] = []
-        self._xpath_cache: dict[str, XPath] = {}
         self.violations_detected = 0
 
     def add_sink(self, sink: Callable[[MASCEvent], None]) -> None:
@@ -88,15 +86,14 @@ class BusMonitoringService:
         detection events/extractions to the sinks as side effects.
         """
         self.metrics.counter("wsbus.monitoring.checks").inc()
-        subject = point.subject()
-        policies = self.repository.monitoring_policies_for(f"message.{direction}", **subject)
         first_fault: SoapFault | None = None
-        for policy in policies:
-            context = self._extract(policy, envelope)
-            if not policy.condition_holds(context):
+        for policy in self.repository.monitoring_policies_for(
+            f"message.{direction}", **point.subject()
+        ):
+            verdict = policy.evaluate(envelope, self.qos.lookup, point.endpoint)
+            if verdict is None:
                 continue
-            conditions_hold = all(c.evaluate(envelope) for c in policy.conditions)
-            if policy.classify_as is not None and policy.conditions and not conditions_hold:
+            if policy.classify_as is not None and not verdict.conditions_hold:
                 self.violations_detected += 1
                 fault = SoapFault(
                     policy.classify_as,
@@ -110,19 +107,34 @@ class BusMonitoringService:
                 # The policy's declared events accompany the classification:
                 # the paper sends the violation "toward the decision maker"
                 # regardless of whether it was also classified as a fault.
-                violation_context = dict(context)
-                violation_context["violated_policy"] = policy.name
+                # A violated constraint's thresholds are not checked.
+                violation_context = {**verdict.context, "violated_policy": policy.name}
                 for emitted in policy.emits:
                     self._emit(
                         emitted, envelope, point, violation_context, policy.name, fault=fault
                     )
                 continue
-            if policy.classify_as is None and conditions_hold:
+            if policy.classify_as is None and verdict.conditions_hold:
                 for emitted in policy.emits:
-                    self._emit(emitted, envelope, point, context, policy.name)
-            qos_fault = self._check_thresholds(policy, envelope, point, context)
-            if qos_fault is not None and first_fault is None:
-                first_fault = qos_fault
+                    self._emit(emitted, envelope, point, verdict.context, policy.name)
+            code = policy.classify_as or FaultCode.SLA_VIOLATION
+            for threshold, observed in verdict.breaches:
+                self.violations_detected += 1
+                if first_fault is None:
+                    first_fault = SoapFault(
+                        code,
+                        f"QoS guarantee violated: {threshold.describe()} "
+                        f"(observed {observed})",
+                        actor=point.endpoint,
+                        source="wsbus-monitoring",
+                    )
+                violation_context = {
+                    **verdict.context,
+                    "violated_metric": threshold.metric,
+                    "observed_value": observed,
+                    "threshold_value": threshold.value,
+                }
+                self._emit(f"fault.{code.value}", envelope, point, violation_context, policy.name)
         if first_fault is not None:
             self.metrics.counter("wsbus.monitoring.violations").inc()
             if self.tracer.enabled:
@@ -138,35 +150,6 @@ class BusMonitoringService:
                     },
                 ).end(status=f"fault:{first_fault.code.value}")
         return first_fault
-
-    def _check_thresholds(
-        self, policy, envelope: SoapEnvelope, point: MonitoringPoint, context: dict
-    ) -> SoapFault | None:
-        fault: SoapFault | None = None
-        for threshold in policy.qos_thresholds:
-            observed = self.qos.lookup(
-                threshold.metric, threshold.window, threshold.aggregate, point.endpoint
-            )
-            if threshold.holds(observed):
-                continue
-            self.violations_detected += 1
-            code = policy.classify_as or FaultCode.SLA_VIOLATION
-            if fault is None:
-                fault = SoapFault(
-                    code,
-                    f"QoS guarantee violated: {threshold.describe()} "
-                    f"(observed {observed})",
-                    actor=point.endpoint,
-                    source="wsbus-monitoring",
-                )
-            violation_context = dict(context)
-            violation_context.update(
-                violated_metric=threshold.metric,
-                observed_value=observed,
-                threshold_value=threshold.value,
-            )
-            self._emit(f"fault.{code.value}", envelope, point, violation_context, policy.name)
-        return fault
 
     # -- fault classification ---------------------------------------------------------
 
@@ -199,29 +182,18 @@ class BusMonitoringService:
     ) -> None:
         """Raise the fault as a MASC event (decision-maker visibility)."""
         self.metrics.counter("wsbus.monitoring.faults").inc()
-        self._emit(
-            f"fault.{fault.code.value}",
-            envelope,
-            point,
-            {"fault_reason": fault.reason, "fault_actor": fault.actor},
-            raised_by=None,
-            fault=fault,
+        self.raise_event(
+            MASCEvent.for_fault(
+                self.env.now,
+                fault,
+                process_instance_id=envelope.addressing.process_instance_id,
+                envelope=envelope,
+                context={"fault_reason": fault.reason, "fault_actor": fault.actor},
+                **point.subject(),
+            )
         )
 
     # -- helpers -----------------------------------------------------------------------
-
-    def _extract(self, policy, envelope: SoapEnvelope) -> dict:
-        context: dict = {}
-        if envelope.body is None:
-            return context
-        for variable, xpath in policy.extract.items():
-            compiled = self._xpath_cache.get(xpath)
-            if compiled is None:
-                compiled = XPath(xpath)
-                self._xpath_cache[xpath] = compiled
-            value = compiled.value(envelope.body)
-            context[variable] = _coerce(value)
-        return context
 
     def _emit(
         self,
@@ -229,36 +201,19 @@ class BusMonitoringService:
         envelope: SoapEnvelope,
         point: MonitoringPoint,
         context: dict,
-        raised_by: str | None,
+        raised_by: str,
         fault: SoapFault | None = None,
     ) -> None:
-        event = MASCEvent(
-            name=name,
-            time=self.env.now,
-            service_type=point.service_type,
-            endpoint=point.endpoint,
-            operation=point.operation,
-            process_instance_id=envelope.addressing.process_instance_id,
-            envelope=envelope,
-            fault=fault,
-            context=context,
-            raised_by=raised_by,
+        """Raise one event on behalf of the monitoring policy ``raised_by``."""
+        self.raise_event(
+            MASCEvent(
+                name=name,
+                time=self.env.now,
+                process_instance_id=envelope.addressing.process_instance_id,
+                envelope=envelope,
+                fault=fault,
+                context=context,
+                raised_by=raised_by,
+                **point.subject(),
+            )
         )
-        for sink in self._sinks:
-            sink(event)
-
-
-def _coerce(text: str | None):
-    if text is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if text in ("true", "false"):
-        return text == "true"
-    return text

@@ -21,7 +21,7 @@ from repro.xmlutils.element import (
     size_summary,
 )
 from repro.xmlutils.qname import QName
-from repro.xmlutils.xpath import XPath, XPathError, xpath_evaluate, xpath_value
+from repro.xmlutils.xpath import XPath, XPathError, coerce_text, xpath_evaluate, xpath_value
 
 __all__ = [
     "Element",
@@ -30,6 +30,7 @@ __all__ = [
     "XPath",
     "XPathError",
     "XmlError",
+    "coerce_text",
     "combined_size",
     "escaped_size",
     "parse_xml",

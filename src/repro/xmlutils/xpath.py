@@ -27,7 +27,7 @@ from typing import Any
 from repro.xmlutils.element import Element
 from repro.xmlutils.qname import QName
 
-__all__ = ["XPath", "XPathError", "xpath_evaluate", "xpath_value"]
+__all__ = ["XPath", "XPathError", "coerce_text", "xpath_evaluate", "xpath_value"]
 
 
 class XPathError(Exception):
@@ -290,6 +290,24 @@ class XPath:
     def matches(self, context: Element) -> bool:
         """True if the expression selects anything from ``context``."""
         return bool(self.select(context))
+
+
+def coerce_text(text: str | None) -> Any:
+    """Best-effort typing of extracted message text for use in conditions:
+    int, else float, else the literals ``true``/``false``, else the string."""
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    if text in ("true", "false"):
+        return text == "true"
+    return text
 
 
 class _Root:

@@ -204,6 +204,43 @@ class TestMonitoringService:
         assert [e.name for e in events] == ["fault.SLAViolation"]
         assert events[0].context["observed_value"] == 2.5
 
+    def test_violated_constraint_still_checks_its_thresholds(self):
+        """The process layer raises ``fault.<Code>`` for the violated
+        constraint and then checks the policy's thresholds anyway (the bus
+        skips them: ``test_wsbus_monitoring.py``)."""
+        service, events = self._service(
+            [
+                MonitoringPolicy(
+                    name="constrain",
+                    events=("message.request",),
+                    conditions=(MessageCondition("amount", "lte", "100"),),
+                    extract={"amount": "amount"},
+                    classify_as=FaultCode.SERVICE_FAILURE,
+                    emits=("never.raised.here",),
+                    qos_thresholds=(QoSThreshold("response_time", "lte", 1.0),),
+                )
+            ],
+            qos_lookup=lambda metric, window, aggregate, endpoint: 2.5,
+        )
+        service.observe_message("request", order_envelope(amount=5000), "op", "http://svc")
+        assert [e.name for e in events] == ["fault.ServiceFailure", "fault.ServiceFailure"]
+        assert events[0].context == {"amount": 5000}
+        assert events[1].context["violated_metric"] == "response_time"
+        assert service.violations_raised == 2
+
+    def test_thresholds_are_not_looked_up_without_a_qos_lookup(self):
+        service, events = self._service(
+            [
+                MonitoringPolicy(
+                    name="sla",
+                    events=("message.response",),
+                    qos_thresholds=(QoSThreshold("response_time", "lte", 1.0),),
+                )
+            ]
+        )
+        service.observe_message("response", order_envelope(), "op", "http://svc")
+        assert events == []
+
     def test_event_carries_process_instance_id(self):
         service, events = self._service(
             [
@@ -292,6 +329,55 @@ class TestDecisionMaker:
         assert repo.state_of("endpoint:http://svc") == "recovering"
         second = maker.handle(event)
         assert not second[0].applied  # state no longer matches
+
+    def test_non_applications_carry_the_repositorys_rejection_texts(self):
+        maker, repo = self._setup(
+            [
+                AdaptationPolicy(
+                    name="irrelevant",
+                    triggers=("fault.Timeout",),
+                    condition="severity > 5",
+                    actions=(RetryAction(),),
+                    priority=1,
+                ),
+                AdaptationPolicy(
+                    name="wrong-state",
+                    triggers=("fault.Timeout",),
+                    state_before="recovering",
+                    actions=(RetryAction(),),
+                    priority=2,
+                ),
+            ]
+        )
+        decisions = maker.handle(self._event(context={"severity": 1}))
+        assert [d.detail for d in decisions] == [
+            "condition not satisfied",
+            "subject in state 'normal', policy requires 'recovering'",
+        ]
+        assert [d.actions for d in decisions] == [[], []]
+
+    def test_accounts_only_when_every_action_succeeded(self):
+        """The decision maker books post-state and business value only for
+        a fully enacted policy (``AdaptationManager.handle_event`` books
+        once the actions were walked: ``test_wsbus_vep.py``)."""
+        point = RecordingPoint(result=False)
+        point.layer = "messaging"
+        maker, repo = self._setup(
+            [
+                AdaptationPolicy(
+                    name="p",
+                    triggers=("fault.Timeout",),
+                    state_after="recovering",
+                    actions=(RetryAction(),),
+                    business_value=BusinessValue(-3.0, "AUD"),
+                )
+            ],
+            point,
+        )
+        (decision,) = maker.handle(self._event(endpoint="http://svc"))
+        assert not decision.applied and decision.actions[0].startswith("NO-EFFECT")
+        assert repo.state_of("endpoint:http://svc") == "normal"
+        assert repo.ledger == []
 
     def test_missing_enforcement_point_skips_action(self):
         maker, _ = self._setup(

@@ -60,6 +60,13 @@ class TestMonitoringPolicy:
         with pytest.raises(Exception):
             MonitoringPolicy(name="m", events=("e",), condition="not valid ++")
 
+    def test_malformed_extract_xpath_rejected_at_construction(self):
+        """Not at the first message through a VEP in the policy's scope."""
+        with pytest.raises(PolicyError) as raised:
+            MonitoringPolicy(name="watch", events=("e",), extract={"x": "//a["})
+        message = str(raised.value)
+        assert "'watch'" in message and "'x'" in message and "'//a['" in message
+
     def test_condition_evaluation(self):
         policy = MonitoringPolicy(name="m", events=("e",), condition="amount > 100")
         assert policy.condition_holds({"amount": 200})

@@ -1,5 +1,8 @@
 """Unit tests for the policy repository, validation and parser."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.orchestration import Empty, ProcessDefinition, Sequence
@@ -137,6 +140,188 @@ class TestStatesAndLedger:
         repo = PolicyRepository()
         repo.record_business_value(1.0, simple_policy("a"), "s")
         assert repo.ledger == []
+
+
+def two_step(first_priority=1, second_priority=2):
+    """p1 takes the subject ``normal -> recovering``; p2 requires ``recovering``."""
+    return document_with(
+        policies=[
+            simple_policy(
+                "p1",
+                priority=first_priority,
+                state_before="normal",
+                state_after="recovering",
+                business_value=BusinessValue(-1.0),
+            ),
+            simple_policy(
+                "p2",
+                priority=second_priority,
+                state_before="recovering",
+                state_after="done",
+                business_value=BusinessValue(-2.0),
+            ),
+        ]
+    )
+
+
+class TestMatcher:
+    """``applicable``/``rejection``/``applied``: the one interpreter of an
+    adaptation policy's guard and accounting clauses."""
+
+    def test_priority_then_name_order(self):
+        repo = PolicyRepository()
+        repo.load(
+            document_with(
+                policies=[
+                    simple_policy("zeta", priority=5),
+                    simple_policy("alpha", priority=5),
+                    simple_policy("first", priority=1),
+                    simple_policy("other-event", priority=0, triggers=("fault.Other",)),
+                    simple_policy("other-scope", priority=0, scope=PolicyScope(endpoint="http://b")),
+                ]
+            )
+        )
+        names = [
+            policy.name
+            for policy in repo.applicable("fault.Timeout", "endpoint:http://a", {}, endpoint="http://a")
+        ]
+        assert names == ["first", "alpha", "zeta"]
+
+    def test_pre_state_is_checked_when_the_policys_turn_comes(self):
+        repo = PolicyRepository()
+        repo.load(two_step())
+        applied = []
+        for policy in repo.applicable("fault.Timeout", "k", {}):
+            repo.applied(policy, "k", 1.0)
+            applied.append(policy.name)
+        assert applied == ["p1", "p2"]
+        assert repo.state_of("k") == "done"
+        assert [entry.policy_name for entry in repo.ledger] == ["p1", "p2"]
+
+    def test_with_the_priorities_swapped_only_one_is_yielded(self):
+        repo = PolicyRepository()
+        repo.load(two_step(first_priority=2, second_priority=1))
+        applied = []
+        for policy in repo.applicable("fault.Timeout", "k", {}):
+            repo.applied(policy, "k", 1.0)
+            applied.append(policy.name)
+        assert applied == ["p1"]
+        assert repo.state_of("k") == "recovering"
+
+    def test_without_accounting_the_next_policy_sees_the_old_state(self):
+        repo = PolicyRepository()
+        repo.load(two_step())
+        assert [p.name for p in repo.applicable("fault.Timeout", "k", {})] == ["p1"]
+
+    def test_a_raising_condition_means_not_relevant(self):
+        repo = PolicyRepository()
+        repo.load(
+            document_with(
+                policies=[
+                    simple_policy("raises", condition="undefined_name > 1"),
+                    simple_policy("type-error", condition="amount > 'x'"),
+                    simple_policy("holds", condition="amount > 1"),
+                ]
+            )
+        )
+        context = {"amount": 5}
+        assert [p.name for p in repo.applicable("fault.Timeout", "k", context)] == ["holds"]
+        assert repo.rejection(repo.find_policy("raises"), context, "k") == (
+            "condition not satisfied"
+        )
+
+    def test_rejection_texts(self):
+        repo = PolicyRepository()
+        gated = simple_policy("gated", condition="amount > 1", state_before="recovering")
+        assert repo.rejection(gated, {"amount": 0}, "k") == "condition not satisfied"
+        assert repo.rejection(gated, {"amount": 5}, "k") == (
+            "subject in state 'normal', policy requires 'recovering'"
+        )
+        repo.set_state("k", "recovering")
+        assert repo.rejection(gated, {"amount": 5}, "k") is None
+        assert repo.rejection(simple_policy("open"), {}, "anything") is None
+
+    def test_applied_transitions_only_with_a_post_state(self):
+        repo = PolicyRepository()
+        repo.set_state("k", "odd")
+        repo.applied(simple_policy("stateless"), "k", 1.0)
+        assert repo.state_of("k") == "odd"
+        repo.applied(simple_policy("stateful", state_after="fixed"), "k", 2.0)
+        assert repo.state_of("k") == "fixed"
+        assert repo.ledger == []
+
+    def test_applied_books_only_with_a_business_value(self):
+        repo = PolicyRepository()
+        repo.applied(simple_policy("free"), "k", 1.0)
+        repo.applied(simple_policy("paid", business_value=BusinessValue(-3.0, "AUD")), "k", 2.0)
+        (entry,) = repo.ledger
+        assert (entry.time, entry.policy_name, entry.subject) == (2.0, "paid", "k")
+        assert repo.business_totals() == {"AUD": -3.0}
+
+
+class TestOneEvaluationPath:
+    """Each clause of policy evaluation has one implementation under
+    ``src/``; the decision sites and monitoring services call it."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    @classmethod
+    def trees(cls):
+        for path in sorted(cls.SRC.rglob("*.py")):
+            yield path.relative_to(cls.SRC).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+
+    def test_guard_and_accounting_primitives_are_called_in_the_repository_only(self):
+        primitives = {"check_state", "transition", "record_business_value"}
+        callers = {
+            (module, node.func.attr)
+            for module, tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in primitives
+        }
+        assert {module for module, _ in callers} == {"policy/repository.py"}
+        assert {name for _, name in callers} == primitives
+
+    def test_relevance_conditions_are_evaluated_by_the_policy_package_only(self):
+        callers = {
+            module
+            for module, tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "condition_holds"
+        }
+        assert callers == {"policy/model.py", "policy/repository.py"}
+
+    def test_qos_thresholds_are_iterated_in_one_function(self):
+        loops = [
+            (module, function.name)
+            for module, tree in self.trees()
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            if isinstance(node, (ast.For, ast.comprehension))
+            and isinstance(node.iter, ast.Attribute)
+            and node.iter.attr == "qos_thresholds"
+        ]
+        assert loops == [("policy/model.py", "_breaches")]
+
+    def test_no_private_xpath_cache_and_one_coercion_helper(self):
+        attributes = [
+            module
+            for module, tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_xpath_cache"
+        ]
+        assert attributes == []
+        coercions = [
+            (module, node.name)
+            for module, tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and "coerce" in node.name
+        ]
+        assert coercions == [("xmlutils/xpath.py", "coerce_text")]
 
 
 class TestValidation:

@@ -366,6 +366,23 @@ class TestMalformedActionAttributes:
         assert add.invokes[0].timeout_seconds is None
 
 
+def test_malformed_extract_xpath_fails_at_parse():
+    """A malformed ``Extract`` XPath is a load-time ``PolicyError`` naming
+    the policy, the variable and the expression, like a malformed
+    ``MessageCondition`` XPath; it used to load and end the simulation at
+    the first message in scope."""
+    with pytest.raises(PolicyError) as raised:
+        parse_policy_document(
+            '<wsp:Policy xmlns:wsp="http://schemas.xmlsoap.org/ws/2004/09/policy" '
+            'xmlns:masc="http://masc.web.cse.unsw.edu.au/ns/ws-policy4masc" Name="d">'
+            '<masc:MonitoringPolicy name="catalog-watch"><masc:On event="message.request"/>'
+            '<masc:Extract variable="x" xpath="//a["/>'
+            "</masc:MonitoringPolicy></wsp:Policy>"
+        )
+    message = str(raised.value)
+    assert "catalog-watch" in message and "'x'" in message and "//a[" in message
+
+
 def test_slo_latency_percentile_round_trips_without_a_latency_target():
     from repro.policy import SloAction
 

@@ -123,6 +123,45 @@ class TestCheckMessage:
         assert events[0].context["observed_value"] == pytest.approx(3.0)
 
 
+    def test_violated_constraint_emits_with_violated_policy_and_skips_thresholds(self):
+        """The bus raises the policy's ``emits`` with ``violated_policy`` in
+        the context and leaves the violated policy's thresholds unchecked
+        (the process layer checks them: ``test_core_masc.py``)."""
+
+        class Breached:
+            lookups = 0
+
+            def lookup(self, metric, window, aggregate, endpoint):
+                self.lookups += 1
+                return 99.0
+
+        qos = Breached()
+        monitoring, events = service_with(
+            [
+                MonitoringPolicy(
+                    name="amount-cap",
+                    events=("message.request",),
+                    conditions=(MessageCondition("amount", "lte", "1000"),),
+                    extract={"amount": "amount"},
+                    classify_as=FaultCode.SERVICE_FAILURE,
+                    emits=("order.rejected",),
+                    qos_thresholds=(QoSThreshold("response_time", "lte", 1.0),),
+                )
+            ],
+            qos=qos,
+        )
+        fault = monitoring.check_message("request", envelope(amount=5000), POINT)
+        assert fault.code is FaultCode.SERVICE_FAILURE
+        assert [(e.name, e.context, e.fault) for e in events] == [
+            ("order.rejected", {"amount": 5000, "violated_policy": "amount-cap"}, fault)
+        ]
+        assert qos.lookups == 0 and monitoring.violations_detected == 1
+        # Satisfied, the same policy's thresholds are checked.
+        fault = monitoring.check_message("request", envelope(amount=10), POINT)
+        assert fault.code is FaultCode.SERVICE_FAILURE and "QoS guarantee" in fault.reason
+        assert qos.lookups == 1 and events[-1].name == "fault.ServiceFailure"
+
+
 class TestClassify:
     def test_reclassification_by_policy(self):
         monitoring, _ = service_with(

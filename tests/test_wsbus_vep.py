@@ -3,8 +3,11 @@
 import pytest
 
 from conftest import ECHO_CONTRACT, EchoService, SlowEchoService, run_process
+from repro.core import MASC, EnforcementPoint, MASCEvent, MASCPolicyDecisionMaker
+from repro.orchestration import Invoke, ProcessDefinition, Sequence
 from repro.policy import (
     AdaptationPolicy,
+    BusinessValue,
     ConcurrentInvokeAction,
     MonitoringPolicy,
     PolicyDocument,
@@ -270,6 +273,125 @@ class TestRecovery:
         assert outcome.recovered
         assert outcome.fault_code == "ServiceUnavailable"
         assert outcome.final_target == "http://svc/b"
+
+
+def two_step_document():
+    """p1 takes the subject ``normal -> recovering``; p2 requires
+    ``recovering``. ``Skip`` is an action every decision site can walk."""
+    document = PolicyDocument("two-step")
+    for name, priority, before, after, value in (
+        ("p1", 1, "normal", "recovering", -1.0),
+        ("p2", 2, "recovering", "done", -2.0),
+    ):
+        document.adaptation_policies.append(
+            AdaptationPolicy(
+                name=name,
+                triggers=("fault.*", "process-fault.*"),
+                actions=(SkipAction(reason=name),),
+                state_before=before,
+                state_after=after,
+                business_value=BusinessValue(value),
+                priority=priority,
+            )
+        )
+    return document
+
+
+class _MessagingPoint(EnforcementPoint):
+    layer = "messaging"
+
+    def enact(self, action, policy, event):
+        return True
+
+
+def _through_decision_maker(env, network, container):
+    """One event: both policies get their turn in one pass."""
+    repository = PolicyRepository()
+    repository.load(two_step_document())
+    maker = MASCPolicyDecisionMaker(env, repository)
+    maker.register_enforcement_point(_MessagingPoint())
+    decisions = maker.handle(MASCEvent(name="fault.Timeout", time=0.0, endpoint="http://svc/a"))
+    assert [(d.policy_name, d.applied) for d in decisions] == [("p1", True), ("p2", True)]
+    return repository
+
+
+def _through_handle_event(env, network, container):
+    """One event: both walked in one pass (``Skip`` is unsupported off the
+    message path, and the manager accounts for a walked policy regardless)."""
+    repository = PolicyRepository()
+    repository.load(two_step_document())
+    bus = WsBus(env, network, repository=repository)
+    enacted = bus.adaptation.handle_event(
+        MASCEvent(name="fault.Timeout", time=0.0, endpoint="http://svc/a")
+    )
+    assert [record.actions_taken for record in enacted] == [
+        ["unsupported-here: skip invocation (p1)"],
+        ["unsupported-here: skip invocation (p2)"],
+    ]
+    return repository
+
+
+def _through_recover(env, network, container):
+    """The first policy that recovers ends a recovery: one per failed call."""
+    container.deploy(EchoService(env, "echo-a", "http://svc/a"))
+    repository = PolicyRepository()
+    repository.load(two_step_document())
+    bus = WsBus(env, network, repository=repository, member_timeout=5.0)
+    vep = bus.create_vep("echo", ECHO_CONTRACT, members=["http://svc/a"])
+    network.endpoint("http://svc/a").available = False
+    invoker = Invoker(env, network, caller="client")
+    for _ in range(2):
+        payload = ECHO_CONTRACT.operation("echo").input.build(text="x")
+        run_process(env, invoker.invoke(vep.address, "echo", payload))
+    assert [outcome.policies_consulted for outcome in bus.adaptation.outcomes] == [
+        ["p1"],
+        ["p1", "p2"],
+    ]
+    return repository
+
+
+def _through_advise_on_fault(env, network, container):
+    """The first policy with a verdict ends a consultation: one per fault."""
+    masc = MASC(seed=1)
+    masc.repository.load(two_step_document())
+    calls = [
+        Invoke(name, operation="echo", to="http://svc/nowhere", inputs={"text": "x"})
+        for name in ("first", "second")
+    ]
+    instance = masc.engine.start(ProcessDefinition("p", Sequence("main", calls)))
+    masc.engine.run_to_completion(instance)
+    assert [report.policy_name for report in masc.adaptation.reports] == ["p1", "p2"]
+    return masc.repository
+
+
+class TestOnePolicyEvaluationPath:
+    @pytest.mark.parametrize(
+        "site",
+        [_through_decision_maker, _through_handle_event, _through_recover, _through_advise_on_fault],
+    )
+    def test_every_sequential_site_walks_the_two_step_document_alike(
+        self, site, env, network, container
+    ):
+        repository = site(env, network, container)
+        assert [entry.policy_name for entry in repository.ledger] == ["p1", "p2"]
+        assert [entry.value.amount for entry in repository.ledger] == [-1.0, -2.0]
+        (subject,) = {entry.subject for entry in repository.ledger}
+        assert repository.state_of(subject) == "done"
+
+    def test_recover_keys_its_state_by_the_failed_endpoint(self, env, network, container):
+        """Even when the envelope carries a process-instance id."""
+        container.deploy(EchoService(env, "echo-a", "http://svc/a"))
+        repository = PolicyRepository()
+        repository.load(two_step_document())
+        bus = WsBus(env, network, repository=repository, member_timeout=5.0)
+        vep = bus.create_vep("echo", ECHO_CONTRACT, members=["http://svc/a"])
+        network.endpoint("http://svc/a").available = False
+        invoker = Invoker(env, network, caller="engine")
+        payload = ECHO_CONTRACT.operation("echo").input.build(text="x")
+        run_process(
+            env, invoker.invoke(vep.address, "echo", payload, process_instance_id="proc-7")
+        )
+        assert [entry.subject for entry in repository.ledger] == ["endpoint:http://svc/a"]
 
 
 class TestBroadcastVep:

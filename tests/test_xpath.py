@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.xmlutils import Element, QName, XPath, XPathError, parse_xml, xpath_evaluate, xpath_value
+from repro.xmlutils import (
+    Element,
+    QName,
+    XPath,
+    XPathError,
+    coerce_text,
+    parse_xml,
+    xpath_evaluate,
+    xpath_value,
+)
 
 
 @pytest.fixture
@@ -150,3 +159,22 @@ class TestMatchesAndErrors:
     def test_results_deduplicated_in_document_order(self, order):
         prices = xpath_evaluate(order, "//Item/Price")
         assert [p.text for p in prices] == ["1299", "99"]
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("7", 7),
+        ("7.5", 7.5),
+        ("true", True),
+        ("false", False),
+        ("True", "True"),
+        ("", ""),
+        (None, None),
+        ("1e3", 1000.0),
+        (" 7 ", 7),
+    ],
+)
+def test_coerce_text(text, value):
+    coerced = coerce_text(text)
+    assert coerced == value and type(coerced) is type(value)
