@@ -566,11 +566,8 @@ def _run_crash_storm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_activity_tree(tree_xml: str, executed, active) -> str:
+def _render_activity_tree(root, executed, active) -> str:
     """The activity tree with per-node execution markers."""
-    from repro.orchestration.xmlio import parse_activity
-
-    root = parse_activity(tree_xml)
     lines: list[str] = []
 
     def walk(activity, depth: int) -> None:
@@ -619,6 +616,16 @@ def _summarize_event(record: dict) -> str:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     """Step through an event journal: list, reconstruct, diff, verify."""
+    from repro.persistence import JournalError
+
+    try:
+        return _replay(args)
+    except JournalError as error:
+        print(f"{args.journal}: {error}", file=sys.stderr)
+        return 2
+
+
+def _replay(args: argparse.Namespace) -> int:
     from repro.persistence import (
         CHECKPOINT,
         EVENT,
@@ -690,7 +697,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         if state.tainted:
             print("  WARNING: journal truncated before this point; state is unsound")
         print("\nActivity tree ('>' active, '*' executed):")
-        print(_render_activity_tree(state.tree, state.executed, state.active))
+        print(_render_activity_tree(state.root(), state.executed, state.active))
         print("\nVariables:")
         for name in sorted(state.variables):
             print(f"  {name} = {state.variables[name]!r}")

@@ -30,6 +30,7 @@ from repro.orchestration import (
     ProcessModifier,
     RuntimeService,
     WorkflowEngine,
+    find_with_parent,
 )
 from repro.policy import AdaptationPolicy
 from repro.policy.actions import (
@@ -392,10 +393,8 @@ class MASCAdaptationService(RuntimeService, EnforcementPoint):
         """Expand a begin..end block into the sibling activities it spans."""
         if action.block_end is None:
             return [action.target]
-        from repro.orchestration.modification import _find_with_parent
-
-        begin, parent = _find_with_parent(instance.root, action.target)
-        end, end_parent = _find_with_parent(instance.root, action.block_end)
+        begin, parent = find_with_parent(instance.root, action.target)
+        end, end_parent = find_with_parent(instance.root, action.block_end)
         if begin is None or end is None or parent is None or parent is not end_parent:
             raise ValueError(
                 f"block {action.target!r}..{action.block_end!r} is not a sibling range"

@@ -31,6 +31,7 @@ from repro.orchestration.activities import (
     Reply,
     Scope,
     Sequence,
+    Slot,
     Terminate,
     Throw,
     While,
@@ -59,6 +60,7 @@ from repro.orchestration.instance import (
 from repro.orchestration.modification import (
     ModificationOperation,
     ProcessModifier,
+    find_with_parent,
     perform_operation,
 )
 from repro.orchestration.xmlio import (
@@ -103,12 +105,14 @@ __all__ = [
     "RuntimeService",
     "Scope",
     "Sequence",
+    "Slot",
     "Terminate",
     "Throw",
     "TrackingEvent",
     "TrackingService",
     "While",
     "WorkflowEngine",
+    "find_with_parent",
     "parse_activity",
     "parse_process_definition",
     "perform_operation",

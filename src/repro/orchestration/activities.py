@@ -9,14 +9,26 @@ Execution protocol: ``execute(instance)`` returns a generator that the
 engine runs as a simulated process. Composite activities re-read their child
 lists on every scheduling step, which is what makes dynamic modification of
 a running instance effective without restarting it.
+
+Each class says what it looks like **once**, in the ``element`` /
+``attributes`` / ``slots`` class attributes :class:`Activity` documents.
+The base class derives ``children()``, ``copy()`` and ``replace_child()``
+from the slots and :mod:`repro.orchestration.xmlio` both directions of the
+process-document format from all three: a new activity class is declared
+here and nowhere else (docs/process-documents.md, "Adding an activity").
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
-from repro.orchestration.errors import DefinitionError, ProcessFault, ProcessTerminated
+from repro.orchestration.errors import (
+    DefinitionError,
+    ModificationError,
+    ProcessFault,
+    ProcessTerminated,
+)
 from repro.orchestration.expressions import Expression
 from repro.soap import FaultCode, SoapFault
 from repro.xmlutils import Element, coerce_text
@@ -40,37 +52,106 @@ __all__ = [
     "Reply",
     "Scope",
     "Sequence",
+    "Slot",
     "Terminate",
     "Throw",
     "While",
 ]
 
-Condition = Callable[[dict[str, Any]], bool]
+Computation = Callable[[dict[str, Any]], Any]
 
 
-def as_condition(condition: str | Expression | Condition) -> Condition:
-    """Normalize a condition: string → safe Expression, else callable."""
-    if isinstance(condition, str):
-        condition = Expression(condition)
-    if isinstance(condition, Expression):
-        expression = condition
-        return expression.holds
-    if callable(condition):
-        return condition
-    raise DefinitionError(f"not a valid condition: {condition!r}")
+class Slot(NamedTuple):
+    """One child slot of a composite: the instance attribute (and constructor
+    keyword) ``name`` holds child activities, in one of three shapes."""
+
+    name: str
+    #: ``"list"`` (any number, ordered), ``"one"`` (a single activity) or
+    #: ``"map"`` (a dict of key → activity).
+    kind: str
+    #: XML element wrapped around *each* child; ``None`` writes the children
+    #: straight into the activity's own element (at most one such slot).
+    wrapper: str | None = None
+    #: ``"map"`` only: ``(XML attribute, codec[, default])`` of the key on the
+    #: wrapper, read like an entry of ``Activity.attributes``.
+    key: tuple | None = None
+    #: ``"one"`` only: the slot may be empty (``None``).
+    optional: bool = False
+
+    def items(self, activity: "Activity") -> list[tuple[Any, "Activity"]]:
+        """The ``(key, child)`` pairs the slot holds on ``activity``, in order."""
+        held = getattr(activity, self.name)
+        if self.kind == "list":
+            return list(enumerate(held))
+        if self.kind == "map":
+            return list(held.items())
+        return [] if held is None else [(None, held)]
+
+    def put(self, activity: "Activity", key: Any, child: "Activity") -> None:
+        """Store ``child`` under a key :meth:`items` reported."""
+        if self.kind == "one":
+            setattr(activity, self.name, child)
+        else:
+            getattr(activity, self.name)[key] = child
 
 
 class Activity:
-    """Base class: a named node in the process tree."""
+    """Base class: a named node in the process tree.
+
+    The declaration every subclass fills in (``name`` is implicit):
+
+    - ``element``: the XML element; ``None`` means not serializable.
+    - ``attributes``: ``(XML name, constructor keyword, codec[, default])``
+      tuples in XML order. The codec is ``str``, ``int``, ``float``,
+      ``bool`` (a flag, written only when true), ``FaultCode`` or
+      ``Expression`` (the text of an expression-valued field, see
+      :meth:`_computed`). A fourth item makes the attribute optional: it is
+      what the reader passes when the attribute is absent, and a ``None``
+      value is not written.
+    - ``slots``: the :class:`Slot` s, in XML order.
+    """
+
+    element: str | None = None
+    attributes: tuple[tuple, ...] = ()
+    slots: tuple[Slot, ...] = ()
 
     def __init__(self, name: str) -> None:
         if not name:
             raise DefinitionError("activity name must be non-empty")
         self.name = name
 
+    def _computed(self, field: str, given: str | Expression | Computation) -> Computation:
+        """Normalize an expression-valued field to the callable computing it.
+
+        Strings compile to safe :class:`Expression` s. The declarative source
+        stays on the activity as ``<field>_source``: the expression text, or
+        the Python callable itself — which has no text, so the XML writer
+        refuses it.
+        """
+        if isinstance(given, str):
+            given = Expression(given)
+        if isinstance(given, Expression):
+            setattr(self, f"{field}_source", given.source)
+            return given.evaluate
+        if not callable(given):
+            raise DefinitionError(
+                f"{type(self).__name__} {self.name!r}: invalid {field} {given!r}"
+            )
+        setattr(self, f"{field}_source", given)
+        return given
+
     def children(self) -> list["Activity"]:
-        """Direct child activities (overridden by composites)."""
-        return []
+        """Direct child activities, slot by slot in declaration order."""
+        found: list[Activity] = []
+        for slot in self.slots:  # not via Slot.items: every tree walk calls this
+            held = getattr(self, slot.name)
+            if slot.kind == "list":
+                found += held
+            elif slot.kind == "map":
+                found += held.values()
+            elif held is not None:
+                found.append(held)
+        return found
 
     def iter_tree(self) -> Generator["Activity", None, None]:
         """This activity and all descendants, depth-first."""
@@ -81,14 +162,32 @@ class Activity:
     def copy(self) -> "Activity":
         """A structural clone for transient-modification workflows.
 
-        Everything an edit can mutate — child lists, child slots, handler
-        and input maps — is copied; immutable leaves (compiled expressions,
-        callables, literals) are shared with the original. Composites extend
-        this with their own containers.
+        Everything an edit can mutate — the declared slots and every plain
+        list or dict beside them (``Invoke.inputs``) — is copied; immutable
+        leaves (compiled expressions, callables, literals) are shared with
+        the original.
         """
         clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
+        state = clone.__dict__
+        state.update(self.__dict__)
+        for attribute, value in self.__dict__.items():
+            if type(value) in (list, dict):
+                state[attribute] = value.copy()
+        for slot in self.slots:
+            for key, child in slot.items(self):
+                slot.put(clone, key, child.copy())
         return clone
+
+    def replace_child(self, target: "Activity", replacement: "Activity") -> None:
+        """Put ``replacement`` where ``target`` hangs, whichever slot that is."""
+        for slot in self.slots:
+            for key, child in slot.items(self):
+                if child is target:
+                    slot.put(self, key, replacement)
+                    return
+        raise ModificationError(
+            f"cannot locate {target.name!r} inside parent {self.name!r} for replacement"
+        )
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         raise NotImplementedError
@@ -100,6 +199,8 @@ class Activity:
 class Empty(Activity):
     """A no-op; the canonical replacement body when removing an activity."""
 
+    element = "Empty"
+
     def execute(self, instance: "ProcessInstance") -> Generator:
         return
         yield  # pragma: no cover - makes this a generator function
@@ -108,32 +209,25 @@ class Empty(Activity):
 class Assign(Activity):
     """Set a process variable from an expression, callable or literal."""
 
+    element = "Assign"
+    attributes = (("variable", "variable", str), ("expression", "expression", Expression))
+
     def __init__(
         self,
         name: str,
         variable: str,
-        expression: str | Expression | Callable[[dict[str, Any]], Any] | None = None,
+        expression: str | Expression | Computation | None = None,
         value: Any = None,
     ) -> None:
         super().__init__(name)
         self.variable = variable
-        #: Serializable source of the computation, for the XML process form.
-        self._assign_source: str | None = None
-        if expression is None:
-            self._compute: Callable[[dict[str, Any]], Any] = lambda _vars: value
-            if isinstance(value, (str, int, float, bool)) or value is None:
-                self._assign_source = repr(value)
-        elif isinstance(expression, str):
-            compiled = Expression(expression)
-            self._compute = compiled.evaluate
-            self._assign_source = expression
-        elif isinstance(expression, Expression):
-            self._compute = expression.evaluate
-            self._assign_source = expression.source
-        elif callable(expression):
-            self._compute = expression
+        if expression is not None:
+            self._compute = self._computed("expression", expression)
         else:
-            raise DefinitionError(f"invalid Assign expression: {expression!r}")
+            self._compute = lambda _vars: value
+            #: A primitive literal is declarative too: its repr is its text.
+            primitive = value is None or isinstance(value, (str, int, float, bool))
+            self.expression_source = repr(value) if primitive else None
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         instance.variables[self.variable] = self._compute(instance.variables)
@@ -144,23 +238,22 @@ class Assign(Activity):
 class Delay(Activity):
     """Wait a fixed or computed number of simulated seconds."""
 
+    element = "Delay"
+    attributes = (("seconds", "seconds", Expression),)
+
     def __init__(self, name: str, seconds: float | str | Expression) -> None:
         super().__init__(name)
         if isinstance(seconds, (str, Expression)):
-            expression = seconds if isinstance(seconds, Expression) else Expression(seconds)
-            self._seconds: Callable[[dict[str, Any]], float] = lambda v: float(
-                expression.evaluate(v)
-            )
-            self._delay_source: str | None = expression.source
+            self._seconds = self._computed("seconds", seconds)
         else:
             fixed = float(seconds)
             if fixed < 0:
                 raise DefinitionError(f"negative delay {fixed}")
             self._seconds = lambda _v: fixed
-            self._delay_source = str(fixed)
+            self.seconds_source = str(fixed)
 
     def execute(self, instance: "ProcessInstance") -> Generator:
-        yield instance.env.timeout(self._seconds(instance.variables))
+        yield instance.env.timeout(float(self._seconds(instance.variables)))
 
 
 class Sequence(Activity):
@@ -172,17 +265,12 @@ class Sequence(Activity):
     customization.
     """
 
+    element = "Sequence"
+    slots = (Slot("activities", "list"),)
+
     def __init__(self, name: str, activities: list[Activity] | None = None) -> None:
         super().__init__(name)
         self.activities: list[Activity] = list(activities or ())
-
-    def children(self) -> list[Activity]:
-        return list(self.activities)
-
-    def copy(self) -> "Activity":
-        clone = super().copy()
-        clone.activities = [child.copy() for child in self.activities]
-        return clone
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         completed: set[str] = set()
@@ -202,17 +290,12 @@ class Flow(Activity):
     matching BPEL flow semantics closely enough for the case studies.
     """
 
+    element = "Flow"
+    slots = (Slot("activities", "list"),)
+
     def __init__(self, name: str, activities: list[Activity] | None = None) -> None:
         super().__init__(name)
         self.activities: list[Activity] = list(activities or ())
-
-    def children(self) -> list[Activity]:
-        return list(self.activities)
-
-    def copy(self) -> "Activity":
-        clone = super().copy()
-        clone.activities = [child.copy() for child in self.activities]
-        return clone
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         env = instance.env
@@ -278,31 +361,21 @@ def _await_branches_settled(env, interrupted: list) -> Generator:
 class IfElse(Activity):
     """Conditional branch."""
 
+    element = "If"
+    attributes = (("condition", "condition", Expression),)
+    slots = (Slot("then", "one", "Then"), Slot("orelse", "one", "Else", optional=True))
+
     def __init__(
         self,
         name: str,
-        condition: str | Expression | Condition,
+        condition: str | Expression | Computation,
         then: Activity,
         orelse: Activity | None = None,
     ) -> None:
         super().__init__(name)
-        self._condition_source = condition
-        self.condition = as_condition(condition)
+        self.condition = self._computed("condition", condition)
         self.then = then
         self.orelse = orelse
-
-    def children(self) -> list[Activity]:
-        branches = [self.then]
-        if self.orelse is not None:
-            branches.append(self.orelse)
-        return branches
-
-    def copy(self) -> "Activity":
-        clone = super().copy()
-        clone.then = self.then.copy()
-        if self.orelse is not None:
-            clone.orelse = self.orelse.copy()
-        return clone
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         credits = instance._replay_credits
@@ -332,32 +405,24 @@ class While(Activity):
     never converges fails the process instead of hanging the simulation.
     """
 
+    element = "While"
+    attributes = (
+        ("condition", "condition", Expression),
+        ("maxIterations", "max_iterations", int, 10_000),
+    )
+    slots = (Slot("body", "one"),)
+
     def __init__(
         self,
         name: str,
-        condition: str | Expression | Condition,
+        condition: str | Expression | Computation,
         body: Activity,
         max_iterations: int = 10_000,
     ) -> None:
         super().__init__(name)
-        self.condition = as_condition(condition)
+        self.condition = self._computed("condition", condition)
         self.body = body
         self.max_iterations = max_iterations
-        #: Serializable condition source, for the XML process form.
-        if isinstance(condition, str):
-            self._condition_source_text: str | None = condition
-        elif isinstance(condition, Expression):
-            self._condition_source_text = condition.source
-        else:
-            self._condition_source_text = None
-
-    def children(self) -> list[Activity]:
-        return [self.body]
-
-    def copy(self) -> "Activity":
-        clone = super().copy()
-        clone.body = self.body.copy()
-        return clone
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         iterations = 0
@@ -388,6 +453,19 @@ class Invoke(Activity):
     ``extract``.
     """
 
+    element = "Invoke"
+    #: A document without ``timeoutSeconds`` means no deadline, whatever the
+    #: constructor's own default. The ``<Input>``/``<Output>`` parts
+    #: (``inputs``, ``extract``) are the one hand-written piece of xmlio.
+    attributes = (
+        ("operation", "operation", str),
+        ("to", "to", str, None),
+        ("serviceType", "service_type", str, None),
+        ("timeoutSeconds", "timeout_seconds", float, None),
+        ("outputVariable", "output_variable", str, None),
+        ("paddingVariable", "padding_variable", str, None),
+    )
+
     def __init__(
         self,
         name: str,
@@ -413,12 +491,6 @@ class Invoke(Activity):
         self.extract = dict(extract or {})
         self.timeout_seconds = timeout_seconds
         self.padding_variable = padding_variable
-
-    def copy(self) -> "Activity":
-        clone = super().copy()
-        clone.inputs = dict(self.inputs)
-        clone.extract = dict(self.extract)
-        return clone
 
     def build_payload(self, instance: "ProcessInstance") -> Element:
         if self.input_builder is not None:
@@ -473,6 +545,9 @@ def _resolve_input(spec: Any, variables: dict[str, Any]) -> Any:
 class Receive(Activity):
     """Bind the instance's initiating message into a variable."""
 
+    element = "Receive"
+    attributes = (("variable", "variable", str, "request"),)
+
     def __init__(self, name: str, variable: str = "request") -> None:
         super().__init__(name)
         self.variable = variable
@@ -486,41 +561,40 @@ class Receive(Activity):
 class Reply(Activity):
     """Set the instance's result (what the composition returns)."""
 
+    element = "Reply"
+    attributes = (
+        ("variable", "variable", str, None),
+        ("expression", "expression", Expression, None),
+    )
+
     def __init__(
         self,
         name: str,
-        expression: str | Expression | Callable[[dict[str, Any]], Any] | None = None,
+        expression: str | Expression | Computation | None = None,
         variable: str | None = None,
     ) -> None:
         super().__init__(name)
         if (expression is None) == (variable is None):
             raise DefinitionError(f"Reply {name!r} needs exactly one of expression/variable")
-        #: Serializable source ("variable"/"expression", value) or None.
-        self._reply_source: tuple[str, str] | None = None
-        if variable is not None:
-            self._compute: Callable[[dict[str, Any]], Any] = (
-                lambda v, _name=variable: v.get(_name)
-            )
-            self._reply_source = ("variable", variable)
-        elif isinstance(expression, str):
-            compiled = Expression(expression)
-            self._compute = compiled.evaluate
-            self._reply_source = ("expression", expression)
-        elif isinstance(expression, Expression):
-            self._compute = expression.evaluate
-            self._reply_source = ("expression", expression.source)
-        else:
-            assert callable(expression)
-            self._compute = expression
+        self.variable = variable
+        self.expression_source = None
+        if expression is not None:
+            self._compute = self._computed("expression", expression)
 
     def execute(self, instance: "ProcessInstance") -> Generator:
-        instance.result = self._compute(instance.variables)
+        if self.variable is not None:
+            instance.result = instance.variables.get(self.variable)
+        else:
+            instance.result = self._compute(instance.variables)
         return
         yield  # pragma: no cover
 
 
 class Throw(Activity):
     """Raise a business-process fault."""
+
+    element = "Throw"
+    attributes = (("fault", "code", FaultCode), ("reason", "reason", str, ""))
 
     def __init__(self, name: str, code: FaultCode, reason: str) -> None:
         super().__init__(name)
@@ -539,6 +613,9 @@ class Terminate(Activity):
     :class:`CompensationScope` still unwinds its registered compensation
     chain before the termination propagates.
     """
+
+    element = "Terminate"
+    attributes = (("reason", "reason", str, "terminated by process"),)
 
     def __init__(self, name: str, reason: str = "terminated by process") -> None:
         super().__init__(name)
@@ -562,6 +639,17 @@ class Scope(Activity):
       calling process timing out").
     """
 
+    element = "Scope"
+    attributes = (
+        ("timeoutSeconds", "timeout_seconds", float, None),
+        ("compensateOnFault", "compensate_on_fault", bool, False),
+    )
+    slots = (
+        Slot("body", "one", "Body"),
+        Slot("fault_handlers", "map", "FaultHandler", key=("fault", FaultCode, None)),
+        Slot("compensation", "one", "Compensation", optional=True),
+    )
+
     def __init__(
         self,
         name: str,
@@ -577,23 +665,6 @@ class Scope(Activity):
         self.compensation = compensation
         self.timeout_seconds = timeout_seconds
         self.compensate_on_fault = compensate_on_fault
-
-    def children(self) -> list[Activity]:
-        nested = [self.body]
-        nested.extend(self.fault_handlers.values())
-        if self.compensation is not None:
-            nested.append(self.compensation)
-        return nested
-
-    def copy(self) -> "Activity":
-        clone = super().copy()
-        clone.body = self.body.copy()
-        clone.fault_handlers = {
-            code: handler.copy() for code, handler in self.fault_handlers.items()
-        }
-        if self.compensation is not None:
-            clone.compensation = self.compensation.copy()
-        return clone
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         try:
@@ -630,6 +701,15 @@ class CompensationScope(Scope):
     saga pattern's backward recovery, engine-orchestrated.
     """
 
+    element = "CompensationScope"
+    #: No ``compensateOnFault``: a saga always compensates.
+    attributes = Scope.attributes[:1]
+    slots = (
+        Scope.slots[0],
+        Slot("compensations", "map", "CompensationFor", key=("step", str)),
+        *Scope.slots[1:],
+    )
+
     def __init__(
         self,
         name: str,
@@ -648,18 +728,6 @@ class CompensationScope(Scope):
             compensate_on_fault=True,
         )
         self.compensations: dict[str, Activity] = dict(compensations or {})
-
-    def children(self) -> list[Activity]:
-        nested = super().children()
-        nested.extend(self.compensations.values())
-        return nested
-
-    def copy(self) -> "Activity":
-        clone = super().copy()
-        clone.compensations = {
-            step: activity.copy() for step, activity in self.compensations.items()
-        }
-        return clone
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         instance._saga_stack.append(self)
@@ -706,6 +774,9 @@ class Compensate(Activity):
     #: Replay must re-execute this activity (to re-pop registered
     #: compensations) instead of fast-forwarding it as a leaf.
     replay_composite = True
+
+    element = "Compensate"
+    attributes = (("scope", "scope", str, None),)
 
     def __init__(self, name: str, scope: str | None = None) -> None:
         super().__init__(name)

@@ -29,11 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.orchestration.activities import Activity, Flow, Sequence
+from repro.orchestration.activities import Activity
 from repro.orchestration.errors import ModificationError
 from repro.orchestration.instance import InstanceStatus, ProcessInstance
+from repro.orchestration.xmlio import parse_activity, serialize_activity
 
-__all__ = ["ModificationOperation", "ProcessModifier", "perform_operation"]
+__all__ = [
+    "ModificationOperation",
+    "ProcessModifier",
+    "find_with_parent",
+    "perform_operation",
+]
 
 
 @dataclass(frozen=True)
@@ -44,12 +50,23 @@ class ModificationOperation:
     anchor: str
     activity: Activity | None = None
 
+    def to_record(self) -> dict[str, Any]:
+        """The JSON form the persistence journal stores."""
+        activity = None if self.activity is None else serialize_activity(self.activity)
+        return {"kind": self.kind, "anchor": self.anchor, "activity": activity}
 
-# Backwards-compatible private alias (pre-journal name).
-_Operation = ModificationOperation
+    @classmethod
+    def from_record(cls, record: dict[str, Any]) -> "ModificationOperation":
+        """The operation a :meth:`to_record` dict describes."""
+        activity = record["activity"]
+        return cls(
+            record["kind"],
+            record["anchor"],
+            None if activity is None else parse_activity(activity),
+        )
 
 
-def _find_with_parent(
+def find_with_parent(
     root: Activity, name: str
 ) -> tuple[Activity | None, Activity | None]:
     """The named activity and its parent composite, or (None, None)."""
@@ -62,13 +79,17 @@ def _find_with_parent(
     return None, None
 
 
-def _container_list(parent: Activity, context: str) -> list[Activity]:
-    """The mutable child list of a Sequence/Flow parent."""
-    if isinstance(parent, (Sequence, Flow)):
-        return parent.activities
+def _child_list(
+    parent: Activity, context: str, holding: Activity | None = None
+) -> list[Activity]:
+    """The mutable list slot of ``parent`` (the one ``holding`` a given child)."""
+    for slot in parent.slots:
+        children = getattr(parent, slot.name)
+        if slot.kind == "list" and (holding is None or holding in children):
+            return children
     raise ModificationError(
         f"{context}: parent {parent.name!r} is a {type(parent).__name__}; "
-        "only Sequence and Flow children can be edited positionally"
+        "only the children of a list slot (Sequence, Flow) can be edited positionally"
     )
 
 
@@ -79,7 +100,7 @@ class ProcessModifier:
         self.instance = instance
         #: The transient copy of the process object representation.
         self.tree = instance.root.copy()
-        self._operations: list[_Operation] = []
+        self._operations: list[ModificationOperation] = []
         self._variable_bindings: dict[str, Any] = {}
         self.applied = False
 
@@ -87,32 +108,32 @@ class ProcessModifier:
 
     def insert_before(self, anchor_name: str, activity: Activity) -> None:
         """Insert ``activity`` immediately before the named anchor."""
-        self._stage(_Operation("insert_before", anchor_name, activity))
+        self._stage(ModificationOperation("insert_before", anchor_name, activity))
 
     def insert_after(self, anchor_name: str, activity: Activity) -> None:
         """Insert ``activity`` immediately after the named anchor."""
-        self._stage(_Operation("insert_after", anchor_name, activity))
+        self._stage(ModificationOperation("insert_after", anchor_name, activity))
 
     def append_to(self, container_name: str, activity: Activity) -> None:
         """Append ``activity`` at the end of a Sequence/Flow container."""
-        self._stage(_Operation("append_to", container_name, activity))
+        self._stage(ModificationOperation("append_to", container_name, activity))
 
     def remove(self, activity_name: str) -> None:
         """Remove the named activity from its parent container."""
-        self._stage(_Operation("remove", activity_name))
+        self._stage(ModificationOperation("remove", activity_name))
 
     def replace(self, activity_name: str, activity: Activity) -> None:
         """Replace the named activity with another one."""
-        self._stage(_Operation("replace", activity_name, activity))
+        self._stage(ModificationOperation("replace", activity_name, activity))
 
     def bind_variables(self, bindings: dict[str, Any]) -> None:
         """Stage variable assignments (base↔variation parameter passing)."""
         self._variable_bindings.update(bindings)
 
-    def _stage(self, operation: _Operation) -> None:
+    def _stage(self, operation: ModificationOperation) -> None:
         if self.applied:
             raise ModificationError("modifier already applied; create a new one")
-        self._perform(self.tree, operation)
+        perform_operation(self.tree, operation)
         self._operations.append(operation)
 
     # -- applying to the live instance ------------------------------------------------
@@ -153,7 +174,7 @@ class ProcessModifier:
             # changed the live tree.
             instance.mark_tree_modified()
             for operation in self._operations:
-                self._perform(instance.root, operation)
+                perform_operation(instance.root, operation)
         except BaseException as exc:
             if span is not None:
                 span.end(status=f"error:{type(exc).__name__}")
@@ -170,7 +191,7 @@ class ProcessModifier:
         if span is not None:
             span.end(status="applied")
 
-    def _validate_against_execution(self, operation: _Operation) -> None:
+    def _validate_against_execution(self, operation: ModificationOperation) -> None:
         instance = self.instance
         if operation.kind in ("remove", "replace"):
             if operation.anchor in instance.active_activities:
@@ -211,11 +232,6 @@ class ProcessModifier:
                 "re-execute out of order"
             )
 
-    # -- the actual tree surgery ---------------------------------------------------------
-
-    def _perform(self, root: Activity, operation: ModificationOperation) -> None:
-        perform_operation(root, operation)
-
 
 def perform_operation(root: Activity, operation: ModificationOperation) -> None:
     """Apply one modification operation to an activity tree.
@@ -233,34 +249,19 @@ def perform_operation(root: Activity, operation: ModificationOperation) -> None:
                 f"inserted activity names already exist in the process: {sorted(clashes)}"
             )
     if operation.kind == "append_to":
-        container = None
-        for activity in root.iter_tree():
-            if activity.name == operation.anchor:
-                container = activity
-                break
+        container, _parent = find_with_parent(root, operation.anchor)
         if container is None:
             raise ModificationError(f"no container named {operation.anchor!r}")
         assert operation.activity is not None
-        _container_list(container, "append_to").append(operation.activity.copy())
+        _child_list(container, "append_to").append(operation.activity.copy())
         return
 
-    target, parent = _find_with_parent(root, operation.anchor)
+    target, parent = find_with_parent(root, operation.anchor)
     if target is None:
         raise ModificationError(f"no activity named {operation.anchor!r}")
     if parent is None:
         raise ModificationError(f"cannot edit the process root {operation.anchor!r}")
-    siblings = _container_list(parent, operation.kind) if operation.kind != "replace" else None
-
-    if operation.kind == "insert_before":
-        assert operation.activity is not None and siblings is not None
-        siblings.insert(siblings.index(target), operation.activity.copy())
-    elif operation.kind == "insert_after":
-        assert operation.activity is not None and siblings is not None
-        siblings.insert(siblings.index(target) + 1, operation.activity.copy())
-    elif operation.kind == "remove":
-        assert siblings is not None
-        siblings.remove(target)
-    elif operation.kind == "replace":
+    if operation.kind == "replace":
         assert operation.activity is not None
         replacement = operation.activity.copy()
         clashes = ({a.name for a in replacement.iter_tree()} - {target.name}) & (
@@ -270,27 +271,14 @@ def perform_operation(root: Activity, operation: ModificationOperation) -> None:
             raise ModificationError(
                 f"replacement activity names already exist: {sorted(clashes)}"
             )
-        _replace_child(parent, target, replacement)
+        parent.replace_child(target, replacement)
+        return
+    siblings = _child_list(parent, operation.kind, holding=target)
+    if operation.kind == "remove":
+        siblings.remove(target)
+    elif operation.kind in ("insert_before", "insert_after"):
+        assert operation.activity is not None
+        after = operation.kind == "insert_after"
+        siblings.insert(siblings.index(target) + after, operation.activity.copy())
     else:  # pragma: no cover - exhaustive
         raise ModificationError(f"unknown operation {operation.kind!r}")
-
-
-def _replace_child(parent: Activity, target: Activity, replacement: Activity) -> None:
-    if isinstance(parent, (Sequence, Flow)):
-        index = parent.activities.index(target)
-        parent.activities[index] = replacement
-        return
-    # Structured parents: swap the matching slot.
-    for attribute in ("then", "orelse", "body", "compensation"):
-        if getattr(parent, attribute, None) is target:
-            setattr(parent, attribute, replacement)
-            return
-    fault_handlers = getattr(parent, "fault_handlers", None)
-    if isinstance(fault_handlers, dict):
-        for code, handler in fault_handlers.items():
-            if handler is target:
-                fault_handlers[code] = replacement
-                return
-    raise ModificationError(
-        f"cannot locate {target.name!r} inside parent {parent.name!r} for replacement"
-    )

@@ -8,6 +8,15 @@ so they are only referenced in WS-Policy4MASC policies"). This module
 provides that externalized document format: a BPEL-flavoured XML dialect
 that round-trips every declarative activity type.
 
+Nothing here names an activity class: one writer and one reader interpret
+the ``element`` / ``attributes`` / ``slots`` declaration each class in
+:mod:`repro.orchestration.activities` carries (docs/process-documents.md).
+Only ``Invoke``'s ``<Input>``/``<Output>`` parts and the
+``<Process>``/``<Variables>`` envelope are written by hand. The reader is
+strict: whatever a class does not declare — an attribute, a child element,
+a second activity inside a wrapper — is a :class:`ProcessSerializationError`
+naming the element, the activity and the attribute.
+
 Activities constructed from Python callables (`input_builder`, callable
 conditions) are intentionally **not** serializable — a process document
 must be fully declarative — and raise :class:`ProcessSerializationError`.
@@ -17,26 +26,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.orchestration.activities import (
-    Activity,
-    Assign,
-    Compensate,
-    CompensationScope,
-    Delay,
-    Empty,
-    Flow,
-    IfElse,
-    Invoke,
-    Receive,
-    Reply,
-    Scope,
-    Sequence,
-    Terminate,
-    Throw,
-    While,
-)
+from repro.orchestration.activities import Activity, Invoke
 from repro.orchestration.definition import ProcessDefinition
-from repro.orchestration.expressions import Expression
+from repro.orchestration.errors import DefinitionError
+from repro.orchestration.expressions import Expression, ExpressionError
 from repro.soap import FaultCode
 from repro.xmlutils import Element, QName, parse_xml, serialize_xml
 
@@ -94,21 +87,14 @@ def serialize_activity(activity: Activity, indent: bool = False) -> str:
     return serialize_xml(_activity_to_element(activity), indent=indent)
 
 
-def parse_activity(source: str | Element) -> Activity:
-    """Parse a standalone activity document back into an activity tree."""
-    root = parse_xml(source) if isinstance(source, str) else source
-    return _element_to_activity(root)
+#: ``<Variable type=…>`` names; ``bool`` first, a bool being an int.
+_VARIABLE_TYPES = {"bool": bool, "int": int, "float": float, "string": str}
 
 
 def _type_name(value: Any) -> str:
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, float):
-        return "float"
-    if isinstance(value, str):
-        return "string"
+    for name, codec in _VARIABLE_TYPES.items():
+        if isinstance(value, codec):
+            return name
     raise ProcessSerializationError(
         f"initial variable of type {type(value).__name__} is not serializable"
     )
@@ -120,193 +106,68 @@ def _literal_text(value: Any) -> str:
     return str(value)
 
 
-def _parse_literal(text: str | None, type_name: str) -> Any:
-    text = text or ""
-    if type_name == "bool":
-        return text == "true"
-    if type_name == "int":
-        return int(text)
-    if type_name == "float":
-        return float(text)
-    return text
-
-
-def _condition_source(activity: Activity, attribute: str = "_condition_source") -> str:
-    source = getattr(activity, attribute, None)
-    if isinstance(source, Expression):
-        return source.source
-    if isinstance(source, str):
-        return source
-    raise ProcessSerializationError(
-        f"activity {activity.name!r} uses a Python-callable condition; "
-        "only string expressions are serializable"
-    )
+def _attribute_text(activity: Activity, xml_name: str, codec: Any, value: Any) -> str | None:
+    """The XML text of one attribute value; ``None`` when it is left out."""
+    if value is None or codec is str:
+        return value
+    if codec is Expression and not isinstance(value, str):
+        raise ProcessSerializationError(
+            f"{activity.element} {activity.name!r} computes {xml_name!r} with a Python "
+            "callable; only expression text is serializable"
+        )
+    if codec is FaultCode:
+        return value.value
+    return None if value is False else _literal_text(value)
 
 
 def _activity_to_element(activity: Activity) -> Element:
-    if isinstance(activity, Sequence):
-        element = Element(_el("Sequence"), attributes={"name": activity.name})
-        for child in activity.activities:
-            element.append(_activity_to_element(child))
-        return element
-    if isinstance(activity, Flow):
-        element = Element(_el("Flow"), attributes={"name": activity.name})
-        for child in activity.activities:
-            element.append(_activity_to_element(child))
-        return element
-    if isinstance(activity, Empty):
-        return Element(_el("Empty"), attributes={"name": activity.name})
-    if isinstance(activity, Assign):
-        source = getattr(activity, "_assign_source", None)
-        if source is None:
+    cls = type(activity)
+    if cls.element is None:
+        raise ProcessSerializationError(
+            f"activity type {cls.__name__} is not serializable"
+        )
+    element = Element(_el(cls.element), attributes={"name": activity.name})
+    for xml_name, keyword, codec, *default in cls.attributes:
+        value = getattr(activity, f"{keyword}_source" if codec is Expression else keyword)
+        text = _attribute_text(activity, xml_name, codec, value)
+        if text is not None:
+            element.attributes[xml_name] = text
+        elif not default:
             raise ProcessSerializationError(
-                f"Assign {activity.name!r} was built from a callable/literal; "
-                "construct it with a string expression to serialize"
+                f"{cls.element} {activity.name!r} has no serializable {xml_name!r}"
             )
-        return Element(
-            _el("Assign"),
-            attributes={
-                "name": activity.name,
-                "variable": activity.variable,
-                "expression": source,
-            },
+    if issubclass(cls, Invoke):
+        _write_invoke_parts(activity, element)
+    for slot in cls.slots:
+        for key, child in slot.items(activity):
+            holder = element
+            if slot.wrapper is not None:
+                holder = element.add(_el(slot.wrapper))
+                if slot.key is not None:
+                    text = _attribute_text(activity, slot.key[0], slot.key[1], key)
+                    if text is not None:
+                        holder.attributes[slot.key[0]] = text
+            holder.append(_activity_to_element(child))
+    return element
+
+
+def _write_invoke_parts(activity: Invoke, element: Element) -> None:
+    if activity.input_builder is not None:
+        raise ProcessSerializationError(
+            f"Invoke {activity.name!r} uses an input_builder callable"
         )
-    if isinstance(activity, Delay):
-        source = getattr(activity, "_delay_source", None)
-        if source is None:
+    for part, spec in activity.inputs.items():
+        if callable(spec) and not isinstance(spec, Expression):
             raise ProcessSerializationError(
-                f"Delay {activity.name!r} has no serializable duration"
+                f"Invoke {activity.name!r} input {part!r} is a Python callable"
             )
-        return Element(
-            _el("Delay"), attributes={"name": activity.name, "seconds": source}
-        )
-    if isinstance(activity, IfElse):
-        element = Element(
-            _el("If"),
-            attributes={"name": activity.name, "condition": _condition_source(activity)},
-        )
-        then_el = element.add(_el("Then"))
-        then_el.append(_activity_to_element(activity.then))
-        if activity.orelse is not None:
-            else_el = element.add(_el("Else"))
-            else_el.append(_activity_to_element(activity.orelse))
-        return element
-    if isinstance(activity, While):
-        source = getattr(activity, "_condition_source_text", None)
-        if source is None:
-            raise ProcessSerializationError(
-                f"While {activity.name!r} uses a non-serializable condition"
-            )
-        element = Element(
-            _el("While"),
-            attributes={
-                "name": activity.name,
-                "condition": source,
-                "maxIterations": str(activity.max_iterations),
-            },
-        )
-        element.append(_activity_to_element(activity.body))
-        return element
-    if isinstance(activity, Invoke):
-        if activity.input_builder is not None:
-            raise ProcessSerializationError(
-                f"Invoke {activity.name!r} uses an input_builder callable"
-            )
-        attributes = {"name": activity.name, "operation": activity.operation}
-        if activity.to is not None:
-            attributes["to"] = activity.to
-        if activity.service_type is not None:
-            attributes["serviceType"] = activity.service_type
-        if activity.timeout_seconds is not None:
-            attributes["timeoutSeconds"] = str(activity.timeout_seconds)
-        if activity.output_variable is not None:
-            attributes["outputVariable"] = activity.output_variable
-        if activity.padding_variable is not None:
-            attributes["paddingVariable"] = activity.padding_variable
-        element = Element(_el("Invoke"), attributes=attributes)
-        for part, spec in activity.inputs.items():
-            if callable(spec) and not isinstance(spec, Expression):
-                raise ProcessSerializationError(
-                    f"Invoke {activity.name!r} input {part!r} is a Python callable"
-                )
-            value = spec.source if isinstance(spec, Expression) else _literal_text(spec)
-            kind = "expression" if isinstance(spec, Expression) else "literal"
-            if isinstance(spec, str) and spec.startswith("$"):
-                kind = "variable"
-            element.add(_el("Input"), part=part, value=str(value), kind=kind)
-        for variable, part in activity.extract.items():
-            element.add(_el("Output"), variable=variable, part=part)
-        return element
-    if isinstance(activity, Receive):
-        return Element(
-            _el("Receive"), attributes={"name": activity.name, "variable": activity.variable}
-        )
-    if isinstance(activity, Reply):
-        source = getattr(activity, "_reply_source", None)
-        if source is None:
-            raise ProcessSerializationError(
-                f"Reply {activity.name!r} has no serializable source"
-            )
-        kind, value = source
-        return Element(_el("Reply"), attributes={"name": activity.name, kind: value})
-    if isinstance(activity, Throw):
-        return Element(
-            _el("Throw"),
-            attributes={
-                "name": activity.name,
-                "fault": activity.code.value,
-                "reason": activity.reason,
-            },
-        )
-    if isinstance(activity, Terminate):
-        return Element(
-            _el("Terminate"), attributes={"name": activity.name, "reason": activity.reason}
-        )
-    if isinstance(activity, Compensate):
-        attributes = {"name": activity.name}
-        if activity.scope is not None:
-            attributes["scope"] = activity.scope
-        return Element(_el("Compensate"), attributes=attributes)
-    if isinstance(activity, CompensationScope):
-        attributes = {"name": activity.name}
-        if activity.timeout_seconds is not None:
-            attributes["timeoutSeconds"] = str(activity.timeout_seconds)
-        element = Element(_el("CompensationScope"), attributes=attributes)
-        body = element.add(_el("Body"))
-        body.append(_activity_to_element(activity.body))
-        for step, comp in activity.compensations.items():
-            step_el = element.add(_el("CompensationFor"), step=step)
-            step_el.append(_activity_to_element(comp))
-        for code, handler in activity.fault_handlers.items():
-            handler_el = element.add(_el("FaultHandler"))
-            if code is not None:
-                handler_el.attributes["fault"] = code.value
-            handler_el.append(_activity_to_element(handler))
-        if activity.compensation is not None:
-            compensation = element.add(_el("Compensation"))
-            compensation.append(_activity_to_element(activity.compensation))
-        return element
-    if isinstance(activity, Scope):
-        attributes = {"name": activity.name}
-        if activity.timeout_seconds is not None:
-            attributes["timeoutSeconds"] = str(activity.timeout_seconds)
-        if activity.compensate_on_fault:
-            attributes["compensateOnFault"] = "true"
-        element = Element(_el("Scope"), attributes=attributes)
-        body = element.add(_el("Body"))
-        body.append(_activity_to_element(activity.body))
-        for code, handler in activity.fault_handlers.items():
-            handler_el = element.add(_el("FaultHandler"))
-            if code is not None:
-                handler_el.attributes["fault"] = code.value
-            handler_el.append(_activity_to_element(handler))
-        if activity.compensation is not None:
-            compensation = element.add(_el("Compensation"))
-            compensation.append(_activity_to_element(activity.compensation))
-        return element
-    raise ProcessSerializationError(
-        f"activity type {type(activity).__name__} is not serializable"
-    )
+        value = spec.source if isinstance(spec, Expression) else _literal_text(spec)
+        kind = "expression" if isinstance(spec, Expression) else "literal"
+        if isinstance(spec, str) and spec.startswith("$"):
+            kind = "variable"
+        element.add(_el("Input"), part=part, value=str(value), kind=kind)
+    for variable, part in activity.extract.items():
+        element.add(_el("Output"), variable=variable, part=part)
 
 
 # ---------------------------------------------------------------------------
@@ -326,161 +187,147 @@ def parse_process_definition(source: str | Element) -> ProcessDefinition:
     variables_el = root.find(_el("Variables"))
     if variables_el is not None:
         for variable in variables_el.find_all(_el("Variable")):
-            initial_variables[variable.attributes["name"]] = _parse_literal(
-                variable.text, variable.attributes.get("type", "string")
-            )
+            declared = _read_attributes(variable, _VARIABLE, "Variable")
+            try:
+                value = _decode(_VARIABLE_TYPES[declared["type"]], variable.text or "")
+            except (KeyError, ValueError) as error:
+                raise ProcessSerializationError(
+                    f"Variable {declared['name']!r}: {variable.text!r} is not a valid "
+                    f"{declared['type']}"
+                ) from error
+            initial_variables[declared["name"]] = value
     activity_elements = [
         child for child in root.children if child.name != _el("Variables")
     ]
     if len(activity_elements) != 1:
         raise ProcessSerializationError("process document must have exactly one root activity")
     return ProcessDefinition(
-        name, _element_to_activity(activity_elements[0]), initial_variables=initial_variables
+        name,
+        _element_to_activity(activity_elements[0], _declared_classes()),
+        initial_variables=initial_variables,
     )
 
 
-def _required_attr(element: Element, attribute: str) -> str:
-    value = element.attributes.get(attribute)
-    if value is None:
+def parse_activity(source: str | Element) -> Activity:
+    """Parse a standalone activity document back into an activity tree."""
+    root = parse_xml(source) if isinstance(source, str) else source
+    return _element_to_activity(root, _declared_classes())
+
+
+def _decode(codec: Any, text: str) -> Any:
+    """The value of an attribute text; ``ValueError`` when it is not one."""
+    if codec is not bool:
+        return codec(text)
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+_VARIABLE = (("name", "name", str), ("type", "type", str, "string"))
+_OUTPUT = (("variable", "variable", str), ("part", "part", str))
+
+
+def _read_attributes(element: Element, declared, where: str) -> dict[str, Any]:
+    """Decode ``element``'s attributes against ``(XML name, keyword, codec[,
+    default])`` declarations; anything undeclared or unparsable is an error."""
+    undeclared = sorted(element.attributes.keys() - {entry[0] for entry in declared})
+    if undeclared:
         raise ProcessSerializationError(
-            f"{element.name.local} element is missing attribute {attribute!r}"
+            f"{where} has an undeclared attribute {undeclared[0]!r}"
         )
-    return value
+    values = {}
+    for xml_name, keyword, codec, *default in declared:
+        text = element.attributes.get(xml_name)
+        if text is not None:
+            try:
+                values[keyword] = _decode(codec, text)
+            except (ValueError, ExpressionError) as error:
+                raise ProcessSerializationError(
+                    f"{where} attribute {xml_name}={text!r} is not a valid "
+                    f"{codec.__name__}: {error}"
+                ) from error
+        elif default:
+            values[keyword] = default[0]
+        else:
+            raise ProcessSerializationError(f"{where} is missing attribute {xml_name!r}")
+    return values
 
 
-def _element_to_activity(element: Element) -> Activity:
+def _declared_classes() -> dict[str, type[Activity]]:
+    """``element → class`` for every activity class that declares its own."""
+    found: dict[str, type[Activity]] = {}
+    pending = [Activity]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if vars(cls).get("element"):
+            found[cls.element] = cls
+    return found
+
+
+def _element_to_activity(element: Element, classes: dict[str, type[Activity]]) -> Activity:
     local = element.name.local
-    name = _required_attr(element, "name")
-    if local == "Sequence":
-        return Sequence(name, [_element_to_activity(child) for child in element.children])
-    if local == "Flow":
-        return Flow(name, [_element_to_activity(child) for child in element.children])
-    if local == "Empty":
-        return Empty(name)
-    if local == "Assign":
-        return Assign(name, _required_attr(element, "variable"),
-                      expression=_required_attr(element, "expression"))
-    if local == "Delay":
-        return Delay(name, _required_attr(element, "seconds"))
-    if local == "If":
-        then_el = element.find(_el("Then"))
-        if then_el is None or not then_el.children:
-            raise ProcessSerializationError(f"If {name!r} has no Then branch")
-        orelse = None
-        else_el = element.find(_el("Else"))
-        if else_el is not None and else_el.children:
-            orelse = _element_to_activity(else_el.children[0])
-        return IfElse(
-            name,
-            _required_attr(element, "condition"),
-            then=_element_to_activity(then_el.children[0]),
-            orelse=orelse,
-        )
-    if local == "While":
-        if not element.children:
-            raise ProcessSerializationError(f"While {name!r} has no body")
-        return While(
-            name,
-            _required_attr(element, "condition"),
-            body=_element_to_activity(element.children[0]),
-            max_iterations=int(element.attributes.get("maxIterations", "10000")),
-        )
-    if local == "Invoke":
-        inputs: dict[str, Any] = {}
-        for input_el in element.find_all(_el("Input")):
-            part = _required_attr(input_el, "part")
-            value = _required_attr(input_el, "value")
-            kind = input_el.attributes.get("kind", "literal")
-            if kind == "expression":
-                inputs[part] = Expression(value)
-            else:
-                inputs[part] = value  # "$var" references keep their prefix
-        extract = {
-            _required_attr(out, "variable"): _required_attr(out, "part")
-            for out in element.find_all(_el("Output"))
-        }
-        timeout_text = element.attributes.get("timeoutSeconds")
-        return Invoke(
-            name,
-            operation=_required_attr(element, "operation"),
-            to=element.attributes.get("to"),
-            service_type=element.attributes.get("serviceType"),
-            inputs=inputs,
-            extract=extract,
-            output_variable=element.attributes.get("outputVariable"),
-            timeout_seconds=float(timeout_text) if timeout_text is not None else None,
-            padding_variable=element.attributes.get("paddingVariable"),
-        )
-    if local == "Receive":
-        return Receive(name, variable=element.attributes.get("variable", "request"))
-    if local == "Reply":
-        if "variable" in element.attributes:
-            return Reply(name, variable=element.attributes["variable"])
-        return Reply(name, expression=_required_attr(element, "expression"))
-    if local == "Throw":
-        return Throw(name, FaultCode(_required_attr(element, "fault")),
-                     element.attributes.get("reason", ""))
-    if local == "Terminate":
-        return Terminate(name, element.attributes.get("reason", "terminated by process"))
-    if local == "Compensate":
-        return Compensate(name, scope=element.attributes.get("scope"))
-    if local == "CompensationScope":
-        body_el = element.find(_el("Body"))
-        if body_el is None or not body_el.children:
-            raise ProcessSerializationError(f"CompensationScope {name!r} has no body")
-        compensations: dict[str, Activity] = {}
-        for step_el in element.find_all(_el("CompensationFor")):
-            if not step_el.children:
-                raise ProcessSerializationError(
-                    f"CompensationScope {name!r} has an empty CompensationFor"
-                )
-            compensations[_required_attr(step_el, "step")] = _element_to_activity(
-                step_el.children[0]
+    cls = classes.get(local)
+    if cls is None:
+        raise ProcessSerializationError(f"unknown activity element {local!r}")
+    where = f"{local} {element.attributes.get('name', '')!r}"
+    arguments = _read_attributes(element, (("name", "name", str), *cls.attributes), where)
+    # Sort the children by element name: a declared wrapper (or message
+    # part) by its own, anything else into the slot that holds its
+    # children unwrapped.
+    parts: dict = {"Input": [], "Output": []} if issubclass(cls, Invoke) else {}
+    holders: dict[str | None, list[Element]] = {slot.wrapper: [] for slot in cls.slots} | parts
+    for child in element.children:
+        wrapper = child.name.local if child.name.local in holders else None
+        if wrapper not in holders:
+            raise ProcessSerializationError(
+                f"{where} has an undeclared child element <{child.name.local}>"
             )
-        fault_handlers: dict[FaultCode | None, Activity] = {}
-        for handler_el in element.find_all(_el("FaultHandler")):
-            if not handler_el.children:
-                raise ProcessSerializationError(
-                    f"CompensationScope {name!r} has an empty fault handler"
-                )
-            code_text = handler_el.attributes.get("fault")
-            code = FaultCode(code_text) if code_text else None
-            fault_handlers[code] = _element_to_activity(handler_el.children[0])
-        compensation = None
-        compensation_el = element.find(_el("Compensation"))
-        if compensation_el is not None and compensation_el.children:
-            compensation = _element_to_activity(compensation_el.children[0])
-        timeout_text = element.attributes.get("timeoutSeconds")
-        return CompensationScope(
-            name,
-            body=_element_to_activity(body_el.children[0]),
-            compensations=compensations,
-            fault_handlers=fault_handlers,
-            compensation=compensation,
-            timeout_seconds=float(timeout_text) if timeout_text is not None else None,
-        )
-    if local == "Scope":
-        body_el = element.find(_el("Body"))
-        if body_el is None or not body_el.children:
-            raise ProcessSerializationError(f"Scope {name!r} has no body")
-        fault_handlers: dict[FaultCode | None, Activity] = {}
-        for handler_el in element.find_all(_el("FaultHandler")):
-            if not handler_el.children:
-                raise ProcessSerializationError(f"Scope {name!r} has an empty fault handler")
-            code_text = handler_el.attributes.get("fault")
-            code = FaultCode(code_text) if code_text else None
-            fault_handlers[code] = _element_to_activity(handler_el.children[0])
-        compensation = None
-        compensation_el = element.find(_el("Compensation"))
-        if compensation_el is not None and compensation_el.children:
-            compensation = _element_to_activity(compensation_el.children[0])
-        timeout_text = element.attributes.get("timeoutSeconds")
-        return Scope(
-            name,
-            body=_element_to_activity(body_el.children[0]),
-            fault_handlers=fault_handlers,
-            compensation=compensation,
-            timeout_seconds=float(timeout_text) if timeout_text is not None else None,
-            compensate_on_fault=element.attributes.get("compensateOnFault") == "true",
-        )
-    raise ProcessSerializationError(f"unknown activity element {local!r}")
+        holders[wrapper].append(child)
+    if parts:
+        arguments.update(_read_invoke_parts(parts["Input"], parts["Output"], where))
+    for slot in cls.slots:
+        held: dict[Any, Activity] = {}
+        for key, holder in enumerate(holders[slot.wrapper]):
+            if slot.wrapper is not None:
+                what = f"{where} <{slot.wrapper}>"
+                declared = ((slot.key[0], "key", *slot.key[1:]),) if slot.key else ()
+                key = _read_attributes(holder, declared, what).get("key", key)
+                if key in held:
+                    raise ProcessSerializationError(f"{what} is repeated for {key!r}")
+                if len(holder.children) != 1:
+                    raise ProcessSerializationError(
+                        f"{what} must hold exactly one activity, not {len(holder.children)}"
+                    )
+                holder = holder.children[0]
+            held[key] = _element_to_activity(holder, classes)
+        if slot.kind == "map":
+            arguments[slot.name] = held
+        elif slot.kind == "list":
+            arguments[slot.name] = list(held.values())
+        elif len(held) > 1 or not (held or slot.optional):
+            raise ProcessSerializationError(
+                f"{where} needs {'at most' if slot.optional else 'exactly'} one "
+                f"{slot.wrapper or 'child activity'}, not {len(held)}"
+            )
+        else:
+            arguments[slot.name] = held.get(0)
+    try:
+        return cls(**arguments)
+    except DefinitionError as error:
+        raise ProcessSerializationError(f"{where}: {error}") from error
+
+
+def _read_invoke_parts(inputs: list[Element], outputs: list[Element], where: str) -> dict:
+    """The ``inputs``/``extract`` arguments of an Invoke, from its message parts."""
+    specs, extract = {}, {}
+    for element in inputs:
+        # "$var" references and literals stay text; expressions compile.
+        codec = Expression if element.attributes.get("kind") == "expression" else str
+        declared = (("part", "part", str), ("value", "value", codec), ("kind", "kind", str, ""))
+        part = _read_attributes(element, declared, f"{where} <Input>")
+        specs[part["part"]] = part["value"]
+    for element in outputs:
+        part = _read_attributes(element, _OUTPUT, f"{where} <Output>")
+        extract[part["variable"]] = part["part"]
+    return {"inputs": specs, "extract": extract}

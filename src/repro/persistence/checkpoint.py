@@ -366,18 +366,7 @@ class CheckpointingService(RuntimeService):
         assert self._engine is not None
         engine = self._engine
         try:
-            encoded_ops = [
-                {
-                    "kind": operation.kind,
-                    "anchor": operation.anchor,
-                    "activity": (
-                        None
-                        if operation.activity is None
-                        else serialize_activity(operation.activity)
-                    ),
-                }
-                for operation in operations
-            ]
+            encoded_ops = [operation.to_record() for operation in operations]
             encoded_bindings = encode_variables(dict(bindings))
         except (ProcessSerializationError, StateEncodingError) as error:
             # A non-serializable operation (callable-based activity): the
@@ -438,16 +427,7 @@ def restore_state(store: CheckpointStore, instance_id: str) -> RestoredState:
     journal = store.journal_after(instance_id, checkpoint["seq"])
     for record in journal:
         for encoded in record["operations"]:
-            operation = ModificationOperation(
-                kind=encoded["kind"],
-                anchor=encoded["anchor"],
-                activity=(
-                    None
-                    if encoded["activity"] is None
-                    else parse_activity(encoded["activity"])
-                ),
-            )
-            perform_operation(root, operation)
+            perform_operation(root, ModificationOperation.from_record(encoded))
         variables.update(decode_variables(record.get("bindings", {})))
     return RestoredState(
         instance_id=instance_id,

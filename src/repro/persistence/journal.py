@@ -40,8 +40,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.orchestration.activities import Activity
 from repro.orchestration.modification import ModificationOperation, perform_operation
-from repro.orchestration.xmlio import parse_activity, serialize_activity
+from repro.orchestration.xmlio import (
+    ProcessSerializationError,
+    parse_activity,
+    serialize_activity,
+)
 from repro.persistence.store import CHECKPOINT, EVENT, CheckpointStore
 
 __all__ = [
@@ -86,6 +91,16 @@ class DerivedState:
     tainted: bool = False
     #: Number of events applied so far.
     events_applied: int = 0
+    #: ``seq`` of the record that last wrote ``tree``.
+    tree_seq: int | None = None
+
+    def root(self) -> Activity:
+        """``tree``, parsed. A journal file is outside input: a malformed
+        tree is a :class:`JournalError` naming the record that wrote it."""
+        try:
+            return parse_activity(self.tree)
+        except ProcessSerializationError as error:
+            raise JournalError(f"record seq={self.tree_seq}: {error}") from error
 
     def snapshot(self) -> dict[str, Any]:
         """The state as a checkpoint-record payload (without ``seq``)."""
@@ -131,6 +146,7 @@ def apply_event(state: DerivedState, record: dict[str, Any]) -> DerivedState:
     state.events_applied += 1
     if kind in ("instance_created", "instance_rehydrated"):
         _load_genesis(state, data)
+        state.tree_seq = record.get("seq")
     elif kind == "activity_started":
         state.executed.add(data["activity"])
         state.active.add(data["activity"])
@@ -170,18 +186,13 @@ def apply_event(state: DerivedState, record: dict[str, Any]) -> DerivedState:
     elif kind == "compensation_request_set":
         state.compensation_request = data["value"]
     elif kind == "modification_applied":
-        root = parse_activity(state.tree)
-        for encoded in data["operations"]:
-            operation = ModificationOperation(
-                kind=encoded["kind"],
-                anchor=encoded["anchor"],
-                activity=(
-                    None
-                    if encoded["activity"] is None
-                    else parse_activity(encoded["activity"])
-                ),
-            )
-            perform_operation(root, operation)
+        root = state.root()
+        state.tree_seq = record.get("seq")
+        try:
+            for encoded in data["operations"]:
+                perform_operation(root, ModificationOperation.from_record(encoded))
+        except ProcessSerializationError as error:
+            raise JournalError(f"record seq={state.tree_seq}: {error}") from error
         state.tree = serialize_activity(root)
         state.variables.update(data.get("bindings", {}))
     elif kind == "journal_truncated":

@@ -231,3 +231,54 @@ class TestArchitectureDocAudit:
         table = re.search(r"<!-- stages -->\n(.*?)<!-- /stages -->", text, re.DOTALL).group(1)
         documented = re.findall(r"^\| `(\w+)` \| (\w+) \| `([\w.]+)` \|", table, re.MULTILINE)
         assert documented == composed
+
+
+def _process_document_rows() -> list[str]:
+    """The element table of process-documents.md, as the declarations render it."""
+    from repro.orchestration import Expression
+    from repro.orchestration.xmlio import _declared_classes
+    from repro.soap import FaultCode
+
+    kinds = {Expression: "expression", bool: "flag", FaultCode: "FaultCode"}
+
+    def attribute(xml_name, _keyword, codec, *default):
+        text = f"`{xml_name}` {kinds.get(codec, codec.__name__)}"
+        if not default:
+            return f"{text}, required"
+        return f"{text}, optional" + ("" if default[0] is None else f" (`{default[0]!r}`)")
+
+    def slot(declared):
+        where = f"in `<{declared.wrapper}>`" if declared.wrapper else "inline"
+        if declared.kind == "map":
+            name, codec, *default = declared.key
+            key = f"`{name}` {kinds.get(codec, codec.__name__)}"
+            return f"`{declared.name}`: map {where} keyed by {key}" + (
+                ", optional" if default else ", required"
+            )
+        count = {"list": "any number", "one": "at most one" if declared.optional else "one"}
+        return f"`{declared.name}`: {count[declared.kind]} {where}"
+
+    rows = []
+    for cls in _declared_classes().values():
+        if cls.__module__.startswith("repro."):
+            attributes = "; ".join(attribute(*declared) for declared in cls.attributes)
+            slots = "; ".join(slot(declared) for declared in cls.slots)
+            rows.append(
+                f"| `{cls.element}` | `{cls.__name__}` | {attributes or '—'} | {slots or '—'} |"
+            )
+    return sorted(rows)
+
+
+class TestProcessDocumentsDocAudit:
+    def test_element_table_is_exactly_the_declarations(self):
+        """No undocumented element, attribute or slot; none documented that
+        is not declared. On a mismatch the assertion shows the rows to paste."""
+        text = (DOCS_DIR / "process-documents.md").read_text(encoding="utf-8")
+        table = re.search(r"<!-- elements -->\n(.*?)<!-- /elements -->", text, re.DOTALL).group(1)
+        documented = sorted(re.findall(r"^\| `\w+` \| `\w+` \|.*$", table, re.MULTILINE))
+        assert documented == _process_document_rows()
+
+    def test_doc_is_linked_from_the_index_and_from_persistence(self):
+        readme = (DOCS_DIR.parent / "README.md").read_text(encoding="utf-8")
+        assert "(docs/process-documents.md)" in readme
+        assert "(process-documents.md)" in (DOCS_DIR / "persistence.md").read_text(encoding="utf-8")

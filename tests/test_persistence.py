@@ -523,6 +523,51 @@ class TestSagaCrashRecovery:
                 f"diverge: {divergences}"
             )
 
+    def test_replay_of_a_malformed_tree_names_the_record_and_exits_2(
+        self, tmp_path, capsys
+    ):
+        """A journal file is outside input: a tree the strict reader rejects
+        is one line on stderr with the record's ``seq``, not a traceback."""
+        from repro.cli import main
+        from repro.experiments import run_crash_recovery
+
+        path = tmp_path / "journal.jsonl"
+        run_crash_recovery(
+            process="scm-saga", seed=3, crash_after_completions=3, store_path=path
+        )
+        assert main(["replay", str(path), "--verify"]) == 0
+        damaged = tmp_path / "damaged.jsonl"
+        # The typo used to parse, leaving every Invoke without a deadline.
+        damaged.write_text(
+            path.read_text(encoding="utf-8").replace("timeoutSeconds", "timeoutSecond"),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["replay", str(damaged), "--at", "20"]) == 2
+        assert capsys.readouterr().err == (
+            f"{damaged}: record seq=1: Invoke 'get-catalog' has an undeclared "
+            "attribute 'timeoutSecond'\n"
+        )
+
+    def test_malformed_journaled_operation_names_its_own_record(self):
+        from repro.orchestration import serialize_activity
+        from repro.persistence import DerivedState, JournalError, apply_event
+
+        state = DerivedState("p-1", tree=serialize_activity(Sequence("main", [Empty("a")])))
+        operation = {
+            "kind": "insert_after",
+            "anchor": "a",
+            "activity": serialize_activity(Empty("b")).replace("name=", "nam="),
+        }
+        record = {
+            "seq": 9,
+            "time": 0.0,
+            "event": "modification_applied",
+            "data": {"operations": [operation], "bindings": {}},
+        }
+        with pytest.raises(JournalError, match="record seq=9: Empty '' has an undeclared"):
+            apply_event(state, record)
+
 
 # ---------------------------------------------------------------------------
 # Store hardening: truncated trailing record, fsync

@@ -7,11 +7,14 @@ those bytes, and every golden document must load and write itself back.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from process_corpus import GOLDEN_DIR, corpus
 
 from repro.orchestration import (
+    ModificationOperation,
     parse_activity,
     parse_process_definition,
     serialize_activity,
@@ -37,3 +40,11 @@ def test_golden_document_loads_and_writes_itself_back(name):
         assert serialize_process_definition(parse_process_definition(golden)) == golden
     else:
         assert serialize_activity(parse_activity(golden)) == golden
+
+
+def test_journaled_operations_decode_and_encode_back():
+    payloads = json.loads((GOLDEN_DIR / "modification-journal.json").read_text(encoding="utf-8"))
+    records = [record for payload in payloads for record in payload["operations"]]
+    assert {record["kind"] for record in records} == {"remove", "insert_before"}
+    for record in records:
+        assert ModificationOperation.from_record(record).to_record() == record

@@ -43,8 +43,13 @@ from repro.orchestration import (
 )
 from repro.orchestration.instance import InstanceStatus
 from repro.policy import (
+    AdaptationPolicy,
     CompensateInstanceAction,
+    InvokeSpec,
+    PolicyDocument,
     PolicyRepository,
+    PolicyScope,
+    ReplaceActivityAction,
     parse_policy_document,
     serialize_policy_document,
 )
@@ -439,6 +444,56 @@ class TestCaseStudySagas:
         retailer = deployment.retailers["C"]
         assert retailer.orders_cancelled == 1
         assert retailer.payments_refunded == 1
+
+    def test_policy_replaces_a_step_compensation_before_the_abort(self):
+        """Backward-recovery customization: a ``ReplaceActivity`` policy aimed
+        at a saga's undo step — a child in the ``compensations`` slot — swaps
+        it at instance creation, and the replacement is what unwinds."""
+        deployment = build_scm_deployment(seed=11, log_events=False)
+        retailer = deployment.retailers["C"]
+        document = PolicyDocument("saga-undo-customization")
+        document.adaptation_policies.append(
+            AdaptationPolicy(
+                name="audited-refund",
+                triggers=("process.instance_created",),
+                scope=PolicyScope(process="scm-purchase-saga"),
+                adaptation_type="customization",
+                actions=(
+                    ReplaceActivityAction(
+                        target="refund-payment",
+                        invokes=(
+                            InvokeSpec(
+                                name="refund-payment-audited",
+                                operation="refundPayment",
+                                address=retailer.address,
+                                inputs={"paymentId": "$payment_id"},
+                                outputs={"audited_refund": "status"},
+                            ),
+                        ),
+                    ),
+                ),
+            )
+        )
+        repository = PolicyRepository()
+        repository.load_xml(serialize_policy_document(document))
+        engine = WorkflowEngine(deployment.env, network=deployment.network)
+        tracking = engine.add_service(TrackingService())
+        adaptation = engine.add_service(
+            MASCAdaptationService(MASCPolicyDecisionMaker(deployment.env, repository))
+        )
+        instance = engine.start(
+            build_scm_saga_process(retailer.address, deployment.logging.address, abort=True)
+        )
+        deployment.env.run(until=200)
+        assert [report.detail for report in adaptation.reports] == [None]
+        assert instance.status is InstanceStatus.COMPLETED
+        assert compensation_order(tracking, instance.id) == [
+            "refund-payment-audited",
+            "cancel-order",
+        ]
+        assert instance.variables["audited_refund"] == "refunded"
+        assert "refund_status" not in instance.variables
+        assert retailer.payments_refunded == 1 and retailer.orders_cancelled == 1
 
     def test_trading_saga_aborts_and_unwinds(self):
         deployment = build_trading_deployment(seed=11, start_notifications=False)
