@@ -43,6 +43,15 @@ def render_markdown(results: dict) -> str:
                 f"{throughput['events_per_sec'] / pr3:.2f}x vs PR 3" if pr3 else "—",
             ]
         ]
+        churn = results.get("deadline_churn")
+        if churn:
+            rows.append(
+                [
+                    "deadline churn (short processes under a far deadline)",
+                    f"{churn['events_per_sec']:,.0f} events/sec",
+                    f"{churn['final_heap_length']} heap entries left of {churn['round_trips']:,}",
+                ]
+            )
         table1 = results.get("table1_end_to_end")
         if table1 and "events_per_sec" in table1:
             pr3_wall = baseline.get("table1_jobs1_seconds")

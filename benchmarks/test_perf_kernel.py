@@ -4,7 +4,9 @@ Measures each layer of the kernel-v2 optimization stack and the end-to-end
 win, and writes the numbers to ``BENCH_kernel.json`` (repo root) so CI can
 archive them:
 
-- events/sec through the raw simulation core (timeout churn),
+- events/sec through the raw simulation core (timeout churn), and through
+  the timed-exchange shape (deadline churn: short processes under a far
+  deadline, with what they leave in the heap),
 - ``SoapEnvelope.copy`` (header-shallow, cache-carrying) against the
   reference ``deep_copy`` it replaced,
 - compiled policy-condition expressions against the reference AST walker,
@@ -88,6 +90,45 @@ def test_event_throughput_microbench(benchmark):
     )
     print(f"\n  {events_per_sec:,.0f} events/sec")
     assert events_per_sec > 50_000  # loose floor: a laptop does millions
+
+
+def _round_trip(env):
+    yield env.timeout(0.001)
+
+
+def _timed_caller(env, count):
+    for _ in range(count):
+        yield env.process(_round_trip(env)).expire_after(30.0)
+
+
+def test_deadline_churn_microbench(benchmark):
+    """Short processes under a far deadline: every one cancels its timer."""
+    round_trips = 20_000
+
+    def run():
+        env = Environment()
+        callers = [env.process(_timed_caller(env, round_trips // 8)) for _ in range(8)]
+        env.run(env.all_of(callers))  # not to exhaustion: what is left is the point
+        return env
+
+    env = benchmark.pedantic(run, rounds=3, iterations=1)
+    seconds = benchmark.stats.stats.min
+    events_per_sec = env.events_processed / seconds
+    heap_length = len(env._queue)
+    _record(
+        "deadline_churn",
+        {
+            "round_trips": round_trips,
+            "events": env.events_processed,
+            "seconds_min": seconds,
+            "events_per_sec": events_per_sec,
+            "final_heap_length": heap_length,
+        },
+    )
+    print(f"\n  {events_per_sec:,.0f} events/sec, {heap_length} heap entries at the end")
+    assert env.now < 30.0  # no deadline was ever reached, or waited for
+    assert heap_length <= 40  # left to fire dead they would all still be there
+    assert events_per_sec > 50_000
 
 
 def _sample_envelope() -> SoapEnvelope:

@@ -530,6 +530,10 @@ class ProcessInstance:
                     composite.defused = True
                     self._abandon(awaited, interrupt_on_expiry)
                     raise
+                finally:
+                    # However the wait ended, its timer is done: one that has
+                    # not fired must not sit in the kernel until the deadline.
+                    timer.cancel()
                 if awaited in outcome:
                     return outcome[awaited]
                 # Timer fired; if the deadline moved, loop and keep waiting.

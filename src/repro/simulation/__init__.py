@@ -16,6 +16,7 @@ from repro.simulation.core import (
     AnyOf,
     Environment,
     Event,
+    Expired,
     Interrupt,
     Process,
     SimulationError,
@@ -28,6 +29,7 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
+    "Expired",
     "Interrupt",
     "Process",
     "RandomSource",

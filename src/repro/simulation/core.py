@@ -8,9 +8,12 @@ The model follows the classic process-interaction style:
   to. Events either *succeed* with a value or *fail* with an exception.
 - A :class:`Process` wraps a generator. Each ``yield`` hands an event back to
   the environment; when that event triggers, the generator is resumed with
-  the event's value (or the exception is thrown into it).
-- :class:`AnyOf` / :class:`AllOf` compose events, which is how the middleware
-  expresses "response or timeout, whichever first" and broadcast invocation.
+  the event's value (or the exception is thrown into it). A process can
+  carry a deadline (:meth:`Process.expire_after`), which is how the
+  middleware expresses "response or timeout, whichever first"; the timer
+  behind it is a :class:`Timeout`, which can be cancelled.
+- :class:`AnyOf` / :class:`AllOf` compose events: broadcast invocation, and
+  the orchestration engine's extensible activity deadlines.
 
 The implementation is intentionally small and dependency-free; it is the
 substrate for the simulated SOAP transport, service containers, fault
@@ -29,6 +32,7 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
+    "Expired",
     "Interrupt",
     "Process",
     "SimulationError",
@@ -52,12 +56,33 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+class Expired(Exception):
+    """Delivered to the waiters of a process whose deadline passed first.
+
+    See :meth:`Process.expire_after`; ``delay`` is the deadline that was set.
+    """
+
+    def __init__(self, delay: float) -> None:
+        super().__init__(delay)
+        self.delay = delay
+
+
 # Event state markers. PENDING events have not been scheduled; TRIGGERED
 # events sit in the queue awaiting processing; PROCESSED events have run
-# their callbacks.
+# their callbacks; a CANCELLED timeout never will. Ordered so that "can no
+# longer be waited for" is one comparison (``>= _PROCESSED``).
 _PENDING = 0
 _TRIGGERED = 1
 _PROCESSED = 2
+_CANCELLED = 3
+
+# When the heap is rebuilt without its cancelled timeouts: more than
+# _COMPACT_FLOOR of them, making up more than _COMPACT_FRACTION of the heap
+# (asyncio's rule for cancelled timer handles). Between rebuilds a cancelled
+# entry costs one tuple and an empty Timeout; above the fraction it would
+# also cost every live timer a deeper heap.
+_COMPACT_FLOOR = 16
+_COMPACT_FRACTION = 0.5
 
 
 class Event:
@@ -141,7 +166,12 @@ class Event:
             raise self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
+        state = {
+            _PENDING: "pending",
+            _TRIGGERED: "triggered",
+            _PROCESSED: "processed",
+            _CANCELLED: "cancelled",
+        }
         return f"<{type(self).__name__} {state[self._state]} at {id(self):#x}>"
 
 
@@ -165,20 +195,36 @@ class Timeout(Event):
         self.delay = delay
         env._enqueue(self, delay)
 
+    def cancel(self) -> None:
+        """Withdraw the timeout: it will not fire, and it lets go of its callbacks now.
+
+        A cancelled timeout is not an event any more — the run skips it
+        without counting it or moving the clock to it, and a process that
+        yields it is told so. Cancelling a timeout that has already fired
+        (or was already cancelled) does nothing.
+        """
+        if self._state != _TRIGGERED:
+            return
+        self._state = _CANCELLED
+        self.callbacks.clear()
+        self.env._discard(self)
+
 
 class Process(Event):
     """A running simulated activity, driven by a generator.
 
     The process is itself an event: it triggers when the generator returns
     (success, with the generator's return value) or raises (failure). Other
-    processes can therefore ``yield`` a process to wait for it.
+    processes can therefore ``yield`` a process to wait for it. With a
+    deadline (:meth:`expire_after`) it triggers at the generator's outcome or
+    at the deadline, whichever is first.
 
     ``name`` may be a string or a tuple of parts joined with ``:`` on first
     access — hot callers pass tuples so no formatting happens for the vast
     majority of processes, whose names are never read.
     """
 
-    __slots__ = ("_generator", "_name", "_waiting_on")
+    __slots__ = ("_generator", "_name", "_waiting_on", "_deadline")
 
     def __init__(
         self, env: "Environment", generator: Generator, name: str | tuple | None = None
@@ -189,6 +235,7 @@ class Process(Event):
         self._generator = generator
         self._name = name
         self._waiting_on: Event | None = None
+        self._deadline: Timeout | None = None
         # Kick the generator off at the current simulated instant. Inlined
         # Event construction + succeed(): one bootstrap event is born already
         # triggered per process, and process creation is hot (several per
@@ -216,8 +263,47 @@ class Process(Event):
 
     @property
     def is_alive(self) -> bool:
-        """True while the generator has not finished."""
+        """True while the process has neither finished nor expired."""
         return self._state == _PENDING
+
+    def expire_after(self, delay: float) -> "Process":
+        """Bound the wait for this process to ``delay`` seconds from now.
+
+        Three rules. A result inside the deadline cancels the timer, so a
+        finished process leaves nothing scheduled. A deadline that passes
+        first fails the waiters with :class:`Expired` — and that is all it
+        does: the generator is *not* interrupted, it runs to its end with
+        every side effect it would have had, and its late result or late
+        failure is discarded instead of surfacing. From then on the process
+        is over as far as others can tell (``is_alive`` is False,
+        :meth:`interrupt` refuses). Returns the process, so a caller can
+        ``yield env.process(work()).expire_after(5.0)``.
+        """
+        if self._state != _PENDING:
+            raise SimulationError(f"process {self.name!r} has already finished")
+        if self._deadline is not None:
+            raise SimulationError(f"process {self.name!r} already has a deadline")
+        timer = Timeout(self.env, delay)
+        timer.callbacks.append(self._expire)
+        self._deadline = timer
+        return self
+
+    def _expire(self, timer: Timeout) -> None:
+        # A deadline bounds a wait; one that passes with nobody waiting any
+        # more (the waiter was interrupted away) is not an unhandled failure.
+        self.defused = True
+        self._trigger(False, Expired(timer.delay), 0.0)
+
+    def _settle(self, ok: bool, value: Any) -> None:
+        """The generator ended: trigger, unless the deadline already did."""
+        if self._state != _PENDING:
+            return
+        if self._deadline is not None:
+            self._deadline.cancel()
+        self._state = _TRIGGERED
+        self._ok = ok
+        self._value = value
+        self.env._enqueue(self, 0.0)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant.
@@ -252,33 +338,32 @@ class Process(Event):
                     event.defused = True
                     target = self._generator.throw(event._value)
             except StopIteration as stop:
-                self._trigger(True, stop.value, 0.0)
+                self._settle(True, stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001 - process failure is a value
-                self._trigger(False, exc, 0.0)
+                self._settle(False, exc)
                 return
 
             if not isinstance(target, Event):
-                exc = SimulationError(
-                    f"process {self.name!r} yielded {target!r}, expected an Event"
-                )
-                try:
-                    self._generator.throw(exc)
-                except StopIteration as stop:
-                    self._trigger(True, stop.value, 0.0)
-                except BaseException as err:  # noqa: BLE001
-                    self._trigger(False, err, 0.0)
+                misuse = f"process {self.name!r} yielded {target!r}, expected an Event"
+            elif target._state < _PROCESSED:
+                target.callbacks.append(self._resume)
+                self._waiting_on = target
                 return
-
-            if target._state == _PROCESSED:
+            elif target._state == _PROCESSED:
                 # Already happened: feed its outcome straight back in.
                 if not target._ok:
                     target.defused = True
                 event = target
                 continue
-
-            target.callbacks.append(self._resume)
-            self._waiting_on = target
+            else:
+                misuse = f"process {self.name!r} yielded a cancelled timeout"
+            try:
+                self._generator.throw(SimulationError(misuse))
+            except StopIteration as stop:
+                self._settle(True, stop.value)
+            except BaseException as err:  # noqa: BLE001
+                self._settle(False, err)
             return
 
 
@@ -383,6 +468,8 @@ class Environment:
         self._queue: list[tuple[float, int, Event]] = []
         self._immediate: deque[tuple[int, Event]] = deque()
         self._sequence = 0
+        #: Cancelled timeouts still sitting in the heap (lazy deletion).
+        self._cancelled = 0
         #: Total events processed over the environment's lifetime; cheap
         #: enough to maintain that benchmarks can report true events/sec.
         self.events_processed = 0
@@ -427,6 +514,38 @@ class Environment:
         else:
             heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
 
+    def _discard(self, timer: Timeout) -> None:
+        """Forget a timeout that was just cancelled.
+
+        One in the heap stays where it is and is skipped when it surfaces
+        (lazy deletion: a heap cannot give up an inner entry cheaply); once
+        such entries outnumber the live ones the heap is rebuilt in place —
+        in place because :meth:`run` holds the list — and the survivors keep
+        their unique ``(time, sequence)`` keys, so their order is untouched.
+        A zero-delay timeout sits in the short immediate lane and is removed
+        at once, which keeps that lane free of a per-event liveness check.
+        """
+        if timer.delay == 0.0:
+            immediate = self._immediate
+            for index, entry in enumerate(immediate):
+                if entry[1] is timer:
+                    del immediate[index]
+                    break
+            return
+        queue = self._queue
+        self._cancelled += 1
+        if self._cancelled > _COMPACT_FLOOR and self._cancelled > len(queue) * _COMPACT_FRACTION:
+            queue[:] = [entry for entry in queue if entry[2]._state != _CANCELLED]
+            heapq.heapify(queue)
+            self._cancelled = 0
+
+    def _drop_cancelled_head(self) -> None:
+        """Pop cancelled timeouts off the top of the heap."""
+        queue = self._queue
+        while queue and queue[0][2]._state == _CANCELLED:
+            heapq.heappop(queue)
+            self._cancelled -= 1
+
     def _pop_next(self) -> Event:
         """The globally next event by ``(time, sequence)`` across both lanes.
 
@@ -435,6 +554,7 @@ class Environment:
         time with a smaller sequence number (a positive delay that collapsed
         onto ``now`` in float arithmetic, enqueued earlier).
         """
+        self._drop_cancelled_head()
         immediate = self._immediate
         queue = self._queue
         if immediate:
@@ -470,7 +590,8 @@ class Environment:
         # heappop, which measurably raises events/sec on long runs. Each
         # iteration drains the immediate lane first (the same-timestamp
         # batch) unless the heap holds an earlier-sequenced event at the
-        # current instant.
+        # current instant. A cancelled timeout coming off the heap is dropped
+        # before the clock moves to it and before it is counted.
         queue = self._queue
         immediate = self._immediate
         pop = heapq.heappop
@@ -479,17 +600,15 @@ class Environment:
             if isinstance(until, Event):
                 stop = until
                 while stop._state != _PROCESSED:
-                    if immediate:
-                        if queue:
-                            time, seq, event = queue[0]
-                            if time == self._now and seq < immediate[0][0]:
-                                pop(queue)
-                            else:
-                                event = immediate.popleft()[1]
-                        else:
-                            event = immediate.popleft()[1]
+                    if immediate and not (
+                        queue and queue[0][0] == self._now and queue[0][1] < immediate[0][0]
+                    ):
+                        event = immediate.popleft()[1]
                     elif queue:
                         time, _seq, event = pop(queue)
+                        if event._state == _CANCELLED:
+                            self._cancelled -= 1
+                            continue
                         self._now = time
                     else:
                         raise SimulationError(
@@ -506,34 +625,30 @@ class Environment:
                 if horizon < self._now:
                     raise SimulationError(f"cannot run backwards to {horizon}")
                 while immediate or (queue and queue[0][0] <= horizon):
-                    if immediate:
-                        if queue:
-                            time, seq, event = queue[0]
-                            if time == self._now and seq < immediate[0][0]:
-                                pop(queue)
-                            else:
-                                event = immediate.popleft()[1]
-                        else:
-                            event = immediate.popleft()[1]
+                    if immediate and not (
+                        queue and queue[0][0] == self._now and queue[0][1] < immediate[0][0]
+                    ):
+                        event = immediate.popleft()[1]
                     else:
                         time, _seq, event = pop(queue)
+                        if event._state == _CANCELLED:
+                            self._cancelled -= 1
+                            continue
                         self._now = time
                     processed += 1
                     event._process()
                 self._now = horizon
                 return None
             while immediate or queue:
-                if immediate:
-                    if queue:
-                        time, seq, event = queue[0]
-                        if time == self._now and seq < immediate[0][0]:
-                            pop(queue)
-                        else:
-                            event = immediate.popleft()[1]
-                    else:
-                        event = immediate.popleft()[1]
+                if immediate and not (
+                    queue and queue[0][0] == self._now and queue[0][1] < immediate[0][0]
+                ):
+                    event = immediate.popleft()[1]
                 else:
                     time, _seq, event = pop(queue)
+                    if event._state == _CANCELLED:
+                        self._cancelled -= 1
+                        continue
                     self._now = time
                 processed += 1
                 event._process()
@@ -546,4 +661,5 @@ class Environment:
         """Time of the next scheduled event, or +inf if none."""
         if self._immediate:
             return self._now
+        self._drop_cancelled_head()
         return self._queue[0][0] if self._queue else float("inf")

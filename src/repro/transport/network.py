@@ -3,9 +3,11 @@
 The :class:`Network` owns a table of addressable endpoints. Sending a message
 is a simulated process: connect (may be refused), transmit the request
 (size-dependent latency), let the endpoint's handler run (its own simulated
-process), transmit the response. An optional timeout races the whole round
+process), transmit the response. An optional timeout bounds the whole round
 trip, mirroring the paper's "Web services Invoker component can use timers
-to raise timeout faults".
+to raise timeout faults": the round trip is a kernel process with a deadline
+(``Process.expire_after``), so a reply in time cancels the timer and a
+finished exchange leaves nothing scheduled.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 from repro.observability.tracing import NULL_TRACER
 from repro.observability.trace_context import trace_context_of
-from repro.simulation import Environment, Event, RandomSource, Timeout
-from repro.simulation.core import _PENDING
+from repro.simulation import Environment, Expired, RandomSource
 from repro.soap import SoapEnvelope
 
 __all__ = [
@@ -108,7 +109,11 @@ class NetworkEndpoint:
 
 
 class Network:
-    """The simulated wire connecting clients, wsBus and services."""
+    """The simulated wire connecting clients, wsBus and services.
+
+    A timed :meth:`send` owns no timer of its own: the deadline lives on the
+    exchange's kernel process, which cancels it when the reply arrives.
+    """
 
     def __init__(
         self,
@@ -256,37 +261,17 @@ class Network:
     def _exchange_with_timeout(
         self, address: str, envelope: SoapEnvelope, timeout: float
     ) -> Generator:
-        # A hand-rolled two-way race instead of AnyOf: every timed request
-        # runs through here, and the generic condition machinery (events
-        # list, satisfied scan, result-dict collection) costs more than this
-        # single callback. Ordering is identical — the race event triggers
-        # from the winner's callback exactly as AnyOf's _observe would.
-        env = self.env
-        exchange = env.process(self._exchange(address, envelope), name=("rtt", address))
-        timer = Timeout(env, timeout)
-        race = Event(env)
+        """Start the exchange, set its deadline, wait for whichever is first.
 
-        def _first(event: Event) -> None:
-            if race._state != _PENDING:
-                # The race is decided; a late-failing loser (an abandoned
-                # exchange after a timeout) must not surface as an unhandled
-                # simulation error.
-                if not event._ok:
-                    event.defused = True
-                return
-            if event._ok:
-                race.succeed(event)
-            else:
-                event.defused = True
-                race.fail(event._value)
-
-        exchange.callbacks.append(_first)
-        timer.callbacks.append(_first)
-        winner = yield race
-        if winner is exchange:
-            return exchange._value
-        raise TransportTimeout(
-            f"no response from {address!r} within {timeout}s", address, timeout
-        )
-
-
+        The deadline is the exchange process's own (``expire_after``): a
+        reply or fault in time cancels the timer; a deadline that passes
+        abandons the round trip without stopping it, so the request still
+        reaches the service and its late outcome is discarded by the kernel.
+        """
+        exchange = self.env.process(self._exchange(address, envelope), name=("rtt", address))
+        try:
+            return (yield exchange.expire_after(timeout))
+        except Expired:
+            raise TransportTimeout(
+                f"no response from {address!r} within {timeout}s", address, timeout
+            ) from None

@@ -1,12 +1,16 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simulation import (
     AllOf,
     AnyOf,
     Environment,
     Event,
+    Expired,
     Interrupt,
     SimulationError,
     Timeout,
@@ -363,3 +367,378 @@ class TestConditions:
         env.timeout(1.0)
         with pytest.raises(SimulationError):
             env.run(until=event)
+
+
+class TestCancel:
+    def test_cancelled_timeout_never_fires(self, env):
+        seen = []
+        doomed = env.timeout(5.0)
+        doomed.callbacks.append(seen.append)
+        env.timeout(2.0)
+        doomed.cancel()
+        assert doomed.callbacks == []  # let go of at once, not at the deadline
+        env.run()
+        assert seen == []
+        assert not doomed.processed
+        assert env.events_processed == 1  # a cancelled timer is not an event
+
+    def test_run_to_exhaustion_ends_at_the_last_live_event(self, env):
+        env.timeout(2.0)
+        env.timeout(30.0).cancel()
+        env.run()
+        assert env.now == 2.0
+
+    def test_peek_reports_the_next_live_time(self, env):
+        first = env.timeout(1.0)
+        env.timeout(3.0)
+        first.cancel()
+        assert env.peek() == 3.0
+        env.timeout(4.0).cancel()
+        env.run()
+        assert env.peek() == float("inf")
+
+    def test_run_until_number_still_lands_on_the_horizon(self, env):
+        env.timeout(1.0).cancel()
+        env.timeout(9.0).cancel()
+        env.run(until=5.0)
+        assert env.now == 5.0
+        assert env.events_processed == 0
+
+    def test_run_until_event_skips_cancelled_timers(self, env):
+        env.timeout(1.0).cancel()
+        target = env.timeout(2.0, value="live")
+        assert env.run(until=target) == "live"
+        assert env.events_processed == 1
+
+    def test_step_skips_cancelled_timers(self, env):
+        env.timeout(1.0).cancel()
+        live = env.timeout(2.0)
+        env.step()
+        assert live.processed and env.now == 2.0
+        with pytest.raises(SimulationError):
+            env.step()
+
+    def test_cancel_after_firing_is_a_noop(self, env):
+        timeout = env.timeout(1.0, value="fired")
+        env.run()
+        timeout.cancel()
+        assert timeout.processed and timeout.value == "fired"
+
+    def test_double_cancel_is_a_noop(self, env):
+        timeout = env.timeout(1.0)
+        timeout.cancel()
+        timeout.cancel()
+        env.timeout(2.0)
+        env.run()
+        assert env.now == 2.0 and env.events_processed == 1
+
+    def test_zero_delay_timeout_can_be_cancelled(self, env):
+        seen = []
+        before, doomed, after = env.timeout(0.0), env.timeout(0.0), env.timeout(0.0)
+        for timeout in (before, doomed, after):
+            timeout.callbacks.append(seen.append)
+        doomed.cancel()
+        env.run()
+        assert seen == [before, after]
+        assert env.events_processed == 2
+
+    def test_yielding_a_cancelled_timeout_fails_the_process(self, env):
+        timer = env.timeout(1.0)
+        timer.cancel()
+
+        def proc():
+            yield timer
+
+        with pytest.raises(SimulationError, match="cancelled"):
+            env.run(env.process(proc()))
+
+    def test_heap_is_rebuilt_once_mostly_cancelled(self, env):
+        live = [env.timeout(1000.0 + index) for index in range(10)]
+        for index in range(200):
+            env.timeout(10.0 + index).cancel()
+        # Lazy deletion alone would leave 210 entries behind.
+        assert len(env._queue) < 50
+        env.run()
+        assert all(timeout.processed for timeout in live)
+        assert env.events_processed == 10 and env.now == 1009.0
+
+
+class TestDeadline:
+    def test_result_first_cancels_the_timer(self, env):
+        def work():
+            yield env.timeout(1.0)
+            return "reply"
+
+        def waiter():
+            return (yield env.process(work()).expire_after(30.0))
+
+        assert env.run(env.process(waiter())) == "reply"
+        assert env.now == 1.0
+        assert env.peek() == float("inf")  # nothing left behind
+        env.run()
+        assert env.now == 1.0
+
+    def test_failure_first_is_delivered_and_cancels_the_timer(self, env):
+        def work():
+            yield env.timeout(1.0)
+            raise ValueError("refused")
+
+        def waiter():
+            try:
+                yield env.process(work()).expire_after(30.0)
+            except ValueError as error:
+                return str(error)
+
+        assert env.run(env.process(waiter())) == "refused"
+        assert env.peek() == float("inf")
+
+    def test_deadline_first_fails_the_waiters_but_not_the_generator(self, env):
+        progress = []
+
+        def work():
+            yield env.timeout(10.0)
+            progress.append(env.now)
+            return "late"
+
+        def waiter(process):
+            try:
+                yield process
+            except Expired as expired:
+                return (env.now, expired.delay)
+
+        process = env.process(work()).expire_after(3.0)
+        waiters = [env.process(waiter(process)) for _ in range(2)]
+        env.run()
+        assert [w.value for w in waiters] == [(3.0, 3.0), (3.0, 3.0)]
+        assert progress == [10.0]  # ran on to its end
+        assert not process.ok and isinstance(process.value, Expired)  # late return discarded
+
+    def test_late_exception_is_discarded(self, env):
+        def work():
+            yield env.timeout(10.0)
+            raise RuntimeError("late fault")
+
+        def waiter():
+            with pytest.raises(Expired):
+                yield env.process(work()).expire_after(3.0)
+
+        env.process(waiter())
+        env.run()  # no unhandled failure at the end of the run
+        assert env.now == 10.0
+
+    def test_deadline_of_zero(self, env):
+        def instant():
+            return "now"
+            yield  # pragma: no cover
+
+        def slow():
+            yield env.timeout(0.5)
+
+        # The generator is started first, so one that never waits still wins.
+        assert env.run(env.process(instant()).expire_after(0)) == "now"
+        with pytest.raises(Expired):
+            env.run(env.process(slow()).expire_after(0))
+        assert env.now == 0.0
+        env.run()
+        assert env.now == 0.5
+
+    def test_interrupt_before_the_deadline(self, env):
+        def work():
+            try:
+                yield env.timeout(100.0)
+            except Interrupt as interrupt:
+                return interrupt.cause
+
+        process = env.process(work()).expire_after(30.0)
+
+        def interrupter():
+            yield env.timeout(1.0)
+            process.interrupt("stop")
+
+        env.process(interrupter())
+        assert env.run(process) == "stop"
+        # The 30 s deadline is gone; what is left is the plain timeout the
+        # generator was detached from, which nobody cancelled.
+        assert env.peek() == 100.0
+
+    def test_expired_process_is_over_for_everyone_else(self, env):
+        def work():
+            yield env.timeout(10.0)
+
+        process = env.process(work()).expire_after(1.0)
+        with pytest.raises(Expired):
+            env.run(process)
+        assert not process.is_alive
+        with pytest.raises(SimulationError):
+            process.interrupt()
+        with pytest.raises(SimulationError):
+            process.expire_after(5.0)
+
+    def test_deadline_passing_with_the_waiter_interrupted_away_is_silent(self, env):
+        def work():
+            yield env.timeout(10.0)
+
+        def waiter():
+            try:
+                yield env.process(work()).expire_after(3.0)
+            except Interrupt:
+                return "gave up"
+
+        waiting = env.process(waiter())
+
+        def interrupter():
+            yield env.timeout(1.0)
+            waiting.interrupt()
+
+        env.process(interrupter())
+        env.run()  # Expired with nobody waiting is not an unhandled failure
+        assert waiting.value == "gave up"
+
+    def test_one_deadline_per_process(self, env):
+        def work():
+            yield env.timeout(1.0)
+
+        process = env.process(work()).expire_after(5.0)
+        with pytest.raises(SimulationError):
+            process.expire_after(6.0)
+        with pytest.raises(SimulationError):
+            env.process(work()).expire_after(-1.0)
+        env.run()
+
+
+# -- cancellation never reorders the survivors ----------------------------------------
+#
+# A schedule is a list of operations, each run when an earlier timeout of the
+# schedule fires (or up front): create a timeout, trigger a plain zero-delay
+# event, cancel a timeout, or churn — create twenty timeouts and cancel
+# eighteen of them at once, which is what forces a rebuild of the heap. The
+# kernel runs it on its two lanes with lazy deletion and rebuilds; the
+# reference runs it on one list re-sorted by ``(time, sequence)`` before
+# every pop. Started at 2**53, where doubles are 2.0 apart, the delays 0.5
+# and 1.0 collapse onto ``now``: those timeouts go to the heap at the current
+# instant and tie with the immediate lane.
+
+_DELAYS = (0.0, 0.0, 0.5, 1.0, 2.0, 4.0, 6.0)
+_KINDS = ("timeout", "timeout", "event", "cancel", "cancel", "churn")
+
+_operation = st.tuples(
+    st.integers(min_value=0, max_value=10**6),  # when: which earlier timeout's firing
+    st.sampled_from(_KINDS),
+    st.sampled_from(_DELAYS),
+    st.integers(min_value=0, max_value=10**6),  # cancel: which timeout
+)
+
+
+def _script(operations):
+    """Steps grouped by the label of the timeout whose firing runs them."""
+    script = {None: []}
+    creators = []
+
+    def create(label, delay):
+        creators.append(label)
+        script[label] = []
+        return ("timeout", label, delay)
+
+    for label, (when, kind, delay, target) in enumerate(operations):
+        # Three in four run up front, so that the heap fills before it drains.
+        parent = creators[when % len(creators)] if creators and when % 4 == 0 else None
+        steps = script[parent]
+        if kind == "timeout":
+            steps.append(create(label, delay))
+        elif kind == "event":
+            steps.append(("event", label))
+        elif kind == "cancel":
+            # Mostly the most recent timeouts, which are the likeliest to be live.
+            recent = creators[-8:] if target % 3 else creators
+            steps.append(("cancel", recent[target % len(recent)] if recent else None))
+        else:
+            positive = _DELAYS[2:]
+            steps.extend(
+                create((label, index), positive[(target + index) % len(positive)])
+                for index in range(20)
+            )
+            steps.extend(("cancel", (label, index)) for index in range(1, 19))
+    return script
+
+
+def _run_kernel(initial_time, script):
+    env = Environment(initial_time)
+    fired, timeouts = [], {}
+    rebuilds = 0
+
+    def perform(steps):
+        nonlocal rebuilds
+        for step in steps:
+            if step[0] == "timeout":
+                _, label, delay = step
+                timeout = timeouts[label] = env.timeout(delay, value=label)
+                timeout.callbacks.append(occurred)
+            elif step[0] == "event":
+                event = env.event().succeed(step[1])
+                event.callbacks.append(occurred)
+            elif step[1] in timeouts:
+                before = len(env._queue)
+                timeouts[step[1]].cancel()
+                rebuilds += len(env._queue) < before
+
+    def occurred(event):
+        fired.append((env.now, event.value))
+        perform(script.get(event.value, ()))
+
+    perform(script[None])
+    env.run()
+    assert env.events_processed == len(fired)
+    assert not env._queue and not env._immediate and env._cancelled == 0
+    return fired, rebuilds
+
+
+def _run_reference(initial_time, script):
+    now, sequence = initial_time, 0
+    scheduled, fired = [], []
+
+    def perform(steps):
+        nonlocal sequence
+        for step in steps:
+            if step[0] == "cancel":
+                scheduled[:] = [entry for entry in scheduled if entry[2] != step[1]]
+            else:
+                sequence += 1
+                delay = step[2] if step[0] == "timeout" else 0.0
+                scheduled.append((now + delay, sequence, step[1]))
+
+    perform(script[None])
+    while scheduled:
+        scheduled.sort()
+        now, _, label = scheduled.pop(0)
+        fired.append((now, label))
+        perform(script.get(label, ()))
+    return fired
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((0.0, 2.0**53)),
+    st.lists(_operation, min_size=1, max_size=400),
+)
+def test_cancellation_fires_exactly_the_survivors_in_order(initial_time, operations):
+    script = _script(operations)
+    fired, _rebuilds = _run_kernel(initial_time, script)
+    assert fired == _run_reference(initial_time, script)
+
+
+@pytest.mark.parametrize("initial_time", [0.0, 2.0**53])
+def test_cancellation_order_holds_across_several_rebuilds(initial_time):
+    rng = random.Random(20)
+    operations = [
+        (
+            rng.randrange(10**6),
+            rng.choice(_KINDS),
+            rng.choice(_DELAYS),
+            rng.randrange(10**6),
+        )
+        for _ in range(600)
+    ]
+    script = _script(operations)
+    fired, rebuilds = _run_kernel(initial_time, script)
+    assert rebuilds >= 3
+    assert fired == _run_reference(initial_time, script)
