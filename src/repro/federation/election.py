@@ -69,10 +69,10 @@ class LeaderElection:
 
     def _loop(self):
         # Check at a fraction of the lease so renewal always lands before
-        # expiry and takeover happens promptly after it.
-        interval = self.lease_seconds / 3.0
+        # expiry and takeover happens promptly after it; read every turn,
+        # so a re-tuned ``lease_seconds`` applies from the next sleep.
         while True:
-            yield self.env.timeout(interval)
+            yield self.env.timeout(self.lease_seconds / 3.0)
             self.evaluate()
 
     def evaluate(self) -> None:

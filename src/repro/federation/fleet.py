@@ -110,6 +110,22 @@ class BusFleet:
         self.membership.start()
         self.election.start()
         self.gossip.start(self.membership)
+        # After the FederationService's own subscription, so config() is current.
+        self.repository.subscribe(self._retune)
+
+    def _retune(self) -> None:
+        """Apply the federation tuning to the running fleet (every repository change).
+
+        Each loop reads its interval when it next goes to sleep, so a wait
+        already under way ends when it was due. The ring's ``virtual_nodes``
+        is read at construction only: changing it would re-place every VEP.
+        """
+        config = self.federation.config()
+        self.membership.heartbeat_interval = config.heartbeat_interval_seconds
+        self.membership.suspicion_multiplier = config.suspicion_multiplier
+        self.election.lease_seconds = config.lease_seconds
+        self.gossip.interval_seconds = config.gossip_interval_seconds
+        self.gossip.fanout = config.gossip_fanout
 
     # -- bus lifecycle --------------------------------------------------------------
 
@@ -177,10 +193,9 @@ class BusFleet:
             span.end(status="crashed")
 
     def _heartbeat_loop(self, name: str):
-        interval = self.membership.heartbeat_interval
         while name not in self._crashed and name in self.buses:
             self.membership.heartbeat(name)
-            yield self.env.timeout(interval)
+            yield self.env.timeout(self.membership.heartbeat_interval)
 
     # -- membership / leadership reactions ------------------------------------------
 

@@ -10,14 +10,12 @@ fleet-wide QoS views converge deterministically.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.observability import NULL_METRICS, NULL_TRACER
 from repro.simulation import RandomSource
 
 __all__ = ["GossipAgent", "QoSGossip"]
-
-
-def _record_key(record):
-    return (record.finished_at, record.started_at, record.target, record.caller, record.operation)
 
 
 class GossipAgent:
@@ -27,13 +25,34 @@ class GossipAgent:
         self.name = name
         self.qos = qos
         #: Per-endpoint identity sets of every record known (locally
-        #: observed or merged), so re-gossip never double-counts.
+        #: observed or merged), so re-gossip never double-counts. A record
+        #: is hashed when it first enters one of these sets; set difference
+        #: and update between agents reuse the stored hash.
         self.known: dict[str, set] = {}
+        #: Per-endpoint ``total_invocations`` already folded into ``known``.
+        self._folded: dict[str, int] = {}
 
     def sync_local(self) -> None:
-        """Fold locally observed records into the known set."""
+        """Fold the records observed since the last sync into the known set.
+
+        Local observations are appended, so the unseen ones are the newest
+        ``total_invocations - folded`` of the window; an endpoint that saw
+        no traffic is skipped on one integer comparison.
+        """
         for address, endpoint in self.qos.endpoints.items():
-            self.known.setdefault(address, set()).update(endpoint.records)
+            unseen = endpoint.total_invocations - self._folded.get(address, 0)
+            if unseen:
+                self.known.setdefault(address, set()).update(
+                    islice(reversed(endpoint.records), unseen)
+                )
+                self._folded[address] = endpoint.total_invocations
+
+    def merge(self, address: str, delta: set) -> None:
+        """Take in records another agent knows and this one lacks."""
+        self._folded[address] = self._folded.get(address, 0) + self.qos.merge_records(
+            address, delta
+        )
+        self.known.setdefault(address, set()).update(delta)
 
 
 class QoSGossip:
@@ -107,12 +126,10 @@ class QoSGossip:
         for source, sink in ((a, b), (b, a)):
             for address in sorted(source.known):
                 delta = source.known[address] - sink.known.get(address, set())
-                if not delta:
-                    continue
-                fresh = sorted(delta, key=_record_key)
-                sink.qos.merge_records(address, fresh)
-                sink.known.setdefault(address, set()).update(delta)
-                moved += len(fresh)
+                if delta:
+                    # Unsorted: merge_records orders the window itself.
+                    sink.merge(address, delta)
+                    moved += len(delta)
         return moved
 
     def summary(self) -> dict:

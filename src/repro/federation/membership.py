@@ -46,14 +46,21 @@ class FleetMembership:
         if suspicion_multiplier <= 1.0:
             raise ValueError(f"suspicion_multiplier must exceed 1: {suspicion_multiplier}")
         self.env = env
+        #: Both may be re-tuned on a live registry (a federation policy
+        #: reload); the monitor reads them on every sweep.
         self.heartbeat_interval = heartbeat_interval
-        self.suspicion_after = heartbeat_interval * suspicion_multiplier
+        self.suspicion_multiplier = suspicion_multiplier
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.members: dict[str, BusMember] = {}
         #: ``listener(kind, name)`` with kind in {"join", "leave", "suspect"}.
         self._listeners: list[Callable[[str, str], None]] = []
         self._monitoring = False
+
+    @property
+    def suspicion_after(self) -> float:
+        """Seconds without a heartbeat after which a member is suspected."""
+        return self.heartbeat_interval * self.suspicion_multiplier
 
     def add_listener(self, listener: Callable[[str, str], None]) -> None:
         self._listeners.append(listener)

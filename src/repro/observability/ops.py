@@ -135,11 +135,7 @@ def render_top(bus, window_seconds: float = 60.0) -> str:
             if not percentiles:
                 qos = bus.qos.endpoint(member)
                 if qos is not None:
-                    percentiles = {
-                        50: qos.response_time(0, "mean"),
-                        95: qos.response_time(0, "p95"),
-                        99: qos.response_time(0, "p99"),
-                    }
+                    percentiles = {q: qos.response_time(0, f"p{q}") for q in (50, 95, 99)}
             states = slo_status.get(member, {})
             slo_cell = _worst_state(states) if slo_active else "-"
             table.add_row(

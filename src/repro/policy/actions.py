@@ -657,10 +657,11 @@ class AdaptiveTimeoutAction(ResilienceAction):
     """Derive invocation timeouts from observed latency percentiles.
 
     The timeout for an endpoint becomes ``multiplier`` × the ``aggregate``
-    response time over the QoS Measurement Service's last ``window``
-    successful samples, clamped to ``[min_seconds, max_seconds]``. Until
-    ``min_samples`` observations exist the configured fixed timeout is
-    used unchanged.
+    response time of the successes among the QoS Measurement Service's last
+    ``window`` observations (failures occupy the window but carry no
+    response time), clamped to ``[min_seconds, max_seconds]``. Until
+    ``min_samples`` of those observations are successes the configured
+    fixed timeout is used unchanged.
     """
 
     aggregate: str = attr("p95", choices=("mean", "max", "p95", "p99"))

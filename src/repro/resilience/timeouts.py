@@ -26,16 +26,16 @@ def adaptive_timeout(
     """The timeout to use for ``endpoint``, or ``fallback`` without data.
 
     ``qos`` is a :class:`~repro.wsbus.qos.QoSMeasurementService`. Until
-    ``config.min_samples`` successful observations exist in the window the
-    fixed ``fallback`` is returned unchanged (optimistic guessing from two
-    samples would be worse than the status quo).
+    ``config.min_samples`` of the last ``config.window`` observations are
+    successes the fixed ``fallback`` is returned unchanged (optimistic
+    guessing from two samples would be worse than the status quo).
     """
     endpoint_qos = qos.endpoint(endpoint)
     if endpoint_qos is None:
         return fallback
-    if endpoint_qos.sample_count(config.window, successful_only=True) < config.min_samples:
-        return fallback
-    observed = endpoint_qos.response_time(config.window, config.aggregate)
+    observed = endpoint_qos.response_time(
+        config.window, config.aggregate, min_samples=config.min_samples
+    )
     if observed is None:
         return fallback
     derived = config.multiplier * observed

@@ -16,23 +16,79 @@ assertions expect, and the best-endpoint query the selection service uses.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import attrgetter
 
 from repro.services import InvocationRecord
 
 __all__ = ["EndpointQoS", "QoSMeasurementService"]
 
+#: Percentile aggregates of :meth:`EndpointQoS.response_time`.
+_QUANTILES = {"p50": 0.50, "p95": 0.95, "p99": 0.99}
+_AGGREGATES = frozenset(_QUANTILES) | {"mean", "min", "max"}
+
+#: Completion order, for merging the observations of several buses. Built
+#: in C: sorting a window through it makes no Python call per record.
+_order_key = attrgetter("finished_at", "started_at", "target", "caller", "operation")
+
+
+class _Evidence:
+    """The newest ``size`` observations of one endpoint, kept digested.
+
+    ``outcomes`` holds one entry per observation, oldest first: the
+    round-trip time of a success, ``None`` for a failure. ``durations`` is
+    the ascending list of the successes among them — exactly what
+    ``sorted(...)`` over the window would return, so every aggregate read
+    from it (the mean included: ``sum`` runs over the same floats in the
+    same order) equals the recomputed one bit for bit.
+    """
+
+    __slots__ = ("size", "outcomes", "durations")
+
+    def __init__(self, size: int, newest) -> None:
+        self.size = size
+        self.outcomes = deque(
+            (r.duration if r.succeeded else None for r in newest), maxlen=size
+        )
+        self.durations = sorted(d for d in self.outcomes if d is not None)
+
+    def push(self, duration: float | None) -> None:
+        outcomes = self.outcomes
+        if len(outcomes) == self.size:
+            if not outcomes:
+                return  # a zero-length window holds nothing
+            evicted = outcomes[0]  # the append below drops it
+            if evicted is not None:
+                del self.durations[bisect_left(self.durations, evicted)]
+        outcomes.append(duration)
+        if duration is not None:
+            insort(self.durations, duration)
+
 
 @dataclass
 class EndpointQoS:
-    """Rolling QoS observations for one endpoint."""
+    """Rolling QoS observations for one endpoint.
+
+    ``records`` is the window itself; :meth:`add` is the only way to grow
+    it in place, and assigning a new deque (as a gossip merge does) is the
+    only other supported change. Look-ups are served from one
+    :class:`_Evidence` per window size that has been asked for, created on
+    the first such look-up and kept current by :meth:`add` — an endpoint
+    nobody queries maintains nothing.
+    """
 
     address: str
     window: int = 500
     records: deque = field(default_factory=deque)
     total_invocations: int = 0
     total_failures: int = 0
+    #: Window size -> evidence over ``_mirrored``; dropped as a whole when
+    #: ``records`` is no longer the deque they were built from.
+    _evidence: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _mirrored: deque | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.records, deque) or self.records.maxlen != self.window:
@@ -41,33 +97,60 @@ class EndpointQoS:
     def add(self, record: InvocationRecord) -> None:
         self.records.append(record)
         self.total_invocations += 1
-        if not record.succeeded:
+        succeeded = record.succeeded
+        if not succeeded:
             self.total_failures += 1
+        if self._evidence:
+            duration = record.duration if succeeded else None
+            for evidence in self._evidence.values():
+                evidence.push(duration)
 
     # -- metric computations ---------------------------------------------------
 
-    def _recent(self, window: int) -> list[InvocationRecord]:
-        records = list(self.records)
-        return records[-window:] if window > 0 else records
+    def _recent(self, window: int):
+        """The window's records, oldest first, without copying the deque."""
+        records = self.records
+        if 0 < window < len(records):
+            return islice(records, len(records) - window, None)
+        return records
+
+    def _evidence_for(self, window: int) -> _Evidence:
+        records = self.records
+        if self._mirrored is not records:
+            self._evidence.clear()
+            self._mirrored = records
+        size = window if 0 < window < self.window else self.window
+        evidence = self._evidence.get(size)
+        if evidence is None:
+            evidence = self._evidence[size] = _Evidence(size, self._recent(size))
+        return evidence
 
     def sample_count(self, window: int = 0, successful_only: bool = False) -> int:
         """How many observations the window holds (adaptive-timeout input)."""
-        records = self._recent(window)
         if successful_only:
-            return sum(1 for r in records if r.succeeded)
-        return len(records)
+            return len(self._evidence_for(window).durations)
+        held = len(self.records)
+        return min(window, held) if window > 0 else held
 
     def reliability(self, window: int = 0) -> float | None:
         """Ratio of successful invocations over total, in the window."""
-        records = self._recent(window)
-        if not records:
+        evidence = self._evidence_for(window)
+        if not evidence.outcomes:
             return None
-        return sum(1 for r in records if r.succeeded) / len(records)
+        return len(evidence.durations) / len(evidence.outcomes)
 
-    def response_time(self, window: int = 0, aggregate: str = "mean") -> float | None:
-        """Aggregate RTT over *successful* invocations in the window."""
-        durations = sorted(r.duration for r in self._recent(window) if r.succeeded)
-        if not durations:
+    def response_time(
+        self, window: int = 0, aggregate: str = "mean", *, min_samples: int = 1
+    ) -> float | None:
+        """Aggregate RTT over the *successful* invocations in the window.
+
+        ``None`` while the window holds fewer than ``min_samples``
+        successes (at least one is always needed).
+        """
+        if aggregate not in _AGGREGATES:
+            raise ValueError(f"unknown aggregate {aggregate!r}")
+        durations = self._evidence_for(window).durations
+        if len(durations) < max(min_samples, 1):
             return None
         if aggregate == "mean":
             return sum(durations) / len(durations)
@@ -75,11 +158,8 @@ class EndpointQoS:
             return durations[0]
         if aggregate == "max":
             return durations[-1]
-        if aggregate in ("p95", "p99"):
-            quantile = 0.95 if aggregate == "p95" else 0.99
-            index = min(len(durations) - 1, int(round(quantile * (len(durations) - 1))))
-            return durations[index]
-        raise ValueError(f"unknown aggregate {aggregate!r}")
+        last = len(durations) - 1
+        return durations[min(last, int(round(_QUANTILES[aggregate] * last)))]
 
     def availability(self, window: int = 0) -> float | None:
         """Observed availability: uptime fraction estimated from the
@@ -89,18 +169,18 @@ class EndpointQoS:
         duration (first failure start to last failure end) approximates
         time-to-recover as seen by callers.
         """
-        records = self._recent(window)
+        records = self.records
         if not records:
             return None
-        horizon_start = records[0].started_at
-        horizon_end = records[-1].finished_at
-        horizon = horizon_end - horizon_start
+        oldest = records[max(0, len(records) - window)] if window > 0 else records[0]
+        newest = records[-1]
+        horizon = newest.finished_at - oldest.started_at
         if horizon <= 0:
-            return 1.0 if records[-1].succeeded else 0.0
+            return 1.0 if newest.succeeded else 0.0
         downtime = 0.0
         burst_start: float | None = None
         burst_end = 0.0
-        for record in records:
+        for record in self._recent(window):
             if not record.succeeded:
                 if burst_start is None:
                     burst_start = record.started_at
@@ -132,16 +212,17 @@ class EndpointQoS:
           and ``None`` only when the window is empty or the successes
           carry no elapsed time to divide by (all instantaneous).
         """
-        records = self._recent(window)
-        if not records:
+        if not self.records:
             return None
-        successes = [r for r in records if r.succeeded]
+        successes = len(self._evidence_for(window).durations)
         if not successes:
             return 0.0
-        span = successes[-1].finished_at - successes[0].started_at
+        first = next(r for r in self._recent(window) if r.succeeded)
+        last = next(r for r in reversed(self.records) if r.succeeded)
+        span = last.finished_at - first.started_at
         if span <= 0:
             return None
-        return len(successes) / span
+        return successes / span
 
 
 class QoSMeasurementService:
@@ -175,8 +256,7 @@ class QoSMeasurementService:
         """
         out: dict[str, list[InvocationRecord]] = {}
         for address in sorted(self.endpoints):
-            records = list(self.endpoints[address].records)
-            out[address] = records[-limit:] if limit > 0 else records
+            out[address] = list(self.endpoints[address]._recent(limit))
         return out
 
     def merge_records(self, address: str, records) -> int:
@@ -192,18 +272,21 @@ class QoSMeasurementService:
         if endpoint is None:
             endpoint = EndpointQoS(address, window=self.window)
             self.endpoints[address] = endpoint
-        known = set(endpoint.records)
-        fresh = [r for r in records if r not in known]
+        window = endpoint.records
+        incoming = list(records)
+        # A duplicate finished when some resident record did. Only then is the
+        # window hashed to find it (InvocationRecord.__hash__ is a Python
+        # function); a gossip delta, which holds no resident record, never is.
+        finishes = {r.finished_at for r in window}
+        known = set(window) if any(r.finished_at in finishes for r in incoming) else ()
+        fresh = [r for r in incoming if r not in known]
         if not fresh:
             return 0
         for record in fresh:
             endpoint.total_invocations += 1
             if not record.succeeded:
                 endpoint.total_failures += 1
-        combined = sorted(
-            list(endpoint.records) + fresh,
-            key=lambda r: (r.finished_at, r.started_at, r.target, r.caller, r.operation),
-        )
+        combined = sorted(chain(window, fresh), key=_order_key)
         endpoint.records = deque(combined, maxlen=endpoint.window)
         return len(fresh)
 

@@ -135,3 +135,44 @@ def test_explicit_refresh_still_works_without_a_notification(env, network):
     assert not bus.traffic.active
     bus.traffic.refresh_from_policies()
     assert bus.traffic.active
+
+
+def test_federation_intervals_follow_a_reload_on_the_running_fleet(env, network):
+    """Regression: ``BusFleet`` read the federation tuning once, at
+    construction, so a ``Federation`` document loaded later changed
+    ``FederationService.config()`` and nothing else."""
+    repository = PolicyRepository()
+    fleet = BusFleet(env, network, shards=2, repository=repository)
+    rounds, beats = [], []
+    run_round, heartbeat = fleet.gossip.run_round, fleet.membership.heartbeat
+    fleet.gossip.run_round = lambda alive: rounds.append(env.now) or run_round(alive)
+    fleet.membership.heartbeat = lambda name: (
+        beats.append(env.now) if name == "bus-0" else None
+    ) or heartbeat(name)
+
+    env.run(until=4.9)
+    assert rounds == [2.0, 4.0]  # the built-in 2 s
+    repository.load(
+        federation_policy_document(
+            heartbeat_interval_seconds=0.25,
+            suspicion_multiplier=4.0,
+            gossip_interval_seconds=0.5,
+            gossip_fanout=2,
+            lease_seconds=1.5,
+            virtual_nodes=8,
+        )
+    )
+    assert fleet.gossip.fanout == 2
+    assert fleet.membership.suspicion_after == 1.0
+    assert fleet.ring.virtual_nodes == 32  # placement is construction-time
+    env.run(until=7.2)
+    # The sleep under way ends when it was due; the next one is the new length.
+    assert rounds == [2.0, 4.0, 6.0, 6.5, 7.0]
+    assert [later - earlier for earlier, later in zip(beats[-4:], beats[-3:])] == [0.25] * 3
+    assert fleet.election.lease.expires_at - env.now <= 1.5
+    assert fleet.membership.alive() == ["bus-0", "bus-1"]
+
+    repository.unload("scm-federation")
+    assert fleet.gossip.interval_seconds == 2.0 and fleet.gossip.fanout == 1
+    assert fleet.membership.heartbeat_interval == 0.5
+    assert fleet.election.lease_seconds == 3.0

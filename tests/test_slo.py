@@ -549,3 +549,26 @@ class TestRenderTop:
         text = render_top(result.bus, window_seconds=60.0)
         assert "wsBus top" in text
         assert "retailers [round_robin]" in text
+
+    def test_qos_fallback_p50_is_the_median_not_the_mean(self):
+        # Regression: the p50 cell was filled from the mean (2080ms here).
+        from conftest import ECHO_CONTRACT
+        from repro.services import InvocationOutcome, InvocationRecord
+        from repro.simulation import RandomSource
+        from repro.transport import Network
+        from repro.wsbus import WsBus
+
+        env = Environment()
+        bus = WsBus(env, Network(env, RandomSource(1)))
+        bus.create_vep("echo", ECHO_CONTRACT, members=["http://svc/a"])
+        for index, duration in enumerate((0.1, 0.1, 0.1, 0.1, 10.0)):
+            bus.qos.observe(
+                InvocationRecord(
+                    "vep", "http://svc/a", "echo", float(index), index + duration,
+                    InvocationOutcome.SUCCESS,
+                )
+            )
+        (row,) = [line for line in render_top(bus).splitlines() if "http://svc/a" in line]
+        cells = [cell.strip() for cell in row.split("|")]
+        assert "100ms" in cells and "10000ms" in cells
+        assert "2080ms" not in cells

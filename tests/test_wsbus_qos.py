@@ -61,6 +61,22 @@ class TestEndpointQoS:
         with pytest.raises(ValueError):
             qos.lookup("karma", 0, "mean", "http://a")
 
+    def test_unknown_aggregate_rejected_on_a_cold_window(self):
+        # Regression: the aggregate was checked only once a success had
+        # arrived, so a mistyped one returned None until traffic came and
+        # then raised in the middle of the run.
+        qos = QoSMeasurementService()
+        qos.observe(record(ok=False))
+        with pytest.raises(ValueError, match="unknown aggregate 'p90'"):
+            qos.lookup("response_time", 50, "p90", "http://a")
+
+    def test_median_uses_the_percentile_index_rule(self):
+        qos = QoSMeasurementService()
+        for duration in (0.1, 0.2, 0.3, 10.0):
+            qos.observe(record(duration=duration))
+        # index round(0.5 * 3) == 2, as p95/p99 pick theirs
+        assert qos.lookup("response_time", 0, "p50", "http://a") == 0.3
+
     def test_availability_full_uptime(self):
         qos = QoSMeasurementService()
         for index in range(5):
