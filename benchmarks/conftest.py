@@ -2,20 +2,22 @@
 
 The actual harnesses live in :mod:`repro.experiments` so the command-line
 interface (``python -m repro``) and the benchmark suite share one
-implementation. Each benchmark regenerates one table or figure from the
-paper's evaluation; assertions check the *shape* (who wins, by what
-factor, how series move), not absolute numbers.
+implementation: every run is a :class:`~repro.experiments.Scenario` value
+driven by :func:`~repro.experiments.run`. Each benchmark regenerates one
+table or figure from the paper's evaluation; assertions check the *shape*
+(who wins, by what factor, how series move), not absolute numbers.
 """
 
-from repro.experiments.harness import (  # noqa: F401 - re-exported for benchmarks
-    OverloadStormResult,
-    StormResult,
-    Table1Row,
+from repro.experiments import (  # noqa: F401 - re-exported for benchmarks
+    RunResult,
+    Scenario,
     catalog_plan,
+    fault_storm,
+    figure5_point,
+    fleet_storm,
     order_plan,
-    run_direct_configuration,
-    run_fault_storm,
-    run_overload_storm,
-    run_rtt_point,
-    run_vep_configuration,
+    overload_storm,
+    run,
+    table1_direct,
+    table1_vep,
 )

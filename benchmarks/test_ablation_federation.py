@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-from repro.experiments import fleet_cells, run_cells
+from repro.experiments import Cell, fleet_storm, run, run_cells
 from repro.metrics import Table
 
 FLEET_SEED = 23
@@ -29,15 +29,11 @@ SHARDS = 4
 
 
 def sweep_fleet(jobs: int):
-    cells = fleet_cells(
-        seed=FLEET_SEED,
-        shards=SHARDS,
-        partitions=6,
-        clients_per_partition=4,
-        requests=30,
-    )
-    results = run_cells(cells, jobs=jobs)
-    return {result.shards: result for result in results.values()}
+    cells = [
+        Cell((shards,), run, {"scenario": fleet_storm(FLEET_SEED, shards)})
+        for shards in (1, SHARDS)
+    ]
+    return {key[0]: result for key, result in run_cells(cells, jobs=jobs).items()}
 
 
 def _fingerprint(arms) -> str:
@@ -65,10 +61,10 @@ def test_federation_ablation(benchmark):
         ],
         title="Ablation — partitioned storm: one bus vs federated fleet",
     )
-    for result in (single, fleet):
+    for shards, result in arms.items():
         table.add_row(
             [
-                f"{result.shards} bus{'es' if result.shards > 1 else ''}",
+                f"{shards} bus{'es' if shards > 1 else ''}",
                 f"{result.delivered}/{result.total_requests}",
                 f"{result.reliability:.4f}",
                 f"{result.throughput:.1f}",

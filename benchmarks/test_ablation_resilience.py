@@ -16,7 +16,7 @@ times out after 8 s still cost 8 s.
 
 from __future__ import annotations
 
-from conftest import run_fault_storm
+from conftest import fault_storm, run
 from repro.metrics import Table
 
 STORM_SEED = 7
@@ -24,8 +24,8 @@ STORM_SEED = 7
 
 def sweep_resilience():
     return {
-        "off": run_fault_storm(seed=STORM_SEED, resilience=False),
-        "on": run_fault_storm(seed=STORM_SEED, resilience=True),
+        "off": run(fault_storm(STORM_SEED, resilience=False)),
+        "on": run(fault_storm(STORM_SEED, resilience=True)),
     }
 
 
@@ -37,10 +37,10 @@ def test_resilience_ablation(benchmark):
         ["Resilience", "Delivered", "Reliability", "p99 RTT (s)", "Breaker transitions"],
         title="Ablation — resilience subsystem under fault storm",
     )
-    for result in (off, on):
+    for label, result in results.items():
         table.add_row(
             [
-                "on" if result.resilience else "off",
+                label,
                 f"{result.delivered}/{result.total_requests}",
                 f"{result.reliability:.4f}",
                 f"{result.p99_rtt:.3f}",
@@ -77,8 +77,8 @@ def test_resilience_storm_is_deterministic(benchmark):
 
     def run_twice():
         return (
-            run_fault_storm(seed=STORM_SEED, resilience=True),
-            run_fault_storm(seed=STORM_SEED, resilience=True),
+            run(fault_storm(STORM_SEED, resilience=True)),
+            run(fault_storm(STORM_SEED, resilience=True)),
         )
 
     first, second = benchmark.pedantic(run_twice, rounds=1, iterations=1)

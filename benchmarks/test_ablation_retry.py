@@ -9,26 +9,36 @@ recovery-path latency.
 
 from __future__ import annotations
 
-from conftest import run_vep_configuration
+from dataclasses import replace
+
+from conftest import run, table1_vep
+from repro.casestudies.scm import retailer_recovery_policy_document
 from repro.metrics import Table
 
 RETRY_BUDGETS = (0, 1, 3, 6)
 
 
+def run_with_retries(seed: int, max_retries: int, delay: float):
+    """The Table 1 VEP run under a recovery policy with this retry budget."""
+    policy = retailer_recovery_policy_document(
+        max_retries=max_retries, retry_delay_seconds=delay
+    )
+    return run(replace(table1_vep(seed, requests=150), policies=(policy,)))
+
+
 def sweep_retries():
     rows = []
     for max_retries in RETRY_BUDGETS:
-        row, bus, result = run_vep_configuration(
-            seed=53, clients=4, requests=150, max_retries=max_retries, retry_delay=2.0
-        )
+        result = run_with_retries(53, max_retries, delay=2.0)
+        bus = result.bus
         recovered = sum(1 for outcome in bus.adaptation.outcomes if outcome.recovered)
         retried_ok = bus.retry_queue.redeliveries_succeeded
-        rtts = sorted(record.duration for record in result.successes)
+        rtts = sorted(record.duration for record in result.workload.successes)
         p99 = rtts[int(0.99 * (len(rtts) - 1))]
         rows.append(
             {
                 "max_retries": max_retries,
-                "failures_per_1000": row.failures_per_1000,
+                "failures_per_1000": result.failures_per_1000,
                 "recovered": recovered,
                 "retry_successes": retried_ok,
                 "p99_rtt": p99,
@@ -75,18 +85,15 @@ def test_retry_delay_ablation(benchmark):
     def sweep_delays():
         rows = []
         for delay in (0.5, 2.0, 8.0):
-            row, bus, result = run_vep_configuration(
-                seed=59, clients=4, requests=150, max_retries=3, retry_delay=delay
-            )
-            recovery_times = [
-                record.duration for record in result.successes if record.duration > 1.0
-            ]
+            result = run_with_retries(59, 3, delay=delay)
+            successes = result.workload.successes
+            recovery_times = [record.duration for record in successes if record.duration > 1.0]
             rows.append(
                 {
                     "delay": delay,
-                    "failures_per_1000": row.failures_per_1000,
+                    "failures_per_1000": result.failures_per_1000,
                     "slow_successes": len(recovery_times),
-                    "max_rtt": max((record.duration for record in result.successes), default=0),
+                    "max_rtt": max((record.duration for record in successes), default=0),
                 }
             )
         return rows

@@ -20,7 +20,7 @@ RTT statistics cover *all* requests, failures included.
 
 from __future__ import annotations
 
-from conftest import run_overload_storm
+from conftest import overload_storm, run
 from repro.metrics import Table
 
 OVERLOAD_SEED = 11
@@ -28,8 +28,8 @@ OVERLOAD_SEED = 11
 
 def sweep_overload():
     return {
-        "shed": run_overload_storm(seed=OVERLOAD_SEED, traffic=False),
-        "traffic": run_overload_storm(seed=OVERLOAD_SEED, traffic=True),
+        "shed": run(overload_storm(OVERLOAD_SEED, traffic=False)),
+        "traffic": run(overload_storm(OVERLOAD_SEED, traffic=True)),
     }
 
 
@@ -50,10 +50,10 @@ def test_traffic_ablation(benchmark):
         ],
         title="Ablation — flash crowd: shed-only vs cache + load leveling",
     )
-    for result in (shed, shaped):
+    for label, result in results.items():
         table.add_row(
             [
-                result.mode,
+                label,
                 f"{result.delivered}/{result.total_requests}",
                 f"{result.reliability:.4f}",
                 f"{result.p99_rtt:.4f}",
@@ -97,8 +97,8 @@ def test_overload_storm_is_deterministic(benchmark):
 
     def run_twice():
         return (
-            run_overload_storm(seed=OVERLOAD_SEED, traffic=True),
-            run_overload_storm(seed=OVERLOAD_SEED, traffic=True),
+            run(overload_storm(OVERLOAD_SEED, traffic=True)),
+            run(overload_storm(OVERLOAD_SEED, traffic=True)),
         )
 
     first, second = benchmark.pedantic(run_twice, rounds=1, iterations=1)

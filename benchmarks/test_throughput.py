@@ -12,39 +12,15 @@ successful requests* than a direct client pointed at a flaky retailer.
 
 from __future__ import annotations
 
-from conftest import catalog_plan, run_vep_configuration
-from repro.casestudies.scm import RETAILER_CONTRACT, build_scm_deployment
+from conftest import figure5_point, run, table1_direct, table1_vep
 from repro.metrics import Table
-from repro.policy import PolicyRepository
-from repro.workload import WorkloadRunner
-from repro.wsbus import WsBus
 
 CLIENT_COUNTS = (1, 2, 4, 8)
 
 
 def measure_throughput(through_bus: bool, clients: int, seed: int = 31) -> float:
-    deployment = build_scm_deployment(seed=seed, log_events=False)
-    target = deployment.retailers["C"].address
-    if through_bus:
-        bus = WsBus(
-            deployment.env,
-            deployment.network,
-            repository=PolicyRepository(),
-            registry=deployment.registry,
-            member_timeout=30.0,
-            colocated_with_clients=True,
-        )
-        vep = bus.create_vep(
-            "retailers", RETAILER_CONTRACT, members=[target], selection_strategy="primary"
-        )
-        target = vep.address
-    runner = WorkloadRunner(deployment.env, deployment.network)
-    result = runner.run(
-        catalog_plan(target, timeout=30.0, think=0.0),
-        clients=clients,
-        requests_per_client=150,
-    )
-    return result.throughput()
+    """The Figure 5 deployment (Retailer C, colocated bare bus), unpadded requests."""
+    return run(figure5_point(through_bus, seed=seed, clients=clients)).throughput
 
 
 def regenerate_throughput():
@@ -88,23 +64,14 @@ def test_goodput_under_faults_favors_wsbus(benchmark):
     into (slower) successes: goodput beats the flaky direct retailer."""
 
     def run_both():
-        deployment = build_scm_deployment(seed=37, log_events=False)
-        deployment.inject_table1_mix()
-        runner = WorkloadRunner(deployment.env, deployment.network)
-        direct_result = runner.run(
-            catalog_plan(deployment.retailers["A"].address, timeout=5.0, think=2.0),
-            clients=4,
-            requests_per_client=200,
-        )
-        _, _, vep_result = run_vep_configuration(seed=37, clients=4, requests=200)
-        return direct_result, vep_result
+        return run(table1_direct("A", 37, requests=200)), run(table1_vep(37, requests=200))
 
     direct_result, vep_result = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    direct_successes = len(direct_result.successes)
-    vep_successes = len(vep_result.successes)
+    direct_successes = direct_result.delivered
+    vep_successes = vep_result.delivered
     print(
         f"\nGoodput under faults: direct A {direct_successes}/800 succeeded, "
         f"wsBus VEP {vep_successes}/800 succeeded"
     )
     assert vep_successes > direct_successes
-    assert vep_successes >= 0.99 * len(vep_result.records)
+    assert vep_successes >= 0.99 * vep_result.total_requests

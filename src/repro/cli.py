@@ -4,7 +4,7 @@ Usage::
 
     python -m repro table1 [--seeds 11 23 47] [--requests 250] [--jobs 4] [--trace spans.jsonl]
     python -m repro figure5 [--requests 150] [--jobs 4] [--trace spans.jsonl]
-    python -m repro storm [--seed 7] [--requests 60] [--jobs 2] [--trace spans.jsonl] [--slo]
+    python -m repro storm [--seed 7] [--requests 60] [--jobs 2] [--trace PATH] [--slo] [--report PATH]
     python -m repro storm --crash-engine [--seed 7] [--sagas] [--journal DIR]
     python -m repro storm --traffic [--seed 7] [--report report.json]
     python -m repro storm --fleet 4 [--seed 7] [--report report.json]
@@ -30,12 +30,18 @@ loop: burn-rate events drive a selection-strategy switch (see
 ``storm --traffic`` swaps the fault storm for the overload (flash-crowd)
 ablation: shed-only admission control vs the policy-driven traffic tier
 (response cache + load leveling + idempotency keys, see
-``docs/traffic.md``); ``--report PATH`` writes the numbers as JSON.
+``docs/traffic.md``).
 ``storm --fleet N`` swaps the fault storm for the federation ablation:
 the same partitioned Retailer workload through one capacity-bounded bus
 vs an N-shard :class:`~repro.federation.BusFleet` (consistent-hash VEP
 placement, gossip QoS, leader-elected adaptation — see
-``docs/federation.md``); ``--report PATH`` writes the numbers as JSON.
+``docs/federation.md``).
+Each of the three ablations is two :class:`~repro.experiments.Scenario`
+arms run through :func:`~repro.experiments.run_cells`, one table, an
+optional ``--report PATH`` (both arms as JSON) and, for ``--traffic`` and
+``--fleet``, an exit status that gates on the treated arm winning. A flag
+the chosen ``storm`` mode does not read (``STORM_FLAGS``) exits 2 with one
+line naming it.
 ``top`` runs a short SLO-enabled storm and renders the live per-endpoint
 operations table every ``--interval`` simulated seconds.
 ``storm --crash-engine`` swaps the resilience ablation for the durability
@@ -69,12 +75,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.experiments import (
+    Cell,
+    fault_storm,
+    fleet_storm,
+    overload_storm,
     regenerate_figure5,
     regenerate_table1,
     render_figure5,
     render_table1,
+    run,
+    run_cells,
 )
 
 __all__ = ["main"]
@@ -135,86 +149,129 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The flags (argparse destinations) each ``storm`` mode reads besides
+#: ``--seed``; any other storm flag on the command line exits 2.
+STORM_FLAGS = {
+    "resilience": {"clients", "requests", "slo", "trace", "report", "jobs", "chunk"},
+    "traffic": {"traffic", "clients", "requests", "report", "jobs", "chunk"},
+    "fleet": {"fleet", "clients", "requests", "trace", "report", "jobs", "chunk"},
+    "crash_engine": {"crash_engine", "sagas", "journal"},
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _cmd_storm(args: argparse.Namespace) -> int:
-    from repro.experiments import run_cells, run_fault_storm, storm_cells
+    given = set(vars(args)) - {"command", "handler", "seed"}
+    mode = next((m for m in ("crash_engine", "traffic", "fleet") if m in given), "resilience")
+    unread = sorted(given - STORM_FLAGS[mode])
+    if unread:
+        selector = "" if mode == "resilience" else f" {_flag(mode)}"
+        print(f"storm{selector}: {_flag(unread[0])} does not apply", file=sys.stderr)
+        return 2
+    if mode == "crash_engine":
+        return _run_crash_storm(args)
+    if mode == "fleet" and args.fleet < 2:
+        print("--fleet needs at least 2 shards to compare against one bus", file=sys.stderr)
+        return 2
+    return _run_ablation(_ABLATIONS[mode], args)
+
+
+@dataclass(frozen=True)
+class _Ablation:
+    """One two-arm ``storm`` ablation: its arms, table, report and bar."""
+
+    title: str
+    #: ``(args, **mix)`` -> ``[(label, Scenario)] * 2``, ``mix`` holding the
+    #: ``--clients``/``--requests`` given; ``--trace`` follows the second arm.
+    arms: Callable
+    #: The first column's header (it holds the arm's label), then
+    #: ``(header, cell(result))`` per further column.
+    label_header: str
+    columns: tuple
+    #: ``(baseline, treated)``: printed after the table.
+    details: Callable
+    #: The treated arm's scenario -> the report's leading fields.
+    report: Callable
+    #: ``(label, result)`` -> one arm of the report.
+    report_arm: Callable
+    #: ``(path, recorder, treated)``: write and announce the flight dump.
+    artifacts: Callable | None = None
+    #: ``(baseline, treated)`` -> why the treated arm missed the bar, or None.
+    gate: Callable | None = None
+
+
+def _run_ablation(ablation: _Ablation, args: argparse.Namespace) -> int:
+    """Two arms -> run_cells -> one table -> optional report -> exit gate."""
+    import json
+
     from repro.metrics import Table
 
-    if args.traffic and (
-        args.crash_engine or args.sagas or args.journal or args.slo or args.trace
-    ):
-        print(
-            "--traffic runs its own ablation; it cannot combine with "
-            "--crash-engine/--sagas/--journal/--slo/--trace",
-            file=sys.stderr,
-        )
-        return 2
-    if args.fleet is not None:
-        if args.crash_engine or args.sagas or args.journal or args.slo or args.traffic:
-            print(
-                "--fleet runs its own ablation; it cannot combine with "
-                "--crash-engine/--sagas/--journal/--slo/--traffic",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_fleet_storm(args)
-    if args.clients is None:
-        args.clients = 32 if args.traffic else 6
-    if args.requests is None:
-        args.requests = 120 if args.traffic else 60
-    if args.traffic:
-        return _run_traffic_storm(args)
-    if args.crash_engine:
-        return _run_crash_storm(args)
-    if args.sagas or args.journal:
-        print("--sagas/--journal require --crash-engine", file=sys.stderr)
-        return 2
-
+    mix = {name: getattr(args, name) for name in ("clients", "requests") if name in args}
+    arms = ablation.arms(args, **mix)
     tracer, exporter = _make_tracer(args)
+    jobs = _effective_jobs(args, tracer)
     recorder = None
-    if tracer is not None:
-        # Tracing runs the arms inline (jobs forced to 1), so the bus of
-        # the resilience-on arm stays available for the operations-plane
-        # artifacts: the flight-recorder dump and the Prometheus snapshot.
+    if tracer is None:
+        cells = [Cell((index,), run, {"scenario": arm}) for index, (_, arm) in enumerate(arms)]
+        merged = run_cells(cells, jobs=jobs, chunk_size=getattr(args, "chunk", None))
+        results = list(merged.values())
+    else:
+        # Spans, the flight recorder and the traced arm's live bus belong
+        # to this process: run both arms inline, tracing the second.
         from repro.observability import FlightRecorder
 
         recorder = tracer.add_exporter(FlightRecorder(tracer=tracer))
-        _effective_jobs(args, tracer)
-        off = run_fault_storm(
-            seed=args.seed, resilience=False, clients=args.clients, requests=args.requests
-        )
-        on = run_fault_storm(
-            seed=args.seed,
-            resilience=True,
-            clients=args.clients,
-            requests=args.requests,
-            tracer=tracer,
-            slo=args.slo,
-            flight_recorder=recorder,
-        )
-        results = [off, on]
-    else:
-        cells = storm_cells(
-            seed=args.seed, clients=args.clients, requests=args.requests, slo=args.slo
-        )
-        merged = run_cells(cells, jobs=_effective_jobs(args, tracer), chunk_size=args.chunk)
-        results = [merged[(args.seed, "off")], merged[(args.seed, "on")]]
+        (_, baseline), (_, treated) = arms
+        results = [run(baseline), run(treated, tracer=tracer, flight_recorder=recorder)]
+    labels = [label for label, _ in arms]
     table = Table(
-        ["Resilience", "Delivered", "Reliability", "p50 RTT", "p99 RTT", "Breaker transitions"],
-        title="Fault storm — resilience ablation",
+        [ablation.label_header] + [header for header, _ in ablation.columns],
+        title=ablation.title,
     )
-    for result in results:
-        table.add_row(
-            [
-                "on" if result.resilience else "off",
-                f"{result.delivered}/{result.total_requests}",
-                f"{result.reliability:.4f}",
-                f"{result.rtt_stats.get('p50', 0.0):.3f}s",
-                f"{result.p99_rtt:.3f}s",
-                len(result.breaker_transitions),
-            ]
-        )
+    for label, result in zip(labels, results):
+        table.add_row([label] + [cell(result) for _, cell in ablation.columns])
     print(table.render())
-    on = results[1]
+    ablation.details(*results)
+    if "report" in args:
+        payload = {
+            **ablation.report(arms[1][1]),
+            "arms": [ablation.report_arm(*arm) for arm in zip(labels, results)],
+        }
+        with open(args.report, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+        print(f"\nwrote ablation report to {args.report}")
+    if recorder is not None:
+        ablation.artifacts(args.trace, recorder, results[1])
+        _close_tracer(tracer, exporter, args.trace)
+    # The acceptance bar, enforced here too so CI can gate on the exit code.
+    missed = ablation.gate(*results) if ablation.gate is not None else None
+    if missed:
+        print(missed, file=sys.stderr)
+        return 1
+    return 0
+
+
+_DELIVERED = ("Delivered", lambda r: f"{r.delivered}/{r.total_requests}")
+_RELIABILITY = ("Reliability", lambda r: f"{r.reliability:.4f}")
+
+
+def _rtt(quantile: str, digits: int):
+    return f"{quantile} RTT", lambda r: f"{r.rtt_stats.get(quantile, 0.0):.{digits}f}s"
+
+
+def _outcome(result) -> dict:
+    """The report fields every arm carries."""
+    return {
+        "total_requests": result.total_requests,
+        "delivered": result.delivered,
+        "reliability": result.reliability,
+    }
+
+
+def _resilience_details(_off, on) -> None:
     if on.breaker_transitions:
         print("\nBreaker transition log (resilience on):")
         for time, endpoint, from_state, to_state in on.breaker_transitions:
@@ -228,255 +285,180 @@ def _cmd_storm(args: argparse.Namespace) -> int:
         print("\nResilience counters (on):")
         for name, value in sorted(shed.items()):
             print(f"  {name}: {value}")
-    if args.slo and on.slo is not None:
+    if on.slo is not None:
         print("\nSLO events (resilience on):")
         for event in on.slo["events"]:
             print(
                 f"  t={event['time']:9.3f}s  {event['name']}  {event['endpoint']}"
                 f"  fast_burn={event['fast_burn']:.1f}x"
             )
-    if recorder is not None:
-        flight_path = f"{args.trace}.flight.json"
-        recorder.dump(flight_path, reason="storm-complete")
-        prom_path = f"{args.trace}.prom"
-        with open(prom_path, "w", encoding="utf-8") as handle:
-            handle.write(on.bus.metrics.render_prometheus())
-        print(f"\nwrote flight-recorder dump to {flight_path}")
-        print(f"wrote Prometheus snapshot to {prom_path}")
-    _close_tracer(tracer, exporter, args.trace)
-    return 0
+
+
+def _resilience_artifacts(path, recorder, on) -> None:
+    flight_path = f"{path}.flight.json"
+    recorder.dump(flight_path, reason="storm-complete")
+    prom_path = f"{path}.prom"
+    with open(prom_path, "w", encoding="utf-8") as handle:
+        handle.write(on.bus.metrics.render_prometheus())
+    print(f"\nwrote flight-recorder dump to {flight_path}")
+    print(f"wrote Prometheus snapshot to {prom_path}")
+
+
+def _traffic_details(_shed, shaped) -> None:
+    if shaped.traffic is not None:
+        print("\nTraffic tier (shaped arm):")
+        for name, value in sorted(shaped.traffic.items()):
+            print(f"  {name}: {value}")
+        print(f"  idempotency (service container): {shaped.idempotency}")
+
+
+def _fleet_details(_single, fleet) -> None:
+    print("\nVEP placement (fleet arm):")
+    for name, owner in sorted(fleet.placement.items()):
+        print(f"  {name}: {owner}")
+
+
+def _fleet_artifacts(path, recorder, _fleet) -> None:
+    flight_path = f"{path}.flight.json"
+    recorder.dump(flight_path, reason="fleet-storm-complete")
+    print(f"wrote flight-recorder dump to {flight_path}")
+
+
+def _report_header(scenario) -> dict:
+    return {
+        "seed": scenario.seed,
+        "clients": scenario.clients,
+        "requests_per_client": scenario.requests,
+    }
+
+
+_ABLATIONS = {
+    "resilience": _Ablation(
+        title="Fault storm — resilience ablation",
+        arms=lambda args, **mix: [
+            ("off", fault_storm(args.seed, resilience=False, **mix)),
+            ("on", fault_storm(args.seed, resilience=True, slo="slo" in args, **mix)),
+        ],
+        label_header="Resilience",
+        columns=(
+            _DELIVERED,
+            _RELIABILITY,
+            _rtt("p50", 3),
+            _rtt("p99", 3),
+            ("Breaker transitions", lambda r: len(r.breaker_transitions)),
+        ),
+        details=_resilience_details,
+        report=_report_header,
+        report_arm=lambda label, r: {
+            "resilience": label,
+            **_outcome(r),
+            "failures_per_1000": r.failures_per_1000,
+            "rtt_stats": r.rtt_stats,
+            "breaker_transitions": len(r.breaker_transitions),
+        },
+        artifacts=_resilience_artifacts,
+    ),
+    "traffic": _Ablation(
+        title="Overload storm — shed-only vs traffic shaping",
+        arms=lambda args, **mix: [
+            ("shed", overload_storm(args.seed, traffic=False, **mix)),
+            ("traffic", overload_storm(args.seed, traffic=True, **mix)),
+        ],
+        label_header="Arm",
+        columns=(
+            _DELIVERED,
+            _RELIABILITY,
+            _rtt("p50", 4),
+            _rtt("p99", 4),
+            ("Budget burn", lambda r: f"{r.error_budget_burn:.1f}x"),
+            ("Shed", lambda r: r.shed),
+            ("Cache hits", lambda r: r.cache_hits),
+            ("Leveled", lambda r: r.leveled),
+        ),
+        details=_traffic_details,
+        report=_report_header,
+        report_arm=lambda label, r: {
+            "mode": label,
+            **_outcome(r),
+            "failures_per_1000": r.failures_per_1000,
+            "rtt_stats": r.rtt_stats,
+            "error_budget_burn": r.error_budget_burn,
+            "shed": r.shed,
+            "throttled": r.throttled,
+            "leveled": r.leveled,
+            "cache_hits": r.cache_hits,
+            "idempotency": r.idempotency,
+        },
+        gate=lambda shed, shaped: None
+        if shaped.p99_rtt < shed.p99_rtt and shaped.error_budget_burn < shed.error_budget_burn
+        else "traffic shaping failed to beat shed-only",
+    ),
+    "fleet": _Ablation(
+        title="Fleet storm — one bus vs a sharded fleet",
+        arms=lambda args, **mix: [
+            ("1 bus", fleet_storm(args.seed, 1, **mix)),
+            (f"{args.fleet} buses", fleet_storm(args.seed, args.fleet, **mix)),
+        ],
+        label_header="Arm",
+        columns=(
+            _DELIVERED,
+            _RELIABILITY,
+            ("Throughput", lambda r: f"{r.throughput:.1f}/s"),
+            _rtt("p50", 4),
+            _rtt("p99", 4),
+            ("Gossip merges", lambda r: r.gossip_records),
+            ("Leader", lambda r: r.leader or "-"),
+        ),
+        details=_fleet_details,
+        report=lambda scenario: {
+            "seed": scenario.seed,
+            "shards": scenario.shards,
+            "partitions": scenario.veps,
+            "clients_per_partition": scenario.clients,
+            "requests_per_client": scenario.requests,
+        },
+        report_arm=lambda _label, r: {
+            "shards": r.scenario.shards,
+            **_outcome(r),
+            "throughput": r.throughput,
+            "rtt_stats": r.rtt_stats,
+            "leader": r.leader,
+            "epoch": r.epoch,
+            "leader_changes": r.leader_changes,
+            "forwarded_events": r.forwarded_events,
+            "gossip_records": r.gossip_records,
+            "placement": r.placement,
+        },
+        artifacts=_fleet_artifacts,
+        gate=lambda single, fleet: None
+        if fleet.throughput > single.throughput and fleet.p99_rtt <= single.p99_rtt
+        else "the sharded fleet failed to beat the single bus",
+    ),
+}
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """A short SLO-enabled storm, rendered as live operations-table frames."""
-    from repro.experiments import run_fault_storm
     from repro.observability import render_top
 
     def tick(bus) -> None:
         print(render_top(bus, window_seconds=args.window))
         print()
 
-    result = run_fault_storm(
-        seed=args.seed,
+    scenario = fault_storm(
+        args.seed,
         resilience=True,
+        slo=True,
         clients=args.clients,
         requests=args.requests,
-        slo=True,
-        on_tick=tick,
-        tick_interval=args.interval,
+        tick_seconds=args.interval,
     )
+    result = run(scenario, on_tick=tick)
     print(render_top(result.bus, window_seconds=args.window))
     if result.slo is not None and result.slo["events"]:
         print("\nSLO events:")
         for event in result.slo["events"]:
             print(f"  t={event['time']:9.3f}s  {event['name']}  {event['endpoint']}")
-    return 0
-
-
-def _run_traffic_storm(args: argparse.Namespace) -> int:
-    """The overload ablation: shed-only vs the traffic-shaping tier."""
-    import json
-
-    from repro.experiments import run_overload_storm
-    from repro.metrics import Table
-
-    arms = [
-        run_overload_storm(
-            seed=args.seed, traffic=traffic, clients=args.clients, requests=args.requests
-        )
-        for traffic in (False, True)
-    ]
-    table = Table(
-        [
-            "Arm",
-            "Delivered",
-            "Reliability",
-            "p50 RTT",
-            "p99 RTT",
-            "Budget burn",
-            "Shed",
-            "Cache hits",
-            "Leveled",
-        ],
-        title="Overload storm — shed-only vs traffic shaping",
-    )
-    for result in arms:
-        table.add_row(
-            [
-                result.mode,
-                f"{result.delivered}/{result.total_requests}",
-                f"{result.reliability:.4f}",
-                f"{result.rtt_stats.get('p50', 0.0):.4f}s",
-                f"{result.p99_rtt:.4f}s",
-                f"{result.error_budget_burn:.1f}x",
-                result.shed,
-                result.cache_hits,
-                result.leveled,
-            ]
-        )
-    print(table.render())
-    shaped = arms[1]
-    if shaped.traffic is not None:
-        print("\nTraffic tier (shaped arm):")
-        for name, value in sorted(shaped.traffic.items()):
-            print(f"  {name}: {value}")
-        print(f"  idempotency (service container): {shaped.idempotency}")
-    if args.report:
-        payload = {
-            "seed": args.seed,
-            "clients": args.clients,
-            "requests_per_client": args.requests,
-            "arms": [
-                {
-                    "mode": result.mode,
-                    "total_requests": result.total_requests,
-                    "delivered": result.delivered,
-                    "reliability": result.reliability,
-                    "failures_per_1000": result.failures_per_1000,
-                    "rtt_stats": result.rtt_stats,
-                    "error_budget_burn": result.error_budget_burn,
-                    "shed": result.shed,
-                    "throttled": result.throttled,
-                    "leveled": result.leveled,
-                    "cache_hits": result.cache_hits,
-                    "idempotency": result.idempotency,
-                }
-                for result in arms
-            ],
-        }
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"\nwrote ablation report to {args.report}")
-    # The acceptance bar, enforced here too so CI can gate on the exit code.
-    shed_arm = arms[0]
-    if not (
-        shaped.p99_rtt < shed_arm.p99_rtt
-        and shaped.error_budget_burn < shed_arm.error_budget_burn
-    ):
-        print("traffic shaping failed to beat shed-only", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_fleet_storm(args: argparse.Namespace) -> int:
-    """The federation ablation: one capacity-bounded bus vs an N-shard fleet."""
-    import json
-
-    from repro.experiments import fleet_cells, run_cells, run_fleet_storm
-    from repro.metrics import Table
-
-    if args.fleet < 2:
-        print("--fleet needs at least 2 shards to compare against one bus", file=sys.stderr)
-        return 2
-    partitions = 6
-    clients = args.clients if args.clients is not None else 4
-    requests = args.requests if args.requests is not None else 30
-    tracer, exporter = _make_tracer(args)
-    recorder = None
-    if tracer is not None:
-        # Tracing runs the arms inline (jobs forced to 1); spans are
-        # recorded for the fleet arm, where leadership and gossip live.
-        # The flight recorder rides along so ``python -m repro trace``
-        # can demonstrate the JSONL + flight-dump merge on one run.
-        from repro.observability import FlightRecorder
-
-        recorder = tracer.add_exporter(FlightRecorder(tracer=tracer))
-        _effective_jobs(args, tracer)
-        single = run_fleet_storm(
-            seed=args.seed,
-            shards=1,
-            partitions=partitions,
-            clients_per_partition=clients,
-            requests=requests,
-        )
-        fleet = run_fleet_storm(
-            seed=args.seed,
-            shards=args.fleet,
-            partitions=partitions,
-            clients_per_partition=clients,
-            requests=requests,
-            tracer=tracer,
-        )
-    else:
-        cells = fleet_cells(
-            seed=args.seed,
-            shards=args.fleet,
-            partitions=partitions,
-            clients_per_partition=clients,
-            requests=requests,
-        )
-        merged = run_cells(cells, jobs=_effective_jobs(args, tracer), chunk_size=args.chunk)
-        single = merged[(args.seed, 1)]
-        fleet = merged[(args.seed, args.fleet)]
-    table = Table(
-        [
-            "Arm",
-            "Delivered",
-            "Reliability",
-            "Throughput",
-            "p50 RTT",
-            "p99 RTT",
-            "Gossip merges",
-            "Leader",
-        ],
-        title="Fleet storm — one bus vs a sharded fleet",
-    )
-    for label, result in (("1 bus", single), (f"{args.fleet} buses", fleet)):
-        table.add_row(
-            [
-                label,
-                f"{result.delivered}/{result.total_requests}",
-                f"{result.reliability:.4f}",
-                f"{result.throughput:.1f}/s",
-                f"{result.rtt_stats.get('p50', 0.0):.4f}s",
-                f"{result.p99_rtt:.4f}s",
-                result.gossip_records,
-                result.leader or "-",
-            ]
-        )
-    print(table.render())
-    print("\nVEP placement (fleet arm):")
-    for name, owner in sorted(fleet.placement.items()):
-        print(f"  {name}: {owner}")
-    if args.report:
-        payload = {
-            "seed": args.seed,
-            "shards": args.fleet,
-            "partitions": partitions,
-            "clients_per_partition": clients,
-            "requests_per_client": requests,
-            "arms": [
-                {
-                    "shards": result.shards,
-                    "total_requests": result.total_requests,
-                    "delivered": result.delivered,
-                    "reliability": result.reliability,
-                    "throughput": result.throughput,
-                    "rtt_stats": result.rtt_stats,
-                    "leader": result.leader,
-                    "epoch": result.epoch,
-                    "leader_changes": result.leader_changes,
-                    "forwarded_events": result.forwarded_events,
-                    "gossip_records": result.gossip_records,
-                    "placement": result.placement,
-                }
-                for result in (single, fleet)
-            ],
-        }
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"\nwrote ablation report to {args.report}")
-    if recorder is not None:
-        flight_path = f"{args.trace}.flight.json"
-        recorder.dump(flight_path, reason="fleet-storm-complete")
-        print(f"wrote flight-recorder dump to {flight_path}")
-    _close_tracer(tracer, exporter, args.trace)
-    # The acceptance bar, enforced here too so CI can gate on the exit code.
-    if not (
-        fleet.throughput > single.throughput and fleet.p99_rtt <= single.p99_rtt
-    ):
-        print("the sharded fleet failed to beat the single bus", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -492,7 +474,7 @@ def _run_crash_storm(args: argparse.Namespace) -> int:
     if journal_dir is not None:
         journal_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.sagas:
+    if "sagas" in args:
         # The saga compositions abort after payment/trade, so the boundary
         # sweep covers every compensation step as a kill point too.
         matrix = {
@@ -943,8 +925,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure5.set_defaults(handler=_cmd_figure5)
 
+    # Only the flags given reach the handler (SUPPRESS), so it can reject
+    # each one the chosen mode does not read.
     storm = subparsers.add_parser(
-        "storm", help="Resilience ablation under a fault storm"
+        "storm",
+        help="Resilience ablation under a fault storm",
+        argument_default=argparse.SUPPRESS,
     )
     storm.add_argument("--seed", type=int, default=7)
     storm.add_argument(
@@ -953,12 +939,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the engine crash/rehydration scenario instead of the ablation",
     )
     storm.add_argument(
-        "--clients", type=int, default=None,
+        "--clients", type=int,
         help="concurrent clients (default: 6; 32 with --traffic; per "
         "partition, 4, with --fleet)",
     )
     storm.add_argument(
-        "--requests", type=int, default=None,
+        "--requests", type=int,
         help="requests per client (default: 60; 120 with --traffic; 30 with --fleet)",
     )
     storm.add_argument(
@@ -969,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
         "idempotency keys)",
     )
     storm.add_argument(
-        "--fleet", type=int, default=None, metavar="N",
+        "--fleet", type=int, metavar="N",
         help="run the federation ablation instead: the same partitioned "
         "workload through one capacity-bounded bus vs an N-shard fleet "
         "(consistent-hash VEP placement, gossip QoS, leader-elected "
@@ -977,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     storm.add_argument(
         "--report", metavar="PATH",
-        help="with --traffic/--fleet: write the ablation numbers as JSON to PATH",
+        help="write the ablation numbers (both arms) as JSON to PATH",
     )
     storm.add_argument(
         "--sagas",
@@ -1003,12 +989,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(PATH.prom); spans are recorded in-process, so this forces --jobs 1",
     )
     storm.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=int, metavar="N",
         help="run the two ablation arms in separate worker processes "
         "(ignored — forced to 1 — when --trace is given)",
     )
     storm.add_argument(
-        "--chunk", type=int, default=None, metavar="C",
+        "--chunk", type=int, metavar="C",
         help="cells per pool task (default: automatic, ~4 chunks per worker)",
     )
     storm.set_defaults(handler=_cmd_storm)

@@ -1,36 +1,23 @@
-"""Experiment harnesses reproducing the paper's evaluation.
+"""Experiments reproducing the paper's evaluation.
 
-The same code drives both the benchmark suite (``pytest benchmarks/``)
-and the command-line interface (``python -m repro``). Each harness builds
-a fresh seeded deployment, runs the workload, and returns plain data that
-callers render or assert on.
+The same code drives the benchmark suite (``pytest benchmarks/``) and the
+command-line interface (``python -m repro``). Every SCM run is a frozen
+:class:`Scenario` value — the named constructors :func:`table1_direct`,
+:func:`table1_vep`, :func:`figure5_point`, :func:`fault_storm`,
+:func:`overload_storm` and :func:`fleet_storm` are the ones the paper and
+the ablations make — and :func:`run` builds it on a fresh seeded
+deployment and returns a :class:`RunResult` of plain data.
+:func:`run_cells` fans ``Cell(key, run, {"scenario": ...})`` matrices over
+worker processes; :func:`run_crash_recovery` is the engine-crash
+harness.
 """
 
-from repro.experiments.fleet import FleetStormResult, run_fleet_storm
 from repro.experiments.harness import (
     CrashRecoveryResult,
-    OverloadStormResult,
-    StormResult,
-    Table1Row,
-    catalog_plan,
     count_crash_boundaries,
-    order_plan,
     run_crash_recovery,
-    run_direct_configuration,
-    run_fault_storm,
-    run_overload_storm,
-    run_rtt_point,
-    run_vep_configuration,
-    shed_only_policy_document,
 )
-from repro.experiments.parallel import (
-    Cell,
-    ShardError,
-    fleet_cells,
-    run_cells,
-    shutdown_pool,
-    storm_cells,
-)
+from repro.experiments.parallel import Cell, ShardError, run_cells, shutdown_pool
 from repro.experiments.reports import (
     regenerate_figure5,
     regenerate_table1,
@@ -38,33 +25,44 @@ from repro.experiments.reports import (
     render_figure5,
     render_table1,
 )
+from repro.experiments.scenario import (
+    RunResult,
+    Scenario,
+    catalog_plan,
+    fault_storm,
+    figure5_point,
+    fleet_storm,
+    order_plan,
+    overload_storm,
+    run,
+    shed_only_policy_document,
+    table1_direct,
+    table1_vep,
+)
 
 __all__ = [
     "Cell",
     "CrashRecoveryResult",
-    "FleetStormResult",
-    "OverloadStormResult",
+    "RunResult",
+    "Scenario",
     "ShardError",
-    "StormResult",
-    "Table1Row",
     "catalog_plan",
     "count_crash_boundaries",
-    "fleet_cells",
+    "fault_storm",
+    "figure5_point",
+    "fleet_storm",
     "order_plan",
+    "overload_storm",
     "regenerate_figure5",
     "regenerate_table1",
     "regenerate_table1_per_seed",
     "render_figure5",
     "render_table1",
+    "run",
     "run_cells",
     "run_crash_recovery",
-    "run_direct_configuration",
-    "run_fault_storm",
-    "run_fleet_storm",
-    "run_overload_storm",
-    "run_rtt_point",
     "shed_only_policy_document",
-    "run_vep_configuration",
     "shutdown_pool",
-    "storm_cells",
+    "table1_direct",
+    "table1_vep",
 ]

@@ -25,7 +25,11 @@ see the postmortem in ``docs/performance.md``):
 Design rules that keep the merge deterministic:
 
 - A :class:`Cell` is ``(key, runner, kwargs)`` where ``runner`` is a
-  module-level function (picklable by reference) returning plain data.
+  module-level function (picklable by reference) returning plain data —
+  for every experiment, ``Cell(key, run, {"scenario": ...})``. The live
+  bus and the per-request records a :class:`~repro.experiments.RunResult`
+  carries in-process are stripped here, inline and in a worker alike, so
+  both modes return equal results.
 - :func:`run_cells` executes cells (inline for ``jobs <= 1``; otherwise in
   a pool) and returns ``{key: result}`` ordered by sorted key. Execution
   order is irrelevant: cells are seeded and isolated.
@@ -52,29 +56,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from repro.experiments.fleet import run_fleet_storm
-from repro.experiments.harness import (
-    run_direct_configuration,
-    run_fault_storm,
-    run_rtt_point,
-    run_vep_configuration,
-)
+from repro.experiments.scenario import RunResult
 
-__all__ = [
-    "Cell",
-    "ShardError",
-    "figure5_cells",
-    "figure5_point_cell",
-    "fleet_cells",
-    "fleet_storm_cell",
-    "run_cells",
-    "shutdown_pool",
-    "storm_cell",
-    "storm_cells",
-    "table1_cells",
-    "table1_direct_cell",
-    "table1_vep_cell",
-]
+__all__ = ["Cell", "ShardError", "run_cells", "shutdown_pool"]
 
 
 @dataclass(frozen=True)
@@ -180,6 +164,14 @@ atexit.register(shutdown_pool)
 # -- chunked execution -----------------------------------------------------------
 
 
+def _call(runner: Callable[..., Any], kwargs: dict) -> Any:
+    """Run one cell; a live bus and the request records never leave it."""
+    value = runner(**kwargs)
+    if isinstance(value, RunResult):
+        return replace(value, bus=None, workload=None)
+    return value
+
+
 def _run_chunk(chunk: list[tuple[Callable[..., Any], dict]]) -> list[tuple]:
     """Worker-side: run a batch of cells; compact positional results.
 
@@ -191,7 +183,7 @@ def _run_chunk(chunk: list[tuple[Callable[..., Any], dict]]) -> list[tuple]:
     out: list[tuple] = []
     for runner, kwargs in chunk:
         try:
-            out.append((True, runner(**kwargs)))
+            out.append((True, _call(runner, kwargs)))
         except Exception as error:  # noqa: BLE001 - reported per cell
             out.append((False, error))
     return out
@@ -233,7 +225,7 @@ def run_cells(
     if pool is None:
         for cell in ordered:
             try:
-                results[cell.key] = cell.runner(**cell.kwargs)
+                results[cell.key] = _call(cell.runner, cell.kwargs)
             except Exception as error:  # noqa: BLE001 - reported per cell
                 failures[cell.key] = error
     else:
@@ -271,159 +263,3 @@ def run_cells(
     if failures:
         raise ShardError(failures)
     return {key: results[key] for key in keys}
-
-
-# -- cell runners (module-level: picklable by reference) ------------------------
-
-
-def table1_direct_cell(retailer: str, seed: int, clients: int, requests: int):
-    """One direct-configuration Table 1 cell."""
-    return run_direct_configuration(retailer, seed, clients=clients, requests=requests)
-
-
-def table1_vep_cell(seed: int, clients: int, requests: int, tracer=None):
-    """One wsBus-VEP Table 1 cell (row only; the bus stays in the worker)."""
-    row, _bus, _result = run_vep_configuration(
-        seed, clients=clients, requests=requests, tracer=tracer
-    )
-    return row
-
-
-def figure5_point_cell(
-    operation: str, padding: int, through_bus: bool, requests: int, tracer=None
-):
-    """One Figure 5 cell: the mean RTT at one request size."""
-    rtt, _result = run_rtt_point(
-        operation, padding, through_bus=through_bus, requests=requests, tracer=tracer
-    )
-    return rtt
-
-
-def storm_cell(
-    seed: int, resilience: bool, clients: int, requests: int, tracer=None, slo: bool = False
-):
-    """One fault-storm arm; the (unpicklable) bus is stripped from the result."""
-    result = run_fault_storm(
-        seed=seed,
-        resilience=resilience,
-        clients=clients,
-        requests=requests,
-        tracer=tracer,
-        slo=slo,
-    )
-    return replace(result, bus=None)
-
-
-def fleet_storm_cell(
-    seed: int,
-    shards: int,
-    partitions: int,
-    clients_per_partition: int,
-    requests: int,
-    tracer=None,
-):
-    """One fleet-storm arm; the (unpicklable) fleet is stripped from the result."""
-    result = run_fleet_storm(
-        seed=seed,
-        shards=shards,
-        partitions=partitions,
-        clients_per_partition=clients_per_partition,
-        requests=requests,
-        tracer=tracer,
-    )
-    return replace(result, fleet=None)
-
-
-# -- matrix builders ------------------------------------------------------------
-
-
-def table1_cells(
-    seeds, clients: int, requests: int, tracer=None
-) -> list[Cell]:
-    """The full Table 1 matrix: 4 direct configurations + the VEP, per seed."""
-    cells = []
-    for retailer in ("A", "B", "C", "D"):
-        for seed in seeds:
-            cells.append(
-                Cell(
-                    (retailer, seed),
-                    table1_direct_cell,
-                    dict(retailer=retailer, seed=seed, clients=clients, requests=requests),
-                )
-            )
-    for seed in seeds:
-        kwargs = dict(seed=seed, clients=clients, requests=requests)
-        if tracer is not None:
-            kwargs["tracer"] = tracer
-        cells.append(Cell(("VEP", seed), table1_vep_cell, kwargs))
-    return cells
-
-
-def figure5_cells(
-    sizes_kb, operations, requests: int, tracer=None
-) -> list[Cell]:
-    """The Figure 5 sweep: (operation, size, direct|bus) cells."""
-    cells = []
-    for operation in operations:
-        for size_kb in sizes_kb:
-            padding = size_kb * 1024
-            cells.append(
-                Cell(
-                    (operation, size_kb, "direct"),
-                    figure5_point_cell,
-                    dict(
-                        operation=operation,
-                        padding=padding,
-                        through_bus=False,
-                        requests=requests,
-                    ),
-                )
-            )
-            kwargs = dict(
-                operation=operation, padding=padding, through_bus=True, requests=requests
-            )
-            if tracer is not None:
-                kwargs["tracer"] = tracer
-            cells.append(Cell((operation, size_kb, "bus"), figure5_point_cell, kwargs))
-    return cells
-
-
-def fleet_cells(
-    seed: int,
-    shards: int,
-    partitions: int,
-    clients_per_partition: int,
-    requests: int,
-    tracer=None,
-) -> list[Cell]:
-    """Both fleet-storm ablation arms (one bus vs ``shards`` buses)."""
-    cells = []
-    for arm_shards in (1, shards):
-        kwargs = dict(
-            seed=seed,
-            shards=arm_shards,
-            partitions=partitions,
-            clients_per_partition=clients_per_partition,
-            requests=requests,
-        )
-        if tracer is not None and arm_shards == shards:
-            kwargs["tracer"] = tracer
-        cells.append(Cell((seed, arm_shards), fleet_storm_cell, kwargs))
-    return cells
-
-
-def storm_cells(
-    seed: int, clients: int, requests: int, tracer=None, slo: bool = False
-) -> list[Cell]:
-    """Both fault-storm ablation arms (resilience off / on)."""
-    cells = []
-    for resilience in (False, True):
-        kwargs = dict(seed=seed, resilience=resilience, clients=clients, requests=requests)
-        if tracer is not None and resilience:
-            kwargs["tracer"] = tracer
-        if slo and resilience:
-            # The SLO loop rides the resilience arm only: its reaction
-            # policy tightens breakers, which need the service active.
-            kwargs["slo"] = True
-        cells.append(Cell((seed, "on" if resilience else "off"), storm_cell, kwargs))
-    return cells

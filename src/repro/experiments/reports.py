@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.experiments.parallel import figure5_cells, run_cells, table1_cells
+from repro.experiments.parallel import Cell, run_cells
+from repro.experiments.scenario import figure5_point, run, table1_direct, table1_vep
 from repro.metrics import Table, mean
 
 __all__ = [
@@ -40,7 +41,7 @@ def regenerate_table1_per_seed(
     jobs: int = 1,
     chunk_size: int | None = None,
 ):
-    """Run every Table 1 cell; returns {(config, seed): Table1Row}.
+    """Run every Table 1 cell; returns {(config, seed): RunResult}.
 
     ``config`` is one of ``"A"``–``"D"`` (direct) or ``"VEP"``. With
     ``jobs > 1`` the cells fan out over a process pool (``chunk_size``
@@ -51,7 +52,16 @@ def regenerate_table1_per_seed(
     """
     if tracer is not None:
         jobs = 1
-    cells = table1_cells(seeds, clients=clients, requests=requests, tracer=tracer)
+    fields = dict(clients=clients, requests=requests)
+    cells = [
+        Cell((retailer, seed), run, {"scenario": table1_direct(retailer, seed, **fields)})
+        for retailer in "ABCD"
+        for seed in seeds
+    ]
+    cells += [
+        Cell(("VEP", seed), run, {"scenario": table1_vep(seed, **fields), "tracer": tracer})
+        for seed in seeds
+    ]
     return run_cells(cells, jobs=jobs, chunk_size=chunk_size)
 
 
@@ -126,12 +136,26 @@ def regenerate_figure5(
     """
     if tracer is not None:
         jobs = 1
-    cells = figure5_cells(sizes_kb, operations, requests=requests, tracer=tracer)
+    cells = [
+        Cell(
+            (operation, size_kb, path),
+            run,
+            {
+                "scenario": figure5_point(
+                    path == "bus", operation=operation, padding=size_kb * 1024, requests=requests
+                ),
+                "tracer": tracer if path == "bus" else None,
+            },
+        )
+        for operation in operations
+        for size_kb in sizes_kb
+        for path in ("direct", "bus")
+    ]
     points = run_cells(cells, jobs=jobs, chunk_size=chunk_size)
     series = {}
     for operation in operations:
-        direct = [points[(operation, size_kb, "direct")] for size_kb in sizes_kb]
-        mediated = [points[(operation, size_kb, "bus")] for size_kb in sizes_kb]
+        direct = [points[(operation, size_kb, "direct")].rtt_stats["mean"] for size_kb in sizes_kb]
+        mediated = [points[(operation, size_kb, "bus")].rtt_stats["mean"] for size_kb in sizes_kb]
         series[operation] = (direct, mediated)
     return series
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from conftest import ECHO_CONTRACT, EchoService
@@ -43,8 +43,7 @@ from repro.core import (
     MASCMonitoringService,
     UtilityDrivenDecisionMaker,
 )
-from repro.experiments.fleet import run_fleet_storm
-from repro.experiments.harness import run_fault_storm
+from repro.experiments import fault_storm, run
 from repro.observability import InMemoryExporter, Tracer
 from repro.orchestration import Invoke, ProcessDefinition, ProcessFault, Reply, Sequence
 from repro.policy import (
@@ -186,8 +185,9 @@ def _stateful_recovery_document() -> PolicyDocument:
     return document
 
 
-def _fault_storm(**kwargs) -> dict:
-    result = run_fault_storm(seed=5, resilience=True, slo=True, **kwargs)
+def _fault_storm(*extra_policies: PolicyDocument) -> dict:
+    scenario = fault_storm(5, resilience=True, slo=True)
+    result = run(replace(scenario, policies=scenario.policies + extra_policies))
     manager = result.bus.adaptation
     return {
         "outcomes": _records(manager.outcomes),
@@ -199,8 +199,8 @@ def _fault_storm(**kwargs) -> dict:
 def _fleet_storm() -> dict:
     tracer = Tracer()
     tracer.add_exporter(InMemoryExporter())
-    result = run_fleet_storm(**FLEET_STORM, tracer=tracer)
-    fleet = result.fleet
+    result = run(FLEET_STORM, tracer=tracer)
+    fleet = result.bus
     sections = {"leader": [result.leader, result.epoch, result.leader_changes]}
     for name in sorted(fleet.buses):
         manager = fleet.buses[name].adaptation
@@ -642,7 +642,7 @@ SCENARIOS = {
         for profile in ORDER_PROFILES
     },
     "fault-storm-resilient-slo": _fault_storm,
-    "fault-storm-stateful": lambda: _fault_storm(extra_policies=[_stateful_recovery_document()]),
+    "fault-storm-stateful": lambda: _fault_storm(_stateful_recovery_document()),
     "fleet-storm-crash-outage": _fleet_storm,
     "process-correction": _process_correction,
     "utility-decision-maker": _utility_decision_maker,

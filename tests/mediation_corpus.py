@@ -21,12 +21,7 @@ import itertools
 import json
 from pathlib import Path
 
-from repro.experiments.fleet import run_fleet_storm
-from repro.experiments.harness import (
-    run_fault_storm,
-    run_overload_storm,
-    run_vep_configuration,
-)
+from repro.experiments import fault_storm, fleet_storm, overload_storm, run, table1_vep
 from repro.observability import InMemoryExporter, Tracer
 from repro.soap import addressing
 
@@ -42,43 +37,39 @@ def _traced():
 
 def _fault_storm():
     tracer, exporter = _traced()
-    result = run_fault_storm(seed=5, resilience=True, slo=True, tracer=tracer)
-    return exporter.spans, result.metrics, result.bus.stats_summary()
+    result = run(fault_storm(5, resilience=True, slo=True), tracer=tracer)
+    return exporter.spans, result.metrics, result.stats
 
 
 def _overload_storm(traffic: bool):
-    result = run_overload_storm(seed=5, traffic=traffic)
-    return [], result.metrics, result.bus.stats_summary()
+    result = run(overload_storm(5, traffic=traffic))
+    return [], result.metrics, result.stats
 
 
-#: The crash+outage fleet storm (``tests/decision_corpus.py`` runs it too).
-FLEET_STORM = dict(
-    seed=7,
-    shards=3,
-    partitions=6,
-    clients_per_partition=2,
-    requests=30,
+#: The crash+outage fleet storm (``tests/decision_corpus.py`` and
+#: ``tests/test_trace_continuity.py`` run it too): bus-1 crashes at t=1.5
+#: while retailerA is dark for t∈[0.5, 3.5), so SLO violations and VEP
+#: failover overlap.
+FLEET_STORM = fleet_storm(
+    7,
+    3,
     slo=True,
-    crash_bus="bus-1",
-    crash_at=1.5,
-    outage_endpoint="http://scm/retailerA",
-    outage_at=0.5,
-    outage_duration=3.0,
+    clients=2,
+    crash=("bus-1", 1.5),
+    outage=("http://scm/retailerA", 0.5, 3.0),
 )
 
 
 def _fleet_storm():
     tracer, exporter = _traced()
-    result = run_fleet_storm(**FLEET_STORM, tracer=tracer)
-    return exporter.spans, result.metrics, result.fleet_stats
+    result = run(FLEET_STORM, tracer=tracer)
+    return exporter.spans, result.metrics, result.stats
 
 
 def _table1_vep_cell():
     tracer, exporter = _traced()
-    _row, bus, _result = run_vep_configuration(
-        seed=11, clients=4, requests=120, tracer=tracer
-    )
-    return exporter.spans, bus.metrics.snapshot(), bus.stats_summary()
+    result = run(table1_vep(11, clients=4, requests=120), tracer=tracer)
+    return exporter.spans, result.metrics, result.stats
 
 
 SCENARIOS = {

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro.casestudies.scm import policies as scm
 from repro.casestudies.stocktrading import policies as trading
-from repro.experiments.harness import shed_only_policy_document
+from repro.experiments import shed_only_policy_document
 from repro.policy import (
     AdaptationPolicy,
     AdaptiveTimeoutAction,

@@ -10,7 +10,7 @@ from repro.casestudies.stocktrading import (
     build_trading_deployment,
     currency_conversion_policy_document,
 )
-from repro.experiments import run_direct_configuration, run_vep_configuration
+from repro.experiments import run, table1_direct, table1_vep
 from repro.policy import serialize_policy_document
 from repro.workload import RequestPlan, WorkloadRunner
 
@@ -50,14 +50,14 @@ class TestWorkloadDeterminism:
 
 class TestExperimentDeterminism:
     def test_direct_configuration_reproducible(self):
-        first = run_direct_configuration("B", seed=17, clients=2, requests=40)
-        second = run_direct_configuration("B", seed=17, clients=2, requests=40)
+        first = run(table1_direct("B", 17, clients=2, requests=40))
+        second = run(table1_direct("B", 17, clients=2, requests=40))
         assert first.failures_per_1000 == second.failures_per_1000
         assert first.availability == second.availability
 
     def test_vep_configuration_reproducible(self):
-        first, _, _ = run_vep_configuration(seed=17, clients=2, requests=40)
-        second, _, _ = run_vep_configuration(seed=17, clients=2, requests=40)
+        first = run(table1_vep(17, clients=2, requests=40))
+        second = run(table1_vep(17, clients=2, requests=40))
         assert first.failures_per_1000 == second.failures_per_1000
 
 

@@ -233,6 +233,23 @@ class TestArchitectureDocAudit:
         assert documented == composed
 
 
+class TestScenarioDocAudit:
+    def test_field_table_is_exactly_the_scenario_dataclass(self):
+        """Every field with its default, in declaration order, and no other."""
+        from dataclasses import MISSING, fields
+
+        from repro.experiments import Scenario
+
+        text = (DOCS_DIR / "architecture.md").read_text(encoding="utf-8")
+        table = re.search(r"<!-- scenario -->\n(.*?)<!-- /scenario -->", text, re.DOTALL).group(1)
+        documented = re.findall(r"^\| `(\w+)` \| (.+?) \|", table, re.MULTILINE)
+        declared = [
+            (field.name, "—" if field.default is MISSING else f"`{field.default!r}`")
+            for field in fields(Scenario)
+        ]
+        assert documented == declared
+
+
 def _process_document_rows() -> list[str]:
     """The element table of process-documents.md, as the declarations render it."""
     from repro.orchestration import Expression

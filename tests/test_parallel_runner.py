@@ -9,8 +9,10 @@ import pytest
 from repro.experiments import (
     Cell,
     ShardError,
+    fault_storm,
     regenerate_figure5,
     regenerate_table1_per_seed,
+    run,
     run_cells,
 )
 
@@ -151,10 +153,21 @@ class TestPoolFallbacks:
 # -- experiment determinism -----------------------------------------------------
 
 
-def _table1_fingerprint(per_seed):
+def _fingerprint(results):
     return json.dumps(
-        {repr(key): asdict(row) for key, row in per_seed.items()}, sort_keys=True
+        {repr(key): asdict(result) for key, result in results.items()},
+        sort_keys=True,
+        default=str,
     )
+
+
+def _slo_storm_cells(seed, clients, requests):
+    """Both fault-storm arms; the SLO engine rides the resilience-on arm."""
+    mix = dict(clients=clients, requests=requests)
+    return [
+        Cell((seed, arm), run, {"scenario": fault_storm(seed, on, slo=on, **mix)})
+        for arm, on in (("off", False), ("on", True))
+    ]
 
 
 class TestShardedDeterminism:
@@ -163,7 +176,7 @@ class TestShardedDeterminism:
         sequential = regenerate_table1_per_seed(jobs=1, **kwargs)
         sharded = regenerate_table1_per_seed(jobs=4, **kwargs)
         assert list(sequential) == list(sharded)
-        assert _table1_fingerprint(sequential) == _table1_fingerprint(sharded)
+        assert _fingerprint(sequential) == _fingerprint(sharded)
 
     def test_figure5_jobs4_identical_to_jobs1(self):
         kwargs = dict(sizes_kb=(1, 4), requests=20)
@@ -188,17 +201,13 @@ class TestShardedDeterminism:
         # The SLO engine rides the resilience-on arm: metrics snapshots,
         # SLO event sequences, and burn-rate status must survive the
         # pickle round-trip through the pool byte-identically.
-        from repro.experiments import run_cells, storm_cells
-
-        kwargs = dict(seed=7, clients=3, requests=25, slo=True)
-        sequential = run_cells(storm_cells(**kwargs), jobs=1)
-        sharded = run_cells(storm_cells(**kwargs), jobs=4)
+        cells = _slo_storm_cells(seed=7, clients=3, requests=25)
+        sequential = run_cells(cells, jobs=1)
+        sharded = run_cells(cells, jobs=4)
         assert list(sequential) == list(sharded)
-        for key in sequential:
-            a, b = asdict(sequential[key]), asdict(sharded[key])
-            assert json.dumps(a, sort_keys=True, default=str) == json.dumps(
-                b, sort_keys=True, default=str
-            )
+        assert _fingerprint(sequential) == _fingerprint(sharded)
+        # The live bus and the request records stay in the cell, inline too.
+        assert all(r.bus is None and r.workload is None for r in sequential.values())
         on = sequential[(7, "on")]
         assert on.slo is not None and on.slo["events"]
         assert sequential[(7, "off")].slo is None
@@ -212,7 +221,7 @@ class TestChunkedDeterminism:
         sequential = regenerate_table1_per_seed(jobs=1, **kwargs)
         chunked = regenerate_table1_per_seed(jobs=8, chunk_size=2, **kwargs)
         assert list(sequential) == list(chunked)
-        assert _table1_fingerprint(sequential) == _table1_fingerprint(chunked)
+        assert _fingerprint(sequential) == _fingerprint(chunked)
 
     def test_figure5_jobs8_chunked_byte_identical_to_jobs1(self):
         kwargs = dict(sizes_kb=(1, 4, 16), requests=15)
@@ -223,17 +232,11 @@ class TestChunkedDeterminism:
         )
 
     def test_slo_storm_jobs8_chunked_byte_identical_to_jobs1(self):
-        from repro.experiments import run_cells, storm_cells
-
-        kwargs = dict(seed=7, clients=3, requests=20, slo=True)
-        sequential = run_cells(storm_cells(**kwargs), jobs=1)
-        chunked = run_cells(storm_cells(**kwargs), jobs=8, chunk_size=2)
+        cells = _slo_storm_cells(seed=7, clients=3, requests=20)
+        sequential = run_cells(cells, jobs=1)
+        chunked = run_cells(cells, jobs=8, chunk_size=2)
         assert list(sequential) == list(chunked)
-        for key in sequential:
-            a, b = asdict(sequential[key]), asdict(chunked[key])
-            assert json.dumps(a, sort_keys=True, default=str) == json.dumps(
-                b, sort_keys=True, default=str
-            )
+        assert _fingerprint(sequential) == _fingerprint(chunked)
 
 
 class TestMetricSnapshotMerge:

@@ -10,7 +10,6 @@ sizing a message never serializes it.
 """
 
 import sys
-from dataclasses import asdict
 
 from conftest import serialized_size
 
@@ -19,7 +18,7 @@ from repro.casestudies.scm import (
     build_scm_deployment,
     traffic_policy_document,
 )
-from repro.experiments import order_plan, run_vep_configuration
+from repro.experiments import order_plan, run, table1_vep
 from repro.policy import PolicyRepository
 from repro.soap import SOAP_ENV_NS, SoapEnvelope
 from repro.workload import WorkloadRunner
@@ -28,7 +27,7 @@ from repro.xmlutils import Element, QName, serialize_xml
 
 
 def _run(seed):
-    row, _bus, result = run_vep_configuration(seed, clients=2, requests=40)
+    result = run(table1_vep(seed, clients=2, requests=40))
     records = [
         (
             record.caller,
@@ -41,9 +40,9 @@ def _run(seed):
             record.request_bytes,
             record.response_bytes,
         )
-        for record in result.records
+        for record in result.workload.records
     ]
-    return asdict(row), records
+    return result, records
 
 
 def test_fast_path_metrics_identical_to_reference(monkeypatch):
@@ -52,7 +51,7 @@ def test_fast_path_metrics_identical_to_reference(monkeypatch):
         patch.setattr(SoapEnvelope, "copy", SoapEnvelope.deep_copy)
         patch.setattr(SoapEnvelope, "size_bytes", property(serialized_size))
         reference = _run(seed=11)
-    assert fast[0] == reference[0]  # Table1Row
+    assert fast[0] == reference[0]  # every aggregate of the run
     assert fast[1] == reference[1]  # full per-record stream
 
 
@@ -90,9 +89,9 @@ def test_the_counter_sees_envelope_serialization(monkeypatch):
 
 def test_table1_vep_run_never_serializes(monkeypatch):
     calls = _serialized_envelopes(monkeypatch)
-    _row, _bus, result = run_vep_configuration(11, clients=2, requests=40)
-    assert len(result.records) == 80
-    assert all(record.request_bytes > 0 for record in result.records)
+    records = run(table1_vep(11, clients=2, requests=40)).workload.records
+    assert len(records) == 80
+    assert all(record.request_bytes > 0 for record in records)
     assert calls == [0]
 
 

@@ -346,6 +346,15 @@ class TestCrashRecoveryEquivalence:
         assert result.equivalent, result.divergences
         assert result.replayed_activities in (crash_after, 0)
 
+    def test_crash_past_the_last_boundary_names_process_seed_and_count(self):
+        # Regression: this ran the simulation dry and raised a bare
+        # SimulationError naming none of the three.
+        from repro.experiments import count_crash_boundaries, run_crash_recovery
+
+        assert count_crash_boundaries("scm", seed=7) == 5
+        with pytest.raises(ValueError, match=r"'scm' at seed 7 passes 5 activity boundaries"):
+            run_crash_recovery("scm", seed=7, crash_after_completions=6)
+
     def test_file_backed_store_survives(self, tmp_path):
         from repro.experiments import run_crash_recovery
 

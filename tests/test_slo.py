@@ -10,9 +10,12 @@ violation span → adaptation span.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.casestudies.scm import slo_policy_document
+from repro.experiments import fault_storm, run
 from repro.observability import (
     FlightRecorder,
     Histogram,
@@ -456,12 +459,8 @@ class TestFlightRecorder:
 # -- end-to-end: the closed loop ------------------------------------------------
 
 
-def _storm(**kwargs):
-    from repro.experiments import run_fault_storm
-
-    defaults = dict(seed=7, resilience=True, clients=3, requests=25)
-    defaults.update(kwargs)
-    return run_fault_storm(**defaults)
+STORM = fault_storm(7, resilience=True, clients=3, requests=25)
+SLO_STORM = replace(STORM, policies=STORM.policies + (slo_policy_document(),))
 
 
 class TestClosedLoop:
@@ -469,7 +468,7 @@ class TestClosedLoop:
     def traced_storm(self):
         tracer = Tracer()
         exporter = tracer.add_exporter(InMemoryExporter())
-        result = _storm(slo=True, tracer=tracer)
+        result = run(SLO_STORM, tracer=tracer)
         return result, exporter
 
     def test_storm_emits_burn_rate_events(self, traced_storm):
@@ -508,8 +507,8 @@ class TestClosedLoop:
         assert any(span.trace_id == exemplar_trace for span in exporter.spans)
 
     def test_same_seed_same_event_sequence(self):
-        first = _storm(slo=True)
-        second = _storm(slo=True)
+        first = run(SLO_STORM)
+        second = run(SLO_STORM)
         assert first.slo["events"] == second.slo["events"]
         assert first.slo["events"]  # non-trivial sequence
 
@@ -520,7 +519,7 @@ class TestClosedLoop:
         assert summary["slo"]["objectives"]
 
     def test_disabled_slo_is_byte_identical(self):
-        baseline = _storm(slo=False)
+        baseline = run(STORM)
         assert baseline.slo is None
         assert not baseline.bus.slo.active
         # No SLO instruments leak into the shared registry when disabled.
@@ -530,14 +529,14 @@ class TestClosedLoop:
             if isinstance(section, dict)
             for name in section
         )
-        repeat = _storm(slo=False)
+        repeat = run(STORM)
         assert repeat.metrics == baseline.metrics
         assert repeat.rtt_stats == baseline.rtt_stats
 
 
 class TestRenderTop:
     def test_top_table_rows_per_member(self):
-        result = _storm(slo=True)
+        result = run(SLO_STORM)
         text = render_top(result.bus, window_seconds=60.0)
         assert "wsBus top" in text
         for member in result.bus.veps["retailers"].members:
@@ -545,7 +544,7 @@ class TestRenderTop:
         assert "retailers [best_reliability]" in text
 
     def test_top_without_slo_falls_back_to_qos(self):
-        result = _storm(slo=False)
+        result = run(STORM)
         text = render_top(result.bus, window_seconds=60.0)
         assert "wsBus top" in text
         assert "retailers [round_robin]" in text

@@ -13,31 +13,16 @@ same artifact ``python -m repro trace`` consumes.
 import json
 
 import pytest
+from mediation_corpus import FLEET_STORM
 
-from repro.experiments.fleet import run_fleet_storm
+from repro.experiments import run
 from repro.observability import JsonlExporter, Tracer, read_spans_jsonl
-
-#: Deterministic at this seed: bus-1 crashes at t=1.5 while retailerA is
-#: dark for t∈[0.5, 3.5), so SLO violations and VEP failover overlap.
-SCENARIO = dict(
-    seed=7,
-    shards=3,
-    partitions=6,
-    clients_per_partition=2,
-    requests=30,
-    slo=True,
-    crash_bus="bus-1",
-    crash_at=1.5,
-    outage_endpoint="http://scm/retailerA",
-    outage_at=0.5,
-    outage_duration=3.0,
-)
 
 
 def _run_traced(path):
     tracer = Tracer()
     tracer.add_exporter(JsonlExporter(path))
-    result = run_fleet_storm(tracer=tracer, **SCENARIO)
+    result = run(FLEET_STORM, tracer=tracer)
     tracer.close()
     return result
 

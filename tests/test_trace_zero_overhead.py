@@ -7,17 +7,18 @@ untraced one. These tests pin that equivalence on full storm runs.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 from repro.casestudies.scm import tracing_policy_document
-from repro.experiments import run_fault_storm
-from repro.experiments.fleet import run_fleet_storm
+from repro.experiments import fault_storm, fleet_storm, run
 from repro.observability import NULL_TRACER, InMemoryExporter, Tracer
 
+STORM = fault_storm(7, resilience=True, slo=True, clients=3, requests=25)
 
-def _storm(**kwargs):
-    defaults = dict(seed=7, resilience=True, clients=3, requests=25, slo=True)
-    defaults.update(kwargs)
-    return run_fault_storm(**defaults)
+
+def _sampled(rate: float):
+    """The storm with head-based trace sampling at ``rate``."""
+    return replace(STORM, policies=STORM.policies + (tracing_policy_document(sample_rate=rate),))
 
 
 def _slo_events_sans_exemplars(result):
@@ -31,10 +32,10 @@ def _slo_events_sans_exemplars(result):
 
 class TestTracedEqualsUntraced:
     def test_single_bus_storm_is_byte_identical_with_tracing_on(self):
-        baseline = _storm()
+        baseline = run(STORM)
         tracer = Tracer()
         tracer.add_exporter(InMemoryExporter())
-        traced = _storm(tracer=tracer)
+        traced = run(STORM, tracer=tracer)
         tracer.close()
         assert traced.rtt_stats == baseline.rtt_stats
         assert traced.delivered == baseline.delivered
@@ -44,13 +45,11 @@ class TestTracedEqualsUntraced:
         )
 
     def test_fleet_storm_is_time_identical_with_tracing_on(self):
-        kwargs = dict(
-            seed=11, shards=2, partitions=4, clients_per_partition=2, requests=10
-        )
-        baseline = run_fleet_storm(**kwargs)
+        scenario = fleet_storm(11, 2, veps=4, clients=2, requests=10)
+        baseline = run(scenario)
         tracer = Tracer()
         tracer.add_exporter(InMemoryExporter())
-        traced = run_fleet_storm(tracer=tracer, **kwargs)
+        traced = run(scenario, tracer=tracer)
         tracer.close()
         assert traced.rtt_stats == baseline.rtt_stats
         assert traced.throughput == baseline.throughput
@@ -62,15 +61,12 @@ class TestSamplingFiltersOnlyExports:
     def test_sampled_run_is_byte_identical_and_exports_less(self):
         full_tracer = Tracer()
         full_memory = full_tracer.add_exporter(InMemoryExporter())
-        full = _storm(tracer=full_tracer)
+        full = run(STORM, tracer=full_tracer)
         full_tracer.close()
 
         sampled_tracer = Tracer()
         sampled_memory = sampled_tracer.add_exporter(InMemoryExporter())
-        sampled = _storm(
-            tracer=sampled_tracer,
-            extra_policies=(tracing_policy_document(sample_rate=0.2),),
-        )
+        sampled = run(_sampled(0.2), tracer=sampled_tracer)
         sampled_tracer.close()
 
         # The simulation never observes the sampling verdict.
@@ -89,10 +85,7 @@ class TestSamplingFiltersOnlyExports:
     def test_violation_traces_survive_sampling_via_promotion(self):
         tracer = Tracer()
         memory = tracer.add_exporter(InMemoryExporter())
-        result = _storm(
-            tracer=tracer,
-            extra_policies=(tracing_policy_document(sample_rate=0.0),),
-        )
+        result = run(_sampled(0.0), tracer=tracer)
         tracer.close()
         assert result.slo["events"]
         violations = memory.find(name="slo.violation")
@@ -106,10 +99,7 @@ class TestSamplingFiltersOnlyExports:
     def test_sampling_applies_through_the_bus_policy_scan(self):
         tracer = Tracer()
         tracer.add_exporter(InMemoryExporter())
-        result = _storm(
-            tracer=tracer,
-            extra_policies=(tracing_policy_document(sample_rate=0.5),),
-        )
+        result = run(_sampled(0.5), tracer=tracer)
         tracer.close()
         assert result.bus.tracing.action is not None
         assert result.bus.tracing.action.sample_rate == 0.5
