@@ -16,9 +16,10 @@ package adds that missing layer:
 - :mod:`repro.observability.exporters` — pluggable span sinks: in-memory
   (tests), JSONL files (offline analysis), and a human-readable console
   trace tree;
-- :mod:`repro.observability.trace_context` — the ``masc:TraceContext``
-  wire header (W3C-traceparent-style) that carries trace identity across
-  bus/shard/failover hops, so a fleet-mediated request is one trace;
+- :mod:`repro.observability.trace_context` — the trace context each
+  envelope carries as a value (serialized as the W3C-traceparent-style
+  ``masc:TraceContext`` header) so trace identity crosses
+  bus/shard/failover hops and a fleet-mediated request is one trace;
 - :mod:`repro.observability.analysis` — trace assembly, critical-path
   extraction and per-phase latency attribution over exported spans
   (``python -m repro trace``);

@@ -11,8 +11,8 @@ into answers:
   (a fleet writes one JSONL per run plus per-bus flight dumps; span ids
   are unique within a run, so the union is well-defined);
 - :func:`group_traces` / :func:`assemble_trace` rebuild the per-trace
-  span trees, including trees whose root crossed buses via the
-  ``masc:TraceContext`` wire header;
+  span trees, including trees whose root crossed buses via the trace
+  context the envelope carries;
 - :func:`critical_path` walks the tree root-to-leaf through the child
   that finished last — the chain of spans an operator should read first;
 - :func:`attribute_latency` charges every simulated second of the root

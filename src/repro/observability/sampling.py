@@ -19,9 +19,12 @@ Two properties matter for reproducibility:
   bucket test), so the same seed samples the same traces no matter how
   the run is sharded;
 - sampling only filters which finished spans reach the exporters — span
-  and trace ids are still minted for every span, and nothing on the
-  message path observes the verdict, so simulated timings and metrics
-  are byte-identical with sampling on, off, or absent.
+  and trace ids are still minted for every span, and the verdict rides
+  on each envelope only as part of its trace context (the sending span
+  itself, whose ``sampled`` flag the next hop inherits; the ``01``/``00``
+  flags once serialized). Nothing on the message path acts on it, so
+  simulated timings and metrics are byte-identical with sampling on,
+  off, or absent.
 
 **Promotion**: unsampled traces are buffered (bounded) inside the tracer;
 when a span of such a trace finishes with a non-``ok`` status (a fault)

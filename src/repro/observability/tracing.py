@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from functools import partial
 from typing import Any
 
 __all__ = ["NULL_TRACER", "NullTracer", "Span", "Tracer", "correlation_id_for"]
@@ -230,7 +231,7 @@ class Tracer:
     def bind_clock(self, env) -> None:
         """Adopt a simulation environment's clock (first binder wins)."""
         if self._clock is None:
-            self._clock = lambda: env.now
+            self._clock = partial(getattr, env, "now")
 
     def rebind_clock(self, env) -> None:
         """Forcibly adopt a new simulation's clock.
@@ -239,7 +240,7 @@ class Tracer:
         several independent simulation runs; components should use the
         soft :meth:`bind_clock` instead.
         """
-        self._clock = lambda: env.now
+        self._clock = partial(getattr, env, "now")
 
     # -- span lifecycle ------------------------------------------------------
 
@@ -250,10 +251,10 @@ class Tracer:
         parent: Span | None = None,
         attributes: dict[str, Any] | None = None,
     ) -> Span:
-        # ``parent`` is duck-typed: a live Span or a wire
-        # :class:`~repro.observability.trace_context.TraceContext` — anything
-        # exposing trace_id / span_id / correlation_id (and optionally
-        # sampled) joins its trace.
+        # ``parent`` is duck-typed: a live Span or a
+        # :class:`~repro.observability.trace_context.TraceContext` read off
+        # an envelope — anything exposing trace_id / span_id /
+        # correlation_id (and optionally sampled) joins its trace.
         if parent is not None:
             trace_id = parent.trace_id
             parent_id = parent.span_id
@@ -266,15 +267,15 @@ class Tracer:
             sampler = self._sampler
             sampled = sampler is None or sampler.sample(trace_id)
         span = Span(
-            name=name,
-            span_id=f"sp-{next(self._span_ids):06d}",
-            trace_id=trace_id,
-            parent_id=parent_id,
-            correlation_id=correlation_id,
-            start_time=self.now(),
-            tracer=self,
-            attributes=attributes,
-            sampled=sampled,
+            name,
+            f"sp-{next(self._span_ids):06d}",
+            trace_id,
+            parent_id,
+            correlation_id,
+            self.now(),
+            self,
+            attributes,
+            sampled,
         )
         self._open[span] = None
         return span

@@ -16,7 +16,6 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass
 
 from repro.observability.tracing import NULL_TRACER
-from repro.observability.trace_context import trace_context_of
 from repro.simulation import Environment, Expired, RandomSource
 from repro.soap import SoapEnvelope
 
@@ -126,9 +125,9 @@ class Network:
         self._rng = (random_source or RandomSource()).stream("network.latency")
         self._endpoints: dict[str, NetworkEndpoint] = {}
         #: Set by a tracing-enabled wsBus: exchanges whose envelope carries
-        #: a ``masc:TraceContext`` header get ``net.exchange`` /
-        #: ``service.execute`` spans. Client legs (no header yet) and
-        #: untraced runs take the exact pre-tracing path.
+        #: a trace context get ``net.exchange`` / ``service.execute`` spans.
+        #: Client legs (no context yet) and untraced runs take the exact
+        #: pre-tracing path.
         self.tracer = NULL_TRACER
 
     # -- endpoint management -----------------------------------------------------
@@ -204,7 +203,7 @@ class Network:
     def _exchange(self, address: str, envelope: SoapEnvelope) -> Generator:
         span = None
         if self.tracer.enabled:
-            context = trace_context_of(envelope)
+            context = envelope.trace_context
             if context is not None:
                 span = self.tracer.start_span(
                     "net.exchange", parent=context, attributes={"address": address}

@@ -25,11 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.events import MASCEvent
 from repro.observability import NULL_METRICS, NULL_TRACER, correlation_id_for
-from repro.observability.trace_context import (
-    context_of_span,
-    format_traceparent,
-    parse_traceparent,
-)
+from repro.observability.trace_context import TraceContext
 from repro.policy import AdaptationPolicy, PolicyRepository
 from repro.policy.actions import (
     ConcurrentInvokeAction,
@@ -236,17 +232,18 @@ class AdaptationManager:
             # Federation follower: the leader's manager enacts fleet-wide
             # reactions; this bus only relays the detection. The event
             # leaves this bus, so its live span reference is reduced to
-            # wire form — the same traceparent round trip a serialized
-            # MASC event takes — and the leader's adaptation span still
-            # joins the originating request's trace.
+            # what a serialized MASC event would carry (ids and the
+            # sampling verdict, no correlation), and the leader's
+            # adaptation span still joins the originating request's trace.
             self.forwarded_events += 1
             if self.metrics.enabled:
                 self.metrics.counter("federation.events.forwarded").inc()
             if event.trace_parent is not None:
-                wire = parse_traceparent(
-                    format_traceparent(context_of_span(event.trace_parent))
+                parent = event.trace_parent
+                event = replace(
+                    event,
+                    trace_parent=TraceContext(parent.trace_id, parent.span_id, parent.sampled),
                 )
-                event = replace(event, trace_parent=wire)
             return self.forward_to.handle_event(event)
         enacted: list[EventAdaptation] = []
         subject_key = event.subject_key()

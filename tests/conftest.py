@@ -94,8 +94,9 @@ def run_process(env, generator):
 def serialized_size(envelope):
     """What ``envelope.size_bytes`` must equal: the UTF-8 length of the
     envelope serialized by ``serialize_xml`` (behind ``to_xml``) without
-    its transparent headers, plus padding. The reference for every
-    differential test of the measured size."""
+    its transparent headers and its trace context, plus padding. The
+    reference for every differential test of the measured size."""
     visible = envelope.copy()
     visible.headers = [header for header in envelope.headers if not header.transparent]
+    visible.trace_context = None
     return len(visible.to_xml().encode("utf-8")) + envelope.padding

@@ -1,7 +1,8 @@
 """Tracing and sampling must never change what the simulation computes.
 
-The ``masc:TraceContext`` header is *transparent* (on the wire, excluded
-from ``size_bytes``) and sampling only filters which finished spans reach
+The trace context an envelope carries is excluded from ``size_bytes``
+(it is written out only as a header when the envelope is serialized) and
+sampling only filters which finished spans reach
 the exporters, so a traced run — sampled or not — is byte-identical to an
 untraced one. These tests pin that equivalence on full storm runs.
 """
