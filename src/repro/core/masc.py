@@ -15,11 +15,7 @@ from repro.core.monitoring_service import MASCMonitoringService
 from repro.core.monitoring_store import MonitoringStore
 from repro.core.parser import MASCPolicyParser
 from repro.observability import NULL_METRICS, NULL_TRACER
-from repro.orchestration import (
-    PersistenceService,
-    TrackingService,
-    WorkflowEngine,
-)
+from repro.orchestration import TrackingService, WorkflowEngine
 from repro.policy import PolicyRepository
 from repro.services import ServiceContainer, ServiceRegistry
 from repro.simulation import Environment, RandomSource
@@ -60,7 +56,6 @@ class MASC:
             metrics=self.metrics,
         )
         self.tracking = self.engine.add_service(TrackingService())
-        self.persistence = self.engine.add_service(PersistenceService())
 
         self.repository = PolicyRepository()
         self.parser = MASCPolicyParser(self.repository, validate=validate_policies)

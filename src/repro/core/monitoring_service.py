@@ -98,13 +98,7 @@ class MASCMonitoringService:
         self._evaluate_policies(message)
 
     def _service_type_of(self, address: str) -> str | None:
-        if self.registry is None:
-            return None
-        for service_type in self.registry.service_types:
-            for record in self.registry.find(service_type):
-                if record.address == address:
-                    return service_type
-        return None
+        return None if self.registry is None else self.registry.service_type_of(address)
 
     # -- policy evaluation -----------------------------------------------------------
 

@@ -358,6 +358,8 @@ class WorkflowEngine:
             variables=merged_variables,
             input=input,
         )
+        # A private history: the definition's tree, no edits yet.
+        instance.tree_history = (instance.root, definition, ())
         self.instances[instance_id] = instance
         self.metrics.counter("engine.instances.started").inc()
         if self.tracer.enabled:

@@ -27,6 +27,7 @@ from repro.soap import FaultCode, SoapFault, SoapFaultError
 from repro.xmlutils import Element
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.orchestration.definition import ProcessDefinition
     from repro.orchestration.engine import WorkflowEngine
 
 __all__ = ["CompensationEntry", "DeadlineHandle", "InstanceStatus", "ProcessInstance"]
@@ -95,6 +96,12 @@ class ProcessInstance:
         #: The persistence layer's memo of the dehydrated tree,
         #: ``(root, tree_revision, xml text)``; cold on a fresh instance.
         self._dehydrated_tree: tuple[Activity, int, str] | None = None
+        #: How ``root`` came to be: ``(root, definition, edits)`` when it is
+        #: the definition's tree plus the journaled operation records
+        #: ``edits``, each a ``(kind, anchor, activity text)`` triple; None
+        #: when no such description holds. Set by ``WorkflowEngine.start``,
+        #: extended by ``ProcessModifier.apply``.
+        self.tree_history: tuple[Activity, ProcessDefinition, tuple[tuple, ...]] | None = None
         self.variables = variables
         self.input = input
         self.result: Any = None
@@ -151,9 +158,12 @@ class ProcessInstance:
         Every path that mutates ``root`` must call this *before* its first
         edit (a partial failure still leaves the tree changed): the
         persistence layer serialises the tree once per revision and reuses
-        the text until the revision moves.
+        the text until the revision moves. The edit is one this method
+        cannot describe, so it also ends the tree's history; a caller that
+        can describe it (``ProcessModifier.apply``) sets a new one after.
         """
         self._tree_revision += 1
+        self.tree_history = None
 
     def find_activity(self, name: str) -> Activity | None:
         for activity in self.root.iter_tree():

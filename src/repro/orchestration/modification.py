@@ -32,7 +32,11 @@ from typing import Any
 from repro.orchestration.activities import Activity
 from repro.orchestration.errors import ModificationError
 from repro.orchestration.instance import InstanceStatus, ProcessInstance
-from repro.orchestration.xmlio import parse_activity, serialize_activity
+from repro.orchestration.xmlio import (
+    ProcessSerializationError,
+    parse_activity,
+    serialize_activity,
+)
 
 __all__ = [
     "ModificationOperation",
@@ -51,9 +55,15 @@ class ModificationOperation:
     activity: Activity | None = None
 
     def to_record(self) -> dict[str, Any]:
-        """The JSON form the persistence journal stores."""
-        activity = None if self.activity is None else serialize_activity(self.activity)
-        return {"kind": self.kind, "anchor": self.anchor, "activity": activity}
+        """The JSON form the persistence journal stores, encoded once: the
+        instance's tree history and the journal read the same dict, so
+        callers must not mutate it."""
+        record = self.__dict__.get("_record")
+        if record is None:
+            activity = None if self.activity is None else serialize_activity(self.activity)
+            record = {"kind": self.kind, "anchor": self.anchor, "activity": activity}
+            object.__setattr__(self, "_record", record)
+        return record
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "ModificationOperation":
@@ -143,6 +153,7 @@ class ProcessModifier:
         if self.applied:
             raise ModificationError("modifier already applied")
         instance = self.instance
+        history = instance.tree_history
         tracer = instance.engine.tracer
         span = None
         if tracer.enabled:
@@ -171,7 +182,7 @@ class ProcessModifier:
             for operation in self._operations:
                 self._validate_against_execution(operation)
             # Before the first edit: an apply that fails part-way has still
-            # changed the live tree.
+            # changed the live tree (and ended its history).
             instance.mark_tree_modified()
             for operation in self._operations:
                 perform_operation(instance.root, operation)
@@ -179,6 +190,8 @@ class ProcessModifier:
             if span is not None:
                 span.end(status=f"error:{type(exc).__name__}")
             raise
+        if history is not None:
+            instance.tree_history = _extended(history, self._operations)
         instance.variables.update(self._variable_bindings)
         self.applied = True
         instance.engine.metrics.counter("engine.modifications.applied").inc()
@@ -231,6 +244,19 @@ class ProcessModifier:
                 f"{operation.activity.name!r}: the renamed replacement would "
                 "re-execute out of order"
             )
+
+
+def _extended(history: tuple, operations: list[ModificationOperation]) -> tuple | None:
+    """``history`` plus the records of ``operations``; None when one of them
+    cannot be recorded (the journal taints the instance for the same op)."""
+    try:
+        records = [operation.to_record() for operation in operations]
+    except ProcessSerializationError:
+        return None
+    root, definition, edits = history
+    return root, definition, edits + tuple(
+        (record["kind"], record["anchor"], record["activity"]) for record in records
+    )
 
 
 def perform_operation(root: Activity, operation: ModificationOperation) -> None:

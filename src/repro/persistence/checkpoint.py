@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+from weakref import WeakKeyDictionary
 
 from repro.orchestration.activities import Activity, Scope
+from repro.orchestration.definition import ProcessDefinition
 from repro.orchestration.engine import RuntimeService, WorkflowEngine
 from repro.orchestration.instance import InstanceStatus, ProcessInstance
 from repro.orchestration.modification import ModificationOperation, perform_operation
@@ -59,14 +61,31 @@ class PersistenceError(RuntimeError):
 EncodedState = tuple[dict[str, Any], Any, Any]
 
 
+#: Dehydrated tree texts shared across instances: per definition, the text
+#: of its tree after each journaled edit sequence (a ``tree_history``) an
+#: instance has been checkpointed with. Entries die with the definition.
+#: Like the history itself, the memo relies on a definition's tree never
+#: being edited in place once instances have started from it.
+_TREE_TEXTS: "WeakKeyDictionary[ProcessDefinition, dict[tuple, str]]" = WeakKeyDictionary()
+
+
 def _dehydrated_tree(instance: ProcessInstance) -> str:
-    """The instance tree as XML, serialised once per tree revision."""
+    """The instance tree as XML, serialised once per tree revision, and
+    once per modification history across the instances that share one."""
     memo = instance._dehydrated_tree
     revision = instance.tree_revision
-    if memo is not None and memo[0] is instance.root and memo[1] == revision:
+    root = instance.root
+    if memo is not None and memo[0] is root and memo[1] == revision:
         return memo[2]
-    text = serialize_activity(instance.root)
-    instance._dehydrated_tree = (instance.root, revision, text)
+    history = instance.tree_history
+    if history is None or history[0] is not root:
+        text = serialize_activity(root)
+    else:
+        texts = _TREE_TEXTS.setdefault(history[1], {})
+        text = texts.get(history[2])
+        if text is None:
+            text = texts[history[2]] = serialize_activity(root)
+    instance._dehydrated_tree = (root, revision, text)
     return text
 
 

@@ -48,6 +48,7 @@ from repro.orchestration.xmlio import (
     serialize_activity,
 )
 from repro.persistence.store import CHECKPOINT, EVENT, CheckpointStore
+from repro.xmlutils import XmlError
 
 __all__ = [
     "DerivedState",
@@ -99,7 +100,7 @@ class DerivedState:
         tree is a :class:`JournalError` naming the record that wrote it."""
         try:
             return parse_activity(self.tree)
-        except ProcessSerializationError as error:
+        except (ProcessSerializationError, XmlError) as error:
             raise JournalError(f"record seq={self.tree_seq}: {error}") from error
 
     def snapshot(self) -> dict[str, Any]:
@@ -235,17 +236,43 @@ def verify_journal(
     """Check every checkpoint against its journal-derived snapshot.
 
     Returns a list of divergences (empty means every boundary snapshot is
-    byte-identical to the journal replay). Checkpoints past a
-    ``journal_truncated`` marker are skipped — the writer stopped
-    journaling on purpose there.
+    byte-identical to the journal replay and every genesis and checkpoint
+    tree parses). Checkpoints past a ``journal_truncated`` marker are
+    skipped — the writer stopped journaling on purpose there. Each distinct
+    tree text is parsed once; one the strict reader rejects is a divergence
+    of field ``tree`` at every record that holds it.
     """
     divergences: list[dict[str, Any]] = []
+    #: tree text -> why the strict reader rejects it ("" when it parses).
+    rejected: dict[str, str] = {}
+
+    def check_tree(target: str, record: dict[str, Any], text: Any) -> None:
+        if not isinstance(text, str):
+            return  # no tree to parse; the field comparison reports it
+        if text not in rejected:
+            try:
+                parse_activity(text)
+                rejected[text] = ""
+            except (ProcessSerializationError, XmlError) as error:
+                rejected[text] = str(error)
+        if rejected[text]:
+            divergences.append(
+                {
+                    "instance_id": target,
+                    "seq": record["seq"],
+                    "field": "tree",
+                    "detail": f"malformed tree: {rejected[text]}",
+                }
+            )
+
     instance_ids = [instance_id] if instance_id is not None else store.instance_ids()
     for target in instance_ids:
         state = DerivedState(instance_id=target)
         seen = False
         for record in store.records(instance_id=target):
             if record.get("type") == EVENT:
+                if record["event"] in ("instance_created", "instance_rehydrated"):
+                    check_tree(target, record, record["data"].get("tree"))
                 apply_event(state, record)
                 seen = True
                 continue
@@ -263,6 +290,7 @@ def verify_journal(
                     }
                 )
                 continue
+            check_tree(target, record, record.get("tree"))
             stored = {key: value for key, value in record.items() if key != "seq"}
             derived = state.snapshot()
             if json.dumps(derived, sort_keys=True) != json.dumps(stored, sort_keys=True):

@@ -13,15 +13,16 @@ model references:
 Reloading a document with the same name replaces it atomically — the
 paper's hot-reload property: "When a WS-Policy4MASC document changes, these
 changes are automatically enforced the next time adaptation is needed with
-no need to restart any software component." Adaptation policies are looked
-up afresh on every event, and the repository is the one interpreter of
-their guard and accounting clauses: :meth:`PolicyRepository.applicable`
-yields, lazily and in priority order, each policy whose trigger and scope
-match, whose relevance condition holds and whose required pre-state is the
-subject's state when its turn comes; :meth:`PolicyRepository.rejection`
-words a non-application for the audit trail; and
-:meth:`PolicyRepository.applied` books the post-state and the business
-value. The decision sites keep their dispatch and *when* they call
+no need to restart any software component." Which loaded policies an event
+triggers is resolved once per event name after each ``load``/``unload``;
+scope, guards and state are checked afresh on every event, and the
+repository is the one interpreter of their guard and accounting clauses:
+:meth:`PolicyRepository.applicable` yields, lazily and in priority order,
+each policy whose trigger and scope match, whose relevance condition holds
+and whose required pre-state is the subject's state when its turn comes;
+:meth:`PolicyRepository.rejection` words a non-application for the audit
+trail; and :meth:`PolicyRepository.applied` books the post-state and the
+business value. The decision sites keep their dispatch and *when* they call
 ``applied``. The services whose standing machinery is
 *configured* from policies (resilience, traffic, federation, SLOs, trace
 sampling) read it through the one load-time scan,
@@ -67,6 +68,10 @@ class PolicyRepository:
         self._documents: dict[str, PolicyDocument] = {}
         self._states: dict[str, str] = {}
         self._listeners: list[Callable[[], None]] = []
+        #: ``(kind, event)`` -> the loaded policies of that kind the event
+        #: triggers, in priority order; resolved on first use after each
+        #: ``load``/``unload``.
+        self._triggered: dict[tuple[str, str], tuple] = {}
         self.ledger: list[BusinessLedgerEntry] = []
 
     # -- loading -----------------------------------------------------------------
@@ -92,6 +97,7 @@ class PolicyRepository:
         self._listeners.append(listener)
 
     def _changed(self) -> None:
+        self._triggered.clear()
         for listener in self._listeners:
             listener()
 
@@ -114,13 +120,24 @@ class PolicyRepository:
     def adaptation_policies(self) -> list[AdaptationPolicy]:
         return self._policies("adaptation_policies")
 
+    def _triggered_by(self, kind: str, event: str) -> tuple:
+        """The policies of one kind that ``event`` triggers, in priority
+        order: matched once per event between two ``load``/``unload``s."""
+        key = (kind, event)
+        policies = self._triggered.get(key)
+        if policies is None:
+            policies = self._triggered[key] = tuple(
+                policy for policy in self._policies(kind) if policy.triggered_by(event)
+            )
+        return policies
+
     def monitoring_policies_for(self, event: str, **subject) -> list[MonitoringPolicy]:
         """Monitoring policies triggered by ``event`` in the given scope,
         in priority order (lower priority number runs first)."""
         return [
             policy
-            for policy in self.monitoring_policies()
-            if policy.triggered_by(event) and policy.scope.matches(**subject)
+            for policy in self._triggered_by("monitoring_policies", event)
+            if policy.scope.matches(**subject)
         ]
 
     def adaptation_policies_for(self, event: str, **subject) -> list[AdaptationPolicy]:
@@ -128,8 +145,8 @@ class PolicyRepository:
         in priority order."""
         return [
             policy
-            for policy in self.adaptation_policies()
-            if policy.triggered_by(event) and policy.scope.matches(**subject)
+            for policy in self._triggered_by("adaptation_policies", event)
+            if policy.scope.matches(**subject)
         ]
 
     def configuration(

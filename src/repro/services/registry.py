@@ -32,6 +32,8 @@ class ServiceRegistry:
 
     def __init__(self) -> None:
         self._records: dict[str, list[ServiceRecord]] = {}
+        #: address -> the first (sorted) type implemented there.
+        self._type_of: dict[str, str] = {}
 
     def register(
         self,
@@ -42,11 +44,26 @@ class ServiceRegistry:
     ) -> ServiceRecord:
         record = ServiceRecord(service_type, name, address, dict(properties or {}))
         self._records.setdefault(service_type, []).append(record)
+        known = self._type_of.get(address)
+        if known is None or service_type < known:
+            self._type_of[address] = service_type
         return record
 
     def unregister(self, address: str) -> None:
-        for records in self._records.values():
-            records[:] = [record for record in records if record.address != address]
+        """Drop every implementation at ``address``; a type left without
+        one is no longer listed."""
+        for service_type in list(self._records):
+            records = [r for r in self._records[service_type] if r.address != address]
+            if records:
+                self._records[service_type] = records
+            else:
+                del self._records[service_type]
+        self._type_of.pop(address, None)
+
+    def service_type_of(self, address: str) -> str | None:
+        """The type implemented at ``address`` (the first in sorted order
+        when it implements several), or None."""
+        return self._type_of.get(address)
 
     def find(
         self, service_type: str, predicate=None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.orchestration import Empty, serialize_activity
 from repro.persistence import (
     CHECKPOINT,
     EVENT,
@@ -11,6 +12,8 @@ from repro.persistence import (
 )
 
 INSTANCES = 300
+#: ``verify_journal`` parses every genesis and checkpoint tree.
+TREE = serialize_activity(Empty("t"))
 
 
 class _CountingList(list):
@@ -41,7 +44,7 @@ def _genesis(instance_id):
     return {
         "definition": "p",
         "status": "running",
-        "tree": "<t/>",
+        "tree": TREE,
         "variables": {},
         "executed": [],
         "active": [],

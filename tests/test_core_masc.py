@@ -23,6 +23,7 @@ from repro.policy import (
     QoSThreshold,
     RetryAction,
 )
+from repro.services import ServiceRegistry
 from repro.simulation import Environment
 from repro.soap import AddressingHeaders, FaultCode, SoapEnvelope
 from repro.xmlutils import Element
@@ -128,6 +129,51 @@ class TestMonitoringService:
         service.observe_message("request", order_envelope(country="US", amount=900), "getRecommendation", "http://svc")
         assert [e.name for e in events] == ["trade.international"]
         assert events[0].context == {"amount": 900, "country": "US"}
+
+    def test_a_load_or_unload_between_two_messages_changes_the_matched_policies(self):
+        """Trigger matches are resolved per load/unload, never kept past one."""
+        service, events = self._service([])
+
+        def observe():
+            events.clear()
+            service.observe_message(
+                "request", order_envelope(country="US"), "getRecommendation", "http://svc"
+            )
+            return [event.raised_by for event in events]
+
+        assert observe() == []
+        document = PolicyDocument("late")
+        document.monitoring_policies.append(
+            MonitoringPolicy(
+                name="detect", events=("message.request",), emits=("trade.seen",)
+            )
+        )
+        service.repository.load(document)
+        assert observe() == ["detect"]
+        service.repository.unload("late")
+        assert observe() == []
+
+    def test_registry_names_the_service_type_of_the_target(self):
+        env = Environment()
+        registry = ServiceRegistry()
+        registry.register("Trading", "t", "http://svc")
+        registry.register("Analysis", "a", "http://svc")
+        repo = PolicyRepository()
+        document = PolicyDocument("d")
+        document.monitoring_policies.append(
+            MonitoringPolicy(
+                name="detect",
+                events=("message.request",),
+                scope=PolicyScope(service_type="Analysis"),
+                emits=("trade.seen",),
+            )
+        )
+        repo.load(document)
+        service = MASCMonitoringService(env, repo, registry=registry)
+        events = []
+        service.add_sink(events.append)
+        service.observe_message("request", order_envelope(), "getRecommendation", "http://svc")
+        assert [(e.name, e.service_type) for e in events] == [("trade.seen", "Analysis")]
 
     def test_detection_policy_silent_when_conditions_fail(self):
         service, events = self._service(

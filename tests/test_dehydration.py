@@ -1,11 +1,13 @@
 """Change-proportional dehydration keeps every stored byte.
 
 ``capture_checkpoint`` serialises an instance tree once per
-``tree_revision`` and reuses the text, ``Activity.copy`` is a structural
-clone, and each boundary encodes its state once. None of that may show in
-a ``CheckpointStore``: these tests compare the fast paths against the
-slow ones they replaced (a fresh ``serialize_activity``, ``copy.deepcopy``)
-and pin whole stores to digests recorded before the change.
+``tree_revision`` and reuses the text, instances that share a definition
+and a modification history share one text, ``Activity.copy`` is a
+structural clone, and each boundary encodes its state once. None of that
+may show in a ``CheckpointStore``: these tests compare the fast paths
+against the slow ones they replaced (a fresh ``serialize_activity``,
+``copy.deepcopy``) and pin whole stores to digests recorded before the
+change.
 """
 
 import copy
@@ -55,10 +57,12 @@ from repro.orchestration import (
 from repro.orchestration.instance import InstanceStatus
 from repro.persistence import (
     CHECKPOINT,
+    EVENT,
     CheckpointStore,
     CheckpointingService,
     verify_journal,
 )
+from repro.persistence import checkpoint as checkpoint_module
 from repro.policy import serialize_policy_document
 from repro.simulation import Environment, RandomSource
 from repro.soap import FaultCode
@@ -170,18 +174,38 @@ class TestGoldenStoreDigest:
 # ---------------------------------------------------------------------------
 
 
+def shared_text(instance):
+    """The text the cross-instance memo holds for the instance's history,
+    or None when the instance has no history (it serialises its own)."""
+    history = instance.tree_history
+    if history is None or history[0] is not instance.root:
+        return None
+    root, definition, edits = history
+    return checkpoint_module._TREE_TEXTS[definition][edits]
+
+
 class DehydrationOracle(RuntimeService):
-    """Checks each checkpoint the moment the service before it wrote it."""
+    """Checks each checkpoint the moment the service before it wrote it.
+
+    The stored tree must equal a fresh serialisation; an instance with a
+    history must hold the very text the shared memo keeps for it, so every
+    instance with that history is checked against its own fresh tree.
+    """
 
     def __init__(self, store, journal=True):
         self.store = store
         self.journal = journal
         self.checked = 0
+        self.shared = 0
 
     def _check(self, instance, *_args):
         record = self.store.records(instance.id)[-1]
         assert record["type"] == CHECKPOINT
         assert record["tree"] == serialize_activity(instance.root)
+        text = shared_text(instance)
+        if text is not None:
+            assert record["tree"] is text
+            self.shared += 1
         if self.journal:
             assert verify_journal(self.store) == []
         self.checked += 1
@@ -222,6 +246,11 @@ class TestDehydrationOracle:
         assert sum(oracle.checked for oracle in oracles) >= boundaries * (
             boundaries + 1
         ) // 2
+        # Started instances check against the shared memo; rehydrated ones
+        # have no history and serialise their own trees.
+        assert 0 < sum(oracle.shared for oracle in oracles) < sum(
+            oracle.checked for oracle in oracles
+        )
 
     def test_customized_trading_run(self):
         # Static customization edits the tree before this service's own
@@ -233,8 +262,85 @@ class TestDehydrationOracle:
         oracle = deployment.engine.add_service(DehydrationOracle(store, journal=False))
         run_customized_orders(deployment)
         assert oracle.checked == len(store.records(record_type=CHECKPOINT))
+        assert oracle.shared == oracle.checked
         trees = {record["tree"] for record in store.records(record_type=CHECKPOINT)}
         assert len(trees) > 1, "the profiles must produce differently customized trees"
+
+
+# ---------------------------------------------------------------------------
+# One tree text per (definition, modification history), across instances
+# ---------------------------------------------------------------------------
+
+
+def _stored_trees(store):
+    """Every tree text the store holds: checkpoints and genesis events."""
+    return [record["tree"] for record in store.records(record_type=CHECKPOINT)] + [
+        record["data"]["tree"]
+        for record in store.records(record_type=EVENT)
+        if record["event"] in ("instance_created", "instance_rehydrated")
+    ]
+
+
+class TestSharedTreeTexts:
+    def test_one_checkpoint_serialisation_per_distinct_history(self, monkeypatch):
+        calls = []
+        serialize = checkpoint_module.serialize_activity
+
+        def counting(activity):
+            calls.append(activity)
+            return serialize(activity)
+
+        monkeypatch.setattr(checkpoint_module, "serialize_activity", counting)
+        deployment, store = customized_trading_deployment(seed=7)
+        run_customized_orders(deployment)
+        trees = _stored_trees(store)
+        assert len(deployment.engine.instances) == 12
+        assert len(trees) == 132
+        # Twelve instances, eight distinct histories, eight serialisations.
+        assert len(calls) == len(set(trees)) == 8
+
+    def test_instances_with_the_same_history_hold_the_same_string(self):
+        deployment, store = customized_trading_deployment(seed=7)
+        run_customized_orders(deployment)
+        trees = _stored_trees(store)
+        assert len({id(tree) for tree in trees}) == len(set(trees))
+        twins = {}
+        for instance in deployment.engine.instances.values():
+            twins.setdefault(instance.tree_history[2], []).append(instance)
+        assert any(len(group) > 1 for group in twins.values())
+        for group in twins.values():
+            texts = {id(store.latest_checkpoint(i.id)["tree"]) for i in group}
+            assert len(texts) == 1
+
+    def test_a_callable_built_insertion_falls_back_byte_identical(self):
+        env = Environment()
+        engine = WorkflowEngine(env, network=Network(env, RandomSource(7)))
+        store = CheckpointStore()
+        service = engine.add_service(CheckpointingService(store))
+        definition = ProcessDefinition(
+            "p", Sequence("main", [Delay("d1", 1.0), Reply("r", variable="x")])
+        )
+        edited, plain = engine.start(definition), engine.start(definition)
+        modifier = ProcessModifier(edited)
+        modifier.insert_after("d1", Assign("computed", "x", expression=_is_positive))
+        modifier.apply()
+        assert edited.tree_history is None
+        # The journal taints the instance, and its fallback checkpoint
+        # cannot hold a callable: it is counted, not written.
+        assert store.records(edited.id, EVENT)[-1]["event"] == "journal_truncated"
+        assert len(service.errors) == 1
+        modifier = ProcessModifier(edited)
+        modifier.remove("computed")
+        modifier.apply()
+        assert edited.tree_history is None, "a history, once ended, stays ended"
+        for instance in (edited, plain):
+            instance.suspend()
+            instance.resume()
+        ours = store.latest_checkpoint(edited.id)["tree"]
+        theirs = store.latest_checkpoint(plain.id)["tree"]
+        assert ours == theirs == serialize_activity(definition.root)
+        assert ours is not theirs
+        assert theirs is shared_text(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -276,32 +382,55 @@ def test_memoised_tree_always_equals_fresh_serialisation(data):
     service = engine.add_service(CheckpointingService(store, strict=True))
     # Never run: a created instance that has executed nothing accepts edits
     # without suspension, and suspend/resume writes a checkpoint on demand.
-    instance = engine.start(ProcessDefinition("p", root))
+    definition = ProcessDefinition("p", root)
+    instance = engine.start(definition)
+    # A twin from the same definition receives the same edits: while both
+    # histories hold it checkpoints the very same string.
+    twin = engine.start(definition)
 
-    def checkpoint_tree():
-        instance.suspend()
-        instance.resume()
-        tree = store.latest_checkpoint(instance.id)["tree"]
-        assert tree == serialize_activity(instance.root)
+    def checkpoint_tree(of=instance):
+        of.suspend()
+        of.resume()
+        tree = store.latest_checkpoint(of.id)["tree"]
+        assert tree == serialize_activity(of.root)
         return tree
 
+    def restage(modifier, operation):
+        if operation.kind == "remove":
+            modifier.remove(operation.anchor)
+        else:
+            getattr(modifier, operation.kind)(operation.anchor, operation.activity)
+
     last = checkpoint_tree()
+    assert checkpoint_tree(twin) is last
     for _ in range(data.draw(st.integers(1, 4), label="rounds")):
         # Two modifiers staged on the same tree: the second applies onto a
         # tree the first already changed, so it can fail part-way through.
         modifiers = [ProcessModifier(instance) for _ in range(2)]
-        for modifier in modifiers:
+        twin_modifiers = [ProcessModifier(twin) for _ in range(2)]
+        for modifier, twin_modifier in zip(modifiers, twin_modifiers):
             _stage_random_edits(data, modifier, namer)
-        for modifier in modifiers:
+            for operation in modifier._operations:
+                restage(twin_modifier, operation)
+        for modifier, twin_modifier in zip(modifiers, twin_modifiers):
             revision = instance.tree_revision
-            try:
-                modifier.apply()
-            except ModificationError:
-                pass
+            outcomes = []
+            for applying in (modifier, twin_modifier):
+                try:
+                    applying.apply()
+                    outcomes.append(None)
+                except ModificationError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
             assert instance.tree_revision > revision
+            # A failed apply ends the history for good.
+            assert (instance.tree_history is None) == (twin.tree_history is None)
             last = checkpoint_tree()
             # No edit in between: the next checkpoint shares the string.
             assert checkpoint_tree() is last
+            twins = checkpoint_tree(twin)
+            assert twins == last
+            assert (twins is last) == (instance.tree_history is not None)
 
     assert service.errors == []
     engine.crash()
@@ -309,6 +438,7 @@ def test_memoised_tree_always_equals_fresh_serialisation(data):
     recovery.add_service(CheckpointingService(store, strict=True))
     recovered = recovery.rehydrate(store, instance.id)
     assert recovered.tree_revision == 0
+    assert recovered.tree_history is None
     genesis = store.records(instance.id)[-1]
     assert genesis["event"] == "instance_rehydrated"
     assert genesis["data"]["tree"] == last == serialize_activity(recovered.root)

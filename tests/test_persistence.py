@@ -558,6 +558,45 @@ class TestSagaCrashRecovery:
             "attribute 'timeoutSecond'\n"
         )
 
+    def test_verify_parses_every_tree_and_names_a_malformed_one(self, tmp_path, capsys):
+        """Regression: ``--verify`` compared tree texts only, so a tree the
+        strict reader rejects passed as long as every record repeated it."""
+        from repro.cli import main
+        from repro.experiments import run_crash_recovery
+        from repro.persistence import verify_journal
+
+        path = tmp_path / "journal.jsonl"
+        run_crash_recovery(
+            process="scm-saga", seed=3, crash_after_completions=3, store_path=path
+        )
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_text(
+            path.read_text(encoding="utf-8").replace("timeoutSeconds", "timeoutSecond"),
+            encoding="utf-8",
+        )
+        divergences = verify_journal(CheckpointStore(damaged))
+        assert divergences
+        assert {entry["field"] for entry in divergences} == {"tree"}
+        assert divergences[0]["seq"] == 1
+        assert divergences[0]["detail"] == (
+            "malformed tree: Invoke 'get-catalog' has an undeclared attribute "
+            "'timeoutSecond'"
+        )
+        capsys.readouterr()
+        assert main(["replay", str(damaged), "--verify"]) == 1
+        assert "seq=1 field=tree: malformed tree: Invoke 'get-catalog'" in (
+            capsys.readouterr().out
+        )
+
+    def test_a_tree_that_is_not_xml_is_a_journal_error(self):
+        from repro.orchestration import serialize_activity
+        from repro.persistence import DerivedState, JournalError
+
+        text = serialize_activity(Sequence("main", [Empty("a")]))
+        state = DerivedState("p-1", tree=text[: len(text) // 2], tree_seq=4)
+        with pytest.raises(JournalError, match="record seq=4: malformed XML"):
+            state.root()
+
     def test_malformed_journaled_operation_names_its_own_record(self):
         from repro.orchestration import serialize_activity
         from repro.persistence import DerivedState, JournalError, apply_event

@@ -235,6 +235,28 @@ class TestRegistry:
         assert len(registry) == 2
         assert registry.service_types == ["A", "B"]
 
+    def test_unregistering_the_last_implementation_drops_the_type(self):
+        """Regression: the emptied type stayed listed, so a validator fed
+        ``service_types`` accepted a type nothing implements."""
+        registry = ServiceRegistry()
+        registry.register("Retailer", "A", "http://a")
+        registry.register("Warehouse", "W", "http://w")
+        registry.unregister("http://a")
+        assert registry.service_types == ["Warehouse"]
+        assert len(registry) == 1
+
+    def test_service_type_of_is_the_first_type_in_sorted_order(self):
+        registry = ServiceRegistry()
+        registry.register("Warehouse", "W", "http://multi")
+        assert registry.service_type_of("http://multi") == "Warehouse"
+        registry.register("Retailer", "R", "http://multi")
+        registry.register("Shipper", "S", "http://multi")
+        assert registry.service_type_of("http://multi") == "Retailer"
+        assert registry.service_type_of("http://nowhere") is None
+        registry.unregister("http://multi")
+        assert registry.service_type_of("http://multi") is None
+        assert registry.service_types == []
+
 
 class TestMustUnderstand:
     def test_unknown_must_understand_header_rejected(self, env, network, container, echo_service):
