@@ -52,20 +52,6 @@ def render_markdown(results: dict) -> str:
                     f"{churn['final_heap_length']} heap entries left of {churn['round_trips']:,}",
                 ]
             )
-        table1 = results.get("table1_end_to_end")
-        if table1 and "events_per_sec" in table1:
-            pr3_wall = baseline.get("table1_jobs1_seconds")
-            rows.append(
-                [
-                    "Table 1 workload (jobs=1)",
-                    f"{table1['events_per_sec']:,.0f} events/sec",
-                    (
-                        f"{pr3_wall / table1['jobs1_seconds']:.2f}x the PR 3 wall-clock"
-                        if pr3_wall
-                        else "—"
-                    ),
-                ]
-            )
         lines += ["## Throughput", ""]
         lines += _table(["workload", "throughput", "vs baseline"], rows)
         lines.append("")
@@ -84,31 +70,6 @@ def render_markdown(results: dict) -> str:
     if micro_rows:
         lines += ["## Hot-path fast paths", ""]
         lines += _table(["fast path", "speedup"], micro_rows)
-        lines.append("")
-
-    scaling = results.get("jobs_scaling")
-    if scaling:
-        cpus = scaling.get("cpu_count", "?")
-        rows = [["1", f"{scaling['jobs1_seconds']:.2f}s", "1.00x"]]
-        for jobs, entry in sorted(scaling["jobs"].items(), key=lambda kv: int(kv[0])):
-            rows.append(
-                [jobs, f"{entry['seconds']:.2f}s", f"{entry['speedup_vs_serial']:.2f}x"]
-            )
-        lines += [f"## Jobs scaling ({cpus} CPU(s))", ""]
-        lines += _table(["jobs", "wall-clock", "speedup vs serial"], rows)
-        lines.append("")
-        table1 = results.get("table1_end_to_end", {})
-        if isinstance(cpus, int) and cpus < 2:
-            lines.append(
-                "Single-core runner: the pool can only add overhead here, so "
-                "speedup-vs-serial below 1.0 is expected; the >1.0 gate applies "
-                "on multi-core machines."
-            )
-        elif table1.get("speedup"):
-            lines.append(
-                f"jobs=4 end to end: {table1['speedup']:.2f}x vs serial "
-                f"(byte-identical: {table1.get('byte_identical', '?')})."
-            )
         lines.append("")
 
     return "\n".join(lines).rstrip() + "\n"

@@ -43,14 +43,14 @@ DEFAULT_CATALOG: dict[str, float] = {
 def parse_order_items(items_text: str) -> list[tuple[str, int]]:
     """Parse the order line format ``ProductxQty,ProductxQty``."""
     items: list[tuple[str, int]] = []
-    for chunk in items_text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
+    for item in items_text.split(","):
+        item = item.strip()
+        if not item:
             continue
-        product, _, quantity = chunk.rpartition("x")
+        product, _, quantity = item.rpartition("x")
         if not product:
             raise SoapFaultError(
-                SoapFault(FaultCode.CLIENT, f"malformed order item {chunk!r}")
+                SoapFault(FaultCode.CLIENT, f"malformed order item {item!r}")
             )
         items.append((product, int(quantity)))
     return items

@@ -149,8 +149,8 @@ class FinancialAnalysisService(SimulatedService):
     def op_updateQuotes(self, payload: Element, ctx) -> Generator:
         yield ctx.work()
         text = payload.child_text("quotes", "") or ""
-        for chunk in text.split(";"):
-            symbol, _, price = chunk.partition(":")
+        for quote in text.split(";"):
+            symbol, _, price = quote.partition(":")
             if symbol and price:
                 value = float(price)
                 self.quotes[symbol] = value

@@ -14,8 +14,9 @@ Usage::
     python -m repro scenarios
     python -m repro quickcheck
 
-``--jobs N`` shards the independent experiment cells over N worker
-processes (see ``docs/performance.md``); results are byte-identical to a
+``--jobs N`` runs the independent experiment cells on a pool of up to N
+worker processes, opened for the run and closed at its end, one task per
+cell (see ``docs/performance.md``); results are byte-identical to a
 sequential run because every cell is independently seeded and the merge
 order is fixed by cell key.
 ``--trace PATH`` records every middleware span of the bus-mediated runs
@@ -129,7 +130,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         requests=args.requests,
         tracer=tracer,
         jobs=_effective_jobs(args, tracer),
-        chunk_size=args.chunk,
     )
     print(render_table1(rows))
     _close_tracer(tracer, exporter, args.trace)
@@ -142,7 +142,6 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
         requests=args.requests,
         tracer=tracer,
         jobs=_effective_jobs(args, tracer),
-        chunk_size=args.chunk,
     )
     print(render_figure5(series))
     _close_tracer(tracer, exporter, args.trace)
@@ -152,9 +151,9 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
 #: The flags (argparse destinations) each ``storm`` mode reads besides
 #: ``--seed``; any other storm flag on the command line exits 2.
 STORM_FLAGS = {
-    "resilience": {"clients", "requests", "slo", "trace", "report", "jobs", "chunk"},
-    "traffic": {"traffic", "clients", "requests", "report", "jobs", "chunk"},
-    "fleet": {"fleet", "clients", "requests", "trace", "report", "jobs", "chunk"},
+    "resilience": {"clients", "requests", "slo", "trace", "report", "jobs"},
+    "traffic": {"traffic", "clients", "requests", "report", "jobs"},
+    "fleet": {"fleet", "clients", "requests", "trace", "report", "jobs"},
     "crash_engine": {"crash_engine", "sagas", "journal"},
 }
 
@@ -216,7 +215,7 @@ def _run_ablation(ablation: _Ablation, args: argparse.Namespace) -> int:
     recorder = None
     if tracer is None:
         cells = [Cell((index,), run, {"scenario": arm}) for index, (_, arm) in enumerate(arms)]
-        merged = run_cells(cells, jobs=jobs, chunk_size=getattr(args, "chunk", None))
+        merged = run_cells(cells, jobs=jobs)
         results = list(merged.values())
     else:
         # Spans, the flight recorder and the traced arm's live bus belong
@@ -902,10 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="shard (config, seed) cells over N worker processes",
     )
-    table1.add_argument(
-        "--chunk", type=int, default=None, metavar="C",
-        help="cells per pool task (default: automatic, ~4 chunks per worker)",
-    )
     table1.set_defaults(handler=_cmd_table1)
 
     figure5 = subparsers.add_parser("figure5", help="Figure 5: RTT vs request size")
@@ -918,10 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure5.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="shard (operation, size, path) cells over N worker processes",
-    )
-    figure5.add_argument(
-        "--chunk", type=int, default=None, metavar="C",
-        help="cells per pool task (default: automatic, ~4 chunks per worker)",
     )
     figure5.set_defaults(handler=_cmd_figure5)
 
@@ -992,10 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, metavar="N",
         help="run the two ablation arms in separate worker processes "
         "(ignored — forced to 1 — when --trace is given)",
-    )
-    storm.add_argument(
-        "--chunk", type=int, metavar="C",
-        help="cells per pool task (default: automatic, ~4 chunks per worker)",
     )
     storm.set_defaults(handler=_cmd_storm)
 

@@ -39,13 +39,11 @@ def regenerate_table1_per_seed(
     requests: int = 250,
     tracer=None,
     jobs: int = 1,
-    chunk_size: int | None = None,
 ):
     """Run every Table 1 cell; returns {(config, seed): RunResult}.
 
     ``config`` is one of ``"A"``–``"D"`` (direct) or ``"VEP"``. With
-    ``jobs > 1`` the cells fan out over a process pool (``chunk_size``
-    cells per pool task; default automatic); the merged mapping is
+    ``jobs > 1`` the cells fan out over a process pool; the merged mapping is
     identical to the sequential run because every cell is independently
     seeded and the merge order is fixed by the cell key. A non-None
     ``tracer`` forces ``jobs=1`` (spans are recorded in-process).
@@ -62,7 +60,7 @@ def regenerate_table1_per_seed(
         Cell(("VEP", seed), run, {"scenario": table1_vep(seed, **fields), "tracer": tracer})
         for seed in seeds
     ]
-    return run_cells(cells, jobs=jobs, chunk_size=chunk_size)
+    return run_cells(cells, jobs=jobs)
 
 
 def regenerate_table1(
@@ -71,7 +69,6 @@ def regenerate_table1(
     requests: int = 250,
     tracer=None,
     jobs: int = 1,
-    chunk_size: int | None = None,
 ):
     """Run all five Table 1 configurations; returns {key: (f/1000, avail)}.
 
@@ -80,12 +77,7 @@ def regenerate_table1(
     matrix across worker processes without changing the results.
     """
     per_seed = regenerate_table1_per_seed(
-        seeds,
-        clients=clients,
-        requests=requests,
-        tracer=tracer,
-        jobs=jobs,
-        chunk_size=chunk_size,
+        seeds, clients=clients, requests=requests, tracer=tracer, jobs=jobs
     )
     rows: dict[str, tuple[float, float]] = {}
     for key in ("A", "B", "C", "D", "VEP"):
@@ -126,13 +118,11 @@ def regenerate_figure5(
     requests: int = 150,
     tracer=None,
     jobs: int = 1,
-    chunk_size: int | None = None,
 ):
     """Figure 5 series: {operation: (direct RTTs, wsBus RTTs)} in seconds.
 
     ``jobs`` shards the (operation, size, direct|bus) sweep across worker
-    processes (``chunk_size`` cells per pool task; default automatic); a
-    non-None ``tracer`` forces ``jobs=1``.
+    processes; a non-None ``tracer`` forces ``jobs=1``.
     """
     if tracer is not None:
         jobs = 1
@@ -151,7 +141,7 @@ def regenerate_figure5(
         for size_kb in sizes_kb
         for path in ("direct", "bus")
     ]
-    points = run_cells(cells, jobs=jobs, chunk_size=chunk_size)
+    points = run_cells(cells, jobs=jobs)
     series = {}
     for operation in operations:
         direct = [points[(operation, size_kb, "direct")].rtt_stats["mean"] for size_kb in sizes_kb]

@@ -58,7 +58,6 @@ from repro.observability.metrics import (
     MetricsRegistry,
     NullMetrics,
     labeled_name,
-    merge_metric_snapshots,
 )
 from repro.observability.trace_context import (
     TraceContext,
@@ -105,7 +104,6 @@ __all__ = [
     "group_traces",
     "labeled_name",
     "load_spans",
-    "merge_metric_snapshots",
     "parse_traceparent",
     "read_spans_jsonl",
     "render_top",

@@ -36,7 +36,6 @@ __all__ = [
     "NULL_METRICS",
     "NullMetrics",
     "labeled_name",
-    "merge_metric_snapshots",
 ]
 
 
@@ -347,53 +346,6 @@ def _exemplar_suffix(ring) -> str:
     if correlation_id is not None:
         label += f',correlation_id="{_escape_label_value(correlation_id)}"'
     return f" # {{{label}}} {value:.6f}"
-
-
-def merge_metric_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Deterministically merge per-shard :meth:`MetricsRegistry.snapshot` dicts.
-
-    Counters sum; histograms combine their exact aggregates (``count``,
-    ``mean`` via the weighted total, ``min``, ``max``). Windowed
-    percentiles cannot be merged from summaries and are deliberately
-    dropped — they remain a per-shard view. The result depends only on
-    the multiset of inputs (keys are sorted, sums are order-independent
-    per sorted input order), so merging ``jobs=4`` shard snapshots equals
-    merging the same cells run with ``jobs=1``.
-    """
-    counters: dict[str, int] = {}
-    histograms: dict[str, dict] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, summary in snapshot.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                merged = histograms[name] = {
-                    "count": 0,
-                    "total": 0.0,
-                    "min": None,
-                    "max": None,
-                }
-            count = summary["count"]
-            merged["count"] += count
-            merged["total"] += summary["mean"] * count
-            if count:
-                if merged["min"] is None or summary["min"] < merged["min"]:
-                    merged["min"] = summary["min"]
-                if merged["max"] is None or summary["max"] > merged["max"]:
-                    merged["max"] = summary["max"]
-    return {
-        "counters": dict(sorted(counters.items())),
-        "histograms": {
-            name: {
-                "count": h["count"],
-                "mean": h["total"] / h["count"] if h["count"] else 0.0,
-                "min": h["min"] if h["min"] is not None else 0.0,
-                "max": h["max"] if h["max"] is not None else 0.0,
-            }
-            for name, h in sorted(histograms.items())
-        },
-    }
 
 
 class _NullInstrument:

@@ -668,21 +668,34 @@ class Scope(Activity):
 
     def execute(self, instance: "ProcessInstance") -> Generator:
         try:
-            if self.timeout_seconds is None:
-                yield from instance.run_activity(self.body)
-            else:
-                yield from instance.run_with_deadline(self, self.body, self.timeout_seconds)
+            yield from self._run_body(instance)
         except ProcessFault as fault:
-            handler = self.fault_handlers.get(fault.code, self.fault_handlers.get(None))
-            if handler is None:
-                raise
-            if self.compensate_on_fault:
-                yield from instance.compensate_completed_scopes(self)
-            instance.variables["_fault"] = fault.fault
-            yield from instance.run_activity(handler)
+            yield from self._handle(instance, fault)
             return
         if self.compensation is not None:
             instance.register_compensation(self)
+
+    def _run_body(self, instance: "ProcessInstance") -> Generator:
+        """The body, under the deadline if one is set."""
+        if self.timeout_seconds is None:
+            return instance.run_activity(self.body)
+        return instance.run_with_deadline(self, self.body, self.timeout_seconds)
+
+    def _handle(self, instance: "ProcessInstance", fault: ProcessFault) -> Generator:
+        """Run the handler for ``fault``, or re-raise it when none matches.
+
+        :meth:`_before_handler` runs between the look-up and the handler.
+        """
+        handler = self.fault_handlers.get(fault.code, self.fault_handlers.get(None))
+        if handler is None:
+            raise fault
+        yield from self._before_handler(instance)
+        instance.variables["_fault"] = fault.fault
+        yield from instance.run_activity(handler)
+
+    def _before_handler(self, instance: "ProcessInstance") -> Generator:
+        if self.compensate_on_fault:
+            yield from instance.compensate_completed_scopes(self)
 
 
 def CompensationPair(name: str, primary: Activity, compensation: Activity) -> Scope:
@@ -733,12 +746,7 @@ class CompensationScope(Scope):
         instance._saga_stack.append(self)
         try:
             try:
-                if self.timeout_seconds is None:
-                    yield from instance.run_activity(self.body)
-                else:
-                    yield from instance.run_with_deadline(
-                        self, self.body, self.timeout_seconds
-                    )
+                yield from self._run_body(instance)
             except ProcessTerminated:
                 # Terminate unwinds the saga before stopping the instance.
                 yield from instance.compensate(scope=self.name, reason="terminate")
@@ -747,20 +755,18 @@ class CompensationScope(Scope):
                 yield from instance.compensate(
                     scope=self.name, reason=f"fault:{fault.code.value}"
                 )
-                handler = self.fault_handlers.get(fault.code, self.fault_handlers.get(None))
-                if handler is None:
-                    raise
-                if instance._compensation_request is not None:
-                    # The request's fault stopped here; later activities
-                    # (the handler, outer scopes) run normally again.
-                    instance._compensation_request = None
-                instance.variables["_fault"] = fault.fault
-                yield from instance.run_activity(handler)
+                yield from self._handle(instance, fault)
                 return
         finally:
             instance._saga_stack.pop()
         if self.compensation is not None:
             instance.register_compensation(self)
+
+    def _before_handler(self, instance: "ProcessInstance") -> Generator:
+        # The request's fault stopped here; later activities (the handler,
+        # outer scopes) run normally again.
+        instance._compensation_request = None
+        yield from ()
 
 
 class Compensate(Activity):

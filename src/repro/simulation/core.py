@@ -358,13 +358,11 @@ class Process(Event):
                 continue
             else:
                 misuse = f"process {self.name!r} yielded a cancelled timeout"
-            try:
-                self._generator.throw(SimulationError(misuse))
-            except StopIteration as stop:
-                self._settle(True, stop.value)
-            except BaseException as err:  # noqa: BLE001
-                self._settle(False, err)
-            return
+            # Thrown in like any failure: a generator that catches it goes
+            # on with whatever it yields next.
+            event = Event(self.env)
+            event._ok = False
+            event._value = SimulationError(misuse)
 
 
 class _Condition(Event):

@@ -206,6 +206,24 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             env.run(env.process(proc()))
 
+    def test_process_that_catches_its_misuse_goes_on(self, env):
+        # The misuse error is thrown in like any failure, so the event the
+        # generator yields after catching it is waited for, not dropped.
+        caught = []
+
+        def proc():
+            try:
+                yield "not an event"
+            except SimulationError as error:
+                caught.append(error)
+            yield env.timeout(1.0)
+            return "resumed"
+
+        process = env.process(proc())
+        assert env.run(process) == "resumed"
+        assert env.now == 1.0 and not process.is_alive
+        assert "expected an Event" in str(caught[0])
+
     def test_requires_generator(self, env):
         with pytest.raises(SimulationError):
             env.process(lambda: None)
