@@ -17,7 +17,7 @@ from repro.casestudies.scm.contracts import (
 )
 from repro.casestudies.scm.deployment import (
     SCMDeployment,
-    TABLE1_FAULT_PROFILES,
+    TABLE1_FAULTS,
     build_scm_deployment,
 )
 from repro.casestudies.scm.policies import (
@@ -50,7 +50,7 @@ __all__ = [
     "RETAILER_CONTRACT",
     "RetailerService",
     "SCMDeployment",
-    "TABLE1_FAULT_PROFILES",
+    "TABLE1_FAULTS",
     "WAREHOUSE_CONTRACT",
     "WarehouseService",
     "broadcast_policy_document",

@@ -18,14 +18,7 @@ from repro.casestudies.scm.services import (
     RetailerService,
     WarehouseService,
 )
-from repro.faultinjection import (
-    ApplicationFaultInjector,
-    AvailabilityFaultInjector,
-    EndpointFaultProfile,
-    FlappingEndpointInjector,
-    LatencySpikeInjector,
-    QoSDegradationInjector,
-)
+from repro.faultinjection import ApplicationFaultInjector, EndpointFault, EndpointFaultInjector
 from repro.services import ProcessingModel, ServiceContainer, ServiceRegistry
 from repro.simulation import Environment, RandomSource
 from repro.transport import LatencyModel, Network
@@ -33,37 +26,23 @@ from repro.transport import LatencyModel, Network
 __all__ = [
     "SCMDeployment",
     "STORM_APPLICATION_FAULT_RATES",
-    "STORM_DEGRADATION_PROFILES",
-    "TABLE1_DEGRADATION_PROFILES",
-    "TABLE1_FAULT_PROFILES",
+    "STORM_FAULTS",
+    "TABLE1_FAULTS",
     "build_scm_deployment",
 ]
 
 RETAILER_NAMES = ("A", "B", "C", "D")
 
-#: Per-retailer availability profiles for the Table 1 experiment. MTTR is
-#: kept constant; MTBF is chosen so the *nominal* availability of each
-#: direct configuration lands near the paper's measured values
-#: (A 0.952, B 0.992, C 0.998, D 0.983).
-TABLE1_FAULT_PROFILES: dict[str, tuple[float, float]] = {
-    "A": (200.0, 10.0),  # 0.952
-    "B": (620.0, 5.0),   # 0.992
-    "C": (2495.0, 5.0),  # 0.998
-    "D": (289.0, 5.0),   # 0.983
-}
-
-#: Per-retailer QoS-degradation profiles (mean gap, mean duration) in
-#: seconds. During a degradation episode the retailer's added delay exceeds
-#: the client timeout, so requests fail as Timeout faults without the
-#: service counting as "down" — which is why the paper's failure rates
-#: (e.g. Retailer B: 81/1000) exceed what its availability (0.992) alone
-#: would produce.
-TABLE1_DEGRADATION_PROFILES: dict[str, tuple[float, float]] = {
-    "A": (150.0, 10.0),
-    "B": (130.0, 10.0),
-    "C": (660.0, 10.0),
-    "D": (125.0, 10.0),
-}
+#: The Table 1 downtime windows, per Retailer: random up/down stretches
+#: with MTTR kept constant and MTBF chosen so the *nominal* availability
+#: MTBF / (MTBF + MTTR) of each direct configuration lands near the
+#: paper's measured value.
+TABLE1_FAULTS: tuple[tuple[str, EndpointFault], ...] = (
+    ("A", EndpointFault("http://scm/retailerA", 200.0, 10.0, random=True)),  # 0.952
+    ("B", EndpointFault("http://scm/retailerB", 620.0, 5.0, random=True)),  # 0.992
+    ("C", EndpointFault("http://scm/retailerC", 2495.0, 5.0, random=True)),  # 0.998
+    ("D", EndpointFault("http://scm/retailerD", 289.0, 5.0, random=True)),  # 0.983
+)
 
 #: Per-retailer application-fault probabilities for the Table 1 experiment.
 #: These produce fast ``ServiceFailure`` replies ("remote applications can
@@ -79,12 +58,18 @@ TABLE1_APPLICATION_FAULT_RATES: dict[str, float] = {
     "D": 0.075,
 }
 
-#: Fault-storm degradation profiles (mean gap, mean duration): much more
-#: frequent and longer episodes than Table 1's, concentrated on Retailer A.
+#: The fault storm: three of the four Retailers misbehave at once.
+#: Retailer A suffers long random QoS-degradation episodes (mean gap 40 s,
+#: mean duration 15 s), Retailer B a 10 s latency spike after every 30 s
+#: healthy, Retailer D flaps (12 s up, 8 s down). The 8 s delays exceed
+#: typical client timeouts, so a degraded Retailer answers with Timeout
+#: faults.
 #: Retailer C is deliberately left healthy so failover has somewhere to go.
-STORM_DEGRADATION_PROFILES: dict[str, tuple[float, float]] = {
-    "A": (40.0, 15.0),
-}
+STORM_FAULTS: tuple[tuple[str, EndpointFault], ...] = (
+    ("A", EndpointFault("http://scm/retailerA", 40.0, 15.0, delay=8.0, random=True)),
+    ("B", EndpointFault("http://scm/retailerB", 30.0, 10.0, delay=8.0, start_after=5.0)),
+    ("D", EndpointFault("http://scm/retailerD", 12.0, 8.0, start_after=3.0)),
+)
 
 #: Fault-storm application-fault probabilities. Retailer B misbehaves at
 #: the application layer on top of its latency spikes.
@@ -109,115 +94,44 @@ class SCMDeployment:
     manufacturers: dict[str, ManufacturerService] = field(default_factory=dict)
     logging: LoggingFacilityService | None = None
     configuration: ConfigurationService | None = None
-    availability_injector: AvailabilityFaultInjector | None = None
-    degradation_injector: QoSDegradationInjector | None = None
-    application_fault_injector: ApplicationFaultInjector | None = None
-    latency_spike_injector: LatencySpikeInjector | None = None
-    flapping_injector: FlappingEndpointInjector | None = None
+    #: Endpoint fault schedules (downtime windows, added delays).
+    faults: EndpointFaultInjector = field(init=False)
+    application_faults: ApplicationFaultInjector = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.faults = EndpointFaultInjector(self.env, self.network, self.random_source)
+        self.application_faults = ApplicationFaultInjector(
+            self.env, self.network, self.random_source.fork("appfaults")
+        )
 
     @property
     def retailer_addresses(self) -> list[str]:
         return [self.retailers[name].address for name in sorted(self.retailers)]
 
-    def inject_table1_faults(
-        self, profiles: dict[str, tuple[float, float]] | None = None
-    ) -> None:
-        """Start availability fault injection against all retailers."""
-        profiles = profiles or TABLE1_FAULT_PROFILES
-        self.availability_injector = AvailabilityFaultInjector(
-            self.env, self.network, self.random_source.fork("availability")
-        )
-        for name, (mtbf, mttr) in profiles.items():
-            retailer = self.retailers[name]
-            self.availability_injector.inject(
-                EndpointFaultProfile(
-                    address=retailer.address,
-                    mean_time_between_failures=mtbf,
-                    mean_time_to_recover=mttr,
-                )
-            )
-
-    def inject_degradations(
-        self,
-        profiles: dict[str, tuple[float, float]] | None = None,
-        added_delay: float = 8.0,
-    ) -> None:
-        """Start QoS-degradation injection against all retailers.
-
-        The default added delay exceeds typical client timeouts so a
-        degraded retailer manifests as Timeout faults (the paper's
-        "introduced delays" causing QoS-degradation events).
-        """
-        profiles = profiles or TABLE1_DEGRADATION_PROFILES
-        self.degradation_injector = QoSDegradationInjector(
-            self.env, self.network, self.random_source.fork("degradation")
-        )
-        for name, (mean_gap, mean_duration) in profiles.items():
-            retailer = self.retailers.get(name)
-            if retailer is not None:
-                self.degradation_injector.inject(
-                    retailer.address, mean_gap, mean_duration, added_delay
-                )
-
-    def inject_application_faults(
-        self, rates: dict[str, float] | None = None
-    ) -> None:
-        """Start probabilistic application-fault injection at retailers."""
-        rates = rates or TABLE1_APPLICATION_FAULT_RATES
-        self.application_fault_injector = ApplicationFaultInjector(
-            self.env, self.network, self.random_source.fork("appfaults")
-        )
-        for name, rate in rates.items():
-            retailer = self.retailers.get(name)
-            if retailer is not None:
-                self.application_fault_injector.inject(retailer.address, rate)
-
     def inject_table1_mix(self) -> None:
         """The full Table 1 fault mix: downtime windows + application faults."""
-        self.inject_table1_faults()
-        self.inject_application_faults()
+        self._inject(TABLE1_FAULTS, TABLE1_APPLICATION_FAULT_RATES)
 
-    def inject_fault_storm(
-        self,
-        degradation_delay: float = 8.0,
-        spike_period: float = 30.0,
-        spike_duration: float = 10.0,
-        spike_delay: float = 8.0,
-        flap_up_seconds: float = 12.0,
-        flap_down_seconds: float = 8.0,
-    ) -> None:
-        """A harsh, mostly deterministic fault mix for resilience ablations.
+    def inject_fault_storm(self) -> None:
+        """A harsh fault mix for resilience ablations (:data:`STORM_FAULTS`).
 
-        Three of the four retailers misbehave simultaneously: Retailer A
-        suffers long QoS-degradation episodes, Retailer B gets periodic
-        latency spikes plus application faults, Retailer D flaps up and
-        down on a fixed cycle. Retailer C stays healthy so adaptive
-        failover always has a good target. The spike and flap schedules
-        are fixed; the degradation/application streams come from named
+        The spike and flap schedules are fixed; the degradation and
+        application-fault streams come from named
         :class:`~repro.simulation.RandomSource` forks, so the whole storm
         is reproducible for a given seed.
         """
-        self.inject_degradations(
-            profiles=STORM_DEGRADATION_PROFILES, added_delay=degradation_delay
-        )
-        self.inject_application_faults(rates=STORM_APPLICATION_FAULT_RATES)
-        self.latency_spike_injector = LatencySpikeInjector(self.env, self.network)
-        if "B" in self.retailers:
-            self.latency_spike_injector.inject(
-                self.retailers["B"].address,
-                period_seconds=spike_period,
-                spike_duration_seconds=spike_duration,
-                added_delay_seconds=spike_delay,
-                start_after=5.0,
-            )
-        self.flapping_injector = FlappingEndpointInjector(self.env, self.network)
-        if "D" in self.retailers:
-            self.flapping_injector.inject(
-                self.retailers["D"].address,
-                up_seconds=flap_up_seconds,
-                down_seconds=flap_down_seconds,
-                start_after=3.0,
-            )
+        self._inject(STORM_FAULTS, STORM_APPLICATION_FAULT_RATES)
+
+    def _inject(
+        self, faults: tuple[tuple[str, EndpointFault], ...], application_fault_rates: dict[str, float]
+    ) -> None:
+        """Start ``faults`` and the application faults at the deployed Retailers."""
+        for name, fault in faults:
+            if name in self.retailers:
+                self.faults.inject(fault)
+        for name, rate in application_fault_rates.items():
+            if name in self.retailers:
+                self.application_faults.inject(self.retailers[name].address, rate)
 
 
 def build_scm_deployment(

@@ -26,7 +26,7 @@ from repro.casestudies.scm import (
     slo_policy_document,
     traffic_policy_document,
 )
-from repro.faultinjection import BusCrashInjector
+from repro.faultinjection import BusCrashInjector, EndpointFault
 from repro.federation import BusFleet
 from repro.metrics import describe, reliability_report
 from repro.observability import MetricsRegistry
@@ -106,8 +106,9 @@ class Scenario:
     """One seeded SCM run as data; ``docs/architecture.md`` tabulates the fields."""
 
     seed: int
-    #: The injected fault mix: ``"table1"`` (downtime windows + application
-    #: faults), ``"storm"`` (degradation, spikes, faults, flapping) or None.
+    #: The injected fault mix: ``"table1"`` (``TABLE1_FAULTS`` downtime
+    #: windows + application faults), ``"storm"`` (``STORM_FAULTS``:
+    #: degradation, spikes, flapping + application faults) or None.
     faults: str | None = None
     #: Slow every Retailer to this many seconds per request (10% jitter);
     #: None keeps each vendor's own processing model.
@@ -144,7 +145,8 @@ class Scenario:
     think: float = 2.0
     #: ``(bus name, time)``: crash that fleet bus at that time.
     crash: tuple[str, float] | None = None
-    #: ``(endpoint address, start, duration)``: one unavailability window.
+    #: ``(endpoint address, start, duration)``: one unavailability window,
+    #: a one-cycle fault on the deployment's endpoint fault injector.
     outage: tuple[str, float, float] | None = None
     #: Simulated seconds between two ``on_tick`` calls of :func:`run`.
     tick_seconds: float = 10.0
@@ -303,10 +305,7 @@ def run(scenario: Scenario, *, tracer=None, on_tick=None, flight_recorder=None) 
         crash = BusCrashInjector(env, mediator, *scenario.crash)
     if scenario.outage is not None:
         address, start, duration = scenario.outage
-        target = network.fault_injection_target(address)
-        if target is None:
-            raise ValueError(f"no endpoint registered at {address!r}")
-        env.process(_outage(env, target, start, duration), name=("storm-outage", address))
+        deployment.faults.inject(EndpointFault(address, start, duration, cycles=1))
     if on_tick is not None:
         env.process(_ticker(env, scenario.tick_seconds, on_tick, mediator), name="storm-ticker")
     runner = WorkloadRunner(env, network)
@@ -321,10 +320,10 @@ def run(scenario: Scenario, *, tracer=None, on_tick=None, flight_recorder=None) 
     records = workload.records
     report = reliability_report("scenario", records)
     availability = report.availability
-    if mediator is None and deployment.availability_injector is not None:
+    if mediator is None and scenario.faults == "table1":
         env.run(until=env.now + AVAILABILITY_WINDOW_SECONDS)
-        deployment.availability_injector.finalize()
-        availability = deployment.availability_injector.logs[members[0]].availability(env.now)
+        deployment.faults.finalize()
+        availability = deployment.faults.logs[members[0]].availability(env.now)
     return RunResult(
         scenario=scenario,
         total_requests=len(records),
@@ -389,14 +388,6 @@ def _mediate(scenario: Scenario, deployment, members: list[str], tracer, flight_
         for name in names
     ]
     return mediator, buses, targets
-
-
-def _outage(env, target, start: float, duration: float):
-    if start > 0:
-        yield env.timeout(start)
-    target.available = False
-    yield env.timeout(duration)
-    target.available = True
 
 
 def _ticker(env, interval: float, on_tick, mediator):

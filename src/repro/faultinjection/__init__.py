@@ -7,20 +7,14 @@ unavailable for a random amount of time. For service QoS degradations, test
 code occasionally picked some service instances and changed their QoS values
 (e.g., introduced delays)."
 
-Three injectors cover those modes plus application-level failures:
+Both endpoint effects — unavailability and added delay — on a random or a
+fixed schedule are one frozen spec, :class:`EndpointFault`, driven by one
+:class:`EndpointFaultInjector`, which keeps a :class:`DowntimeLog` per
+unavailable endpoint for availability accounting. Two more injectors act
+on requests rather than on an endpoint's schedule:
 
-- :class:`AvailabilityFaultInjector` — alternating up/down windows drawn
-  from per-endpoint MTBF/MTTR distributions, with a downtime log for
-  availability accounting.
-- :class:`QoSDegradationInjector` — transient added delays at endpoints.
 - :class:`ApplicationFaultInjector` — probabilistic application fault
-  replies wrapped around an endpoint's handler.
-
-Three more drive the resilience fault-storm scenarios, all on fixed
-(deterministic) schedules:
-
-- :class:`LatencySpikeInjector` — periodic latency spikes;
-- :class:`FlappingEndpointInjector` — rapid up/down cycling;
+  replies wrapped around an endpoint's handler;
 - :class:`OverloadBurstInjector` — bursts of synthetic background traffic.
 
 :class:`ProcessCrashInjector` targets the *orchestration host* instead of a
@@ -34,26 +28,20 @@ membership suspicion, VEP failover, and leadership transfer.
 
 from repro.faultinjection.injectors import (
     ApplicationFaultInjector,
-    AvailabilityFaultInjector,
     BusCrashInjector,
     DowntimeLog,
-    EndpointFaultProfile,
-    FlappingEndpointInjector,
-    LatencySpikeInjector,
+    EndpointFault,
+    EndpointFaultInjector,
     OverloadBurstInjector,
     ProcessCrashInjector,
-    QoSDegradationInjector,
 )
 
 __all__ = [
     "ApplicationFaultInjector",
-    "AvailabilityFaultInjector",
     "BusCrashInjector",
     "DowntimeLog",
-    "EndpointFaultProfile",
-    "FlappingEndpointInjector",
-    "LatencySpikeInjector",
+    "EndpointFault",
+    "EndpointFaultInjector",
     "OverloadBurstInjector",
     "ProcessCrashInjector",
-    "QoSDegradationInjector",
 ]

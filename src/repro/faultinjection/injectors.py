@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Generator
 from dataclasses import dataclass, field
 
@@ -11,37 +12,41 @@ from repro.transport import Network, NetworkEndpoint
 
 __all__ = [
     "ApplicationFaultInjector",
-    "AvailabilityFaultInjector",
     "BusCrashInjector",
     "DowntimeLog",
-    "EndpointFaultProfile",
-    "FlappingEndpointInjector",
-    "LatencySpikeInjector",
+    "EndpointFault",
+    "EndpointFaultInjector",
     "OverloadBurstInjector",
     "ProcessCrashInjector",
-    "QoSDegradationInjector",
 ]
 
 
 @dataclass(frozen=True)
-class EndpointFaultProfile:
-    """Availability behaviour of one endpoint.
+class EndpointFault:
+    """One endpoint's fault schedule, as data.
 
-    ``mean_time_between_failures`` and ``mean_time_to_recover`` parameterize
-    exponential distributions, matching the availability definition the
-    paper uses (MTBF / (MTBF + MTTR)). The implied steady-state availability
-    is therefore directly controllable per endpoint, which is how the Table 1
-    experiment differentiates Retailers A-D.
+    After ``start_after`` seconds the endpoint cycles: ``up`` seconds
+    healthy, then ``down`` seconds faulted, ``cycles`` times (None: for
+    ever). While faulted it is unavailable when ``delay`` is None, and
+    otherwise ``delay`` seconds slower. With ``random`` the two stretches
+    are exponential with means ``up`` and ``down``, drawn once per cycle
+    (the MTBF/MTTR of the paper's availability definition); otherwise they
+    are fixed. A zero-second stretch is not waited.
     """
 
     address: str
-    mean_time_between_failures: float
-    mean_time_to_recover: float
+    up: float
+    down: float
+    delay: float | None = None
+    random: bool = False
+    start_after: float = 0.0
+    cycles: int | None = None
 
-    @property
-    def nominal_availability(self) -> float:
-        total = self.mean_time_between_failures + self.mean_time_to_recover
-        return self.mean_time_between_failures / total if total > 0 else 1.0
+    def __post_init__(self) -> None:
+        if self.down <= 0 or self.up < 0 or (self.random and self.up == 0):
+            raise ValueError(
+                f"need down > 0 and up >= 0 (up > 0 when random): {self.up}, {self.down}"
+            )
 
 
 @dataclass
@@ -82,123 +87,70 @@ class DowntimeLog:
         return len(self.windows) + (1 if self._open_since is not None else 0)
 
 
-class AvailabilityFaultInjector:
-    """Opens and closes random unavailability windows at endpoints."""
+class EndpointFaultInjector:
+    """Drives :class:`EndpointFault` schedules against network endpoints.
 
-    def __init__(
-        self,
-        env: Environment,
-        network: Network,
-        random_source: RandomSource | None = None,
-    ) -> None:
+    Injection at a proxied address hits the origin behind it
+    (:meth:`~repro.transport.Network.fault_injection_target`). Windows
+    overlap the way their effects add up: delays stack, and an endpoint
+    stays unavailable until the last window holding it down closes.
+    ``logs`` maps each address an unavailability fault was injected at to
+    its endpoint's :class:`DowntimeLog`, the union of those windows.
+    """
+
+    def __init__(self, env: Environment, network: Network, random_source: RandomSource) -> None:
         self.env = env
         self.network = network
-        self._source = random_source or RandomSource()
+        self._sources = {kind: random_source.fork(kind) for kind in ("availability", "degradation")}
         self.logs: dict[str, DowntimeLog] = {}
-        self._processes = []
+        self._outages: dict[NetworkEndpoint, DowntimeLog] = {}
+        self._holding_down: Counter[NetworkEndpoint] = Counter()
 
-    def inject(self, profile: EndpointFaultProfile) -> DowntimeLog:
-        """Start the up/down cycle for one endpoint."""
-        endpoint = self.network.fault_injection_target(profile.address)
+    def inject(self, fault: EndpointFault) -> None:
+        """Start ``fault``'s schedule."""
+        endpoint = self.network.fault_injection_target(fault.address)
         if endpoint is None:
-            raise ValueError(f"no endpoint registered at {profile.address!r}")
-        log = DowntimeLog(profile.address)
-        self.logs[profile.address] = log
-        rng = self._source.stream(f"availability.{profile.address}")
-        process = self.env.process(
-            self._cycle(endpoint, profile, log, rng), name=f"faults:{profile.address}"
-        )
-        self._processes.append(process)
-        return log
+            raise ValueError(f"no endpoint registered at {fault.address!r}")
+        rng = log = None
+        kind = "availability" if fault.delay is None else "degradation"
+        if fault.random:
+            rng = self._sources[kind].stream(f"{kind}.{fault.address}")
+        if fault.delay is None:
+            log = self._outages.setdefault(endpoint, DowntimeLog(fault.address))
+            self.logs[fault.address] = log
+        self.env.process(self._run(endpoint, fault, rng, log), name=(kind, fault.address))
 
-    def inject_all(self, profiles: list[EndpointFaultProfile]) -> dict[str, DowntimeLog]:
-        for profile in profiles:
-            self.inject(profile)
-        return self.logs
-
-    def _cycle(
-        self,
-        endpoint: NetworkEndpoint,
-        profile: EndpointFaultProfile,
-        log: DowntimeLog,
-        rng,
+    def _run(
+        self, endpoint: NetworkEndpoint, fault: EndpointFault, rng, log: DowntimeLog | None
     ) -> Generator:
-        while True:
-            uptime = rng.expovariate(1.0 / profile.mean_time_between_failures)
-            yield self.env.timeout(uptime)
-            endpoint.available = False
-            log.mark_down(self.env.now)
-            downtime = rng.expovariate(1.0 / profile.mean_time_to_recover)
-            yield self.env.timeout(downtime)
-            endpoint.available = True
-            log.mark_up(self.env.now)
+        env = self.env
+        if fault.start_after > 0:
+            yield env.timeout(fault.start_after)
+        completed = 0
+        while fault.cycles is None or completed < fault.cycles:
+            up = rng.expovariate(1.0 / fault.up) if fault.random else fault.up
+            if up > 0:
+                yield env.timeout(up)
+            if fault.delay is None:
+                self._holding_down[endpoint] += 1
+                endpoint.available = False
+                log.mark_down(env.now)
+            else:
+                endpoint.added_delay_seconds += fault.delay
+            yield env.timeout(rng.expovariate(1.0 / fault.down) if fault.random else fault.down)
+            if fault.delay is None:
+                self._holding_down[endpoint] -= 1
+                if not self._holding_down[endpoint]:
+                    endpoint.available = True
+                    log.mark_up(env.now)
+            else:
+                endpoint.added_delay_seconds = max(0.0, endpoint.added_delay_seconds - fault.delay)
+            completed += 1
 
     def finalize(self) -> None:
         """Close open windows at the current instant (end of experiment)."""
         for log in self.logs.values():
             log.close(self.env.now)
-
-
-class QoSDegradationInjector:
-    """Transiently inflates an endpoint's processing delay.
-
-    Models the paper's QoS-degradation events: at exponential intervals an
-    endpoint's delay is raised for a bounded window, then restored.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        network: Network,
-        random_source: RandomSource | None = None,
-    ) -> None:
-        self.env = env
-        self.network = network
-        self._source = random_source or RandomSource()
-        self.episodes: dict[str, list[tuple[float, float, float]]] = {}
-
-    def inject(
-        self,
-        address: str,
-        mean_time_between_episodes: float,
-        mean_episode_duration: float,
-        added_delay_seconds: float,
-    ) -> None:
-        endpoint = self.network.fault_injection_target(address)
-        if endpoint is None:
-            raise ValueError(f"no endpoint registered at {address!r}")
-        rng = self._source.stream(f"degradation.{address}")
-        episodes = self.episodes.setdefault(address, [])
-        if endpoint.address != address:
-            # Injection resolved through a proxy: record episodes under both
-            # the requested and the relocated backend address.
-            self.episodes[endpoint.address] = episodes
-        self.env.process(
-            self._cycle(
-                endpoint,
-                mean_time_between_episodes,
-                mean_episode_duration,
-                added_delay_seconds,
-                rng,
-            ),
-            name=f"degrade:{address}",
-        )
-
-    def _cycle(
-        self,
-        endpoint: NetworkEndpoint,
-        mean_gap: float,
-        mean_duration: float,
-        delay: float,
-        rng,
-    ) -> Generator:
-        while True:
-            yield self.env.timeout(rng.expovariate(1.0 / mean_gap))
-            started = self.env.now
-            endpoint.added_delay_seconds += delay
-            yield self.env.timeout(rng.expovariate(1.0 / mean_duration))
-            endpoint.added_delay_seconds = max(0.0, endpoint.added_delay_seconds - delay)
-            self.episodes[endpoint.address].append((started, self.env.now, delay))
 
 
 class ApplicationFaultInjector:
@@ -245,124 +197,6 @@ class ApplicationFaultInjector:
             return (yield self.env.process(inner(request), name=f"inner:{address}"))
 
         endpoint.handler = wrapped
-
-
-class LatencySpikeInjector:
-    """Deterministic periodic latency spikes at an endpoint.
-
-    Every ``period_seconds`` the endpoint's processing delay is raised by
-    ``added_delay_seconds`` for ``spike_duration_seconds``, then restored.
-    Unlike :class:`QoSDegradationInjector` the schedule is fixed, not
-    sampled — fault-storm scenarios stay bit-identical across runs and the
-    spike train is dense enough to exercise adaptive timeouts and breakers.
-    """
-
-    def __init__(self, env: Environment, network: Network) -> None:
-        self.env = env
-        self.network = network
-        self.episodes: dict[str, list[tuple[float, float, float]]] = {}
-
-    def inject(
-        self,
-        address: str,
-        period_seconds: float,
-        spike_duration_seconds: float,
-        added_delay_seconds: float,
-        start_after: float = 0.0,
-    ) -> None:
-        endpoint = self.network.fault_injection_target(address)
-        if endpoint is None:
-            raise ValueError(f"no endpoint registered at {address!r}")
-        if period_seconds <= 0 or spike_duration_seconds <= 0:
-            raise ValueError("spike period and duration must be positive")
-        episodes = self.episodes.setdefault(address, [])
-        if endpoint.address != address:
-            self.episodes[endpoint.address] = episodes
-        self.env.process(
-            self._cycle(
-                endpoint, period_seconds, spike_duration_seconds, added_delay_seconds, start_after
-            ),
-            name=f"spike:{address}",
-        )
-
-    def _cycle(
-        self,
-        endpoint: NetworkEndpoint,
-        period: float,
-        duration: float,
-        delay: float,
-        start_after: float,
-    ) -> Generator:
-        if start_after > 0:
-            yield self.env.timeout(start_after)
-        while True:
-            yield self.env.timeout(period)
-            started = self.env.now
-            endpoint.added_delay_seconds += delay
-            yield self.env.timeout(duration)
-            endpoint.added_delay_seconds = max(0.0, endpoint.added_delay_seconds - delay)
-            self.episodes[endpoint.address].append((started, self.env.now, delay))
-
-
-class FlappingEndpointInjector:
-    """Rapid deterministic up/down cycling of one endpoint.
-
-    The nastiest availability pattern for naive retry loops: the endpoint
-    is up just long enough to attract traffic, then gone again. Fixed
-    ``up_seconds``/``down_seconds`` (no sampling) keep the storm
-    reproducible; the cycle repeats ``cycles`` times (None = forever).
-    """
-
-    def __init__(self, env: Environment, network: Network) -> None:
-        self.env = env
-        self.network = network
-        self.logs: dict[str, DowntimeLog] = {}
-
-    def inject(
-        self,
-        address: str,
-        up_seconds: float,
-        down_seconds: float,
-        start_after: float = 0.0,
-        cycles: int | None = None,
-    ) -> DowntimeLog:
-        endpoint = self.network.fault_injection_target(address)
-        if endpoint is None:
-            raise ValueError(f"no endpoint registered at {address!r}")
-        if up_seconds <= 0 or down_seconds <= 0:
-            raise ValueError("up/down durations must be positive")
-        log = DowntimeLog(address)
-        self.logs[address] = log
-        self.env.process(
-            self._cycle(endpoint, up_seconds, down_seconds, start_after, cycles, log),
-            name=f"flap:{address}",
-        )
-        return log
-
-    def _cycle(
-        self,
-        endpoint: NetworkEndpoint,
-        up_seconds: float,
-        down_seconds: float,
-        start_after: float,
-        cycles: int | None,
-        log: DowntimeLog,
-    ) -> Generator:
-        if start_after > 0:
-            yield self.env.timeout(start_after)
-        completed = 0
-        while cycles is None or completed < cycles:
-            yield self.env.timeout(up_seconds)
-            endpoint.available = False
-            log.mark_down(self.env.now)
-            yield self.env.timeout(down_seconds)
-            endpoint.available = True
-            log.mark_up(self.env.now)
-            completed += 1
-
-    def finalize(self) -> None:
-        for log in self.logs.values():
-            log.close(self.env.now)
 
 
 class OverloadBurstInjector:

@@ -9,6 +9,8 @@ from repro.casestudies.scm import (
     build_scm_process,
 )
 from repro.casestudies.scm.services import DEFAULT_CATALOG, parse_order_items
+from repro.experiments import fault_storm, run
+from repro.faultinjection import EndpointFault
 from repro.orchestration import TrackingService, WorkflowEngine
 from repro.services import Invoker
 from repro.soap import SoapFaultError
@@ -283,15 +285,36 @@ class TestFaultInjectionIntegration:
         )
         result = WorkloadRunner(scm.env, scm.network).run(plan, clients=4, requests_per_client=100)
         assert len(result.failures) > 0
-        scm.availability_injector.finalize()
-        log = scm.availability_injector.logs[scm.retailers["A"].address]
+        scm.faults.finalize()
+        log = scm.faults.logs[scm.retailers["A"].address]
         assert log.availability(scm.env.now) < 1.0
+
+    def test_outage_holds_a_flapping_retailer_down(self):
+        """An outage overlapping the storm's flaps keeps Retailer D down
+        until the outage ends: a flap's own recovery must not end it early."""
+        retailer_d = "http://scm/retailerD"
+        available = {}
+
+        def probe(bus):
+            available[bus.env.now] = bus.network.endpoint(retailer_d).available
+
+        scenario = fault_storm(
+            7, resilience=False, outage=(retailer_d, 10.0, 20.0),
+            tick_seconds=1.0, clients=1, requests=100,
+        )
+        run(scenario, on_tick=probe)
+        # D flaps down at 15 s and up at 23 s, inside the outage [10, 30).
+        assert [available[t] for t in (9.0, 11.0, 16.0, 24.0, 29.0, 31.0, 36.0)] == [
+            True, False, False, False, False, True, False
+        ]
 
 
 class TestDegradationInjection:
     def test_degradations_inflate_rtt_or_time_out(self):
         scm = build_scm_deployment(seed=51, log_events=False)
-        scm.inject_degradations(added_delay=8.0)
+        scm.faults.inject(
+            EndpointFault(scm.retailers["B"].address, 130.0, 10.0, delay=8.0, random=True)
+        )
         plan = RequestPlan(
             target=scm.retailers["B"].address,
             operation="getCatalog",
@@ -307,8 +330,6 @@ class TestDegradationInjection:
         from repro.soap import FaultCode
 
         assert any(r.fault_code is FaultCode.TIMEOUT for r in result.failures)
-        episodes = scm.degradation_injector.episodes[scm.retailers["B"].address]
-        assert episodes
 
 
 class TestPaddingVariable:
