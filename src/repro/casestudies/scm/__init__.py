@@ -17,6 +17,7 @@ from repro.casestudies.scm.contracts import (
 )
 from repro.casestudies.scm.deployment import (
     SCMDeployment,
+    STORM_FAULTS,
     TABLE1_FAULTS,
     build_scm_deployment,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "RETAILER_CONTRACT",
     "RetailerService",
     "SCMDeployment",
+    "STORM_FAULTS",
     "TABLE1_FAULTS",
     "WAREHOUSE_CONTRACT",
     "WarehouseService",

@@ -18,66 +18,55 @@ from repro.casestudies.scm.services import (
     RetailerService,
     WarehouseService,
 )
-from repro.faultinjection import ApplicationFaultInjector, EndpointFault, EndpointFaultInjector
+from repro.faultinjection import ApplicationFault, EndpointFault, FaultInjector
 from repro.services import ProcessingModel, ServiceContainer, ServiceRegistry
 from repro.simulation import Environment, RandomSource
 from repro.transport import LatencyModel, Network
 
 __all__ = [
     "SCMDeployment",
-    "STORM_APPLICATION_FAULT_RATES",
     "STORM_FAULTS",
     "TABLE1_FAULTS",
     "build_scm_deployment",
 ]
 
-RETAILER_NAMES = ("A", "B", "C", "D")
-
-#: The Table 1 downtime windows, per Retailer: random up/down stretches
-#: with MTTR kept constant and MTBF chosen so the *nominal* availability
-#: MTBF / (MTBF + MTTR) of each direct configuration lands near the
-#: paper's measured value.
-TABLE1_FAULTS: tuple[tuple[str, EndpointFault], ...] = (
-    ("A", EndpointFault("http://scm/retailerA", 200.0, 10.0, random=True)),  # 0.952
-    ("B", EndpointFault("http://scm/retailerB", 620.0, 5.0, random=True)),  # 0.992
-    ("C", EndpointFault("http://scm/retailerC", 2495.0, 5.0, random=True)),  # 0.998
-    ("D", EndpointFault("http://scm/retailerD", 289.0, 5.0, random=True)),  # 0.983
-)
-
-#: Per-retailer application-fault probabilities for the Table 1 experiment.
-#: These produce fast ``ServiceFailure`` replies ("remote applications can
+#: The Table 1 fault mix. Downtime windows per Retailer: random up/down
+#: stretches with MTTR kept constant and MTBF chosen so the *nominal*
+#: availability MTBF / (MTBF + MTTR) of each direct configuration lands
+#: near the paper's measured value. Then application-fault probabilities:
+#: these produce fast ``ServiceFailure`` replies ("remote applications can
 #: produce unexpected results"), which is what lets a retailer's failure
 #: rate exceed what its downtime alone explains — exactly the relationship
 #: in the paper's Table 1 (Retailer B: 81 failures/1000 at 0.992
 #: availability). Tuned so the failure columns land near the paper's:
 #: A ≈ 105, B ≈ 81, C ≈ 17, D ≈ 91 per 1000.
-TABLE1_APPLICATION_FAULT_RATES: dict[str, float] = {
-    "A": 0.060,
-    "B": 0.073,
-    "C": 0.015,
-    "D": 0.075,
-}
+TABLE1_FAULTS: tuple[EndpointFault | ApplicationFault, ...] = (
+    EndpointFault("http://scm/retailerA", 200.0, 10.0, random=True),  # 0.952
+    EndpointFault("http://scm/retailerB", 620.0, 5.0, random=True),  # 0.992
+    EndpointFault("http://scm/retailerC", 2495.0, 5.0, random=True),  # 0.998
+    EndpointFault("http://scm/retailerD", 289.0, 5.0, random=True),  # 0.983
+    ApplicationFault("http://scm/retailerA", 0.060),
+    ApplicationFault("http://scm/retailerB", 0.073),
+    ApplicationFault("http://scm/retailerC", 0.015),
+    ApplicationFault("http://scm/retailerD", 0.075),
+)
 
 #: The fault storm: three of the four Retailers misbehave at once.
 #: Retailer A suffers long random QoS-degradation episodes (mean gap 40 s,
 #: mean duration 15 s), Retailer B a 10 s latency spike after every 30 s
 #: healthy, Retailer D flaps (12 s up, 8 s down). The 8 s delays exceed
 #: typical client timeouts, so a degraded Retailer answers with Timeout
-#: faults.
-#: Retailer C is deliberately left healthy so failover has somewhere to go.
-STORM_FAULTS: tuple[tuple[str, EndpointFault], ...] = (
-    ("A", EndpointFault("http://scm/retailerA", 40.0, 15.0, delay=8.0, random=True)),
-    ("B", EndpointFault("http://scm/retailerB", 30.0, 10.0, delay=8.0, start_after=5.0)),
-    ("D", EndpointFault("http://scm/retailerD", 12.0, 8.0, start_after=3.0)),
+#: faults. The same three also give application faults; Retailer B's come
+#: on top of its latency spikes. Retailer C is deliberately left healthy
+#: so failover has somewhere to go.
+STORM_FAULTS: tuple[EndpointFault | ApplicationFault, ...] = (
+    EndpointFault("http://scm/retailerA", 40.0, 15.0, delay=8.0, random=True),
+    EndpointFault("http://scm/retailerB", 30.0, 10.0, delay=8.0, start_after=5.0),
+    EndpointFault("http://scm/retailerD", 12.0, 8.0, start_after=3.0),
+    ApplicationFault("http://scm/retailerA", 0.10),
+    ApplicationFault("http://scm/retailerB", 0.12),
+    ApplicationFault("http://scm/retailerD", 0.08),
 )
-
-#: Fault-storm application-fault probabilities. Retailer B misbehaves at
-#: the application layer on top of its latency spikes.
-STORM_APPLICATION_FAULT_RATES: dict[str, float] = {
-    "A": 0.10,
-    "B": 0.12,
-    "D": 0.08,
-}
 
 
 @dataclass
@@ -94,23 +83,20 @@ class SCMDeployment:
     manufacturers: dict[str, ManufacturerService] = field(default_factory=dict)
     logging: LoggingFacilityService | None = None
     configuration: ConfigurationService | None = None
-    #: Endpoint fault schedules (downtime windows, added delays).
-    faults: EndpointFaultInjector = field(init=False)
-    application_faults: ApplicationFaultInjector = field(init=False)
+    #: Every injected endpoint and application fault.
+    faults: FaultInjector = field(init=False)
 
     def __post_init__(self) -> None:
-        self.faults = EndpointFaultInjector(self.env, self.network, self.random_source)
-        self.application_faults = ApplicationFaultInjector(
-            self.env, self.network, self.random_source.fork("appfaults")
-        )
+        self.faults = FaultInjector(self.env, self.network, self.random_source)
 
     @property
     def retailer_addresses(self) -> list[str]:
         return [self.retailers[name].address for name in sorted(self.retailers)]
 
     def inject_table1_mix(self) -> None:
-        """The full Table 1 fault mix: downtime windows + application faults."""
-        self._inject(TABLE1_FAULTS, TABLE1_APPLICATION_FAULT_RATES)
+        """The full Table 1 fault mix (:data:`TABLE1_FAULTS`)."""
+        for fault in TABLE1_FAULTS:
+            self.faults.inject(fault)
 
     def inject_fault_storm(self) -> None:
         """A harsh fault mix for resilience ablations (:data:`STORM_FAULTS`).
@@ -120,25 +106,14 @@ class SCMDeployment:
         :class:`~repro.simulation.RandomSource` forks, so the whole storm
         is reproducible for a given seed.
         """
-        self._inject(STORM_FAULTS, STORM_APPLICATION_FAULT_RATES)
-
-    def _inject(
-        self, faults: tuple[tuple[str, EndpointFault], ...], application_fault_rates: dict[str, float]
-    ) -> None:
-        """Start ``faults`` and the application faults at the deployed Retailers."""
-        for name, fault in faults:
-            if name in self.retailers:
-                self.faults.inject(fault)
-        for name, rate in application_fault_rates.items():
-            if name in self.retailers:
-                self.application_faults.inject(self.retailers[name].address, rate)
+        for fault in STORM_FAULTS:
+            self.faults.inject(fault)
 
 
 def build_scm_deployment(
     seed: int = 0,
     latency: LatencyModel | None = None,
     initial_stock: int = 10_000,
-    retailer_count: int = 4,
     log_events: bool = True,
 ) -> SCMDeployment:
     """Deploy the complete SCM application on a fresh simulation.
@@ -203,12 +178,12 @@ def build_scm_deployment(
         "C": ProcessingModel(base_seconds=0.005, per_kb_seconds=0.0003),
         "D": ProcessingModel(base_seconds=0.007, per_kb_seconds=0.0004),
     }
-    for name in RETAILER_NAMES[:retailer_count]:
+    for name, processing in processing_profiles.items():
         retailer = RetailerService(
             env,
             f"Retailer{name}",
             f"http://scm/retailer{name}",
-            processing=processing_profiles.get(name, ProcessingModel()),
+            processing=processing,
             warehouse_addresses=warehouse_addresses,
             logging_address=logging.address,
             log_events=log_events,

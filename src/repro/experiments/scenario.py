@@ -2,9 +2,9 @@
 
 Every SCM run the evaluation makes — a Table 1 direct or VEP
 configuration, a Figure 5 point, the fault, overload and fleet storms —
-is a :class:`Scenario` value: the seed, the fault mix, the Retailers'
-processing, the policy documents themselves, the bus or fleet shape, the
-VEPs, the client mix and the fault windows. :func:`run` builds it on a
+is a :class:`Scenario` value: the seed, the injected faults, the
+Retailers' processing, the policy documents themselves, the bus or fleet
+shape, the VEPs and the client mix. :func:`run` builds it on a
 fresh seeded deployment, drives the workload and returns a
 :class:`RunResult` of plain data. A scenario is frozen and picklable, so
 :func:`~repro.experiments.run_cells` ships it to a worker process as it
@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 
 from repro.casestudies.scm import (
     RETAILER_CONTRACT,
-    SCMDeployment,
+    STORM_FAULTS,
+    TABLE1_FAULTS,
     build_scm_deployment,
     federation_policy_document,
     resilience_policy_document,
@@ -26,7 +27,7 @@ from repro.casestudies.scm import (
     slo_policy_document,
     traffic_policy_document,
 )
-from repro.faultinjection import BusCrashInjector, EndpointFault
+from repro.faultinjection import ApplicationFault, BusCrash, BusCrashInjector, EndpointFault
 from repro.federation import BusFleet
 from repro.metrics import describe, reliability_report
 from repro.observability import MetricsRegistry
@@ -83,16 +84,11 @@ def order_plan(target, timeout=10.0, think=0.0, padding=0):
 
 _PLANS = {"getCatalog": catalog_plan, "submitOrder": order_plan}
 
-_FAULT_MIXES = {
-    "table1": SCMDeployment.inject_table1_mix,
-    "storm": SCMDeployment.inject_fault_storm,
-}
-
 #: Concurrent mediations each fleet bus admits: the resource a fleet shards.
 FLEET_MEDIATION_CAPACITY = 6
 
-#: The Table 1 direct configurations read availability off the injector's
-#: log over this long a window after the workload, so rare-outage
+#: A direct run whose Retailer has a downtime log reads availability off
+#: it over this long a window after the workload, so rare-outage
 #: Retailers like C are not all-or-nothing.
 AVAILABILITY_WINDOW_SECONDS = 50_000.0
 
@@ -106,10 +102,10 @@ class Scenario:
     """One seeded SCM run as data; ``docs/architecture.md`` tabulates the fields."""
 
     seed: int
-    #: The injected fault mix: ``"table1"`` (``TABLE1_FAULTS`` downtime
-    #: windows + application faults), ``"storm"`` (``STORM_FAULTS``:
-    #: degradation, spikes, flapping + application faults) or None.
-    faults: str | None = None
+    #: The injected faults, started in this order once the bus is built:
+    #: ``TABLE1_FAULTS`` and ``STORM_FAULTS`` are the SCM mixes, and a
+    #: :class:`~repro.faultinjection.BusCrash` needs a fleet.
+    faults: tuple[EndpointFault | ApplicationFault | BusCrash, ...] = ()
     #: Slow every Retailer to this many seconds per request (10% jitter);
     #: None keeps each vendor's own processing model.
     processing_seconds: float | None = None
@@ -143,18 +139,14 @@ class Scenario:
     timeout: float = 5.0
     #: Seconds a client waits between its requests.
     think: float = 2.0
-    #: ``(bus name, time)``: crash that fleet bus at that time.
-    crash: tuple[str, float] | None = None
-    #: ``(endpoint address, start, duration)``: one unavailability window,
-    #: a one-cycle fault on the deployment's endpoint fault injector.
-    outage: tuple[str, float, float] | None = None
     #: Simulated seconds between two ``on_tick`` calls of :func:`run`.
     tick_seconds: float = 10.0
 
     def __post_init__(self) -> None:
         if self.veps == 0 and (len(self.retailers) != 1 or self.shards is not None):
             raise ValueError("a direct run (veps=0) calls exactly one Retailer, with no fleet")
-        if self.shards is None and (self.veps > 1 or self.crash is not None):
+        crashes = any(isinstance(fault, BusCrash) for fault in self.faults)
+        if self.shards is None and (self.veps > 1 or crashes):
             raise ValueError("several VEPs or a bus crash need a fleet: set shards")
 
 
@@ -173,8 +165,8 @@ class RunResult:
     total_requests: int
     delivered: int
     failures_per_1000: float
-    #: Injector-observed for a direct run under the Table 1 mix, else the
-    #: share of requests answered.
+    #: Injector-observed for a direct run whose Retailer has a downtime
+    #: log (the Table 1 mix), else the share of requests answered.
     availability: float
     #: RTT statistics over *all* requests, failures included — a request
     #: that burns the client timeout before failing still cost that time.
@@ -277,8 +269,6 @@ def run(scenario: Scenario, *, tracer=None, on_tick=None, flight_recorder=None) 
     """
     deployment = build_scm_deployment(seed=scenario.seed, log_events=False)
     env, network = deployment.env, deployment.network
-    if scenario.faults is not None:
-        _FAULT_MIXES[scenario.faults](deployment)
     if scenario.processing_seconds is not None:
         for retailer in deployment.retailers.values():
             retailer.processing = ProcessingModel(
@@ -301,11 +291,11 @@ def run(scenario: Scenario, *, tracer=None, on_tick=None, flight_recorder=None) 
         for target in targets
     ]
     crash = None
-    if scenario.crash is not None:
-        crash = BusCrashInjector(env, mediator, *scenario.crash)
-    if scenario.outage is not None:
-        address, start, duration = scenario.outage
-        deployment.faults.inject(EndpointFault(address, start, duration, cycles=1))
+    for fault in scenario.faults:
+        if isinstance(fault, BusCrash):
+            crash = BusCrashInjector(env, mediator, fault.bus, fault.at)
+        else:
+            deployment.faults.inject(fault)
     if on_tick is not None:
         env.process(_ticker(env, scenario.tick_seconds, on_tick, mediator), name="storm-ticker")
     runner = WorkloadRunner(env, network)
@@ -320,7 +310,7 @@ def run(scenario: Scenario, *, tracer=None, on_tick=None, flight_recorder=None) 
     records = workload.records
     report = reliability_report("scenario", records)
     availability = report.availability
-    if mediator is None and scenario.faults == "table1":
+    if mediator is None and members[0] in deployment.faults.logs:
         env.run(until=env.now + AVAILABILITY_WINDOW_SECONDS)
         deployment.faults.finalize()
         availability = deployment.faults.logs[members[0]].availability(env.now)
@@ -402,7 +392,7 @@ def _ticker(env, interval: float, on_tick, mediator):
 def table1_direct(retailer: str, seed: int, **fields) -> Scenario:
     """Table 1: direct point-to-point calls of one Retailer under the fault mix."""
     return replace(
-        Scenario(seed, faults="table1", veps=0, retailers=retailer, timeout=5.0), **fields
+        Scenario(seed, faults=TABLE1_FAULTS, veps=0, retailers=retailer, timeout=5.0), **fields
     )
 
 
@@ -415,7 +405,7 @@ def table1_vep(seed: int, **fields) -> Scenario:
     return replace(
         Scenario(
             seed,
-            faults="table1",
+            faults=TABLE1_FAULTS,
             policies=(retailer_recovery_policy_document(),),
             bare=True,
             timeout=60.0,
@@ -444,7 +434,13 @@ def fault_storm(seed: int, resilience: bool, slo: bool = False, **fields) -> Sce
         policies += (slo_policy_document(),)
     return replace(
         Scenario(
-            seed, faults="storm", policies=policies, clients=6, requests=60, timeout=8.0, think=0.5
+            seed,
+            faults=STORM_FAULTS,
+            policies=policies,
+            clients=6,
+            requests=60,
+            timeout=8.0,
+            think=0.5,
         ),
         **fields,
     )

@@ -1,7 +1,8 @@
-"""Fault injectors operating on simulated network endpoints."""
+"""Fault specs and the injectors that apply them."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Generator
 from dataclasses import dataclass, field
@@ -11,12 +12,12 @@ from repro.soap import FaultCode, SoapEnvelope, SoapFault
 from repro.transport import Network, NetworkEndpoint
 
 __all__ = [
-    "ApplicationFaultInjector",
+    "ApplicationFault",
+    "BusCrash",
     "BusCrashInjector",
     "DowntimeLog",
     "EndpointFault",
-    "EndpointFaultInjector",
-    "OverloadBurstInjector",
+    "FaultInjector",
     "ProcessCrashInjector",
 ]
 
@@ -43,10 +44,44 @@ class EndpointFault:
     cycles: int | None = None
 
     def __post_init__(self) -> None:
-        if self.down <= 0 or self.up < 0 or (self.random and self.up == 0):
+        # Written so that a NaN anywhere fails the check.
+        if not (
+            self.down > 0
+            and self.up >= 0
+            and (self.up > 0 or not self.random)
+            and (self.delay is None or self.delay > 0)
+            and self.start_after >= 0
+            and (self.cycles is None or self.cycles >= 1)
+        ):
             raise ValueError(
-                f"need down > 0 and up >= 0 (up > 0 when random): {self.up}, {self.down}"
+                "need down > 0, up >= 0 (up > 0 when random), delay > 0 when set, "
+                f"start_after >= 0 and cycles >= 1 when set: {self}"
             )
+
+
+@dataclass(frozen=True)
+class ApplicationFault:
+    """Unexpected results: a request at ``address`` is answered by a
+    ``ServiceFailure`` fault with ``probability`` instead of being served."""
+
+    address: str
+    probability: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.probability <= 1.0:
+            raise ValueError(f"fault probability out of [0, 1]: {self.probability}")
+
+
+@dataclass(frozen=True)
+class BusCrash:
+    """Crash fleet bus ``bus`` at simulated time ``at`` (see :class:`BusCrashInjector`)."""
+
+    bus: str
+    at: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.at < math.inf:
+            raise ValueError(f"crash time must be finite and non-negative: {self.at}")
 
 
 @dataclass
@@ -87,30 +122,37 @@ class DowntimeLog:
         return len(self.windows) + (1 if self._open_since is not None else 0)
 
 
-class EndpointFaultInjector:
-    """Drives :class:`EndpointFault` schedules against network endpoints.
+class FaultInjector:
+    """Applies :class:`EndpointFault` and :class:`ApplicationFault` specs.
 
     Injection at a proxied address hits the origin behind it
-    (:meth:`~repro.transport.Network.fault_injection_target`). Windows
-    overlap the way their effects add up: delays stack, and an endpoint
-    stays unavailable until the last window holding it down closes.
-    ``logs`` maps each address an unavailability fault was injected at to
-    its endpoint's :class:`DowntimeLog`, the union of those windows.
+    (:meth:`~repro.transport.Network.fault_injection_target`). Endpoint
+    fault windows overlap the way their effects add up: delays stack, and
+    an endpoint stays unavailable until the last window holding it down
+    closes. ``logs`` maps each address an unavailability fault was
+    injected at to its endpoint's :class:`DowntimeLog`, the union of those
+    windows; ``injected_counts`` maps each address an application fault
+    was injected at to the faulty replies it gave.
     """
 
     def __init__(self, env: Environment, network: Network, random_source: RandomSource) -> None:
         self.env = env
         self.network = network
-        self._sources = {kind: random_source.fork(kind) for kind in ("availability", "degradation")}
+        kinds = ("availability", "degradation", "appfaults")
+        self._sources = {kind: random_source.fork(kind) for kind in kinds}
         self.logs: dict[str, DowntimeLog] = {}
+        self.injected_counts: dict[str, int] = {}
         self._outages: dict[NetworkEndpoint, DowntimeLog] = {}
         self._holding_down: Counter[NetworkEndpoint] = Counter()
 
-    def inject(self, fault: EndpointFault) -> None:
-        """Start ``fault``'s schedule."""
+    def inject(self, fault: EndpointFault | ApplicationFault) -> None:
+        """Start ``fault``."""
         endpoint = self.network.fault_injection_target(fault.address)
         if endpoint is None:
             raise ValueError(f"no endpoint registered at {fault.address!r}")
+        if isinstance(fault, ApplicationFault):
+            self._answer_faulty(endpoint, fault)
+            return
         rng = log = None
         kind = "availability" if fault.delay is None else "degradation"
         if fault.random:
@@ -147,43 +189,15 @@ class EndpointFaultInjector:
                 endpoint.added_delay_seconds = max(0.0, endpoint.added_delay_seconds - fault.delay)
             completed += 1
 
-    def finalize(self) -> None:
-        """Close open windows at the current instant (end of experiment)."""
-        for log in self.logs.values():
-            log.close(self.env.now)
-
-
-class ApplicationFaultInjector:
-    """Wraps an endpoint handler to return probabilistic application faults.
-
-    Models "remote applications can produce unexpected results": with the
-    configured probability a request is answered by a ``ServiceFailure``
-    fault instead of being dispatched to the real handler.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        network: Network,
-        random_source: RandomSource | None = None,
-    ) -> None:
-        self.env = env
-        self.network = network
-        self._source = random_source or RandomSource()
-        self.injected_counts: dict[str, int] = {}
-
-    def inject(self, address: str, fault_probability: float) -> None:
-        endpoint = self.network.fault_injection_target(address)
-        if endpoint is None:
-            raise ValueError(f"no endpoint registered at {address!r}")
-        if not 0.0 <= fault_probability <= 1.0:
-            raise ValueError(f"fault probability out of range: {fault_probability}")
-        rng = self._source.stream(f"appfault.{address}")
+    def _answer_faulty(self, endpoint: NetworkEndpoint, fault: ApplicationFault) -> None:
+        """Wrap ``endpoint``'s handler in ``fault``'s faulty replies."""
+        address = fault.address
+        rng = self._sources["appfaults"].stream(f"appfault.{address}")
         inner = endpoint.handler
         self.injected_counts.setdefault(address, 0)
 
         def wrapped(request: SoapEnvelope) -> Generator:
-            if rng.random() < fault_probability:
+            if rng.random() < fault.probability:
                 self.injected_counts[address] += 1
                 yield self.env.timeout(0.0)
                 return request.reply_fault(
@@ -198,90 +212,16 @@ class ApplicationFaultInjector:
 
         endpoint.handler = wrapped
 
-
-class OverloadBurstInjector:
-    """Fires bursts of synthetic background requests at an address.
-
-    Models a stampeding secondary tenant: every ``interval_seconds`` a
-    burst of ``burst_size`` concurrent requests hits the target, competing
-    with the measured foreground workload for mediation capacity — the
-    load-shedding and bulkhead scenarios' pressure source. Outcomes of the
-    synthetic traffic are tallied but never raised.
-    """
-
-    def __init__(self, env: Environment, network: Network) -> None:
-        self.env = env
-        self.network = network
-        self.sent = 0
-        self.failed = 0
-
-    def inject(
-        self,
-        address: str,
-        operation: str,
-        payload_factory,
-        interval_seconds: float,
-        burst_size: int,
-        timeout: float = 10.0,
-        start_after: float = 0.0,
-        bursts: int | None = None,
-    ) -> None:
-        """Start the burst train; ``payload_factory(burst, index)`` builds
-        each request body (an :class:`~repro.xmlutils.Element`)."""
-        if interval_seconds <= 0 or burst_size < 1:
-            raise ValueError("need a positive interval and burst size")
-        from repro.services import Invoker
-
-        invoker = Invoker(
-            self.env, self.network, caller="overload-burst", default_timeout=timeout
-        )
-        self.env.process(
-            self._cycle(
-                invoker, address, operation, payload_factory,
-                interval_seconds, burst_size, timeout, start_after, bursts,
-            ),
-            name=f"burst:{address}",
-        )
-
-    def _cycle(
-        self,
-        invoker,
-        address: str,
-        operation: str,
-        payload_factory,
-        interval: float,
-        burst_size: int,
-        timeout: float,
-        start_after: float,
-        bursts: int | None,
-    ) -> Generator:
-        from repro.soap import SoapFaultError
-
-        def one_request(burst: int, index: int) -> Generator:
-            self.sent += 1
-            try:
-                yield from invoker.invoke(
-                    address, operation, payload_factory(burst, index), timeout=timeout
-                )
-            except SoapFaultError:
-                self.failed += 1
-
-        fired = 0
-        if start_after > 0:
-            yield self.env.timeout(start_after)
-        while bursts is None or fired < bursts:
-            yield self.env.timeout(interval)
-            for index in range(burst_size):
-                self.env.process(
-                    one_request(fired, index), name=f"burst:{address}:{fired}:{index}"
-                )
-            fired += 1
+    def finalize(self) -> None:
+        """Close open windows at the current instant (end of experiment)."""
+        for log in self.logs.values():
+            log.close(self.env.now)
 
 
 class ProcessCrashInjector:
     """Kills the workflow engine after a set number of activity completions.
 
-    The crash-recovery counterpart of the endpoint injectors: instead of
+    The crash-recovery counterpart of :class:`FaultInjector`: instead of
     degrading a *service*, it takes down the *orchestration host* mid-flight.
     Attach to the engine under test (``engine.add_service(...)``); once the
     configured number of ``activity_completed`` notifications has been

@@ -22,6 +22,7 @@ import json
 from pathlib import Path
 
 from repro.experiments import fault_storm, fleet_storm, overload_storm, run, table1_vep
+from repro.faultinjection import BusCrash, EndpointFault
 from repro.observability import InMemoryExporter, Tracer
 from repro.soap import addressing
 
@@ -55,8 +56,7 @@ FLEET_STORM = fleet_storm(
     3,
     slo=True,
     clients=2,
-    crash=("bus-1", 1.5),
-    outage=("http://scm/retailerA", 0.5, 3.0),
+    faults=(BusCrash("bus-1", 1.5), EndpointFault("http://scm/retailerA", 0.5, 3.0, cycles=1)),
 )
 
 

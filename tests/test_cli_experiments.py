@@ -10,6 +10,7 @@ from cli_corpus import GOLDEN_DIR
 import repro
 from repro.cli import build_parser, main
 from repro.experiments import (
+    Scenario,
     regenerate_figure5,
     regenerate_table1,
     render_figure5,
@@ -18,6 +19,7 @@ from repro.experiments import (
     table1_direct,
     table1_vep,
 )
+from repro.faultinjection import BusCrash
 
 
 class TestHarness:
@@ -37,6 +39,18 @@ class TestHarness:
         assert set(rows) == {"A", "B", "C", "D", "VEP"}
         rendered = render_table1(rows)
         assert "Table 1" in rendered and "wsBus VEP" in rendered
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param(dict(veps=0, retailers="AB"), id="direct-run-two-retailers"),
+            pytest.param(dict(veps=2), id="two-veps-without-shards"),
+            pytest.param(dict(faults=(BusCrash("bus-1", 1.5),)), id="bus-crash-without-shards"),
+        ],
+    )
+    def test_malformed_scenario_rejected(self, fields):
+        with pytest.raises(ValueError):
+            Scenario(7, **fields)
 
     def test_figure5_small(self):
         series = regenerate_figure5(sizes_kb=(1, 8), operations=("getCatalog",), requests=20)

@@ -1,13 +1,16 @@
 """Unit tests for the fault injection harness."""
 
+import math
+
 import pytest
 
 from conftest import ECHO_CONTRACT, run_process
 from repro.faultinjection import (
-    ApplicationFaultInjector,
+    ApplicationFault,
+    BusCrash,
     DowntimeLog,
     EndpointFault,
-    EndpointFaultInjector,
+    FaultInjector,
 )
 from repro.services import Invoker
 from repro.simulation import RandomSource
@@ -53,6 +56,12 @@ def _register(network, *addresses):
     return [network.register(address, lambda req: iter(())) for address in addresses]
 
 
+def _malformed(up, down, random=False, **fields):
+    """A malformed ``EndpointFault`` case, identified by its arguments."""
+    named = "".join(f"-{name}={value}" for name, value in fields.items())
+    return pytest.param(up, down, dict(fields, random=random), id=f"{up}-{down}-{random}{named}")
+
+
 def _sample(env, endpoint, attribute, times):
     """``attribute`` of ``endpoint`` at each of ``times``, running the clock forward."""
     values = []
@@ -65,7 +74,7 @@ def _sample(env, endpoint, attribute, times):
 class TestAvailabilityInjector:
     def test_cycles_toggle_endpoint(self, env, network):
         _register(network, "http://a")
-        injector = EndpointFaultInjector(env, network, RandomSource(3))
+        injector = FaultInjector(env, network, RandomSource(3))
         injector.inject(EndpointFault("http://a", 10.0, 5.0, random=True))
         env.run(until=200.0)
         injector.finalize()
@@ -75,20 +84,20 @@ class TestAvailabilityInjector:
 
     def test_observed_availability_tracks_nominal(self, env, network):
         _register(network, "http://a")
-        injector = EndpointFaultInjector(env, network, RandomSource(5))
+        injector = FaultInjector(env, network, RandomSource(5))
         injector.inject(EndpointFault("http://a", 90.0, 10.0, random=True))
         env.run(until=50_000.0)
         injector.finalize()
         assert injector.logs["http://a"].availability(50_000.0) == pytest.approx(0.9, abs=0.05)
 
     def test_unknown_endpoint_rejected(self, env, network):
-        injector = EndpointFaultInjector(env, network, RandomSource(0))
+        injector = FaultInjector(env, network, RandomSource(0))
         with pytest.raises(ValueError):
             injector.inject(EndpointFault("http://ghost", 10, 1, random=True))
 
     def test_logs_every_unavailable_address(self, env, network):
         _register(network, "http://a", "http://b", "http://c")
-        injector = EndpointFaultInjector(env, network, RandomSource(0))
+        injector = FaultInjector(env, network, RandomSource(0))
         injector.inject(EndpointFault("http://a", 10, 1, random=True))
         injector.inject(EndpointFault("http://b", 10, 1, random=True))
         injector.inject(EndpointFault("http://c", 10, 1, delay=2.0, random=True))
@@ -98,14 +107,14 @@ class TestAvailabilityInjector:
 class TestRandomDelay:
     def test_delay_applied_and_removed(self, env, network):
         (endpoint,) = _register(network, "http://a")
-        injector = EndpointFaultInjector(env, network, RandomSource(7))
+        injector = FaultInjector(env, network, RandomSource(7))
         injector.inject(EndpointFault("http://a", 5.0, 2.0, delay=3.0, random=True))
         delays = _sample(env, endpoint, "added_delay_seconds", [t / 4 for t in range(1, 400)])
         # Episodes come and go; none leaves a permanent delay behind.
         assert set(delays) == {0.0, 3.0}
 
     def test_unknown_endpoint_rejected(self, env, network):
-        injector = EndpointFaultInjector(env, network, RandomSource(0))
+        injector = FaultInjector(env, network, RandomSource(0))
         with pytest.raises(ValueError):
             injector.inject(EndpointFault("http://ghost", 1, 1, delay=1.0, random=True))
 
@@ -113,7 +122,7 @@ class TestRandomDelay:
 class TestFixedSchedule:
     def test_waits_start_after_then_stops_after_cycles(self, env, network):
         (endpoint,) = _register(network, "http://a")
-        injector = EndpointFaultInjector(env, network, RandomSource(0))
+        injector = FaultInjector(env, network, RandomSource(0))
         injector.inject(EndpointFault("http://a", 2.0, 1.0, start_after=3.0, cycles=2))
         times = [4.9, 5.5, 6.5, 7.9, 8.5, 9.5, 11.5, 50.0]
         assert _sample(env, endpoint, "available", times) == [
@@ -123,7 +132,7 @@ class TestFixedSchedule:
 
     def test_fixed_delay_spikes_repeat(self, env, network):
         (endpoint,) = _register(network, "http://a")
-        injector = EndpointFaultInjector(env, network, RandomSource(0))
+        injector = FaultInjector(env, network, RandomSource(0))
         injector.inject(EndpointFault("http://a", 3.0, 1.0, delay=2.0, start_after=1.0))
         times = [3.9, 4.5, 5.5, 8.5, 9.5, 12.5]
         assert _sample(env, endpoint, "added_delay_seconds", times) == [
@@ -133,7 +142,7 @@ class TestFixedSchedule:
 
     def test_zero_second_up_is_not_waited(self, env, network):
         (endpoint,) = _register(network, "http://a")
-        injector = EndpointFaultInjector(env, network, RandomSource(0))
+        injector = FaultInjector(env, network, RandomSource(0))
         injector.inject(EndpointFault("http://a", 0.0, 2.0, cycles=1))
         env.step()  # the process's first resumption: no zero-second timeout first
         assert not endpoint.available
@@ -143,7 +152,7 @@ class TestFixedSchedule:
 
     def test_delays_stack_and_floor_at_zero(self, env, network):
         (endpoint,) = _register(network, "http://a")
-        injector = EndpointFaultInjector(env, network, RandomSource(0))
+        injector = FaultInjector(env, network, RandomSource(0))
         injector.inject(EndpointFault("http://a", 1.0, 4.0, delay=2.0, cycles=1))
         injector.inject(EndpointFault("http://a", 2.0, 1.0, delay=3.0, cycles=1))
         assert _sample(env, endpoint, "added_delay_seconds", [0.5, 1.5, 2.5, 3.5]) == [
@@ -156,7 +165,7 @@ class TestFixedSchedule:
     def test_overlapping_unavailability_windows_hold_the_endpoint_down(self, env, network):
         """A flap inside an outage must not bring the endpoint back early."""
         (endpoint,) = _register(network, "http://d")
-        injector = EndpointFaultInjector(env, network, RandomSource(0))
+        injector = FaultInjector(env, network, RandomSource(0))
         injector.inject(EndpointFault("http://d", 12.0, 8.0, start_after=3.0))
         injector.inject(EndpointFault("http://d", 10.0, 20.0, cycles=1))
         times = [9.5, 11.0, 16.0, 24.0, 29.0, 31.0, 36.0, 44.0]
@@ -169,7 +178,7 @@ class TestFixedSchedule:
     def test_injection_at_proxied_address_hits_the_origin(self, env, network):
         proxy, origin = _register(network, "http://p", "http://p#origin")
         proxy.fault_target = origin.address
-        injector = EndpointFaultInjector(env, network, RandomSource(0))
+        injector = FaultInjector(env, network, RandomSource(0))
         injector.inject(EndpointFault("http://p", 1.0, 2.0, cycles=1))
         injector.inject(EndpointFault("http://p", 1.0, 2.0, delay=4.0, cycles=1))
         env.run(until=2.0)
@@ -179,18 +188,32 @@ class TestFixedSchedule:
         assert injector.logs["http://p"].windows == [(1.0, 3.0)]
 
     @pytest.mark.parametrize(
-        "up, down, random",
-        [(1.0, 0.0, False), (1.0, -1.0, False), (-1.0, 1.0, False), (0.0, 1.0, True)],
+        "up, down, fields",
+        [
+            _malformed(1.0, 0.0),
+            _malformed(1.0, -1.0),
+            _malformed(-1.0, 1.0),
+            _malformed(0.0, 1.0, random=True),
+            _malformed(math.nan, 1.0),
+            _malformed(1.0, math.nan),
+            _malformed(1.0, 1.0, delay=-5.0),
+            _malformed(1.0, 1.0, delay=0.0),
+            _malformed(1.0, 1.0, delay=math.nan),
+            _malformed(1.0, 1.0, start_after=-3.0),
+            _malformed(1.0, 1.0, start_after=math.nan),
+            _malformed(1.0, 1.0, cycles=0),
+            _malformed(1.0, 1.0, cycles=-2),
+        ],
     )
-    def test_bad_stretches_rejected(self, up, down, random):
+    def test_bad_stretches_rejected(self, up, down, fields):
         with pytest.raises(ValueError):
-            EndpointFault("http://a", up, down, random=random)
+            EndpointFault("http://a", up, down, **fields)
 
 
-class TestApplicationFaultInjector:
+class TestApplicationFault:
     def test_injects_service_failures(self, env, network, container, echo_service):
-        injector = ApplicationFaultInjector(env, network, RandomSource(1))
-        injector.inject("http://test/echo", fault_probability=1.0)
+        injector = FaultInjector(env, network, RandomSource(1))
+        injector.inject(ApplicationFault("http://test/echo", 1.0))
         invoker = Invoker(env, network)
 
         def client():
@@ -203,8 +226,8 @@ class TestApplicationFaultInjector:
         assert injector.injected_counts["http://test/echo"] == 1
 
     def test_zero_probability_never_injects(self, env, network, container, echo_service):
-        injector = ApplicationFaultInjector(env, network, RandomSource(1))
-        injector.inject("http://test/echo", fault_probability=0.0)
+        injector = FaultInjector(env, network, RandomSource(1))
+        injector.inject(ApplicationFault("http://test/echo", 0.0))
         invoker = Invoker(env, network)
 
         def client():
@@ -215,8 +238,8 @@ class TestApplicationFaultInjector:
         assert run_process(env, client()) == "x@echo1"
 
     def test_rate_roughly_honored(self, env, network, container, echo_service):
-        injector = ApplicationFaultInjector(env, network, RandomSource(2))
-        injector.inject("http://test/echo", fault_probability=0.3)
+        injector = FaultInjector(env, network, RandomSource(2))
+        injector.inject(ApplicationFault("http://test/echo", 0.3))
         invoker = Invoker(env, network)
         failures = 0
 
@@ -232,7 +255,14 @@ class TestApplicationFaultInjector:
         run_process(env, client())
         assert 60 <= failures <= 120  # ~90 expected
 
-    def test_invalid_probability_rejected(self, env, network, container, echo_service):
-        injector = ApplicationFaultInjector(env, network)
+    @pytest.mark.parametrize("probability", [1.5, -0.1, math.nan])
+    def test_invalid_probability_rejected(self, probability):
         with pytest.raises(ValueError):
-            injector.inject("http://test/echo", fault_probability=1.5)
+            ApplicationFault("http://test/echo", probability)
+
+
+class TestBusCrash:
+    @pytest.mark.parametrize("at", [-1.0, math.nan, math.inf])
+    def test_bad_crash_time_rejected(self, at):
+        with pytest.raises(ValueError):
+            BusCrash("bus-0", at)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.casestudies.scm import (
     RETAILER_CONTRACT,
+    STORM_FAULTS,
     WAREHOUSE_CONTRACT,
     build_scm_deployment,
     build_scm_process,
@@ -298,8 +299,9 @@ class TestFaultInjectionIntegration:
         def probe(bus):
             available[bus.env.now] = bus.network.endpoint(retailer_d).available
 
+        outage = EndpointFault(retailer_d, 10.0, 20.0, cycles=1)
         scenario = fault_storm(
-            7, resilience=False, outage=(retailer_d, 10.0, 20.0),
+            7, resilience=False, faults=STORM_FAULTS + (outage,),
             tick_seconds=1.0, clients=1, requests=100,
         )
         run(scenario, on_tick=probe)

@@ -511,7 +511,7 @@ class TestProxyDeployment:
     def test_availability_injector_at_public_address_spares_proxy(
         self, env, network, world
     ):
-        from repro.faultinjection import EndpointFault, EndpointFaultInjector
+        from repro.faultinjection import EndpointFault, FaultInjector
         from repro.simulation import RandomSource
 
         bus, repository = world
@@ -519,7 +519,7 @@ class TestProxyDeployment:
         bus.deploy_as_proxy(
             "proxy-a", ECHO_CONTRACT, "http://svc/a", extra_members=["http://svc/b"]
         )
-        injector = EndpointFaultInjector(env, network, RandomSource(3))
+        injector = FaultInjector(env, network, RandomSource(3))
         injector.inject(EndpointFault("http://svc/a", 2.0, 1.0, random=True))
         env.run(until=30.0)
         injector.finalize()
