@@ -1,15 +1,18 @@
 """The command-line golden corpus.
 
-Ten ``python -m repro`` invocations that between them drive every
+Eleven ``python -m repro`` invocations that between them drive every
 experiment the CLI assembles: the resilience ablation with and without
 the SLO loop, the overload and federation ablations with their JSON
 reports, a traced fleet storm, both engine-crash sweeps with their
-journals, Table 1, Figure 5 and ``top``. ``tests/golden/cli/`` holds, per
+journals, Table 1, Figure 5, ``top`` and the §2.2 customization
+matrix (``scenarios``). ``tests/golden/cli/`` holds, per
 command, its exact stdout (``<name>.stdout``), the bytes of the report it
 writes (``<name>.report.json``) and the SHA-256 of every other file it
 writes (``<name>.files.json``: span files, flight dumps, journals), as
 recorded on the commit *before* the hand-built harnesses became one
-``Scenario`` and one ``run()``; ``test_cli_golden.py`` compares them.
+``Scenario`` and one ``run()`` (``scenarios``: before the case-study
+profiles and policy set were declared once); ``test_cli_golden.py``
+compares them.
 Re-record (only when a command is meant to print or write something
 different) with ``PYTHONPATH=src python tests/cli_corpus.py``.
 """
@@ -47,6 +50,7 @@ COMMANDS = {
     "table1": ["table1", "--seeds", "11", "--clients", "1", "--requests", "30"],
     "figure5": ["figure5", "--requests", "20"],
     "top": ["top", "--seed", "7", "--clients", "3", "--requests", "20"],
+    "scenarios": ["scenarios"],
 }
 
 
