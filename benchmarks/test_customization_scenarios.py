@@ -18,11 +18,10 @@ the paper's hot-reload property.
 from __future__ import annotations
 
 from repro.casestudies.stocktrading import (
+    ORDER_PROFILES,
     build_trading_deployment,
     compliance_removal_policy_document,
-    credit_rating_policy_document,
-    currency_conversion_policy_document,
-    pest_analysis_policy_document,
+    customization_policy_documents,
 )
 from repro.metrics import Table
 from repro.orchestration.instance import InstanceStatus
@@ -31,27 +30,13 @@ from repro.policy import serialize_policy_document
 
 def run_scenarios():
     deployment = build_trading_deployment(seed=5)
-    for document in (
-        currency_conversion_policy_document(),
-        pest_analysis_policy_document(),
-        credit_rating_policy_document(),
-        compliance_removal_policy_document(),
-    ):
+    for document in customization_policy_documents():
         deployment.masc.load_policies(serialize_policy_document(document))
 
     definition_before = deployment.engine.definitions["trading-process"].activity_names()
 
     scenarios = {
-        "baseline national": deployment.run_order(amount=50_000.0, country="AU"),
-        "international (US/USD)": deployment.run_order(
-            amount=20_000.0, country="US", currency="USD"
-        ),
-        "high-risk country (BR)": deployment.run_order(
-            amount=8000.0, country="BR", currency="USD"
-        ),
-        "large personal trade": deployment.run_order(amount=250_000.0, profile="personal"),
-        "corporate trade": deployment.run_order(amount=2000.0, profile="corporate"),
-        "small trade": deployment.run_order(amount=500.0),
+        profile: deployment.run_order(**kwargs) for profile, kwargs in ORDER_PROFILES.items()
     }
     definition_after = deployment.engine.definitions["trading-process"].activity_names()
     return deployment, scenarios, definition_before, definition_after
@@ -89,15 +74,15 @@ def test_customization_scenarios(benchmark):
         return scenarios[label].executed_activities
 
     # Scenario matrix assertions (the paper's four experiments).
-    assert "convert-currency" not in executed("baseline national")
-    assert "convert-currency" in executed("international (US/USD)")
-    assert "pest-analysis" in executed("international (US/USD)")
-    assert "pest-analysis" in executed("high-risk country (BR)")
-    assert "credit-rating" in executed("large personal trade")
-    assert "credit-rating" in executed("corporate trade")
-    assert "credit-rating" not in executed("baseline national")
-    assert "market-compliance" not in executed("small trade")
-    assert "market-compliance" in executed("baseline national")
+    assert "convert-currency" not in executed("national")
+    assert "convert-currency" in executed("international")
+    assert "pest-analysis" in executed("international")
+    assert "pest-analysis" in executed("high-risk")
+    assert "credit-rating" in executed("large-personal")
+    assert "credit-rating" in executed("corporate")
+    assert "credit-rating" not in executed("national")
+    assert "market-compliance" not in executed("small")
+    assert "market-compliance" in executed("national")
 
     # High-risk vs standard PEST routed to different concrete services.
     reports = deployment.masc.adaptation.reports
@@ -109,7 +94,7 @@ def test_customization_scenarios(benchmark):
     assert before == after
 
     # Data exchange worked: conversion wrote its outputs into the instance.
-    international = scenarios["international (US/USD)"]
+    international = scenarios["international"]
     assert international.variables["local_amount"] > international.variables["amount"]
 
 

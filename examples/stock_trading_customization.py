@@ -9,11 +9,9 @@ Run:  python examples/stock_trading_customization.py
 """
 
 from repro.casestudies.stocktrading import (
+    ORDER_PROFILES,
     build_trading_deployment,
-    compliance_removal_policy_document,
-    credit_rating_policy_document,
-    currency_conversion_policy_document,
-    pest_analysis_policy_document,
+    customization_policy_documents,
 )
 from repro.policy import serialize_policy_document
 
@@ -35,29 +33,15 @@ def main() -> None:
     masc = deployment.masc
 
     print("Loading WS-Policy4MASC documents (via the real XML wire format):\n")
-    for document in (
-        currency_conversion_policy_document(),
-        pest_analysis_policy_document(),
-        credit_rating_policy_document(),
-        compliance_removal_policy_document(),
-    ):
+    for document in customization_policy_documents():
         xml = serialize_policy_document(document)
         masc.load_policies(xml)
         print(f"  loaded {document.name!r} ({len(document)} policies, {len(xml)} bytes of XML)")
 
-    orders = [
-        ("national trade, AUD 50k", dict(amount=50_000.0, country="AU")),
-        ("international trade, USD 20k", dict(amount=20_000.0, country="US", currency="USD")),
-        ("high-risk country, BRL-ish", dict(amount=15_000.0, country="BR", currency="USD")),
-        ("large personal trade, AUD 250k", dict(amount=250_000.0, profile="personal")),
-        ("corporate trade, AUD 2k", dict(amount=2_000.0, profile="corporate")),
-        ("small trade, AUD 500", dict(amount=500.0)),
-    ]
-
     print("\nRunning orders against the *unmodified* base trading process:\n")
-    for label, kwargs in orders:
+    for profile, kwargs in ORDER_PROFILES.items():
         instance = deployment.run_order(**kwargs)
-        print(f"  {label:34s} -> {instance.status.value:9s} | customization: {describe(instance)}")
+        print(f"  {profile:14s} -> {instance.status.value:9s} | customization: {describe(instance)}")
 
     print("\nPer-instance adaptations enacted by MASCAdaptationService:")
     for report in masc.adaptation.reports:

@@ -21,7 +21,7 @@ from repro.casestudies.scm.services import (
 from repro.faultinjection import ApplicationFault, EndpointFault, FaultInjector
 from repro.services import ProcessingModel, ServiceContainer, ServiceRegistry
 from repro.simulation import Environment, RandomSource
-from repro.transport import LatencyModel, Network
+from repro.transport import Network
 
 __all__ = [
     "SCMDeployment",
@@ -112,7 +112,6 @@ class SCMDeployment:
 
 def build_scm_deployment(
     seed: int = 0,
-    latency: LatencyModel | None = None,
     initial_stock: int = 10_000,
     log_events: bool = True,
 ) -> SCMDeployment:
@@ -123,7 +122,7 @@ def build_scm_deployment(
     """
     env = Environment()
     random_source = RandomSource(seed)
-    network = Network(env, random_source, latency=latency)
+    network = Network(env, random_source)
     container = ServiceContainer(env, network, random_source)
     registry = ServiceRegistry()
     deployment = SCMDeployment(

@@ -114,19 +114,7 @@ def logging_skip_policy_document() -> PolicyDocument:
 
 
 def resilience_policy_document(
-    endpoint_pattern: str = "http://scm/retailer*",
-    failure_rate_threshold: float = 0.5,
-    consecutive_failures: int = 3,
-    open_seconds: float = 6.0,
-    half_open_probes: int = 1,
-    endpoint_max_concurrent: int = 8,
-    endpoint_max_queue: int = 16,
-    vep_max_concurrent: int = 32,
-    vep_max_queue: int = 64,
-    timeout_multiplier: float = 3.0,
-    timeout_min_seconds: float = 0.3,
-    timeout_max_seconds: float = 4.0,
-    max_inflight: int = 256,
+    consecutive_failures: int = 3, vep_max_concurrent: int = 32
 ) -> PolicyDocument:
     """Resilience configuration for the Retailer tier.
 
@@ -145,24 +133,17 @@ def resilience_policy_document(
         AdaptationPolicy(
             name="retailer-endpoint-resilience",
             triggers=("resilience.configure",),
-            scope=PolicyScope(endpoint=endpoint_pattern),
+            scope=PolicyScope(endpoint="http://scm/retailer*"),
             actions=(
                 CircuitBreakerAction(
-                    failure_rate_threshold=failure_rate_threshold,
+                    failure_rate_threshold=0.5,
                     consecutive_failures=consecutive_failures,
-                    open_seconds=open_seconds,
-                    half_open_probes=half_open_probes,
+                    open_seconds=6.0,
+                    half_open_probes=1,
                 ),
-                BulkheadAction(
-                    max_concurrent=endpoint_max_concurrent,
-                    max_queue=endpoint_max_queue,
-                    applies_to="endpoint",
-                ),
+                BulkheadAction(max_concurrent=8, max_queue=16, applies_to="endpoint"),
                 AdaptiveTimeoutAction(
-                    aggregate="p95",
-                    multiplier=timeout_multiplier,
-                    min_seconds=timeout_min_seconds,
-                    max_seconds=timeout_max_seconds,
+                    aggregate="p95", multiplier=3.0, min_seconds=0.3, max_seconds=4.0
                 ),
             ),
             priority=10,
@@ -176,9 +157,7 @@ def resilience_policy_document(
             scope=PolicyScope(service_type="Retailer"),
             actions=(
                 BulkheadAction(
-                    max_concurrent=vep_max_concurrent,
-                    max_queue=vep_max_queue,
-                    applies_to="vep",
+                    max_concurrent=vep_max_concurrent, max_queue=64, applies_to="vep"
                 ),
             ),
             priority=20,
@@ -190,7 +169,7 @@ def resilience_policy_document(
             name="bus-load-shedding",
             triggers=("resilience.configure",),
             scope=PolicyScope(),
-            actions=(LoadSheddingAction(max_inflight=max_inflight),),
+            actions=(LoadSheddingAction(max_inflight=256),),
             priority=30,
             adaptation_type="prevention",
         )
@@ -199,8 +178,6 @@ def resilience_policy_document(
 
 
 def slo_policy_document(
-    endpoint_pattern: str = "http://scm/retailer*",
-    availability_target: float = 99.0,
     latency_target_seconds: float | None = None,
     latency_percentile: str = "p99",
     window_seconds: float = 300.0,
@@ -210,9 +187,6 @@ def slo_policy_document(
     slow_burn_threshold: float = 2.0,
     evaluation_interval_seconds: float = 5.0,
     min_requests: int = 5,
-    strategy: str = "best_reliability",
-    breaker_consecutive_failures: int = 2,
-    breaker_open_seconds: float = 10.0,
 ) -> PolicyDocument:
     """SLO declaration + burn-rate reaction for the Retailer tier.
 
@@ -237,11 +211,11 @@ def slo_policy_document(
         AdaptationPolicy(
             name="retailer-availability-slo",
             triggers=("observability.slo",),
-            scope=PolicyScope(endpoint=endpoint_pattern),
+            scope=PolicyScope(endpoint="http://scm/retailer*"),
             actions=(
                 SloAction(
                     name="retailer-availability",
-                    availability_target=availability_target,
+                    availability_target=99.0,
                     latency_target_seconds=latency_target_seconds,
                     latency_percentile=latency_percentile,
                     window_seconds=window_seconds,
@@ -265,11 +239,8 @@ def slo_policy_document(
             triggers=("sloBurnRateExceeded", "errorBudgetExhausted"),
             scope=PolicyScope(service_type="Retailer"),
             actions=(
-                SelectionStrategyAction(strategy=strategy),
-                CircuitBreakerAction(
-                    consecutive_failures=breaker_consecutive_failures,
-                    open_seconds=breaker_open_seconds,
-                ),
+                SelectionStrategyAction(strategy="best_reliability"),
+                CircuitBreakerAction(consecutive_failures=2, open_seconds=10.0),
             ),
             priority=10,
             adaptation_type="optimization",
@@ -279,10 +250,7 @@ def slo_policy_document(
 
 
 def saga_policy_document(
-    process: str | None = "scm-purchase-saga",
-    scope: str | None = None,
-    mode: str = "orchestration",
-    triggers: tuple[str, ...] = ("errorBudgetExhausted",),
+    scope: str | None = None, mode: str = "orchestration"
 ) -> PolicyDocument:
     """Turn SLO despair into a saga unwind — a policy-only change.
 
@@ -299,13 +267,13 @@ def saga_policy_document(
     document.adaptation_policies.append(
         AdaptationPolicy(
             name="purchase-saga-compensate-on-budget-exhausted",
-            triggers=triggers,
+            triggers=("errorBudgetExhausted",),
             scope=PolicyScope(service_type="Retailer"),
             actions=(
                 CompensateInstanceAction(
                     scope=scope,
                     mode=mode,
-                    process=process,
+                    process="scm-purchase-saga",
                     reason="error budget exhausted",
                 ),
             ),
@@ -317,18 +285,7 @@ def saga_policy_document(
 
 
 def traffic_policy_document(
-    cache_operation: str = "getCatalog",
-    cache_ttl_seconds: float = 30.0,
-    cache_max_entries: int = 256,
-    invalidate_on: tuple[str, ...] = (
-        "sloBurnRateExceeded",
-        "errorBudgetExhausted",
-        "catalogChanged",
-    ),
-    rate_per_second: float = 20.0,
-    burst: int = 4,
-    max_queue: int = 64,
-    max_wait_seconds: float = 2.0,
+    cache_operation: str = "getCatalog", rate_per_second: float = 20.0, burst: int = 4
 ) -> PolicyDocument:
     """Traffic shaping for the Retailer tier — the gentler overload story.
 
@@ -363,9 +320,13 @@ def traffic_policy_document(
             scope=PolicyScope(service_type="Retailer", operation=cache_operation),
             actions=(
                 ResponseCacheAction(
-                    ttl_seconds=cache_ttl_seconds,
-                    max_entries=cache_max_entries,
-                    invalidate_on=invalidate_on,
+                    ttl_seconds=30.0,
+                    max_entries=256,
+                    invalidate_on=(
+                        "sloBurnRateExceeded",
+                        "errorBudgetExhausted",
+                        "catalogChanged",
+                    ),
                 ),
             ),
             priority=20,
@@ -381,8 +342,8 @@ def traffic_policy_document(
                 LoadLevelingAction(
                     rate_per_second=rate_per_second,
                     burst=burst,
-                    max_queue=max_queue,
-                    max_wait_seconds=max_wait_seconds,
+                    max_queue=64,
+                    max_wait_seconds=2.0,
                 ),
             ),
             priority=30,

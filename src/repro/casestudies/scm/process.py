@@ -10,6 +10,7 @@ services.
 from __future__ import annotations
 
 from repro.orchestration import (
+    Activity,
     Assign,
     CompensationScope,
     IfElse,
@@ -23,71 +24,59 @@ from repro.soap import FaultCode
 
 __all__ = ["build_scm_process", "build_scm_saga_process"]
 
+#: The one order every purchase instance places.
+_ORDER = {"order_id": "order-0001", "order_items": "TVx1,DVDx2", "customer_id": "customer-1"}
 
-def build_scm_process(
-    retailer_address: str,
-    logging_address: str,
-    order_items: str = "TVx1,DVDx2",
-    customer_id: str = "customer-1",
-    name: str = "scm-purchase",
-) -> ProcessDefinition:
+
+def _purchase(
+    retailer: str, logging: str, saga_steps: tuple[Activity, ...] = ()
+) -> list[Activity]:
+    """The purchase flow, with ``saga_steps`` between ordering and tracking."""
+    return [
+        Invoke(
+            "get-catalog",
+            operation="getCatalog",
+            to=retailer,
+            inputs={},
+            output_variable="catalog_response",
+            extract={"catalog": "catalog", "item_count": "itemCount"},
+            timeout_seconds=15.0,
+        ),
+        Invoke(
+            "submit-order",
+            operation="submitOrder",
+            to=retailer,
+            inputs={
+                "orderId": "$order_id",
+                "items": "$order_items",
+                "customerId": "$customer_id",
+            },
+            output_variable="order_response",
+            extract={"order_status": "status", "shipped_from": "shippedFrom"},
+            timeout_seconds=20.0,
+        ),
+        *saga_steps,
+        Invoke(
+            "track-order",
+            operation="getEvents",
+            to=logging,
+            inputs={},
+            output_variable="events_response",
+            extract={"event_count": "count"},
+            timeout_seconds=10.0,
+        ),
+        Reply("order-result", variable="order_status"),
+    ]
+
+
+def build_scm_process(retailer_address: str, logging_address: str) -> ProcessDefinition:
     """The purchase composition against a concrete (or VEP) retailer."""
-    root = Sequence(
-        "scm-main",
-        [
-            Invoke(
-                "get-catalog",
-                operation="getCatalog",
-                to=retailer_address,
-                inputs={},
-                output_variable="catalog_response",
-                extract={"catalog": "catalog", "item_count": "itemCount"},
-                timeout_seconds=15.0,
-            ),
-            Invoke(
-                "submit-order",
-                operation="submitOrder",
-                to=retailer_address,
-                inputs={
-                    "orderId": "$order_id",
-                    "items": "$order_items",
-                    "customerId": "$customer_id",
-                },
-                output_variable="order_response",
-                extract={"order_status": "status", "shipped_from": "shippedFrom"},
-                timeout_seconds=20.0,
-            ),
-            Invoke(
-                "track-order",
-                operation="getEvents",
-                to=logging_address,
-                inputs={},
-                output_variable="events_response",
-                extract={"event_count": "count"},
-                timeout_seconds=10.0,
-            ),
-            Reply("order-result", variable="order_status"),
-        ],
-    )
-    return ProcessDefinition(
-        name,
-        root,
-        initial_variables={
-            "order_id": "order-0001",
-            "order_items": order_items,
-            "customer_id": customer_id,
-        },
-    )
+    root = Sequence("scm-main", _purchase(retailer_address, logging_address))
+    return ProcessDefinition("scm-purchase", root, initial_variables=dict(_ORDER))
 
 
 def build_scm_saga_process(
-    retailer_address: str,
-    logging_address: str,
-    order_items: str = "TVx1,DVDx2",
-    customer_id: str = "customer-1",
-    amount: float = 1697.0,
-    abort: bool = False,
-    name: str = "scm-purchase-saga",
+    retailer_address: str, logging_address: str, abort: bool = False
 ) -> ProcessDefinition:
     """The purchase composition as a saga (cancel-order compensation).
 
@@ -99,65 +88,28 @@ def build_scm_saga_process(
     registered chain LIFO (refund, then cancel) and the catch-all handler
     replies ``aborted`` — the instance still *completes*.
     """
-    body = Sequence(
-        "saga-main",
-        [
-            Invoke(
-                "get-catalog",
-                operation="getCatalog",
-                to=retailer_address,
-                inputs={},
-                output_variable="catalog_response",
-                extract={"catalog": "catalog", "item_count": "itemCount"},
-                timeout_seconds=15.0,
-            ),
-            Invoke(
-                "submit-order",
-                operation="submitOrder",
-                to=retailer_address,
-                inputs={
-                    "orderId": "$order_id",
-                    "items": "$order_items",
-                    "customerId": "$customer_id",
-                },
-                output_variable="order_response",
-                extract={"order_status": "status", "shipped_from": "shippedFrom"},
-                timeout_seconds=20.0,
-            ),
-            Invoke(
-                "collect-payment",
-                operation="collectPayment",
-                to=retailer_address,
-                inputs={
-                    "orderId": "$order_id",
-                    "customerId": "$customer_id",
-                    "amount": "$amount",
-                },
-                extract={"payment_id": "paymentId", "payment_status": "status"},
-                timeout_seconds=10.0,
-            ),
-            IfElse(
-                "abort-gate",
-                "abort == 'true'",
-                then=Throw(
-                    "abort-order", FaultCode.SERVER, "purchase aborted after payment"
-                ),
-            ),
-            Invoke(
-                "track-order",
-                operation="getEvents",
-                to=logging_address,
-                inputs={},
-                output_variable="events_response",
-                extract={"event_count": "count"},
-                timeout_seconds=10.0,
-            ),
-            Reply("order-result", variable="order_status"),
-        ],
+    payment = (
+        Invoke(
+            "collect-payment",
+            operation="collectPayment",
+            to=retailer_address,
+            inputs={
+                "orderId": "$order_id",
+                "customerId": "$customer_id",
+                "amount": "$amount",
+            },
+            extract={"payment_id": "paymentId", "payment_status": "status"},
+            timeout_seconds=10.0,
+        ),
+        IfElse(
+            "abort-gate",
+            "abort == 'true'",
+            then=Throw("abort-order", FaultCode.SERVER, "purchase aborted after payment"),
+        ),
     )
     root = CompensationScope(
         "purchase-saga",
-        body,
+        Sequence("saga-main", _purchase(retailer_address, logging_address, payment)),
         compensations={
             "submit-order": Invoke(
                 "cancel-order",
@@ -187,13 +139,11 @@ def build_scm_saga_process(
         },
     )
     return ProcessDefinition(
-        name,
+        "scm-purchase-saga",
         root,
         initial_variables={
-            "order_id": "order-0001",
-            "order_items": order_items,
-            "customer_id": customer_id,
-            "amount": amount,
+            **_ORDER,
+            "amount": 1697.0,
             "abort": "true" if abort else "false",
         },
     )

@@ -20,6 +20,7 @@ from repro.casestudies.stocktrading.contracts import (
     STOCK_REGISTRY_CONTRACT,
 )
 from repro.casestudies.stocktrading.deployment import (
+    ORDER_PROFILES,
     TradingDeployment,
     build_trading_deployment,
 )
@@ -27,6 +28,7 @@ from repro.casestudies.stocktrading.policies import (
     compliance_removal_policy_document,
     credit_rating_policy_document,
     currency_conversion_policy_document,
+    customization_policy_documents,
     pest_analysis_policy_document,
 )
 from repro.casestudies.stocktrading.process import (
@@ -60,6 +62,7 @@ __all__ = [
     "FundManagerService",
     "MARKET_COMPLIANCE_CONTRACT",
     "MarketComplianceService",
+    "ORDER_PROFILES",
     "PAYMENT_CONTRACT",
     "PEST_ANALYSIS_CONTRACT",
     "PESTAnalysisService",
@@ -78,5 +81,6 @@ __all__ = [
     "compliance_removal_policy_document",
     "credit_rating_policy_document",
     "currency_conversion_policy_document",
+    "customization_policy_documents",
     "pest_analysis_policy_document",
 ]

@@ -1,10 +1,11 @@
 """Stock trading testbed assembly on the MASC facade.
 
-Deploys every Figure 2 service — including multiple equivalent instances of
-the variation services (CC_1..CC_n, PS_1..PS_n, CR_1..CR_n, "there can be
-multiple different services of the same type in the composition") — wires
-the notification feed, registers the base trading process, and exposes a
-``place_order`` helper used by examples, tests and benchmarks.
+Deploys every Figure 2 service — including two equivalent instances of the
+financial analysis and of each variation service (CC_1/CC_2, PS_1/PS_2,
+CR_1/CR_2: "there can be multiple different services of the same type in
+the composition") — wires the notification feed, registers the base
+trading process, and exposes a ``place_order`` helper used by examples,
+tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,18 @@ from repro.core import MASC
 from repro.orchestration import ProcessInstance
 from repro.services import ProcessingModel
 
-__all__ = ["TradingDeployment", "build_trading_deployment"]
+__all__ = ["ORDER_PROFILES", "TradingDeployment", "build_trading_deployment"]
+
+#: ``place_order`` keyword arguments of the six §2.2 order profiles: no,
+#: one or two customizations per instance (EXPERIMENTS.md §2.2).
+ORDER_PROFILES = {
+    "national": dict(amount=50_000.0, country="AU"),
+    "international": dict(amount=20_000.0, country="US", currency="USD"),
+    "high-risk": dict(amount=8_000.0, country="BR", currency="USD"),
+    "large-personal": dict(amount=250_000.0, profile="personal"),
+    "corporate": dict(amount=2_000.0, profile="corporate"),
+    "small": dict(amount=500.0),
+}
 
 
 @dataclass
@@ -55,14 +67,13 @@ class TradingDeployment:
     def engine(self):
         return self.masc.engine
 
-    def register_base_process(self, name: str = "trading-process"):
+    def register_base_process(self):
         """Register the base national-trading process definition."""
         definition = build_trading_process(
             fund_manager_address=self.fund_manager.address,
             analysis_address=self.analysis_services[0].address,
             compliance_address=self.compliance.address,
             market_address=self.market.address,
-            name=name,
         )
         return self.engine.register_definition(definition)
 
@@ -97,9 +108,7 @@ class TradingDeployment:
 
 
 def build_trading_deployment(
-    seed: int = 0,
-    equivalent_variants: int = 2,
-    start_notifications: bool = True,
+    seed: int = 0, start_notifications: bool = True
 ) -> TradingDeployment:
     """Deploy the full stock-trading application on a fresh MASC stack."""
     masc = MASC(seed=seed)
@@ -129,7 +138,7 @@ def build_trading_deployment(
     masc.deploy(notification)
 
     analysis_services = []
-    for index in range(1, max(1, equivalent_variants) + 1):
+    for index in (1, 2):
         analysis = FinancialAnalysisService(
             env, f"FinancialAnalysis{index}", f"http://trading/analysis{index}",
             processing=ProcessingModel(base_seconds=0.005 + 0.002 * index),
@@ -159,7 +168,7 @@ def build_trading_deployment(
         payment=payment,
         compliance=compliance,
     )
-    for index in range(1, max(1, equivalent_variants) + 1):
+    for index in (1, 2):
         conversion = CurrencyConversionService(
             env, f"CurrencyConversion{index}", f"http://trading/cc{index}",
             processing=ProcessingModel(base_seconds=0.003),

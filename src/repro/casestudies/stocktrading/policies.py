@@ -34,6 +34,7 @@ __all__ = [
     "compliance_removal_policy_document",
     "credit_rating_policy_document",
     "currency_conversion_policy_document",
+    "customization_policy_documents",
     "pest_analysis_policy_document",
 ]
 
@@ -167,9 +168,7 @@ def pest_analysis_policy_document() -> PolicyDocument:
     return _round_trip(document)
 
 
-def credit_rating_policy_document(
-    amount_threshold: float = 100_000.0,
-) -> PolicyDocument:
+def credit_rating_policy_document() -> PolicyDocument:
     """Experiment 3: add CreditRating for large and/or corporate trades.
 
     "Monitoring policies were used to define constraints over the trade
@@ -183,7 +182,7 @@ def credit_rating_policy_document(
             name="detect-credit-check-needed",
             events=("message.request",),
             scope=PolicyScope(operation="placeOrder"),
-            condition=f"order_amount >= {amount_threshold} or investor_profile == 'corporate'",
+            condition="order_amount >= 100000.0 or investor_profile == 'corporate'",
             extract={
                 "order_amount": "amount",
                 "investor_profile": "profile",
@@ -247,3 +246,13 @@ def compliance_removal_policy_document(
         )
     )
     return _round_trip(document)
+
+
+def customization_policy_documents() -> tuple[PolicyDocument, ...]:
+    """The four experiments' documents, in the order they are loaded."""
+    return (
+        currency_conversion_policy_document(),
+        pest_analysis_policy_document(),
+        credit_rating_policy_document(),
+        compliance_removal_policy_document(),
+    )

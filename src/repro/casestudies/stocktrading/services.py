@@ -355,7 +355,7 @@ class FundManagerService(SimulatedService):
 
 
 class CurrencyConversionService(SimulatedService):
-    """Converts foreign stock prices to the local currency (CC_1..CC_n)."""
+    """Converts foreign stock prices to the local currency (CC_1, CC_2)."""
 
     contract = CURRENCY_CONVERSION_CONTRACT
 
@@ -426,7 +426,7 @@ class PESTAnalysisService(SimulatedService):
 
 
 class CreditRatingService(SimulatedService):
-    """Checks investor creditworthiness before large trades (CR_1..CR_n)."""
+    """Checks investor creditworthiness before large trades (CR_1, CR_2)."""
 
     contract = CREDIT_RATING_CONTRACT
 

@@ -440,6 +440,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """A short SLO-enabled storm, rendered as live operations-table frames."""
     from repro.observability import render_top
 
+    if not args.interval > 0:
+        print("--interval must be a positive number of simulated seconds", file=sys.stderr)
+        return 2
+
     def tick(bus) -> None:
         print(render_top(bus, window_seconds=args.window))
         print()
@@ -814,42 +818,35 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_scenarios(_args: argparse.Namespace) -> int:
     from repro.casestudies.stocktrading import (
+        ORDER_PROFILES,
         build_trading_deployment,
-        compliance_removal_policy_document,
-        credit_rating_policy_document,
-        currency_conversion_policy_document,
-        pest_analysis_policy_document,
+        customization_policy_documents,
     )
     from repro.metrics import Table
     from repro.policy import serialize_policy_document
 
     deployment = build_trading_deployment(seed=5)
-    for document in (
-        currency_conversion_policy_document(),
-        pest_analysis_policy_document(),
-        credit_rating_policy_document(),
-        compliance_removal_policy_document(),
-    ):
+    for document in customization_policy_documents():
         deployment.masc.load_policies(serialize_policy_document(document))
 
-    scenarios = {
-        "baseline national (50k AUD)": dict(amount=50_000.0, country="AU"),
-        "international (20k USD)": dict(amount=20_000.0, country="US", currency="USD"),
-        "high-risk country (BR)": dict(amount=8_000.0, country="BR", currency="USD"),
-        "large personal trade (250k)": dict(amount=250_000.0, profile="personal"),
-        "corporate trade (2k)": dict(amount=2_000.0, profile="corporate"),
-        "small trade (500)": dict(amount=500.0),
+    labels = {
+        "national": "baseline national (50k AUD)",
+        "international": "international (20k USD)",
+        "high-risk": "high-risk country (BR)",
+        "large-personal": "large personal trade (250k)",
+        "corporate": "corporate trade (2k)",
+        "small": "small trade (500)",
     }
     table = Table(
         ["Scenario", "Status", "CC", "PEST", "CreditRating", "Compliance"],
         title="Section 2.2 — customization scenario matrix",
     )
-    for label, kwargs in scenarios.items():
+    for profile, kwargs in ORDER_PROFILES.items():
         instance = deployment.run_order(**kwargs)
         executed = instance.executed_activities
         table.add_row(
             [
-                label,
+                labels[profile],
                 instance.status.value,
                 "convert-currency" in executed,
                 "pest-analysis" in executed,

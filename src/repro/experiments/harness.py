@@ -8,7 +8,6 @@ from repro.casestudies.scm import build_scm_deployment
 from repro.casestudies.scm.process import build_scm_process, build_scm_saga_process
 from repro.casestudies.stocktrading import (
     build_trading_deployment,
-    build_trading_process,
     build_trading_saga_process,
 )
 from repro.faultinjection import ProcessCrashInjector
@@ -77,15 +76,7 @@ CRASH_PROCESSES = {
         _scm,
         lambda d: build_scm_process(d.retailers["C"].address, d.logging.address),
     ),
-    "trading": (
-        _trading,
-        lambda d: build_trading_process(
-            fund_manager_address=d.fund_manager.address,
-            analysis_address=d.analysis_services[0].address,
-            compliance_address=d.compliance.address,
-            market_address=d.market.address,
-        ),
-    ),
+    "trading": (_trading, lambda d: d.engine.definitions["trading-process"]),
     "scm-saga": (
         _scm,
         lambda d: build_scm_saga_process(

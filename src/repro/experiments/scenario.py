@@ -139,10 +139,12 @@ class Scenario:
     timeout: float = 5.0
     #: Seconds a client waits between its requests.
     think: float = 2.0
-    #: Simulated seconds between two ``on_tick`` calls of :func:`run`.
+    #: Simulated seconds (> 0) between two ``on_tick`` calls of :func:`run`.
     tick_seconds: float = 10.0
 
     def __post_init__(self) -> None:
+        if not self.tick_seconds > 0:
+            raise ValueError(f"tick_seconds must be positive: {self.tick_seconds}")
         if self.veps == 0 and (len(self.retailers) != 1 or self.shards is not None):
             raise ValueError("a direct run (veps=0) calls exactly one Retailer, with no fleet")
         crashes = any(isinstance(fault, BusCrash) for fault in self.faults)

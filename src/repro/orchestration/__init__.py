@@ -39,7 +39,6 @@ from repro.orchestration.activities import (
 from repro.orchestration.definition import ProcessDefinition
 from repro.orchestration.engine import (
     FaultVerdict,
-    PersistenceService,
     RuntimeService,
     TrackingEvent,
     TrackingService,
@@ -93,7 +92,6 @@ __all__ = [
     "ModificationError",
     "ModificationOperation",
     "PROCESS_NS",
-    "PersistenceService",
     "ProcessDefinition",
     "ProcessFault",
     "ProcessInstance",

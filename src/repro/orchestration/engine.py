@@ -11,7 +11,7 @@ adaptation service is registered as exactly such a runtime service (see
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.observability import NULL_METRICS, NULL_TRACER
@@ -25,7 +25,6 @@ from repro.transport import Network
 from repro.xmlutils import Element
 
 __all__ = [
-    "PersistenceService",
     "RuntimeService",
     "TrackingEvent",
     "TrackingService",
@@ -211,53 +210,6 @@ class TrackingService(RuntimeService):
             event.activity_name or ""
             for event in self.events_for(instance_id, "activity_completed")
         ]
-
-
-@dataclass
-class _Snapshot:
-    time: float
-    status: str
-    variables: dict[str, Any] = field(default_factory=dict)
-
-
-class PersistenceService(RuntimeService):
-    """Built-in runtime service snapshotting instance state.
-
-    Snapshots are taken at every activity completion and on suspension —
-    the points where WF's persistence service would dehydrate an instance.
-    """
-
-    def __init__(self) -> None:
-        self.snapshots: dict[str, list[_Snapshot]] = {}
-        self._engine: WorkflowEngine | None = None
-
-    def attached(self, engine: "WorkflowEngine") -> None:
-        self._engine = engine
-
-    def _snapshot(self, instance: ProcessInstance) -> None:
-        assert self._engine is not None
-        # Structured snapshot: every variable survives, including nested
-        # containers, XML elements and faults, as an independent deep copy
-        # (the old filter silently dropped anything non-scalar).
-        from repro.persistence.encoding import snapshot_variables
-
-        self.snapshots.setdefault(instance.id, []).append(
-            _Snapshot(
-                time=self._engine.env.now,
-                status=instance.status.value,
-                variables=snapshot_variables(instance.variables),
-            )
-        )
-
-    def activity_completed(self, instance, activity) -> None:
-        self._snapshot(instance)
-
-    def instance_suspended(self, instance) -> None:
-        self._snapshot(instance)
-
-    def latest(self, instance_id: str) -> _Snapshot | None:
-        snapshots = self.snapshots.get(instance_id)
-        return snapshots[-1] if snapshots else None
 
 
 class WorkflowEngine:

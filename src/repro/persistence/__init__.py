@@ -32,7 +32,6 @@ from repro.persistence.encoding import (
     decode_variables,
     encode_value,
     encode_variables,
-    snapshot_variables,
 )
 from repro.persistence.journal import (
     DerivedState,
@@ -65,6 +64,5 @@ __all__ = [
     "journal_events",
     "rehydrate_instance",
     "restore_state",
-    "snapshot_variables",
     "verify_journal",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "decode_variables",
     "encode_value",
     "encode_variables",
-    "snapshot_variables",
 ]
 
 _SCALARS = (str, int, float, bool, type(None))
@@ -121,25 +120,3 @@ def encode_variables(variables: dict[str, Any]) -> dict[str, Any]:
 def decode_variables(encoded: dict[str, Any]) -> dict[str, Any]:
     """Inverse of :func:`encode_variables`."""
     return {name: decode_value(value) for name, value in encoded.items()}
-
-
-def snapshot_variables(variables: dict[str, Any]) -> dict[str, Any]:
-    """An independent deep copy of a variable set for in-memory snapshots.
-
-    Encodable values round-trip through the checkpoint encoding (guaranteeing
-    they would survive dehydration); anything else — e.g. an application
-    callable stashed by a test harness — is kept by best-effort deep copy so
-    the snapshot never silently loses a variable.
-    """
-    import copy
-
-    snapshot: dict[str, Any] = {}
-    for name, value in variables.items():
-        try:
-            snapshot[name] = decode_value(encode_value(value))
-        except StateEncodingError:
-            try:
-                snapshot[name] = copy.deepcopy(value)
-            except Exception:
-                snapshot[name] = value
-    return snapshot

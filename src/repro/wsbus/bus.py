@@ -153,11 +153,11 @@ class WsBus:
         #: wait in FIFO order. This is the resource a federated fleet
         #: shards — N buses bring N times the slots.
         self.mediation_capacity = mediation_capacity
-        if mediation_capacity is not None and mediation_capacity < 0:
-            raise ValueError(f"mediation capacity must be positive: {mediation_capacity}")
+        if mediation_capacity is not None and not mediation_capacity >= 1:
+            raise ValueError(f"mediation capacity must be at least 1: {mediation_capacity}")
         self._gate = (
             Bulkhead(f"bus:{name}", env, mediation_capacity, max_queue=float("inf"))
-            if mediation_capacity
+            if mediation_capacity is not None
             else None
         )
         # Whatever flips a tier's presence (a repository load/unload, a

@@ -30,11 +30,9 @@ from pathlib import Path
 from conftest import ECHO_CONTRACT, EchoService
 from mediation_corpus import FLEET_STORM
 from repro.casestudies.stocktrading import (
+    ORDER_PROFILES,
     build_trading_deployment,
-    compliance_removal_policy_document,
-    credit_rating_policy_document,
-    currency_conversion_policy_document,
-    pest_analysis_policy_document,
+    customization_policy_documents,
 )
 from repro.core import (
     MASC,
@@ -73,18 +71,6 @@ from repro.xmlutils import Element
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "decisions"
 
-#: ``place_order`` keyword arguments of the six order profiles the trading
-#: case study distinguishes (the same six ``bench/workloads.py`` mixes).
-ORDER_PROFILES = {
-    "national": dict(amount=50_000.0, country="AU"),
-    "international": dict(amount=20_000.0, country="US", currency="USD"),
-    "high-risk": dict(amount=8_000.0, country="BR", currency="USD"),
-    "large-personal": dict(amount=250_000.0, profile="personal"),
-    "corporate": dict(amount=2_000.0, profile="corporate"),
-    "small": dict(amount=500.0),
-}
-
-
 def _records(items) -> list:
     return [asdict(item) for item in items]
 
@@ -102,12 +88,7 @@ def _repository_sections(repository: PolicyRepository) -> dict:
 
 def _trading_order(profile: str) -> dict:
     deployment = build_trading_deployment(seed=3)
-    for document in (
-        currency_conversion_policy_document(),
-        pest_analysis_policy_document(),
-        credit_rating_policy_document(),
-        compliance_removal_policy_document(),
-    ):
+    for document in customization_policy_documents():
         deployment.masc.load_policies(serialize_policy_document(document))
     instance = deployment.run_order(**ORDER_PROFILES[profile])
     masc = deployment.masc

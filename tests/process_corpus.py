@@ -30,13 +30,10 @@ import re
 from pathlib import Path
 
 from policy_corpus import corpus as policy_corpus
-from test_dehydration import (
-    ORDER_PROFILES,
-    _declarative_activities,
-    customized_trading_deployment,
-)
+from test_dehydration import _declarative_activities, customized_trading_deployment
 
 from repro.casestudies.scm.process import build_scm_process, build_scm_saga_process
+from repro.casestudies.stocktrading import ORDER_PROFILES
 from repro.casestudies.stocktrading.process import (
     build_trading_process,
     build_trading_saga_process,
@@ -64,8 +61,6 @@ from repro.persistence import EVENT
 from repro.soap import FaultCode
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "process_xml"
-
-PROFILE_NAMES = ("national", "international", "high-risk", "large-personal", "corporate", "small")
 
 
 def every_field_tree() -> Sequence:
@@ -121,10 +116,10 @@ def _customized_trading_run() -> dict[str, str]:
     """Customized trees per order profile, and the journal of their edits."""
     deployment, store = customized_trading_deployment(seed=7)
     documents, instances = {}, []
-    for name, profile in zip(PROFILE_NAMES, ORDER_PROFILES, strict=True):
+    for name, profile in ORDER_PROFILES.items():
         instances.append(deployment.place_order(investor_id=f"investor-{name}", **profile))
     deployment.env.run(deployment.env.all_of([i.process for i in instances]))
-    for name, instance in zip(PROFILE_NAMES, instances):
+    for name, instance in zip(ORDER_PROFILES, instances):
         documents[f"customized-{name}.xml"] = serialize_activity(instance.root)
     payloads = [
         {"instance_id": record["instance_id"], **record["data"]}

@@ -46,6 +46,9 @@ class TestHarness:
             pytest.param(dict(veps=0, retailers="AB"), id="direct-run-two-retailers"),
             pytest.param(dict(veps=2), id="two-veps-without-shards"),
             pytest.param(dict(faults=(BusCrash("bus-1", 1.5),)), id="bus-crash-without-shards"),
+            pytest.param(dict(tick_seconds=0), id="zero-tick"),
+            pytest.param(dict(tick_seconds=-1), id="negative-tick"),
+            pytest.param(dict(tick_seconds=float("nan")), id="nan-tick"),
         ],
     )
     def test_malformed_scenario_rejected(self, fields):
@@ -115,6 +118,14 @@ class TestCli:
         output = capsys.readouterr().out
         assert "wsBus top" in output
         assert "Breaker" in output and "Burn" in output
+
+    def test_top_rejects_a_non_positive_interval_in_one_line(self, capsys):
+        # Regression: --interval 0 printed t=0 frames for ever.
+        assert main(["top", "--interval", "0"]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert "--interval" in line
+        assert captured.out == ""
 
     def test_plain_storm_writes_its_report_in_the_ablation_shape(self, capsys, tmp_path):
         # Regression: the resilience ablation accepted --report and wrote nothing.

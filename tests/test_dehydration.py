@@ -21,11 +21,9 @@ from hypothesis import given, settings, strategies as st
 from repro.casestudies.scm import build_scm_deployment
 from repro.casestudies.scm.process import build_scm_saga_process
 from repro.casestudies.stocktrading import (
+    ORDER_PROFILES,
     build_trading_deployment,
-    compliance_removal_policy_document,
-    credit_rating_policy_document,
-    currency_conversion_policy_document,
-    pest_analysis_policy_document,
+    customization_policy_documents,
 )
 from repro.experiments import count_crash_boundaries, run_crash_recovery
 from repro.faultinjection import ProcessCrashInjector
@@ -73,28 +71,11 @@ from test_property_process_xml import _Namer, activity_tree, leaf_activity
 # Seeded runs shared by the oracle and the golden digests
 # ---------------------------------------------------------------------------
 
-#: The six order profiles of EXPERIMENTS.md §2.2 (none, one or two static
-#: customizations per instance).
-ORDER_PROFILES = (
-    dict(amount=50_000.0, country="AU"),
-    dict(amount=20_000.0, country="US", currency="USD"),
-    dict(amount=8_000.0, country="BR", currency="USD"),
-    dict(amount=250_000.0, profile="personal"),
-    dict(amount=2_000.0, profile="corporate"),
-    dict(amount=500.0),
-)
-
-
 def customized_trading_deployment(seed):
     """A trading deployment with the four customization policies loaded and
     strict checkpointing into a fresh in-memory store."""
     deployment = build_trading_deployment(seed=seed)
-    for document in (
-        currency_conversion_policy_document(),
-        pest_analysis_policy_document(),
-        credit_rating_policy_document(),
-        compliance_removal_policy_document(),
-    ):
+    for document in customization_policy_documents():
         deployment.masc.load_policies(serialize_policy_document(document))
     store = CheckpointStore()
     deployment.engine.add_service(CheckpointingService(store, strict=True))
@@ -106,7 +87,7 @@ def run_customized_orders(deployment):
     for wave in range(2):
         batch = [
             deployment.place_order(investor_id=f"investor-{wave}-{index}", **profile)
-            for index, profile in enumerate(ORDER_PROFILES)
+            for index, profile in enumerate(ORDER_PROFILES.values())
         ]
         deployment.env.run(deployment.env.all_of([i.process for i in batch]))
         assert all(i.status is InstanceStatus.COMPLETED for i in batch)

@@ -10,7 +10,6 @@ from repro.orchestration import (
     Empty,
     Invoke,
     ModificationError,
-    PersistenceService,
     ProcessDefinition,
     ProcessFault,
     ProcessModifier,
@@ -311,14 +310,6 @@ class TestEngineServices:
         engine.run_to_completion(instance)
         names = tracking.executed_activity_names(instance.id)
         assert names.index("d1") < names.index("d2")
-
-    def test_persistence_snapshots_variables(self, env, engine):
-        persistence = engine.add_service(PersistenceService())
-        instance = engine.start(three_step_definition())
-        engine.run_to_completion(instance)
-        latest = persistence.latest(instance.id)
-        assert latest.variables["y"] == 2
-        assert latest.status == "running"
 
     def test_registry_resolution(self, env, network, container):
         container.deploy(EchoService(env, "echo-reg", "http://test/echo"))

@@ -17,7 +17,6 @@ from repro.orchestration import (
     Expression,
     ExpressionError,
     ModificationError,
-    PersistenceService,
     ProcessDefinition,
     ProcessModifier,
     Reply,
@@ -455,31 +454,6 @@ class TestReplaceExecutedValidation:
 
         env.process(meddler())
         assert engine.run_to_completion(instance) == 2
-
-
-class TestSnapshotEncoding:
-    """Satellite 4: snapshots keep every variable, including nested ones."""
-
-    def test_nested_variables_survive_snapshot(self, env, engine):
-        persistence = engine.add_service(PersistenceService())
-        definition = ProcessDefinition(
-            "nested",
-            Sequence(
-                "main",
-                [
-                    Assign("a1", "config", value={"limits": [1, 2, 3], "on": True}),
-                    Delay("d", 1.0),
-                    Reply("r", variable="config"),
-                ],
-            ),
-        )
-        instance = engine.start(definition)
-        engine.run_to_completion(instance)
-        latest = persistence.latest(instance.id)
-        assert latest.variables["config"] == {"limits": [1, 2, 3], "on": True}
-        # The snapshot is an independent copy, not a live reference.
-        instance.variables["config"]["on"] = False
-        assert latest.variables["config"]["on"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ from repro.casestudies.stocktrading import (
     TRADING_ANCHORS,
     build_trading_deployment,
     compliance_removal_policy_document,
-    credit_rating_policy_document,
-    currency_conversion_policy_document,
-    pest_analysis_policy_document,
+    customization_policy_documents,
 )
 from repro.orchestration.instance import InstanceStatus
 from repro.policy import serialize_policy_document, validate_document
@@ -40,12 +38,7 @@ def invoke(deployment, address, operation, payload, timeout=15.0):
 
 
 def load_all_policies(deployment):
-    for document in (
-        currency_conversion_policy_document(),
-        pest_analysis_policy_document(),
-        credit_rating_policy_document(),
-        compliance_removal_policy_document(),
-    ):
+    for document in customization_policy_documents():
         deployment.masc.load_policies(serialize_policy_document(document))
 
 
@@ -173,12 +166,7 @@ class TestBaseProcess:
     def test_policy_documents_validate_against_process(self, trading):
         definition = trading.engine.definitions["trading-process"]
         known_types = set(trading.masc.registry.service_types)
-        for document in (
-            currency_conversion_policy_document(),
-            pest_analysis_policy_document(),
-            credit_rating_policy_document(),
-            compliance_removal_policy_document(),
-        ):
+        for document in customization_policy_documents():
             issues = validate_document(
                 document, process=definition, known_service_types=known_types
             )

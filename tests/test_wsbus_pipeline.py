@@ -314,6 +314,12 @@ class TestComposedStages:
             bus, vep = retailer_bus(env, Network(env), *documents, **bus_kwargs)
             assert chains(bus, vep) == (vep_chain, send_chain), (documents, bus_kwargs)
 
+    @pytest.mark.parametrize("capacity", [0, -1, 0.5])
+    def test_a_mediation_capacity_below_one_is_rejected(self, env, network, capacity):
+        # Regression: a capacity of 0 built no gate, so the bus was unbounded.
+        with pytest.raises(ValueError, match="mediation capacity"):
+            WsBus(env, network, mediation_capacity=capacity)
+
     def test_a_tier_that_does_not_cover_a_vep_stands_no_stage_before_it(self, env, network):
         # Shedding is bus-wide; the traffic rules and the VEP bulkhead are
         # scoped to Retailers, so an Echo VEP on the same bus gets neither.
