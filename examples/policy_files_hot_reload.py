@@ -5,8 +5,9 @@ MASCPolicyParser imports WS-Policy4MASC files" and "when a WS-Policy4MASC
 document changes, these changes are automatically enforced the next time
 adaptation is needed with no need to restart any software component."
 
-This example loads the shipped policy files from ``examples/policies/``,
-runs a trade, edits one policy file on disk (changing the compliance
+This example copies the four committed Stock Trading policy files out of
+the ``repro.casestudies.stocktrading.policies`` package, loads them, runs
+a trade, edits one policy file on disk (changing the compliance
 threshold), re-imports, and shows the behaviour change — same process
 definition, same services, nothing restarted.
 
@@ -15,16 +16,17 @@ Run:  python examples/policy_files_hot_reload.py
 
 import shutil
 import tempfile
+from importlib.resources import files
 from pathlib import Path
 
 from repro.casestudies.stocktrading import build_trading_deployment
 
-POLICY_DIR = Path(__file__).parent / "policies"
+POLICY_PACKAGE = files("repro.casestudies.stocktrading.policies")
 TRADING_POLICIES = [
-    "trading_currency_conversion.xml",
-    "trading_pest_analysis.xml",
-    "trading_credit_rating.xml",
-    "trading_compliance_removal.xml",
+    "trading-currency-conversion.xml",
+    "trading-pest-analysis.xml",
+    "trading-credit-rating.xml",
+    "trading-compliance-removal.xml",
 ]
 
 
@@ -32,10 +34,10 @@ def main() -> None:
     deployment = build_trading_deployment(seed=21)
     parser = deployment.masc.parser
 
-    # Work on a scratch copy so the shipped examples stay pristine.
+    # Work on a scratch copy so the committed files stay pristine.
     workdir = Path(tempfile.mkdtemp(prefix="masc-policies-"))
     for filename in TRADING_POLICIES:
-        shutil.copy(POLICY_DIR / filename, workdir / filename)
+        (workdir / filename).write_text((POLICY_PACKAGE / filename).read_text(encoding="utf-8"))
 
     loaded = parser.import_directory(workdir)
     print(f"Imported {len(loaded)} policy documents from {workdir}:")
@@ -53,7 +55,7 @@ def main() -> None:
     )
 
     # Edit the policy *file*: drop the removal threshold to 100.
-    compliance_path = workdir / "trading_compliance_removal.xml"
+    compliance_path = workdir / "trading-compliance-removal.xml"
     text = compliance_path.read_text().replace("amount &lt; 10000.0", "amount &lt; 100.0")
     compliance_path.write_text(text)
     reloaded = parser.import_directory(workdir)

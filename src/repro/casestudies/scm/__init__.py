@@ -28,6 +28,7 @@ from repro.casestudies.scm.policies import (
     resilience_policy_document,
     retailer_recovery_policy_document,
     saga_policy_document,
+    shed_only_policy_document,
     slo_policy_document,
     tracing_policy_document,
     traffic_policy_document,
@@ -64,6 +65,7 @@ __all__ = [
     "resilience_policy_document",
     "retailer_recovery_policy_document",
     "saga_policy_document",
+    "shed_only_policy_document",
     "slo_policy_document",
     "tracing_policy_document",
     "traffic_policy_document",

@@ -12,6 +12,7 @@ worker processes; :func:`run_crash_recovery` is the engine-crash
 harness.
 """
 
+from repro.casestudies.scm import shed_only_policy_document
 from repro.experiments.harness import (
     CrashRecoveryResult,
     count_crash_boundaries,
@@ -35,7 +36,6 @@ from repro.experiments.scenario import (
     order_plan,
     overload_storm,
     run,
-    shed_only_policy_document,
     table1_direct,
     table1_vep,
 )

@@ -24,6 +24,7 @@ from repro.casestudies.scm import (
     federation_policy_document,
     resilience_policy_document,
     retailer_recovery_policy_document,
+    shed_only_policy_document,
     slo_policy_document,
     traffic_policy_document,
 )
@@ -31,13 +32,7 @@ from repro.faultinjection import ApplicationFault, BusCrash, BusCrashInjector, E
 from repro.federation import BusFleet
 from repro.metrics import describe, reliability_report
 from repro.observability import MetricsRegistry
-from repro.policy import (
-    AdaptationPolicy,
-    LoadSheddingAction,
-    PolicyDocument,
-    PolicyRepository,
-    PolicyScope,
-)
+from repro.policy import PolicyDocument, PolicyRepository
 from repro.services import ProcessingModel
 from repro.workload import RequestPlan, WorkloadResult, WorkloadRunner
 from repro.wsbus import WsBus
@@ -52,7 +47,6 @@ __all__ = [
     "order_plan",
     "overload_storm",
     "run",
-    "shed_only_policy_document",
     "table1_direct",
     "table1_vep",
 ]
@@ -446,29 +440,6 @@ def fault_storm(seed: int, resilience: bool, slo: bool = False, **fields) -> Sce
         ),
         **fields,
     )
-
-
-def shed_only_policy_document(max_inflight: int = 16) -> PolicyDocument:
-    """Just the unscoped load-shedding gate — the blunt overload control.
-
-    The overload ablation's baseline arm: reject everything past
-    ``max_inflight`` concurrent mediations with a retryable
-    ``ServiceUnavailable``. No breakers, no bulkheads, no adaptive
-    timeouts — so the comparison against the traffic-shaping arm
-    isolates cache + leveling against shedding alone.
-    """
-    document = PolicyDocument("overload-shed-only")
-    document.adaptation_policies.append(
-        AdaptationPolicy(
-            name="bus-load-shedding",
-            triggers=("resilience.configure",),
-            scope=PolicyScope(),
-            actions=(LoadSheddingAction(max_inflight=max_inflight),),
-            priority=10,
-            adaptation_type="prevention",
-        )
-    )
-    return document
 
 
 def overload_storm(seed: int, traffic: bool, **fields) -> Scenario:

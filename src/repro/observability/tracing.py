@@ -290,10 +290,6 @@ class Tracer:
         self._exporters.append(exporter)
         return exporter
 
-    def remove_exporter(self, exporter) -> None:
-        if exporter in self._exporters:
-            self._exporters.remove(exporter)
-
     # -- sampling ------------------------------------------------------------
 
     def configure_sampling(self, sampler) -> None:
@@ -411,9 +407,6 @@ class NullTracer:
 
     def add_exporter(self, exporter):
         return exporter
-
-    def remove_exporter(self, exporter) -> None:
-        return None
 
     def configure_sampling(self, sampler) -> None:
         return None

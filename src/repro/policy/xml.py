@@ -1,16 +1,18 @@
 """XML serialization of WS-Policy4MASC documents.
 
 The wire format is a W3C WS-Policy ``Policy`` element whose assertions live
-in the MASC namespace. Parsing is strict (unknown assertion elements are an
-error — policies drive adaptation of live systems, so silent skipping would
-be dangerous) and documents round-trip: ``parse(serialize(doc))`` yields an
-equivalent document.
+in the MASC namespace. Parsing is strict (an unknown element or attribute,
+or a value that does not parse or compile, is a :class:`PolicyError`
+naming the policy and the element — policies drive adaptation of live
+systems, so silent skipping would be dangerous) and documents round-trip:
+``parse(serialize(doc))`` yields an equivalent document.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING
 
+from repro.orchestration.expressions import ExpressionError
 from repro.policy.actions import ActionError, AdaptationAction, attribute_text, schema
 from repro.policy.assertions import MessageCondition, QoSThreshold
 from repro.policy.model import (
@@ -23,7 +25,7 @@ from repro.policy.model import (
     PolicyScope,
 )
 from repro.soap import FaultCode
-from repro.xmlutils import Element, QName, parse_xml, serialize_xml
+from repro.xmlutils import Element, QName, XPathError, parse_xml, serialize_xml
 
 __all__ = [
     "MASC_POLICY_NS",
@@ -186,8 +188,50 @@ def _required(element: Element, attribute: str) -> str:
     return value
 
 
-def _parse_monitoring(element: Element) -> MonitoringPolicy:
+#: ``(attributes, child elements)`` each policy element may carry.
+_POLICY_GRAMMAR = {
+    "MonitoringPolicy": (
+        {"name", "priority"},
+        {"On", "Scope", "Condition", "MessageCondition", "QoSThreshold", "Extract"}
+        | {"ClassifyAs", "Emit"},
+    ),
+    "AdaptationPolicy": (
+        {"name", "priority", "type"},
+        {"On", "Scope", "Condition", "StateBefore", "StateAfter", "Actions", "BusinessValue"},
+    ),
+}
+
+
+def _policy_header(element: Element) -> tuple[str, int]:
+    """Check a policy element against its grammar; its ``where`` and priority."""
+    tag = element.name.local
     where = f"policy {element.attributes.get('name')!r}"
+    attributes, children = _POLICY_GRAMMAR[tag]
+    for name in element.attributes:
+        if name not in attributes:
+            raise PolicyError(f"{where} <masc:{tag}>: unknown attribute {name!r}")
+    for child in element.children:
+        if child.name.namespace != MASC_POLICY_NS or child.name.local not in children:
+            raise PolicyError(f"{where} <masc:{tag}>: unknown child element {child.name.local!r}")
+    text = element.attributes.get("priority", "100")
+    try:
+        return where, int(text)
+    except ValueError:
+        raise PolicyError(
+            f"{where} <masc:{tag}>: attribute priority={text!r} is not a valid int"
+        ) from None
+
+
+def _build_policy(cls, where: str, **values):
+    """``cls(**values)``; a malformed ``Condition`` is a :class:`PolicyError`."""
+    try:
+        return cls(**values)
+    except ExpressionError as error:
+        raise PolicyError(f"{where} <masc:Condition>: {error}") from error
+
+
+def _parse_monitoring(element: Element) -> MonitoringPolicy:
+    where, priority = _policy_header(element)
     events = tuple(_required(on, "event") for on in element.find_all(_masc("On")))
     conditions, thresholds = (
         tuple(_parse_declared(cls, item, where) for item in element.find_all(_masc(cls.element)))
@@ -197,12 +241,18 @@ def _parse_monitoring(element: Element) -> MonitoringPolicy:
         _required(ex, "variable"): _required(ex, "xpath")
         for ex in element.find_all(_masc("Extract"))
     }
+    classify_as = None
     classify_element = element.find(_masc("ClassifyAs"))
-    classify_as = (
-        FaultCode(_required(classify_element, "fault")) if classify_element is not None else None
-    )
+    if classify_element is not None:
+        fault = _required(classify_element, "fault")
+        try:
+            classify_as = FaultCode(fault)
+        except ValueError:
+            raise PolicyError(f"{where} <masc:ClassifyAs>: unknown fault {fault!r}") from None
     emits = tuple(_required(emit, "event") for emit in element.find_all(_masc("Emit")))
-    return MonitoringPolicy(
+    return _build_policy(
+        MonitoringPolicy,
+        where,
         name=_required(element, "name"),
         events=events,
         scope=_parse_one(PolicyScope, element, where, PolicyScope()),
@@ -212,7 +262,7 @@ def _parse_monitoring(element: Element) -> MonitoringPolicy:
         extract=extract,
         classify_as=classify_as,
         emits=emits,
-        priority=int(element.attributes.get("priority", "100")),
+        priority=priority,
     )
 
 
@@ -262,7 +312,7 @@ def _parse_declared(cls, element: Element, where: str):
             raise PolicyError(f"{where}: unknown child element {item.name.local!r}")
     try:
         return cls(**values)
-    except ActionError as error:
+    except (ActionError, ValueError, XPathError) as error:
         raise PolicyError(f"{where}: {error}") from error
 
 
@@ -274,13 +324,15 @@ def _parse_action(element: Element, where: str) -> AdaptationAction:
 
 
 def _parse_adaptation(element: Element) -> AdaptationPolicy:
-    where = f"policy {element.attributes.get('name')!r}"
+    where, priority = _policy_header(element)
     actions_element = element.find(_masc("Actions"))
     if actions_element is None:
         raise PolicyError(
             f"adaptation policy {element.attributes.get('name')!r} has no Actions element"
         )
-    return AdaptationPolicy(
+    return _build_policy(
+        AdaptationPolicy,
+        where,
         name=_required(element, "name"),
         triggers=tuple(_required(on, "event") for on in element.find_all(_masc("On"))),
         scope=_parse_one(PolicyScope, element, where, PolicyScope()),
@@ -289,6 +341,6 @@ def _parse_adaptation(element: Element) -> AdaptationPolicy:
         state_after=element.child_text(_masc("StateAfter")),
         actions=tuple(_parse_action(child, where) for child in actions_element.children),
         business_value=_parse_one(BusinessValue, element, where),
-        priority=int(element.attributes.get("priority", "100")),
+        priority=priority,
         adaptation_type=element.attributes.get("type", "correction"),
     )

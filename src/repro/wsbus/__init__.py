@@ -13,7 +13,8 @@ acting as a recovery block with attached runtime policies. Around it:
 - :class:`SelectionService` — round-robin / best-QoS / broadcast /
   content-based dynamic binding;
 - message :class:`~repro.wsbus.pipeline.MessagePipeline` with inspectors
-  and the :class:`MessageAdaptationService` transformation modules;
+  and the Message Adaptation Service's transformation modules
+  (:mod:`repro.wsbus.transformation`);
 - :class:`WsBus` — the deployable intermediary (gateway to an orchestration
   engine or transparent proxy).
 """
@@ -41,7 +42,6 @@ from repro.wsbus.selection import SelectionService
 from repro.wsbus.transformation import (
     AggregatorModule,
     EnrichmentModule,
-    MessageAdaptationService,
     PayloadTransformModule,
     SplitterModule,
 )
@@ -61,7 +61,6 @@ __all__ = [
     "DeadLetterQueue",
     "EndpointQoS",
     "EnrichmentModule",
-    "MessageAdaptationService",
     "MessageLogger",
     "ManagementEventSource",
     "MessagePipeline",

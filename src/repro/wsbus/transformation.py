@@ -13,7 +13,6 @@ a pipeline to transform and relay messages."
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Any
 
 from repro.soap import SoapEnvelope
 from repro.wsbus.pipeline import ApplicabilityRule, MessageProcessingModule, PipelineContext
@@ -22,7 +21,6 @@ from repro.xmlutils import Element
 __all__ = [
     "AggregatorModule",
     "EnrichmentModule",
-    "MessageAdaptationService",
     "PayloadTransformModule",
     "SplitterModule",
 ]
@@ -208,20 +206,3 @@ class AggregatorModule(MessageProcessingModule):
     @property
     def pending(self) -> int:
         return len(self._buffer)
-
-
-class MessageAdaptationService:
-    """Factory/registry for transformation modules attached to a VEP."""
-
-    def __init__(self) -> None:
-        self.modules: list[MessageProcessingModule] = []
-
-    def add(self, module: MessageProcessingModule) -> MessageProcessingModule:
-        self.modules.append(module)
-        return module
-
-    def transform_module(self, **kwargs: Any) -> PayloadTransformModule:
-        return self.add(PayloadTransformModule(**kwargs))  # type: ignore[arg-type]
-
-    def enrichment_module(self, source, **kwargs: Any) -> EnrichmentModule:
-        return self.add(EnrichmentModule(source, **kwargs))  # type: ignore[arg-type]

@@ -32,9 +32,11 @@ def test_examples_exist():
 def test_policy_files_are_valid_documents():
     from repro.policy import parse_policy_document, validate_document
 
-    policy_files = sorted((EXAMPLES_DIR / "policies").glob("*.xml"))
-    assert len(policy_files) >= 7
+    casestudies = Path(__file__).parent.parent / "src" / "repro" / "casestudies"
+    policy_files = sorted(casestudies.glob("*/policies/*.xml"))
+    assert len(policy_files) == 14
     for path in policy_files:
-        document = parse_policy_document(path.read_text())
+        document = parse_policy_document(path.read_text(encoding="utf-8"))
+        assert document.name == path.stem, path.name
         issues = validate_document(document, raise_on_error=True)
         assert not [issue for issue in issues if issue.severity == "error"], path.name

@@ -397,3 +397,113 @@ def test_slo_latency_percentile_round_trips_without_a_latency_target():
         "p", ("observability.slo",), (SloAction(),)
     )
     assert "latencyPercentile" not in serialize_policy_document(document)
+
+
+_MONITORING = '<masc:MonitoringPolicy name="watch-orders"><masc:On event="message.request"/>{}'
+_ADAPTATION = (
+    '<masc:AdaptationPolicy name="recover-orders"{}><masc:On event="fault.*"/>'
+    '{}<masc:Actions><masc:Skip/></masc:Actions>'
+)
+
+
+@pytest.mark.parametrize(
+    "policy_xml,policy,element,detail",
+    [
+        (
+            _ADAPTATION.format(' priorty="5"', "") + "</masc:AdaptationPolicy>",
+            "recover-orders",
+            "AdaptationPolicy",
+            "priorty",
+        ),
+        (
+            '<masc:MonitoringPolicy name="watch-orders" kind="sensor">'
+            '<masc:On event="message.request"/></masc:MonitoringPolicy>',
+            "watch-orders",
+            "MonitoringPolicy",
+            "kind",
+        ),
+        (
+            _ADAPTATION.format("", "<masc:Conditon>amount &gt; 5</masc:Conditon>")
+            + "</masc:AdaptationPolicy>",
+            "recover-orders",
+            "AdaptationPolicy",
+            "Conditon",
+        ),
+        (
+            _MONITORING.format('<masc:Emits event="x"/>') + "</masc:MonitoringPolicy>",
+            "watch-orders",
+            "MonitoringPolicy",
+            "Emits",
+        ),
+        (
+            _ADAPTATION.format(' priority="high"', "") + "</masc:AdaptationPolicy>",
+            "recover-orders",
+            "AdaptationPolicy",
+            "priority",
+        ),
+        (
+            _MONITORING.format('<masc:ClassifyAs fault="Meltdown"/>')
+            + "</masc:MonitoringPolicy>",
+            "watch-orders",
+            "ClassifyAs",
+            "Meltdown",
+        ),
+        (
+            _MONITORING.format('<masc:MessageCondition xpath="amount" operator="about"/>')
+            + "</masc:MonitoringPolicy>",
+            "watch-orders",
+            "MessageCondition",
+            "about",
+        ),
+        (
+            _MONITORING.format(
+                '<masc:QoSThreshold metric="response_time" operator="lt" value="1.0"'
+                ' aggregate="median"/>'
+            )
+            + "</masc:MonitoringPolicy>",
+            "watch-orders",
+            "QoSThreshold",
+            "median",
+        ),
+        (
+            _ADAPTATION.format("", "<masc:Condition>amount &gt;</masc:Condition>")
+            + "</masc:AdaptationPolicy>",
+            "recover-orders",
+            "Condition",
+            "",
+        ),
+        (
+            _MONITORING.format('<masc:MessageCondition xpath="//a["/>')
+            + "</masc:MonitoringPolicy>",
+            "watch-orders",
+            "MessageCondition",
+            "",
+        ),
+    ],
+    ids=[
+        "unknown-adaptation-attribute",
+        "unknown-monitoring-attribute",
+        "unknown-adaptation-child",
+        "unknown-monitoring-child",
+        "non-integer-priority",
+        "unknown-classify-fault",
+        "unknown-condition-operator",
+        "unknown-threshold-aggregate",
+        "malformed-condition",
+        "malformed-condition-xpath",
+    ],
+)
+def test_malformed_policy_element_is_a_policy_error(policy_xml, policy, element, detail):
+    """Every malformed policy element fails at parse time with a
+    ``PolicyError`` naming the policy and the element, never a bare
+    ``ValueError`` or an expression/XPath error, and never silently: an
+    unknown child used to be dropped, so a misspelt ``Condition`` loaded
+    a policy that applied unconditionally."""
+    with pytest.raises(PolicyError) as raised:
+        parse_policy_document(
+            '<wsp:Policy xmlns:wsp="http://schemas.xmlsoap.org/ws/2004/09/policy" '
+            'xmlns:masc="http://masc.web.cse.unsw.edu.au/ns/ws-policy4masc" Name="d">'
+            f"{policy_xml}</wsp:Policy>"
+        )
+    message = str(raised.value)
+    assert policy in message and element in message and detail in message

@@ -366,3 +366,16 @@ class TestPaddingVariable:
         instance = engine.start(definition)
         engine.run_to_completion(instance)
         assert sizes and sizes[0] >= 32 * 1024
+
+
+def test_policy_file_loader_rejects_an_unknown_policy_or_field():
+    """A builder is its committed file plus the fields its parameters set
+    (every call shape is pinned by ``tests/golden/policy_xml/``)."""
+    from repro.casestudies import load_policy_document
+    from repro.policy import PolicyError
+
+    package, saga = "repro.casestudies.scm.policies", "purchase-saga-compensate-on-budget-exhausted"
+    with pytest.raises(PolicyError, match="no policy named"):
+        load_policy_document(package, "scm-saga", {"saga": {"mode": "choreography"}})
+    with pytest.raises(PolicyError, match="no field 'moed'"):
+        load_policy_document(package, "scm-saga", {saga: {"moed": "choreography"}})
