@@ -3,7 +3,7 @@
 A WF-style runtime service "for policy-based adaptation of Web services
 compositions". It enacts:
 
-- **static customization** — when the engine raises ``instance_created``,
+- **static customization** — when the engine publishes ``instance_created``,
   matching adaptation policies edit the fresh instance tree before the
   first activity executes;
 - **dynamic customization** — on events carrying a ProcessInstanceID, the
@@ -24,6 +24,7 @@ from repro.core.decision_maker import EnforcementPoint, MASCPolicyDecisionMaker
 from repro.core.events import MASCEvent
 from repro.observability import NULL_TRACER, correlation_id_for
 from repro.orchestration import (
+    EngineEvent,
     InstanceStatus,
     Invoke,
     ProcessInstance,
@@ -81,17 +82,21 @@ class MASCAdaptationService(RuntimeService, EnforcementPoint):
         self.engine = engine
         engine.fault_advisor = self.advise_on_fault
 
-    def instance_created(self, instance: ProcessInstance) -> None:
+    def on_event(self, event: EngineEvent) -> None:
         """Static customization: adapt before the first activity runs."""
+        if event.kind != "instance_created":
+            return
         assert self.engine is not None
-        event = MASCEvent(
-            name="process.instance_created",
-            time=self.engine.env.now,
-            process=instance.definition_name,
-            process_instance_id=instance.id,
-            context=dict(instance.variables),
+        instance = event.instance
+        self.decision_maker.handle(
+            MASCEvent(
+                name="process.instance_created",
+                time=self.engine.env.now,
+                process=instance.definition_name,
+                process_instance_id=instance.id,
+                context=dict(instance.variables),
+            )
         )
-        self.decision_maker.handle(event)
 
     # -- enforcement point --------------------------------------------------------
 
@@ -244,7 +249,7 @@ class MASCAdaptationService(RuntimeService, EnforcementPoint):
         if not entries:
             return False
         for entry in entries:
-            engine.notify("compensation_started", instance, entry.step, False)
+            engine.notify("compensation_started", instance, step=entry.step, replayed=False)
             activity = entry.activity
             if isinstance(activity, Invoke):
                 payload = activity.build_payload(instance)
@@ -261,7 +266,9 @@ class MASCAdaptationService(RuntimeService, EnforcementPoint):
                     ),
                     name=f"{instance.id}:compensate:{activity.name}",
                 )
-            engine.notify("activity_compensated", instance, entry.step, activity, False)
+            engine.notify(
+                "activity_compensated", instance, activity, step=entry.step, replayed=False
+            )
         dispatched = set(id(entry) for entry in entries)
         instance._compensations[:] = [
             entry for entry in instance._compensations if id(entry) not in dispatched

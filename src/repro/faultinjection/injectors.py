@@ -224,7 +224,7 @@ class ProcessCrashInjector:
     The crash-recovery counterpart of :class:`FaultInjector`: instead of
     degrading a *service*, it takes down the *orchestration host* mid-flight.
     Attach to the engine under test (``engine.add_service(...)``); once the
-    configured number of ``activity_completed`` notifications has been
+    configured number of ``activity_completed`` events has been
     observed, it calls ``engine.crash()`` — live instances freeze at their
     next activity boundary (the state their latest checkpoint captured) and
     recovery must rehydrate them from the checkpoint store into a fresh
@@ -232,50 +232,35 @@ class ProcessCrashInjector:
     simulation up to the crash and then schedule the recovery phase.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        crash_after_completions: int,
-        reason: str = "injected engine crash",
-    ) -> None:
+    def __init__(self, env: Environment, crash_after_completions: int) -> None:
         if crash_after_completions < 1:
             raise ValueError("crash_after_completions must be >= 1")
         self.env = env
         self.crash_after_completions = crash_after_completions
-        self.reason = reason
         self.completions_seen = 0
         self.crash_time: float | None = None
         self.crashed_event = env.event()
         self._engine = None
 
-    # RuntimeService protocol (duck-typed: unused hooks resolve through
-    # __getattr__ so this module stays free of orchestration imports).
+    # A runtime service by duck typing, so this module stays free of
+    # orchestration imports.
 
     def attached(self, engine) -> None:
         self._engine = engine
 
-    def activity_completed(self, instance, activity) -> None:
+    def on_event(self, event) -> None:
+        if event.kind != "activity_completed":
+            return
         self.completions_seen += 1
         if (
             self.completions_seen >= self.crash_after_completions
             and self._engine is not None
             and not self._engine.crashed
         ):
-            self._engine.crash(self.reason)
+            self._engine.crash("injected engine crash")
             self.crash_time = self.env.now
             if not self.crashed_event.triggered:
                 self.crashed_event.succeed(self.env.now)
-
-    def __getattr__(self, name: str):
-        if name.startswith(
-            ("instance_", "activity_", "timeout_", "engine_", "saga_", "compensation_")
-        ):
-            return _ignore_hook
-        raise AttributeError(name)
-
-
-def _ignore_hook(*_args, **_kwargs) -> None:
-    """No-op engine hook (ProcessCrashInjector ignores other notifications)."""
 
 
 class BusCrashInjector:

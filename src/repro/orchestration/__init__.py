@@ -5,9 +5,9 @@ Workflow Foundation runtime (Section 2.1 of the paper):
 
 - processes defined as activity trees (:mod:`repro.orchestration.activities`)
   and executed by a lightweight engine hosted in the simulation;
-- an extensible set of runtime services with lifecycle hooks (Tracking and
-  Persistence are built in; MASC plugs its adaptation service in the same
-  way);
+- an extensible set of runtime services, each reading the lifecycle
+  events the engine publishes (Tracking and Persistence are built in; MASC
+  plugs its adaptation service in the same way);
 - instance suspension/resumption at activity boundaries;
 - dynamic modification: the engine hands out a **transient copy** of a
   process's object representation, the caller edits it with the primitives
@@ -38,6 +38,7 @@ from repro.orchestration.activities import (
 )
 from repro.orchestration.definition import ProcessDefinition
 from repro.orchestration.engine import (
+    EngineEvent,
     FaultVerdict,
     RuntimeService,
     TrackingEvent,
@@ -82,6 +83,7 @@ __all__ = [
     "DefinitionError",
     "Delay",
     "Empty",
+    "EngineEvent",
     "Expression",
     "ExpressionError",
     "FaultVerdict",

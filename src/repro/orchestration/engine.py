@@ -25,6 +25,7 @@ from repro.transport import Network
 from repro.xmlutils import Element
 
 __all__ = [
+    "EngineEvent",
     "RuntimeService",
     "TrackingEvent",
     "TrackingService",
@@ -32,53 +33,30 @@ __all__ = [
 ]
 
 
-class RuntimeService:
-    """Base class for engine plug-ins.
+@dataclass(frozen=True, slots=True)
+class EngineEvent:
+    """One lifecycle fact the engine publishes to its runtime services.
 
-    Subclasses override the hooks they care about. Hook names double as the
-    engine's notification topics.
+    ``kind`` names the fact (``instance_created``, ``activity_completed``,
+    ...; docs/persistence.md tables every kind), ``activity`` is the
+    activity it concerns, if any, and ``data`` carries the kind's other
+    fields.
     """
+
+    kind: str
+    instance: ProcessInstance
+    activity: Any
+    data: dict[str, Any]
+
+
+class RuntimeService:
+    """Base class for engine plug-ins: each reads the event kinds it needs."""
 
     def attached(self, engine: "WorkflowEngine") -> None:
         """Called when the service is registered with an engine."""
 
-    def instance_created(self, instance: ProcessInstance) -> None: ...
-    def instance_started(self, instance: ProcessInstance) -> None: ...
-    def instance_completed(self, instance: ProcessInstance) -> None: ...
-    def instance_faulted(self, instance: ProcessInstance) -> None: ...
-    def instance_terminated(self, instance: ProcessInstance) -> None: ...
-    def instance_suspended(self, instance: ProcessInstance) -> None: ...
-    def instance_resumed(self, instance: ProcessInstance) -> None: ...
-    def instance_rehydrated(self, instance: ProcessInstance) -> None: ...
-    def instance_modified(self, instance: ProcessInstance, operations, bindings) -> None: ...
-    def engine_crashed(self, engine: "WorkflowEngine") -> None: ...
-    def activity_started(self, instance: ProcessInstance, activity) -> None: ...
-    def activity_restarted(self, instance: ProcessInstance, activity) -> None: ...
-    def activity_completed(self, instance: ProcessInstance, activity) -> None: ...
-    def activity_replayed(self, instance: ProcessInstance, activity) -> None: ...
-    def activity_cancelled(
-        self, instance: ProcessInstance, activity, interrupted: bool
-    ) -> None: ...
-    def activity_faulted(self, instance: ProcessInstance, activity, fault) -> None: ...
-    def activity_refaulted(self, instance: ProcessInstance, activity, fault) -> None: ...
-    def activity_retried(
-        self, instance: ProcessInstance, activity, fault, attempt: int
-    ) -> None: ...
-    def activity_skipped(self, instance: ProcessInstance, activity, fault) -> None: ...
-    def activity_replaced(self, instance: ProcessInstance, activity, replacement) -> None: ...
-    def timeout_extended(
-        self, instance: ProcessInstance, activity_name: str, extra_seconds: float
-    ) -> None: ...
-    def saga_step_registered(
-        self, instance: ProcessInstance, scope_name: str | None, step_name: str,
-        replayed: bool,
-    ) -> None: ...
-    def compensation_started(
-        self, instance: ProcessInstance, step_name: str, replayed: bool
-    ) -> None: ...
-    def activity_compensated(
-        self, instance: ProcessInstance, step_name: str, activity, replayed: bool
-    ) -> None: ...
+    def on_event(self, event: EngineEvent) -> None:
+        """Called for every lifecycle fact the engine publishes."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +85,30 @@ class TrackingEvent:
     detail: str | None = None
 
 
+#: The kinds :class:`TrackingService` records, each with how it renders
+#: the event's ``detail`` (None: no detail).
+_TRACKED = {
+    "instance_created": None,
+    "instance_completed": None,
+    "instance_faulted": lambda event: str(event.instance.fault),
+    "instance_terminated": None,
+    "instance_suspended": None,
+    "instance_resumed": None,
+    "instance_rehydrated": None,
+    "activity_started": None,
+    "activity_completed": None,
+    "activity_replayed": None,
+    "activity_faulted": lambda event: str(event.data["fault"].fault),
+    "activity_retried": lambda event: (
+        f"attempt {event.data['attempt']}: {event.data['fault'].fault}"
+    ),
+    "activity_skipped": lambda event: str(event.data["fault"].fault),
+    "activity_replaced": lambda event: f"replaced by {event.data['replacement'].name}",
+    "saga_step_registered": lambda event: event.data["scope"],
+    "activity_compensated": lambda event: f"compensates {event.data['step']}",
+}
+
+
 class TrackingService(RuntimeService):
     """Built-in runtime service recording the full execution trace."""
 
@@ -117,84 +119,23 @@ class TrackingService(RuntimeService):
     def attached(self, engine: "WorkflowEngine") -> None:
         self._engine = engine
 
-    def _track(self, instance: ProcessInstance, kind: str, activity=None, detail=None) -> None:
+    def on_event(self, event: EngineEvent) -> None:
+        # A replayed start or saga step is replay bookkeeping, not a new
+        # fact: a recovered run's tail must contain only events the
+        # reference run also produced at that point.
+        if event.kind not in _TRACKED or event.data.get("replayed"):
+            return
         assert self._engine is not None
+        activity, detail = event.activity, _TRACKED[event.kind]
         self.events.append(
             TrackingEvent(
                 time=self._engine.env.now,
-                instance_id=instance.id,
-                kind=kind,
+                instance_id=event.instance.id,
+                kind=event.kind,
                 activity_name=activity.name if activity is not None else None,
-                detail=detail,
+                detail=detail(event) if detail is not None else None,
             )
         )
-
-    def instance_created(self, instance) -> None:
-        self._track(instance, "instance_created")
-
-    def instance_completed(self, instance) -> None:
-        self._track(instance, "instance_completed")
-
-    def instance_faulted(self, instance) -> None:
-        self._track(instance, "instance_faulted", detail=str(instance.fault))
-
-    def instance_terminated(self, instance) -> None:
-        self._track(instance, "instance_terminated")
-
-    def instance_suspended(self, instance) -> None:
-        self._track(instance, "instance_suspended")
-
-    def instance_resumed(self, instance) -> None:
-        self._track(instance, "instance_resumed")
-
-    def activity_started(self, instance, activity) -> None:
-        self._track(instance, "activity_started", activity)
-
-    def activity_completed(self, instance, activity) -> None:
-        self._track(instance, "activity_completed", activity)
-
-    def activity_replayed(self, instance, activity) -> None:
-        self._track(instance, "activity_replayed", activity)
-
-    def instance_rehydrated(self, instance) -> None:
-        self._track(instance, "instance_rehydrated")
-
-    def activity_faulted(self, instance, activity, fault) -> None:
-        self._track(instance, "activity_faulted", activity, detail=str(fault.fault))
-
-    def activity_retried(self, instance, activity, fault, attempt) -> None:
-        self._track(
-            instance, "activity_retried", activity, detail=f"attempt {attempt}: {fault.fault}"
-        )
-
-    def activity_skipped(self, instance, activity, fault) -> None:
-        self._track(instance, "activity_skipped", activity, detail=str(fault.fault))
-
-    def activity_replaced(self, instance, activity, replacement) -> None:
-        self._track(
-            instance, "activity_replaced", activity, detail=f"replaced by {replacement.name}"
-        )
-
-    def saga_step_registered(self, instance, scope_name, step_name, replayed) -> None:
-        # Replayed registrations are replay bookkeeping, not new facts: a
-        # recovered run's tail must contain only events the reference run
-        # also produced at that point.
-        if not replayed:
-            self.events.append(
-                TrackingEvent(
-                    time=self._engine.env.now if self._engine else 0.0,
-                    instance_id=instance.id,
-                    kind="saga_step_registered",
-                    activity_name=step_name,
-                    detail=scope_name,
-                )
-            )
-
-    def activity_compensated(self, instance, step_name, activity, replayed) -> None:
-        if not replayed:
-            self._track(
-                instance, "activity_compensated", activity, detail=f"compensates {step_name}"
-            )
 
     # -- query helpers used by tests and experiments -----------------------------
 
@@ -268,9 +209,11 @@ class WorkflowEngine:
 
     # -- notifications ---------------------------------------------------------------
 
-    def notify(self, hook: str, *args) -> None:
+    def notify(self, kind: str, instance: ProcessInstance, activity=None, **data) -> None:
+        """Publish one lifecycle fact to every runtime service."""
+        event = EngineEvent(kind, instance, activity, data)
         for service in self._services:
-            getattr(service, hook)(*args)
+            service.on_event(event)
 
     def consult_fault_advisor(self, instance, activity, fault, attempts: int):
         """Offer an activity fault to the advisor (None = propagate)."""
@@ -327,7 +270,6 @@ class WorkflowEngine:
             )
         self.notify("instance_created", instance)
         instance.process = self.env.process(instance.run(), name=f"instance:{instance_id}")
-        self.notify("instance_started", instance)
         return instance
 
     def run_to_completion(self, instance: ProcessInstance) -> Any:
@@ -352,7 +294,6 @@ class WorkflowEngine:
         if self.tracer.enabled:
             span = self.tracer.start_span("engine.crash", attributes={"reason": reason})
             span.end(status="crashed")
-        self.notify("engine_crashed", self)
 
     def rehydrate(self, store, instance_id: str) -> ProcessInstance:
         """Reconstruct a checkpointed instance in this engine and resume it.

@@ -259,7 +259,7 @@ class ProcessInstance:
         if not replayed_start:
             self.engine.notify("activity_started", self, activity)
         else:
-            self.engine.notify("activity_restarted", self, activity)
+            self.engine.notify("activity_started", self, activity, replayed=True)
         span = None
         if self.engine.tracer.enabled:
             span = self.engine.tracer.start_span(
@@ -283,18 +283,12 @@ class ProcessInstance:
                         self, activity, fault, attempts
                     )
                     if verdict is None or verdict.kind == "propagate":
-                        if (
-                            replayed_start
-                            and activity.name not in self._replayed_active
-                        ):
-                            # The same fault already propagated (and was
-                            # tracked) before the checkpoint.
+                        # A replayed start outside the in-flight set already
+                        # propagated (and published) this fault before the
+                        # checkpoint.
+                        if not replayed_start or activity.name in self._replayed_active:
                             self.engine.notify(
-                                "activity_refaulted", self, activity, fault
-                            )
-                        else:
-                            self.engine.notify(
-                                "activity_faulted", self, activity, fault
+                                "activity_faulted", self, activity, fault=fault
                             )
                         if span is not None:
                             span.end(status=f"fault:{fault.fault.code.value}")
@@ -302,7 +296,7 @@ class ProcessInstance:
                     if verdict.kind == "retry":
                         attempts += 1
                         self.engine.notify(
-                            "activity_retried", self, activity, fault, attempts
+                            "activity_retried", self, activity, fault=fault, attempt=attempts
                         )
                         if span is not None:
                             span.add_event(
@@ -315,14 +309,14 @@ class ProcessInstance:
                             yield self.env.timeout(verdict.delay_seconds)
                         continue
                     if verdict.kind == "skip":
-                        self.engine.notify("activity_skipped", self, activity, fault)
+                        self.engine.notify("activity_skipped", self, activity, fault=fault)
                         if span is not None:
                             span.set_attribute("skipped_by", verdict.policy_name)
                         break
                     if verdict.kind == "replace":
                         assert verdict.replacement is not None
                         self.engine.notify(
-                            "activity_replaced", self, activity, verdict.replacement
+                            "activity_replaced", self, activity, replacement=verdict.replacement
                         )
                         if span is not None:
                             span.add_event(
@@ -333,6 +327,11 @@ class ProcessInstance:
                         yield from self.run_activity(verdict.replacement)
                         break
                     raise  # pragma: no cover - unknown verdict kinds propagate
+        except GeneratorExit:
+            # The frame is being closed, not run: the kernel never closes a
+            # generator, so this is the collector reaching a crashed
+            # engine's frozen instance, and there is nothing to publish.
+            raise
         except BaseException as error:
             if span is not None and not span.ended:
                 span.end(status="error")
@@ -340,7 +339,7 @@ class ProcessInstance:
             # journal needs the active-set discard; flow-cancellation tests
             # pin the Interrupt ordering).
             self.engine.notify(
-                "activity_cancelled", self, activity, isinstance(error, Interrupt)
+                "activity_cancelled", self, activity, interrupted=isinstance(error, Interrupt)
             )
             raise
         finally:
@@ -438,7 +437,6 @@ class ProcessInstance:
             self.span.add_event(
                 "timeout_extended", activity=activity_name, extra_seconds=extra_seconds
             )
-        self.engine.notify("timeout_extended", self, activity_name, extra_seconds)
         return True
 
     # -- invocation with extensible deadline ----------------------------------------
@@ -580,7 +578,7 @@ class ProcessInstance:
             CompensationEntry(scope.name, scope.compensation, owner)
         )
         replayed = bool(self._replay_credits and self._replay_credits.get(scope.name))
-        self.engine.notify("saga_step_registered", self, owner, scope.name, replayed)
+        self.engine.notify("saga_step_registered", self, scope, scope=owner, replayed=replayed)
 
     def _maybe_register_saga_step(self, activity: Activity, replayed: bool) -> None:
         """Register ``activity``'s compensation if a saga scope maps it."""
@@ -591,7 +589,7 @@ class ProcessInstance:
                     CompensationEntry(activity.name, compensation, saga.name)
                 )
                 self.engine.notify(
-                    "saga_step_registered", self, saga.name, activity.name, replayed
+                    "saga_step_registered", self, activity, scope=saga.name, replayed=replayed
                 )
                 return
 
@@ -651,14 +649,17 @@ class ProcessInstance:
                     self._replay_credits
                     and self._replay_credits.get(entry.activity.name)
                 )
-                self.engine.notify("compensation_started", self, entry.step, replayed)
+                self.engine.notify(
+                    "compensation_started", self, step=entry.step, replayed=replayed
+                )
                 self._compensating = True
                 try:
                     yield from self.run_activity(entry.activity)
                 finally:
                     self._compensating = prev_compensating
                 self.engine.notify(
-                    "activity_compensated", self, entry.step, entry.activity, replayed
+                    "activity_compensated", self, entry.activity,
+                    step=entry.step, replayed=replayed,
                 )
         finally:
             self._compensating = prev_compensating

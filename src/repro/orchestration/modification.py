@@ -199,7 +199,10 @@ class ProcessModifier:
         # service) record the applied operations so crash recovery can replay
         # them on top of the last dehydrated tree.
         instance.engine.notify(
-            "instance_modified", instance, tuple(self._operations), dict(self._variable_bindings)
+            "instance_modified",
+            instance,
+            operations=tuple(self._operations),
+            bindings=dict(self._variable_bindings),
         )
         if span is not None:
             span.end(status="applied")

@@ -26,7 +26,7 @@ from weakref import WeakKeyDictionary
 
 from repro.orchestration.activities import Activity, Scope
 from repro.orchestration.definition import ProcessDefinition
-from repro.orchestration.engine import RuntimeService, WorkflowEngine
+from repro.orchestration.engine import EngineEvent, RuntimeService, WorkflowEngine
 from repro.orchestration.instance import InstanceStatus, ProcessInstance
 from repro.orchestration.modification import ModificationOperation, perform_operation
 from repro.orchestration.xmlio import (
@@ -136,6 +136,31 @@ def capture_checkpoint(
     }
 
 
+#: Event kinds journaled as one record of the same name.
+_JOURNALED = frozenset({
+    "activity_started", "activity_completed", "activity_replayed", "activity_cancelled",
+    "saga_step_registered", "compensation_started", "activity_compensated",
+})
+#: Event kinds that end in a checkpoint, after their journal record if any.
+_CHECKPOINTED = frozenset({
+    "activity_completed", "instance_suspended", "instance_completed", "instance_faulted",
+    "instance_terminated",
+})
+#: Event kinds at which the journal catches up with the instance's state.
+_SYNCED = _JOURNALED | _CHECKPOINTED | {"instance_resumed"}
+
+
+def _journal_data(event: EngineEvent) -> dict[str, Any]:
+    """The ``data`` of ``event``'s journal record: the name of its activity
+    (a saga step registration's ``step``), then its own fields."""
+    data = {}
+    if event.activity is not None:
+        key = "step" if event.kind == "saga_step_registered" else "activity"
+        data[key] = event.activity.name
+    data.update(event.data)
+    return data
+
+
 class CheckpointingService(RuntimeService):
     """Runtime service that dehydrates instances into a checkpoint store.
 
@@ -164,82 +189,23 @@ class CheckpointingService(RuntimeService):
     def attached(self, engine: WorkflowEngine) -> None:
         self._engine = engine
 
-    # -- hook wiring --------------------------------------------------------------
-
-    def instance_created(self, instance) -> None:
-        self._genesis(instance, "instance_created")
-
-    def instance_rehydrated(self, instance) -> None:
-        self._genesis(instance, "instance_rehydrated")
-
-    def activity_started(self, instance, activity) -> None:
-        self._sync(instance)
-        self._emit(instance, "activity_started", {"activity": activity.name})
-
-    def activity_restarted(self, instance, activity) -> None:
-        self._sync(instance)
-        self._emit(
-            instance, "activity_started", {"activity": activity.name, "replayed": True}
-        )
-
-    def activity_completed(self, instance, activity) -> None:
-        state = self._sync(instance)
-        self._emit(instance, "activity_completed", {"activity": activity.name})
-        self._checkpoint(instance, f"activity:{activity.name}", state)
-
-    def activity_replayed(self, instance, activity) -> None:
-        self._sync(instance)
-        self._emit(instance, "activity_replayed", {"activity": activity.name})
-
-    def activity_cancelled(self, instance, activity, interrupted) -> None:
-        self._sync(instance)
-        self._emit(
-            instance,
-            "activity_cancelled",
-            {"activity": activity.name, "interrupted": bool(interrupted)},
-        )
-
-    def saga_step_registered(self, instance, scope_name, step_name, replayed) -> None:
-        self._sync(instance)
-        self._emit(
-            instance,
-            "saga_step_registered",
-            {"scope": scope_name, "step": step_name, "replayed": bool(replayed)},
-        )
-
-    def compensation_started(self, instance, step_name, replayed) -> None:
-        self._sync(instance)
-        self._emit(
-            instance,
-            "compensation_started",
-            {"step": step_name, "replayed": bool(replayed)},
-        )
-
-    def activity_compensated(self, instance, step_name, activity, replayed) -> None:
-        self._sync(instance)
-        self._emit(
-            instance,
-            "activity_compensated",
-            {"step": step_name, "activity": activity.name, "replayed": bool(replayed)},
-        )
-
-    def instance_suspended(self, instance) -> None:
-        self._checkpoint(instance, "suspended", self._sync(instance))
-
-    def instance_resumed(self, instance) -> None:
-        self._sync(instance)
-
-    def instance_completed(self, instance) -> None:
-        self._checkpoint(instance, "completed", self._sync(instance))
-
-    def instance_faulted(self, instance) -> None:
-        self._checkpoint(instance, "faulted", self._sync(instance))
-
-    def instance_terminated(self, instance) -> None:
-        self._checkpoint(instance, "terminated", self._sync(instance))
-
-    def instance_modified(self, instance, operations, bindings) -> None:
-        self._journal(instance, operations, bindings)
+    def on_event(self, event: EngineEvent) -> None:
+        kind, instance = event.kind, event.instance
+        if kind in ("instance_created", "instance_rehydrated"):
+            self._genesis(instance, kind)
+        elif kind == "instance_modified":
+            self._journal(instance, event.data["operations"], event.data["bindings"])
+        elif kind in _SYNCED:
+            state = self._sync(instance)
+            if kind in _JOURNALED:
+                self._emit(instance, kind, _journal_data(event))
+            if kind in _CHECKPOINTED:
+                activity = event.activity
+                if activity is None:
+                    reason = kind.removeprefix("instance_")
+                else:
+                    reason = f"activity:{activity.name}"
+                self._checkpoint(instance, reason, state)
 
     # -- event journal ------------------------------------------------------------
 

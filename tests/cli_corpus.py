@@ -20,7 +20,6 @@ different) with ``PYTHONPATH=src python tests/cli_corpus.py``.
 from __future__ import annotations
 
 import contextlib
-import gc
 import hashlib
 import io
 import itertools
@@ -59,16 +58,11 @@ def run(argv: list[str], directory: Path) -> tuple[int, str, dict[str, bytes]]:
 
     Correlation ids fall back to ``wsa:MessageID``, minted from a
     process-wide counter: restart it so the outputs do not depend on what
-    else ran in this interpreter. A crashed engine's frozen instances
-    journal ``activity_cancelled`` when the garbage collector reaches them
-    (a known defect), so the collector is held off for the run and only
-    collects once the files have been read.
+    else ran in this interpreter.
     """
     addressing._message_counter = itertools.count(1)
     stdout = io.StringIO()
     previous = os.getcwd()
-    gc.collect()
-    gc.disable()
     os.chdir(directory)
     try:
         with contextlib.redirect_stdout(stdout):
@@ -78,10 +72,8 @@ def run(argv: list[str], directory: Path) -> tuple[int, str, dict[str, bytes]]:
             for path in sorted(directory.rglob("*"))
             if path.is_file()
         }
-        gc.collect()
     finally:
         os.chdir(previous)
-        gc.enable()
     return code, stdout.getvalue(), files
 
 

@@ -299,3 +299,29 @@ class TestProcessDocumentsDocAudit:
         readme = (DOCS_DIR.parent / "README.md").read_text(encoding="utf-8")
         assert "(docs/process-documents.md)" in readme
         assert "(process-documents.md)" in (DOCS_DIR / "persistence.md").read_text(encoding="utf-8")
+
+
+class TestPersistenceDocAudit:
+    def test_engine_event_table_is_exactly_the_published_kinds(self):
+        """Every kind the source passes to ``notify(`` is tabled once, and
+        nothing else is."""
+        text = (DOCS_DIR / "persistence.md").read_text(encoding="utf-8")
+        table = re.search(
+            r"<!-- engine-events -->\n(.*?)<!-- /engine-events -->", text, re.DOTALL
+        ).group(1)
+        documented = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+        source = Path(importlib.import_module("repro").__file__).parent
+        published = {
+            kind
+            for path in source.rglob("*.py")
+            for kind in re.findall(r'\bnotify\(\s*"(\w+)"', path.read_text(encoding="utf-8"))
+        }
+        assert sorted(documented) == sorted(published)
+
+    def test_a_runtime_service_has_two_methods(self):
+        from repro.orchestration import RuntimeService
+
+        assert {name for name in vars(RuntimeService) if not name.startswith("_")} == {
+            "attached",
+            "on_event",
+        }

@@ -365,6 +365,26 @@ class TestCrashRecoveryEquivalence:
         reloaded = CheckpointStore(path)
         assert len(reloaded.records(record_type=CHECKPOINT)) == result.checkpoints
 
+    def test_collecting_the_crashed_engine_journals_nothing(self, tmp_path):
+        # Regression: once the collector reached the dead engine, closing
+        # its frozen frames journaled ``activity_cancelled`` (and the
+        # ``variable_set`` before it) into the already written file. The
+        # collector is held off for the run so that it collects here.
+        import gc
+
+        from repro.experiments import run_crash_recovery
+
+        path = tmp_path / "scm-saga.jsonl"
+        gc.collect()
+        gc.disable()
+        try:
+            run_crash_recovery("scm-saga", seed=7, crash_after_completions=2, store_path=path)
+            written = len(CheckpointStore(path))
+        finally:
+            gc.enable()
+        gc.collect()
+        assert len(CheckpointStore(path)) == written
+
 
 # ---------------------------------------------------------------------------
 # Satellite regressions: the adaptation-path correctness sweep

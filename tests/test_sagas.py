@@ -254,14 +254,11 @@ class TestFlowCancellationOrder:
             def __init__(self):
                 self.kinds = []
 
-            def activity_started(self, instance, activity):
-                self.kinds.append(("activity_started", activity.name))
-
-            def activity_cancelled(self, instance, activity, interrupted):
-                self.kinds.append(("activity_cancelled", activity.name))
-
-            def activity_compensated(self, instance, step_name, activity, replayed):
-                self.kinds.append(("activity_compensated", activity.name))
+            def on_event(self, event):
+                if event.kind in (
+                    "activity_started", "activity_cancelled", "activity_compensated"
+                ):
+                    self.kinds.append((event.kind, event.activity.name))
 
         engine = WorkflowEngine(env, network=network)
         recorder = engine.add_service(_Recorder())
@@ -337,9 +334,14 @@ class _BudgetTripwire(RuntimeService):
         self.after = after
         self.decisions = []
 
-    def activity_completed(self, instance, activity, fresh=True):
-        if activity.name != self.after or self.decisions:
+    def on_event(self, event):
+        if (
+            event.kind != "activity_completed"
+            or event.activity.name != self.after
+            or self.decisions
+        ):
             return
+        instance = event.instance
         violation = self.tracer.start_span("slo.violation")
         event = MASCEvent(
             name="errorBudgetExhausted",
