@@ -66,6 +66,7 @@ class MASCAdaptationService(RuntimeService, EnforcementPoint):
     """Process-layer policy enforcement, pluggable into the engine."""
 
     layer = "process"
+    kinds = frozenset({"instance_created"})
 
     def __init__(self, decision_maker: MASCPolicyDecisionMaker) -> None:
         self.decision_maker = decision_maker
@@ -84,8 +85,6 @@ class MASCAdaptationService(RuntimeService, EnforcementPoint):
 
     def on_event(self, event: EngineEvent) -> None:
         """Static customization: adapt before the first activity runs."""
-        if event.kind != "instance_created":
-            return
         assert self.engine is not None
         instance = event.instance
         self.decision_maker.handle(

@@ -245,12 +245,12 @@ class ProcessCrashInjector:
     # A runtime service by duck typing, so this module stays free of
     # orchestration imports.
 
+    kinds = frozenset({"activity_completed"})
+
     def attached(self, engine) -> None:
         self._engine = engine
 
     def on_event(self, event) -> None:
-        if event.kind != "activity_completed":
-            return
         self.completions_seen += 1
         if (
             self.completions_seen >= self.crash_after_completions

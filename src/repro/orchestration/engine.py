@@ -50,7 +50,12 @@ class EngineEvent:
 
 
 class RuntimeService:
-    """Base class for engine plug-ins: each reads the event kinds it needs."""
+    """Base class for engine plug-ins: each reads the event kinds it needs.
+
+    A service may declare ``kinds``, the collection of event kinds its
+    ``on_event`` reads; the engine then hands it only those. A service
+    that declares none is handed every kind.
+    """
 
     def attached(self, engine: "WorkflowEngine") -> None:
         """Called when the service is registered with an engine."""
@@ -112,6 +117,8 @@ _TRACKED = {
 class TrackingService(RuntimeService):
     """Built-in runtime service recording the full execution trace."""
 
+    kinds = frozenset(_TRACKED)
+
     def __init__(self) -> None:
         self.events: list[TrackingEvent] = []
         self._engine: WorkflowEngine | None = None
@@ -123,7 +130,7 @@ class TrackingService(RuntimeService):
         # A replayed start or saga step is replay bookkeeping, not a new
         # fact: a recovered run's tail must contain only events the
         # reference run also produced at that point.
-        if event.kind not in _TRACKED or event.data.get("replayed"):
+        if event.data.get("replayed"):
             return
         assert self._engine is not None
         activity, detail = event.activity, _TRACKED[event.kind]
@@ -178,6 +185,11 @@ class WorkflowEngine:
         self.definitions: dict[str, ProcessDefinition] = {}
         self.instances: dict[str, ProcessInstance] = {}
         self._services: list[RuntimeService] = []
+        #: Each kind some service declared -> the ``on_event`` of every
+        #: service that reads it, in registration order; ``_every`` serves
+        #: the kinds no service declared. Rebuilt by :meth:`add_service`.
+        self._routes: dict[str, tuple] = {}
+        self._every: tuple = ()
         self._ids = itertools.count(1)
         #: True once :meth:`crash` was called; instances freeze at their
         #: next activity boundary and no new instances can start.
@@ -194,6 +206,15 @@ class WorkflowEngine:
     def add_service(self, service: RuntimeService) -> RuntimeService:
         """Register a runtime service (Tracking, Persistence, MASC...)."""
         self._services.append(service)
+        declared = [(getattr(each, "kinds", None), each.on_event) for each in self._services]
+        self._every = tuple(handler for kinds, handler in declared if kinds is None)
+        self._routes = {
+            kind: tuple(
+                handler for kinds, handler in declared if kinds is None or kind in kinds
+            )
+            for kinds, _ in declared
+            for kind in kinds or ()
+        }
         service.attached(self)
         return service
 
@@ -210,10 +231,13 @@ class WorkflowEngine:
     # -- notifications ---------------------------------------------------------------
 
     def notify(self, kind: str, instance: ProcessInstance, activity=None, **data) -> None:
-        """Publish one lifecycle fact to every runtime service."""
+        """Publish one lifecycle fact to every runtime service reading it."""
+        handlers = self._routes.get(kind, self._every)
+        if not handlers:
+            return
         event = EngineEvent(kind, instance, activity, data)
-        for service in self._services:
-            service.on_event(event)
+        for handler in handlers:
+            handler(event)
 
     def consult_fault_advisor(self, instance, activity, fault, attempts: int):
         """Offer an activity fault to the advisor (None = propagate)."""

@@ -171,6 +171,8 @@ class CheckpointingService(RuntimeService):
     are exported through the engine's observability bindings.
     """
 
+    kinds = frozenset({"instance_created", "instance_rehydrated", "instance_modified"}) | _SYNCED
+
     def __init__(self, store: CheckpointStore | None = None, strict: bool = False) -> None:
         self.store = store if store is not None else CheckpointStore()
         #: Strict mode re-raises dehydration errors; the default counts and
@@ -195,7 +197,7 @@ class CheckpointingService(RuntimeService):
             self._genesis(instance, kind)
         elif kind == "instance_modified":
             self._journal(instance, event.data["operations"], event.data["bindings"])
-        elif kind in _SYNCED:
+        else:  # one of _SYNCED
             state = self._sync(instance)
             if kind in _JOURNALED:
                 self._emit(instance, kind, _journal_data(event))

@@ -19,6 +19,7 @@ from repro.soap.traceparent import (
     trace_context_element,
 )
 from repro.xmlutils import (
+    REGISTERED_PREFIXES,
     Element,
     QName,
     SizeSummary,
@@ -58,31 +59,36 @@ def _borrowed(
     node.name = name
     node.attributes = attributes if attributes is not None else {}
     node.text = text
-    node.parent = None
+    node._parent = None
     node._children = children
     return node
 
 
-#: What is known about the size of a shared *body* payload tree: body
-#: identity -> (size summary of the tree, {addressing shape -> byte length
-#: before padding of a plain envelope around it}). The summary is the part
-#: of any envelope's size that the body contributes whatever surrounds it
-#: (``repro.xmlutils.size_summary``); every sizing of an envelope with this
-#: body starts from it instead of walking the tree again. The shapes are
-#: finished sums for envelopes with no visible extension header: two of
-#: those that share a body and agree on which addressing fields are present
-#: and on each field's escaped byte length have the same size, so interned
-#: payloads skip even the arithmetic (a finished sum, like a cached size,
-#: reflects the prefixes registered with ElementTree when it was made; a
-#: summary does not depend on them). Entries die with the body tree. Header
-#: blocks and faults are measured per sizing, never memoized. Like the size
-#: cache itself, the memo relies on the middleware's copy-on-write
-#: discipline: shared body trees are replaced, never edited in place.
-_BODY_SIZE_MEMO: "WeakKeyDictionary[Element, tuple[SizeSummary, dict[tuple, int]]]" = (
-    WeakKeyDictionary()
-)
+#: The size summary of each shared *body* payload tree, by identity: the
+#: part of any envelope's size that the body contributes whatever surrounds
+#: it (``repro.xmlutils.size_summary``). Every sizing of an envelope with
+#: this body starts from it instead of walking the tree again. Entries die
+#: with the body tree. Like the size cache itself, the memo relies on the
+#: middleware's copy-on-write discipline: shared body trees are replaced,
+#: never edited in place.
+_BODY_SIZE_MEMO: "WeakKeyDictionary[Element, SizeSummary]" = WeakKeyDictionary()
 
-def _frame(local: str) -> tuple[int, int]:
+#: The *frame* of a plain envelope (no visible extension header) around a
+#: body: its size less the body's fixed bytes and the padding. It depends
+#: only on the addressing *shape* (which fields are present and each
+#: field's escaped length) and on the namespace uses of the body's summary,
+#: so every envelope that agrees on both — unique bodies of one schema
+#: included — is sized with one look-up and one addition. Prefix widths
+#: come from ElementTree's registry, so the memo is emptied whenever the
+#: registry differs from the copy it was filled under, and when it reaches
+#: ``_FRAME_MEMO_BOUND`` entries. Header blocks and faults are measured per
+#: sizing, never memoized.
+_FRAME_MEMO: dict[tuple, int] = {}
+_FRAME_MEMO_BOUND = 1024
+_FRAME_MEMO_REGISTRY = dict(REGISTERED_PREFIXES)
+
+
+def _widths(local: str) -> tuple[int, int]:
     """The bytes of ``<p:local>…</p:local>`` and of ``<p:local />`` that are
     neither prefix nor content — how ``size_summary`` counts an element
     with and without content. The first form writes the prefix twice."""
@@ -90,12 +96,28 @@ def _frame(local: str) -> tuple[int, int]:
     return 2 * width + 5, width + 4
 
 
-_ENVELOPE_OPEN, _ = _frame(_ENVELOPE_NAME.local)  # always has children
-_HEADER_OPEN, _HEADER_EMPTY = _frame(_HEADER_NAME.local)
-_BODY_OPEN, _BODY_EMPTY = _frame(_BODY_NAME.local)
-#: (namespace, frame with text, frame when empty) per addressing block, in
+_ENVELOPE_OPEN, _ = _widths(_ENVELOPE_NAME.local)  # always has children
+_HEADER_OPEN, _HEADER_EMPTY = _widths(_HEADER_NAME.local)
+_BODY_OPEN, _BODY_EMPTY = _widths(_BODY_NAME.local)
+#: (namespace, width with text, width when empty) per addressing block, in
 #: document order — the order of an addressing *shape*.
-_ADDRESSING_FRAMES = tuple((namespace, *_frame(local)) for _, namespace, local in HEADER_BLOCKS)
+_ADDRESSING_FRAMES = tuple((namespace, *_widths(local)) for _, namespace, local in HEADER_BLOCKS)
+
+
+def _frame(shape: tuple, uses: tuple) -> int:
+    """The frame of a plain envelope with addressing ``shape`` around a body
+    whose summary has the namespace uses ``uses`` (see ``_FRAME_MEMO``)."""
+    if _FRAME_MEMO_REGISTRY != REGISTERED_PREFIXES:
+        _FRAME_MEMO.clear()
+        _FRAME_MEMO_REGISTRY.clear()
+        _FRAME_MEMO_REGISTRY.update(REGISTERED_PREFIXES)
+    key = (shape, uses)
+    frame = _FRAME_MEMO.get(key)
+    if frame is None:
+        if len(_FRAME_MEMO) >= _FRAME_MEMO_BOUND:
+            _FRAME_MEMO.clear()
+        frame = _FRAME_MEMO[key] = _envelope_size(shape, [], (0, uses))
+    return frame
 
 
 def _envelope_size(
@@ -412,10 +434,10 @@ class SoapEnvelope:
         (latency sampling on each hop, invocation records), so the value is
         cached. Reassigning any content field — including the retargeting
         reassignment of ``addressing`` — invalidates the cache. On a cache
-        miss, envelopes without visible extension headers first look their
-        addressing shape up in the per-body memo: workload generators
-        intern their constant payloads, so the thousands of envelopes that
-        share one payload tree are summed once per shape.
+        miss, an envelope without visible extension headers is its body's
+        fixed bytes plus a frame looked up in ``_FRAME_MEMO``: the thousands
+        of envelopes that share an addressing shape and a body schema are
+        summed once.
 
         Neither the trace context nor transparent headers count: a stamped
         envelope sizes exactly like an unstamped one, so the latency model
@@ -454,17 +476,15 @@ class SoapEnvelope:
                 shape, headers, None if fault is None else size_summary(fault.to_element())
             )
         else:
-            known = _BODY_SIZE_MEMO.get(body)
-            if known is None:
-                known = _BODY_SIZE_MEMO[body] = (size_summary(body), {})
-            summary, shapes = known
+            summary = _BODY_SIZE_MEMO.get(body)
+            if summary is None:
+                summary = _BODY_SIZE_MEMO[body] = size_summary(body)
             if headers:
                 size = _envelope_size(shape, headers, summary)
             else:
-                size = shapes.get(shape)
-                if size is None:
-                    size = shapes[shape] = _envelope_size(shape, headers, summary)
-        cached = self._size_cache = size + self.padding
+                size = summary[0] + _frame(shape, summary[1])
+        # Not a size field: the write skips the invalidating __setattr__.
+        cached = self.__dict__["_size_cache"] = size + self.padding
         return cached
 
     @classmethod

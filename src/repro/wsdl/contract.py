@@ -9,7 +9,7 @@ abstract WSDL for accessing the configured services".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from weakref import WeakKeyDictionary
 
@@ -73,6 +73,12 @@ class MessageSchema:
 
     element_name: str
     parts: tuple[PartSchema, ...] = ()
+    #: Each part's element name, computed once per schema for :meth:`build`.
+    _part_names: dict[str, QName] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names = {part.name: QName("", part.name) for part in self.parts}
+        object.__setattr__(self, "_part_names", names)
 
     def validate(self, payload: Element) -> list[str]:
         violations: list[str] = []
@@ -88,17 +94,21 @@ class MessageSchema:
     def build(self, namespace: str = "", **parts: object) -> Element:
         """Construct a conforming payload from keyword parts."""
         root = Element(QName(namespace, self.element_name))
-        known = {part.name for part in self.parts}
+        names = self._part_names
         for name, value in parts.items():
-            if name not in known:
+            qname = names.get(name)
+            if qname is None:
                 raise ContractViolation(f"unknown part {name!r} for {self.element_name!r}")
             text = "true" if value is True else "false" if value is False else str(value)
-            root.add(name, text=text)
-        missing = [
-            part.name for part in self.parts if part.required and part.name not in parts
-        ]
-        if missing:
-            raise ContractViolation(f"missing required parts {missing} for {self.element_name!r}")
+            root.append(Element(qname, None, text))
+        if len(parts) < len(names):  # every part is known, so only then can one be missing
+            missing = [
+                part.name for part in self.parts if part.required and part.name not in parts
+            ]
+            if missing:
+                raise ContractViolation(
+                    f"missing required parts {missing} for {self.element_name!r}"
+                )
         return root
 
     def build_interned(self, namespace: str = "", **parts: object) -> Element:
@@ -107,8 +117,8 @@ class MessageSchema:
         Workloads and services that emit the same payload thousands of times
         (every ``getCatalog`` request, every catalog reply) get one element
         tree back for all of them, which lets the SOAP layer's per-body size
-        memo measure the tree once and sum an envelope around it once per
-        addressing shape. The returned tree is shared: callers must treat it
+        memo measure the tree once (and the contract validate it once). The
+        returned tree is shared: callers must treat it
         as immutable and follow the middleware's copy-on-write discipline
         (replace bodies, never edit them in place — exactly what the
         envelope fast-path ``copy`` already requires). Unhashable part

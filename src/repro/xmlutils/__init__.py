@@ -10,6 +10,7 @@ selection and simple equality/comparison predicates.
 """
 
 from repro.xmlutils.element import (
+    REGISTERED_PREFIXES,
     Element,
     SizeSummary,
     XmlError,
@@ -24,6 +25,7 @@ from repro.xmlutils.qname import QName
 from repro.xmlutils.xpath import XPath, XPathError, coerce_text, xpath_evaluate, xpath_value
 
 __all__ = [
+    "REGISTERED_PREFIXES",
     "Element",
     "QName",
     "SizeSummary",

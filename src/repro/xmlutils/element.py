@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from collections.abc import Iterable, Iterator
+from weakref import ref
 
 from repro.xmlutils.qname import QName
 
 __all__ = [
+    "REGISTERED_PREFIXES",
     "Element",
     "SizeSummary",
     "XmlError",
@@ -35,7 +37,15 @@ class XmlError(Exception):
 
 
 class Element:
-    """An XML element: qualified name, attributes, text, children."""
+    """An XML element: qualified name, attributes, text, children.
+
+    A child refers to its parent weakly, so a tree has no reference cycle
+    and is freed by reference counting as soon as its root is dropped; a
+    subtree kept on its own does not keep its ancestors alive (its
+    ``parent`` reads ``None`` once they are gone).
+    """
+
+    __slots__ = ("name", "attributes", "text", "_parent", "_children", "__weakref__")
 
     def __init__(
         self,
@@ -45,12 +55,34 @@ class Element:
         children: Iterable["Element"] | None = None,
     ) -> None:
         self.name = name if isinstance(name, QName) else QName.parse(name)
-        self.attributes: dict[str, str] = dict(attributes or {})
+        self.attributes: dict[str, str] = dict(attributes) if attributes else {}
         self.text = text
-        self.parent: Element | None = None
+        self._parent: ref[Element] | None = None
         self._children: list[Element] = []
-        for child in children or ():
-            self.append(child)
+        if children is not None:
+            for child in children:
+                self.append(child)
+
+    @property
+    def parent(self) -> "Element | None":
+        parent = self._parent
+        return None if parent is None else parent()
+
+    # -- copying and pickling ----------------------------------------------------
+    #
+    # A weak reference is atomic to ``copy.deepcopy`` (the copy would point
+    # at the original's parent) and cannot be pickled, so both go through
+    # the state below, which leaves the parent out and relinks the children.
+
+    def __getstate__(self) -> tuple:
+        return self.name, self.attributes, self.text, self._children
+
+    def __setstate__(self, state: tuple) -> None:
+        self.name, self.attributes, self.text, self._children = state
+        self._parent = None
+        link = ref(self)
+        for child in self._children:
+            child._parent = link
 
     # -- tree manipulation ---------------------------------------------------
 
@@ -58,43 +90,54 @@ class Element:
     def children(self) -> tuple["Element", ...]:
         return tuple(self._children)
 
+    def _adopt(self, child: "Element") -> None:
+        previous = child._parent
+        if previous is not None:
+            previous = previous()
+            if previous is not None:
+                previous.remove(child)
+        child._parent = ref(self)
+
     def append(self, child: "Element") -> "Element":
         """Append ``child``, detaching it from any previous parent."""
-        if child.parent is not None:
-            child.parent.remove(child)
-        child.parent = self
+        self._adopt(child)
         self._children.append(child)
         return child
 
     def insert(self, index: int, child: "Element") -> "Element":
-        if child.parent is not None:
-            child.parent.remove(child)
-        child.parent = self
+        self._adopt(child)
         self._children.insert(index, child)
         return child
 
     def remove(self, child: "Element") -> None:
         self._children.remove(child)
-        child.parent = None
+        child._parent = None
 
     def add(self, name: QName | str, text: str | None = None, **attributes: str) -> "Element":
         """Create, append and return a child element (builder convenience)."""
-        return self.append(Element(name, attributes=attributes, text=text))
+        return self.append(Element(name, attributes, text))
 
     # -- queries ---------------------------------------------------------------
 
     def find(self, name: QName | str) -> "Element | None":
         """First direct child with the given qualified name."""
         wanted = name if isinstance(name, QName) else QName.parse(name)
+        namespace, local = wanted.namespace, wanted.local
         for child in self._children:
-            if child.name == wanted:
+            child_name = child.name
+            if child_name.local == local and child_name.namespace == namespace:
                 return child
         return None
 
     def find_all(self, name: QName | str) -> list["Element"]:
         """All direct children with the given qualified name."""
         wanted = name if isinstance(name, QName) else QName.parse(name)
-        return [child for child in self._children if child.name == wanted]
+        namespace, local = wanted.namespace, wanted.local
+        return [
+            child
+            for child in self._children
+            if child.name.local == local and child.name.namespace == namespace
+        ]
 
     def iter(self) -> Iterator["Element"]:
         """Depth-first iteration over this element and all descendants."""
@@ -122,12 +165,13 @@ class Element:
 
     def copy(self) -> "Element":
         """A deep copy, detached from any parent."""
-        return Element(
-            self.name,
-            attributes=dict(self.attributes),
-            text=self.text,
-            children=[child.copy() for child in self._children],
-        )
+        duplicate = Element(self.name, self.attributes, self.text)
+        if self._children:
+            children = duplicate._children = [child.copy() for child in self._children]
+            link = ref(duplicate)
+            for child in children:
+                child._parent = link
+        return duplicate
 
     def structurally_equal(self, other: "Element") -> bool:
         """Deep equality on name, attributes, text and ordered children."""
@@ -169,8 +213,9 @@ def _to_etree(element: Element) -> ET.Element:
 
 #: ElementTree's live well-known/registered prefix map ("for tests and
 #: troubleshooting" per its source; shared here so registrations apply to
-#: both serializers).
-_ET_PREFIXES = ET.register_namespace._namespace_map  # type: ignore[attr-defined]
+#: both serializers). Read it, never write it: ``ET.register_namespace``
+#: is the way to register a prefix.
+REGISTERED_PREFIXES = ET.register_namespace._namespace_map  # type: ignore[attr-defined]
 
 _XML_NS = "http://www.w3.org/XML/1998/namespace"
 
@@ -225,7 +270,7 @@ class _QNameTable:
     def _prefix(self, uri: str) -> str:
         prefix = self.namespaces.get(uri)
         if prefix is None and uri != _XML_NS:
-            prefix = _ET_PREFIXES.get(uri)
+            prefix = REGISTERED_PREFIXES.get(uri)
             if prefix is None:
                 prefix = "ns%d" % len(self.namespaces)
             if prefix != "xml":
@@ -433,7 +478,7 @@ def combined_size(summaries: Iterable[SizeSummary]) -> int:
         if uri == _XML_NS:
             total += 4 * count  # "xml:", never declared
             continue
-        prefix = _ET_PREFIXES.get(uri)
+        prefix = REGISTERED_PREFIXES.get(uri)
         if prefix is None:
             width = 3 if declared < 10 else 2 + len(str(declared))  # ns%d
         else:

@@ -25,6 +25,11 @@ class QName:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QName is immutable")
 
+    def __reduce__(self) -> tuple:
+        # Copies and pickles go through the constructor: the default slot
+        # state would be restored with ``setattr``, which is refused.
+        return QName, (self.namespace, self.local)
+
     @classmethod
     @lru_cache(maxsize=1024)
     def parse(cls, text: str) -> "QName":

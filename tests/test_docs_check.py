@@ -301,15 +301,43 @@ class TestProcessDocumentsDocAudit:
         assert "(process-documents.md)" in (DOCS_DIR / "persistence.md").read_text(encoding="utf-8")
 
 
+def _engine_event_rows() -> list[tuple[str, str]]:
+    """(kind, "Read by" cell) per row of docs/persistence.md's event table."""
+    text = (DOCS_DIR / "persistence.md").read_text(encoding="utf-8")
+    table = re.search(
+        r"<!-- engine-events -->\n(.*?)<!-- /engine-events -->", text, re.DOTALL
+    ).group(1)
+    return re.findall(r"^\| `(\w+)` \|.*\| (.*) \|$", table, re.MULTILINE)
+
+
+def _runtime_services() -> list[type]:
+    """Every class of the package that reads engine events (defines
+    ``on_event``), the ``RuntimeService`` base excluded."""
+    import pkgutil
+
+    import repro
+    from repro.orchestration import RuntimeService
+
+    found = set()
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if module.name.endswith("__main__"):
+            continue
+        for value in vars(importlib.import_module(module.name)).values():
+            if (
+                isinstance(value, type)
+                and value.__module__.startswith("repro.")
+                and "on_event" in vars(value)
+                and value is not RuntimeService
+            ):
+                found.add(value)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
 class TestPersistenceDocAudit:
     def test_engine_event_table_is_exactly_the_published_kinds(self):
         """Every kind the source passes to ``notify(`` is tabled once, and
         nothing else is."""
-        text = (DOCS_DIR / "persistence.md").read_text(encoding="utf-8")
-        table = re.search(
-            r"<!-- engine-events -->\n(.*?)<!-- /engine-events -->", text, re.DOTALL
-        ).group(1)
-        documented = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+        documented = [kind for kind, _ in _engine_event_rows()]
         source = Path(importlib.import_module("repro").__file__).parent
         published = {
             kind
@@ -317,6 +345,21 @@ class TestPersistenceDocAudit:
             for kind in re.findall(r'\bnotify\(\s*"(\w+)"', path.read_text(encoding="utf-8"))
         }
         assert sorted(documented) == sorted(published)
+
+    def test_readers_are_exactly_the_services_declaring_the_kind(self):
+        """The "Read by" cell of each kind names exactly the runtime services
+        whose ``kinds`` declare it, and every runtime service of the package
+        declares its kinds (the engine hands it nothing else)."""
+        services = _runtime_services()
+        assert {cls.__name__ for cls in services} == {
+            "CheckpointingService",
+            "MASCAdaptationService",
+            "ProcessCrashInjector",
+            "TrackingService",
+        }
+        for kind, readers in _engine_event_rows():
+            declaring = {cls.__name__ for cls in services if kind in cls.kinds}
+            assert set(re.findall(r"`(\w+)`", readers)) == declaring, kind
 
     def test_a_runtime_service_has_two_methods(self):
         from repro.orchestration import RuntimeService

@@ -252,13 +252,13 @@ class TestFlowCancellationOrder:
             """Cancellations aren't tracked by TrackingService; record raw."""
 
             def __init__(self):
-                self.kinds = []
+                self.seen = []
 
             def on_event(self, event):
                 if event.kind in (
                     "activity_started", "activity_cancelled", "activity_compensated"
                 ):
-                    self.kinds.append((event.kind, event.activity.name))
+                    self.seen.append((event.kind, event.activity.name))
 
         engine = WorkflowEngine(env, network=network)
         recorder = engine.add_service(_Recorder())
@@ -269,7 +269,7 @@ class TestFlowCancellationOrder:
         assert "x" not in instance.variables  # abandoned branches never finish
         assert "y" not in instance.variables
 
-        kinds = recorder.kinds
+        kinds = recorder.seen
         cancelled = [
             index
             for index, (kind, _name) in enumerate(kinds)

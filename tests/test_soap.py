@@ -18,7 +18,7 @@ from repro.soap import (
     new_message_id,
 )
 from repro.soap.addressing import HEADER_BLOCKS
-from repro.soap.envelope import _BODY_SIZE_MEMO
+from repro.soap.envelope import _BODY_SIZE_MEMO, _FRAME_MEMO, _FRAME_MEMO_BOUND
 from repro.soap.faults import TRANSIENT_FAULT_CODES, timeout, unavailable
 from repro.traffic.idempotency import stamp_idempotency_key
 from repro.xmlutils import Element, QName
@@ -398,12 +398,21 @@ class TestMeasuredSize:
         plain = self._request(body)
         headered = self._request(body)
         headered.add_header(Element(QName("urn:h", "x"), text="1"))
+        _FRAME_MEMO.clear()
         assert headered.size_bytes == serialized_size(headered)
-        summary, shapes = _BODY_SIZE_MEMO[body]
-        assert shapes == {}  # a headered sizing is never remembered as a shape
+        summary = _BODY_SIZE_MEMO[body]
+        assert _FRAME_MEMO == {}  # a headered sizing is never remembered as a frame
         assert plain.size_bytes == serialized_size(plain)
-        assert _BODY_SIZE_MEMO[body][0] is summary
-        assert list(shapes.values()) == [plain.size_bytes]
+        assert _BODY_SIZE_MEMO[body] is summary
+        assert list(_FRAME_MEMO.values()) == [plain.size_bytes - summary[0]]
+
+    def test_the_frame_memo_is_bounded(self):
+        # Each address length is a new addressing shape, so a new frame.
+        for length in range(_FRAME_MEMO_BOUND + 10):
+            envelope = SoapEnvelope.request("http://svc/" + "a" * length, "urn:op:x", Element("q"))
+            assert envelope.size_bytes > 0
+            assert 0 < len(_FRAME_MEMO) <= _FRAME_MEMO_BOUND
+        assert envelope.size_bytes == serialized_size(envelope)
 
     def test_transparent_header_keeps_the_cached_size(self):
         envelope = self._request()

@@ -1,5 +1,9 @@
 """Unit tests for the XML element tree and QNames."""
 
+import copy
+import gc
+import pickle
+import weakref
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -14,6 +18,8 @@ from repro.xmlutils import (
     serialize_xml,
     serialize_xml_reference,
     size_summary,
+    xpath_evaluate,
+    xpath_value,
 )
 from repro.xmlutils.element import _escape_attrib, _escape_cdata, _escaped_attribute_size
 
@@ -145,6 +151,82 @@ class TestElementTree:
         a = Element("r", children=[Element("c")])
         b = Element("r")
         assert not a.structurally_equal(b)
+
+
+def _linked_tree():
+    root = Element(QName("urn:a", "root"), attributes={"k": "v"})
+    branch = root.add(QName("urn:a", "branch"), text="b")
+    branch.add("leaf", text="1", n="x")
+    root.add("tail")
+    return root
+
+
+def _assert_linked(node, parent=None):
+    """Each node's ``parent`` is the node that lists it as a child."""
+    assert node.parent is parent
+    for child in node.children:
+        _assert_linked(child, node)
+
+
+class TestAcyclicTrees:
+    """A child refers to its parent weakly: trees are freed by reference
+    counting, and copies rebuild the links."""
+
+    def test_parent_is_the_live_root(self):
+        root = _linked_tree()
+        _assert_linked(root)
+        assert root.find(QName("urn:a", "branch")).find("leaf").parent.parent is root
+
+    def test_a_tree_is_freed_without_the_cyclic_collector(self):
+        root = _linked_tree()
+        leaf = root.find(QName("urn:a", "branch")).find("leaf")
+        gc.disable()
+        try:
+            del root
+            assert leaf.parent is None  # the ancestors went with their last reference
+        finally:
+            gc.enable()
+
+    def test_a_subtree_does_not_keep_its_ancestors_alive(self):
+        root = _linked_tree()
+        branch = root.find(QName("urn:a", "branch"))
+        watch = weakref.ref(root)
+        gc.disable()
+        try:
+            del root
+            assert watch() is None and branch.parent is None
+            assert branch.find("leaf").parent is branch
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda tree: pickle.loads(pickle.dumps(tree)), Element.copy],
+        ids=["deepcopy", "pickle", "copy"],
+    )
+    def test_clones_link_each_child_to_its_new_parent(self, clone):
+        root = _linked_tree()
+        duplicate = clone(root)
+        assert duplicate is not root and duplicate.structurally_equal(root)
+        assert serialize_xml(duplicate) == serialize_xml(root)
+        _assert_linked(duplicate)
+        _assert_linked(root)
+        originals = {id(node) for node in root.iter()}
+        assert not originals & {id(node) for node in duplicate.iter()}
+
+    def test_a_cloned_subtree_is_detached(self):
+        branch = _linked_tree().find(QName("urn:a", "branch"))
+        for duplicate in (copy.deepcopy(branch), pickle.loads(pickle.dumps(branch))):
+            _assert_linked(duplicate)
+
+    def test_xpath_absolute_and_parent_steps_resolve_while_the_root_is_alive(self):
+        root = _linked_tree()
+        leaf = root.find(QName("urn:a", "branch")).find("leaf")
+        assert xpath_evaluate(leaf, "..") == [root.find(QName("urn:a", "branch"))]
+        assert xpath_evaluate(leaf, "../../tail") == [root.find("tail")]
+        assert xpath_evaluate(leaf, "../..") == [root]
+        assert xpath_value(leaf, "/*/*/leaf/@n") == "x"
+        assert xpath_evaluate(leaf, "/*") == [root]
 
 
 class TestSerialization:
