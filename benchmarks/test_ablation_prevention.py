@@ -62,7 +62,7 @@ def run_degradation_scenario(prevention_enabled: bool, seed: int = 71):
     detector = QoSTrendDetector(
         deployment.env, slope_threshold=0.01, min_samples=8, cooldown_seconds=120.0
     )
-    detector.add_sink(decision_maker.handle)
+    detector.router.subscribe(decision_maker.handle)
     detector.attach_to_invoker(bus.invoker)
 
     # Retailer A develops a steady degradation: +35 ms per simulated second,

@@ -89,7 +89,7 @@ def preventive_demo() -> None:
     decision_maker = MASCPolicyDecisionMaker(env, repository)
     decision_maker.register_enforcement_point(BusEnforcementPoint(bus))
     detector = QoSTrendDetector(env, slope_threshold=0.005, min_samples=8)
-    detector.add_sink(decision_maker.handle)
+    detector.router.subscribe(decision_maker.handle)
     detector.attach_to_invoker(bus.invoker)
 
     primary = network.endpoint("http://q/primary")

@@ -75,7 +75,7 @@ class MASC:
 
         # Sensors feed the decision maker; the engine's outgoing messages
         # are introspected by monitoring.
-        self.monitoring.add_sink(self.decision_maker.handle)
+        self.monitoring.router.subscribe(self.decision_maker.handle)
         self.monitoring.attach_to_invoker(self.engine.invoker)
 
     # -- convenience -------------------------------------------------------------

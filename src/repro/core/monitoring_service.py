@@ -17,17 +17,18 @@ MonitoringStore`, and evaluates monitoring policies:
 - QoS thresholds are checked against a pluggable QoS lookup (the wsBus QoS
   Measurement Service implements the expected interface), raising
   ``fault.SLAViolation`` events on breach.
+
+Events are published on the service's ``router``, keyed by name.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 from repro.core.events import MASCEvent
 from repro.core.monitoring_store import MonitoringStore, StoredMessage
 from repro.policy import MonitoringPolicy, PolicyRepository
 from repro.policy.model import QoSLookup
 from repro.services import ServiceRegistry
+from repro.simulation import EventRouter
 from repro.soap import FaultCode, SoapEnvelope
 
 __all__ = ["MASCMonitoringService"]
@@ -51,15 +52,11 @@ class MASCMonitoringService:
         self.store = store if store is not None else MonitoringStore()
         self.registry = registry
         self.qos_lookup = qos_lookup
-        self._sinks: list[Callable[[MASCEvent], None]] = []
+        self.router = EventRouter()
         #: Counters for experiment reporting.
         self.messages_observed = 0
         self.policies_fired = 0
         self.violations_raised = 0
-
-    def add_sink(self, sink: Callable[[MASCEvent], None]) -> None:
-        """Subscribe to raised MASC events (the decision maker does this)."""
-        self._sinks.append(sink)
 
     def attach_to_invoker(self, invoker) -> None:
         """Introspect all messages this invoker exchanges."""
@@ -165,5 +162,6 @@ class MASCMonitoringService:
         )
 
     def _raise(self, event: MASCEvent) -> None:
-        for sink in self._sinks:
-            sink(event)
+        # Not ``publish``: core-to-core calls are no layer crossing in bench/tracer.py.
+        for handler in self.router.handlers(event.name):
+            handler(event)

@@ -14,11 +14,11 @@ rotation or demote it while it degrades.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.events import MASCEvent
 from repro.services import InvocationRecord
+from repro.simulation import EventRouter
 
 __all__ = ["QoSTrendDetector", "TrendReport", "linear_slope"]
 
@@ -78,11 +78,8 @@ class QoSTrendDetector:
         self.cooldown_seconds = cooldown_seconds
         self.window = window
         self._endpoints: dict[str, _EndpointTrend] = {}
-        self._sinks: list[Callable[[MASCEvent], None]] = []
+        self.router = EventRouter()
         self.reports: list[TrendReport] = []
-
-    def add_sink(self, sink: Callable[[MASCEvent], None]) -> None:
-        self._sinks.append(sink)
 
     def attach_to_invoker(self, invoker) -> None:
         invoker.add_observer(self.observe)
@@ -133,8 +130,7 @@ class QoSTrendDetector:
             },
             raised_by="qos-trend-detector",
         )
-        for sink in self._sinks:
-            sink(event)
+        self.router.publish(event.name, event)
 
     def reset(self, endpoint: str) -> None:
         """Forget history for an endpoint (e.g. after it was quarantined)."""

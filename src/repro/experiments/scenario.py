@@ -366,7 +366,7 @@ def _mediate(scenario: Scenario, deployment, members: list[str], tracer, flight_
         names = [f"retailers-p{index}" for index in range(scenario.veps)]
     if flight_recorder is not None:
         for bus in buses:
-            bus.slo.add_sink(flight_recorder.record_event)
+            bus.slo.router.subscribe(flight_recorder.record_event)
     targets = [
         mediator.create_vep(
             name, RETAILER_CONTRACT, members=members, selection_strategy=scenario.selection

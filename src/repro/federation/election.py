@@ -9,10 +9,10 @@ leader is installed and listeners re-wire event forwarding.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.observability import NULL_METRICS, NULL_TRACER
+from repro.simulation import EventRouter
 
 __all__ = ["LeaderElection", "LeaderLease"]
 
@@ -49,16 +49,13 @@ class LeaderElection:
         self.epoch = 0
         #: ``(time, previous, new)`` per change, oldest first.
         self.changes: list[tuple[float, str | None, str]] = []
-        #: ``listener(previous, new)`` fired on every leadership change.
-        self._listeners: list[Callable[[str | None, str], None]] = []
+        #: Publishes ``leader`` with ``(previous, new)`` on every change.
+        self.router = EventRouter()
         self._running = False
 
     @property
     def leader(self) -> str | None:
         return self.lease.holder if self.lease is not None else None
-
-    def add_listener(self, listener: Callable[[str | None, str], None]) -> None:
-        self._listeners.append(listener)
 
     def start(self) -> None:
         """Run the periodic lease check (idempotent)."""
@@ -114,8 +111,7 @@ class LeaderElection:
                 },
             )
             span.end(status="elected")
-        for listener in list(self._listeners):
-            listener(previous, new)
+        self.router.publish("leader", previous, new)
 
     def summary(self) -> dict:
         return {

@@ -103,15 +103,15 @@ class BusFleet:
         self.veps: dict[str, FleetVep] = {}
         self._crashed: set[str] = set()
 
-        self.membership.add_listener(self._on_membership_event)
-        self.election.add_listener(self._on_leader_change)
+        self.membership.router.subscribe(self._on_membership_event)
+        self.election.router.subscribe(self._on_leader_change)
         for index in range(shards):
             self.add_bus(f"bus-{index}")
         self.membership.start()
         self.election.start()
         self.gossip.start(self.membership)
         # After the FederationService's own subscription, so config() is current.
-        self.repository.subscribe(self._retune)
+        self.repository.router.subscribe(self._retune)
 
     def _retune(self) -> None:
         """Apply the federation tuning to the running fleet (every repository change).

@@ -9,10 +9,10 @@ leader election re-evaluates on every change).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.observability import NULL_METRICS, NULL_TRACER
+from repro.simulation import EventRouter
 
 __all__ = ["BusMember", "FleetMembership"]
 
@@ -53,8 +53,8 @@ class FleetMembership:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.members: dict[str, BusMember] = {}
-        #: ``listener(kind, name)`` with kind in {"join", "leave", "suspect"}.
-        self._listeners: list[Callable[[str, str], None]] = []
+        #: Publishes ``join``, ``leave`` and ``suspect`` with ``(kind, name)``.
+        self.router = EventRouter()
         self._monitoring = False
 
     @property
@@ -62,17 +62,13 @@ class FleetMembership:
         """Seconds without a heartbeat after which a member is suspected."""
         return self.heartbeat_interval * self.suspicion_multiplier
 
-    def add_listener(self, listener: Callable[[str, str], None]) -> None:
-        self._listeners.append(listener)
-
     def _notify(self, kind: str, name: str) -> None:
         member = self.members.get(name)
         if member is not None:
             member.history.append((self.env.now, kind))
         if self.metrics.enabled:
             self.metrics.counter(f"federation.membership.{kind}").inc()
-        for listener in list(self._listeners):
-            listener(kind, name)
+        self.router.publish(kind, kind, name)
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -33,7 +33,7 @@ class FederationService:
         self.repository = repository
         self._config_rules: list[tuple] = []
         self._routing_rules: list[tuple] = []
-        repository.subscribe(self.refresh_from_policies)
+        repository.router.subscribe(self.refresh_from_policies)
         self.refresh_from_policies()
 
     @property

@@ -34,8 +34,8 @@ class FlightRecorder(SpanExporter):
     """Ring buffer of recent spans + events, dumped on fault or crash.
 
     Register on a tracer (``tracer.add_exporter(recorder)``) to capture
-    spans; feed it MASC events via :meth:`record_event` (the bus's SLO
-    sink does this when wired). Only the most recent ``capacity`` entries
+    spans; feed it MASC events via :meth:`record_event` (``run`` subscribes
+    it to ``bus.slo.router``). Only the most recent ``capacity`` entries
     of each kind survive — the recorder is for "the last few seconds
     before it went wrong", not for archival (that's the JSONL exporter).
     """

@@ -41,7 +41,6 @@ state — the same seed produces the identical event sequence.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.events import MASCEvent
@@ -49,6 +48,7 @@ from repro.observability.metrics import NULL_METRICS, labeled_name
 from repro.observability.trace_context import TraceContext
 from repro.observability.tracing import NULL_TRACER
 from repro.policy.actions import BurnRateAlertAction, SloAction
+from repro.simulation import EventRouter
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -168,7 +168,7 @@ class SloService:
         self.objectives: list[SloObjective] = []
         #: Audit log of emitted events (plain data; determinism checks).
         self.events: list[dict] = []
-        self._sinks: list[Callable[[MASCEvent], None]] = []
+        self.router = EventRouter()
         self._service_types: dict[str, str] = {}
         #: endpoint -> (requests counter, failures counter, latency histogram)
         self._instruments: dict[str, tuple] = {}
@@ -177,7 +177,7 @@ class SloService:
         self._process = None
         #: Called after every refresh: the hosting bus recomposes its chains.
         self.on_refresh = lambda: None
-        repository.subscribe(self._on_repository_change)
+        repository.router.subscribe(self._on_repository_change)
         self.refresh_from_policies()
 
     # -- configuration -------------------------------------------------------
@@ -220,9 +220,6 @@ class SloService:
         """Start the evaluation ticker (idempotent; no-op while inactive)."""
         if self._process is None and self.active:
             self._process = self.env.process(self._run(), name="slo-evaluator")
-
-    def add_sink(self, sink: Callable[[MASCEvent], None]) -> None:
-        self._sinks.append(sink)
 
     def register_endpoint(self, address: str, service_type: str) -> None:
         """Teach the engine which service type an endpoint implements
@@ -424,8 +421,7 @@ class SloService:
         )
         if self.metrics.enabled:
             self.metrics.counter(f"slo.events.{name}").inc()
-        for sink in self._sinks:
-            sink(event)
+        self.router.publish(name, event)
         if span is not None:
             span.end(status=name)
 

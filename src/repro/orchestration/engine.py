@@ -19,7 +19,7 @@ from repro.orchestration.definition import ProcessDefinition
 from repro.orchestration.errors import ProcessFault
 from repro.orchestration.instance import ProcessInstance
 from repro.services import Invoker, ServiceRegistry
-from repro.simulation import Environment
+from repro.simulation import Environment, EventRouter
 from repro.soap import FaultCode, SoapFault
 from repro.transport import Network
 from repro.xmlutils import Element
@@ -185,11 +185,8 @@ class WorkflowEngine:
         self.definitions: dict[str, ProcessDefinition] = {}
         self.instances: dict[str, ProcessInstance] = {}
         self._services: list[RuntimeService] = []
-        #: Each kind some service declared -> the ``on_event`` of every
-        #: service that reads it, in registration order; ``_every`` serves
-        #: the kinds no service declared. Rebuilt by :meth:`add_service`.
-        self._routes: dict[str, tuple] = {}
-        self._every: tuple = ()
+        #: Each service's ``on_event``, subscribed with its ``kinds``.
+        self.router = EventRouter()
         self._ids = itertools.count(1)
         #: True once :meth:`crash` was called; instances freeze at their
         #: next activity boundary and no new instances can start.
@@ -206,15 +203,7 @@ class WorkflowEngine:
     def add_service(self, service: RuntimeService) -> RuntimeService:
         """Register a runtime service (Tracking, Persistence, MASC...)."""
         self._services.append(service)
-        declared = [(getattr(each, "kinds", None), each.on_event) for each in self._services]
-        self._every = tuple(handler for kinds, handler in declared if kinds is None)
-        self._routes = {
-            kind: tuple(
-                handler for kinds, handler in declared if kinds is None or kind in kinds
-            )
-            for kinds, _ in declared
-            for kind in kinds or ()
-        }
+        self.router.subscribe(service.on_event, getattr(service, "kinds", None))
         service.attached(self)
         return service
 
@@ -232,7 +221,7 @@ class WorkflowEngine:
 
     def notify(self, kind: str, instance: ProcessInstance, activity=None, **data) -> None:
         """Publish one lifecycle fact to every runtime service reading it."""
-        handlers = self._routes.get(kind, self._every)
+        handlers = self.router.handlers(kind)
         if not handlers:
             return
         event = EngineEvent(kind, instance, activity, data)

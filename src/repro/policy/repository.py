@@ -26,15 +26,16 @@ business value. The decision sites keep their dispatch and *when* they call
 ``applied``. The services whose standing machinery is
 *configured* from policies (resilience, traffic, federation, SLOs, trace
 sampling) read it through the one load-time scan,
-:meth:`PolicyRepository.configuration`, and :meth:`PolicyRepository.subscribe`
-so that every ``load``/``unload`` re-runs their scan.
+:meth:`PolicyRepository.configuration`, and subscribe to the repository's
+``router`` (kind ``changed``) so that every ``load``/``unload`` re-runs
+their scan.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.policy.actions import AdaptationAction
 from repro.policy.model import (
@@ -45,6 +46,7 @@ from repro.policy.model import (
     PolicyDocument,
 )
 from repro.policy.xml import parse_policy_document
+from repro.simulation import EventRouter
 
 __all__ = ["BusinessLedgerEntry", "PolicyRepository"]
 
@@ -67,7 +69,8 @@ class PolicyRepository:
     def __init__(self) -> None:
         self._documents: dict[str, PolicyDocument] = {}
         self._states: dict[str, str] = {}
-        self._listeners: list[Callable[[], None]] = []
+        #: Publishes ``changed`` after every ``load``/``unload``.
+        self.router = EventRouter()
         #: ``(kind, event)`` -> the loaded policies of that kind the event
         #: triggers, in priority order; resolved on first use after each
         #: ``load``/``unload``.
@@ -90,16 +93,9 @@ class PolicyRepository:
         if self._documents.pop(document_name, None) is not None:
             self._changed()
 
-    def subscribe(self, listener: Callable[[], None]) -> None:
-        """Call ``listener()`` after every ``load``/``unload``, in
-        subscription order (a policy-configured service's
-        ``refresh_from_policies``)."""
-        self._listeners.append(listener)
-
     def _changed(self) -> None:
         self._triggered.clear()
-        for listener in self._listeners:
-            listener()
+        self.router.publish("changed")
 
     @property
     def documents(self) -> list[PolicyDocument]:

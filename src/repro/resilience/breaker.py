@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.policy.actions import CircuitBreakerAction
+from repro.simulation import EventRouter
 
 __all__ = ["BreakerState", "BreakerTransition", "CircuitBreaker"]
 
@@ -57,24 +58,17 @@ class CircuitBreaker:
     """Outcome-driven admission control for one endpoint.
 
     ``clock`` is a zero-argument callable returning the current simulation
-    time (``lambda: env.now``). ``on_transition`` receives each
-    :class:`BreakerTransition` as it happens (the resilience service uses
-    it to export metrics and span events).
+    time (``lambda: env.now``). ``router`` publishes each
+    :class:`BreakerTransition`, keyed by its ``to_state`` (the resilience
+    service logs it and exports metrics and span events).
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        config: CircuitBreakerAction,
-        clock,
-        on_transition=None,
-    ) -> None:
+    def __init__(self, endpoint: str, config: CircuitBreakerAction, clock) -> None:
         self.endpoint = endpoint
         self.config = config
         self._clock = clock
-        self._on_transition = on_transition
+        self.router = EventRouter()
         self.state = BreakerState.CLOSED
-        self.transitions: list[BreakerTransition] = []
         self._outcomes: deque[bool] = deque(maxlen=config.window)
         self._consecutive_failures = 0
         self._opened_at: float | None = None
@@ -84,6 +78,11 @@ class CircuitBreaker:
         #: Clock reading of the latest probe admission, for reclaiming
         #: probes whose outcome never arrives.
         self._probe_admitted_at: float | None = None
+
+    def reconfigure(self, config: CircuitBreakerAction) -> None:
+        """Adopt ``config`` in place, keeping the state and newest outcomes."""
+        self.config = config
+        self._outcomes = deque(self._outcomes, maxlen=config.window)
 
     # -- admission ---------------------------------------------------------------
 
@@ -185,9 +184,7 @@ class CircuitBreaker:
         self._probes_admitted = 0
         self._probes_succeeded = 0
         self._probe_admitted_at = None
-        self.transitions.append(transition)
-        if self._on_transition is not None:
-            self._on_transition(transition)
+        self.router.publish(transition.to_state, transition)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CircuitBreaker {self.endpoint} {self.state.value}>"

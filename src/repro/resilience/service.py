@@ -81,7 +81,7 @@ class ResilienceService:
         self.fail_fast_total = 0
         #: Called after every refresh: the hosting bus recomposes its chains.
         self.on_refresh = lambda: None
-        repository.subscribe(self.refresh_from_policies)
+        repository.router.subscribe(self.refresh_from_policies)
         self.refresh_from_policies()
 
     # -- configuration ----------------------------------------------------------------
@@ -163,7 +163,7 @@ class ResilienceService:
             if config is None:
                 del self._breakers[endpoint]
             elif config is not breaker.config:
-                breaker.config = config
+                breaker.reconfigure(config)
         for address in list(self._endpoint_bulkheads):
             self._bulkhead(self._endpoint_bulkheads, "endpoint", address, endpoint=address)
 
@@ -185,9 +185,8 @@ class ResilienceService:
             config = self._match(self._breaker_rules, endpoint=endpoint)
             if config is None:
                 return None
-            breaker = CircuitBreaker(
-                endpoint, config, self._clock, on_transition=self._record_transition
-            )
+            breaker = CircuitBreaker(endpoint, config, self._clock)
+            breaker.router.subscribe(self._record_transition)
             self._breakers[endpoint] = breaker
         return breaker
 

@@ -23,12 +23,14 @@ from repro.simulation.core import (
     Timeout,
 )
 from repro.simulation.random_source import RandomSource
+from repro.simulation.routing import EventRouter
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Environment",
     "Event",
+    "EventRouter",
     "Expired",
     "Interrupt",
     "Process",

@@ -119,11 +119,10 @@ class WsBus:
         self.adaptation.veps = self.veps
         #: SLO engine: inert until ``observability.slo`` policies are
         #: loaded *and* a real metrics registry is attached. Its events
-        #: flow both to the Monitoring Service's sinks (cross-layer
-        #: decision makers) and to the bus's own Adaptation Manager.
+        #: reach the bus's own Adaptation Manager first, then traffic
+        #: shaping (subscribed below).
         self.slo = SloService(env, self.repository, metrics=self.metrics, tracer=self.tracer)
-        self.slo.add_sink(self.adaptation.handle_event)
-        self.slo.add_sink(self.monitoring.raise_event)
+        self.slo.router.subscribe(self.adaptation.handle_event)
         self.slo.ensure_started()
         #: Policy-driven trace sampling: inert until an
         #: ``observability.tracing`` policy is loaded (record-everything
@@ -134,13 +133,13 @@ class WsBus:
             network.tracer = self.tracer
         #: Policy-driven traffic shaping (response cache, idempotency
         #: keys, load leveling); inert until ``traffic.configure``
-        #: policies are loaded. Subscribed to the Monitoring Service's
-        #: event stream (which SLO events also flow through, above) so
+        #: policies are loaded. Subscribed to monitoring and SLO events so
         #: cache invalidation is event-driven.
         self.traffic = TrafficService(
             env, self.repository, tracer=self.tracer, metrics=self.metrics
         )
-        self.monitoring.add_sink(self.traffic.handle_event)
+        self.slo.router.subscribe(self.traffic.handle_event)
+        self.monitoring.router.subscribe(self.traffic.handle_event)
         #: Per-message mediation processing cost applied inside each VEP;
         #: calibrated so mediation adds roughly the paper's ~10% RTT.
         self.mediation_overhead = LatencyModel(

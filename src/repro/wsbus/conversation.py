@@ -16,10 +16,10 @@ log of prior interactions to get some historical data").
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.events import MASCEvent
+from repro.simulation import EventRouter
 from repro.soap import MASC_NS, SoapEnvelope
 from repro.xmlutils import QName
 
@@ -59,11 +59,8 @@ class ConversationManager:
         self.env = env
         self.idle_timeout_seconds = idle_timeout_seconds
         self.conversations: dict[str, Conversation] = {}
-        self._sinks: list[Callable[[MASCEvent], None]] = []
+        self.router = EventRouter()
         self._watchdog_started = False
-
-    def add_sink(self, sink: Callable[[MASCEvent], None]) -> None:
-        self._sinks.append(sink)
 
     def attach_to_invoker(self, invoker) -> None:
         invoker.add_message_tap(self.observe_message)
@@ -164,5 +161,4 @@ class ConversationManager:
                     },
                     raised_by="conversation-manager",
                 )
-                for sink in self._sinks:
-                    sink(event)
+                self.router.publish(event.name, event)

@@ -8,19 +8,19 @@ The service:
 - checks QoS thresholds against the QoS Measurement Service,
 - classifies violations and transport/application faults into the fault
   taxonomy ("assign a meaningful fault type to the violation event"),
-- raises MASC events toward the decision maker (for cross-layer policies)
-  and hands faults to the Adaptation Manager "along with all the data
-  required for recovery".
+- raises MASC events on its ``router`` toward the decision maker (for
+  cross-layer policies) and hands faults to the Adaptation Manager
+  "along with all the data required for recovery".
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.events import MASCEvent
 from repro.observability import NULL_METRICS, NULL_TRACER, correlation_id_for
 from repro.policy import PolicyRepository
+from repro.simulation import EventRouter
 from repro.soap import FaultCode, SoapEnvelope, SoapFault
 from repro.wsbus.qos import QoSMeasurementService
 
@@ -59,21 +59,8 @@ class BusMonitoringService:
         self.qos = qos
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._sinks: list[Callable[[MASCEvent], None]] = []
+        self.router = EventRouter()
         self.violations_detected = 0
-
-    def add_sink(self, sink: Callable[[MASCEvent], None]) -> None:
-        self._sinks.append(sink)
-
-    def raise_event(self, event: MASCEvent) -> None:
-        """Forward an externally produced MASC event to the sinks.
-
-        The SLO engine (and any other in-process detector) routes its
-        violation events through here so the decision maker and the flight
-        recorder see one unified event stream.
-        """
-        for sink in self._sinks:
-            sink(event)
 
     # -- message checks ------------------------------------------------------------
 
@@ -82,8 +69,8 @@ class BusMonitoringService:
     ) -> SoapFault | None:
         """Evaluate monitoring policies for one message.
 
-        Returns the first classified violation fault (or None), and raises
-        detection events/extractions to the sinks as side effects.
+        Returns the first classified violation fault (or None), and
+        publishes detection events/extractions as side effects.
         """
         self.metrics.counter("wsbus.monitoring.checks").inc()
         first_fault: SoapFault | None = None
@@ -154,7 +141,7 @@ class BusMonitoringService:
     # -- fault classification ---------------------------------------------------------
 
     def classify(self, fault: SoapFault, point: MonitoringPoint) -> SoapFault:
-        """Refine a detected fault's classification and notify sinks.
+        """Refine a detected fault's classification.
 
         Transport/application faults already carry a taxonomy code from the
         invoker; this hook exists so monitoring policies observing the
@@ -182,16 +169,15 @@ class BusMonitoringService:
     ) -> None:
         """Raise the fault as a MASC event (decision-maker visibility)."""
         self.metrics.counter("wsbus.monitoring.faults").inc()
-        self.raise_event(
-            MASCEvent.for_fault(
-                self.env.now,
-                fault,
-                process_instance_id=envelope.addressing.process_instance_id,
-                envelope=envelope,
-                context={"fault_reason": fault.reason, "fault_actor": fault.actor},
-                **point.subject(),
-            )
+        event = MASCEvent.for_fault(
+            self.env.now,
+            fault,
+            process_instance_id=envelope.addressing.process_instance_id,
+            envelope=envelope,
+            context={"fault_reason": fault.reason, "fault_actor": fault.actor},
+            **point.subject(),
         )
+        self.router.publish(event.name, event)
 
     # -- helpers -----------------------------------------------------------------------
 
@@ -204,8 +190,9 @@ class BusMonitoringService:
         raised_by: str,
         fault: SoapFault | None = None,
     ) -> None:
-        """Raise one event on behalf of the monitoring policy ``raised_by``."""
-        self.raise_event(
+        """Publish one event on behalf of the monitoring policy ``raised_by``."""
+        self.router.publish(
+            name,
             MASCEvent(
                 name=name,
                 time=self.env.now,
@@ -215,5 +202,5 @@ class BusMonitoringService:
                 context=context,
                 raised_by=raised_by,
                 **point.subject(),
-            )
+            ),
         )

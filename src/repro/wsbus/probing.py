@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.core.events import MASCEvent
 from repro.services import Invoker
+from repro.simulation import EventRouter
 from repro.soap import FaultCode, SoapFault, SoapFaultError
 from repro.xmlutils import Element
 
@@ -138,14 +139,11 @@ class ManagementEventSource:
 
     def __init__(self, env) -> None:
         self.env = env
-        self._sinks: list[Callable[[MASCEvent], None]] = []
+        self.router = EventRouter()
         self.reported: list[MASCEvent] = []
-        #: ``(event, sink, error)`` triples for sinks that raised during
+        #: ``(event, handler, error)`` per handler that raised during
         #: delivery; kept so operators can see which consumers misbehaved.
         self.sink_errors: list[tuple[MASCEvent, Callable[[MASCEvent], None], Exception]] = []
-
-    def add_sink(self, sink: Callable[[MASCEvent], None]) -> None:
-        self._sinks.append(sink)
 
     def report_fault(
         self,
@@ -171,14 +169,14 @@ class ManagementEventSource:
             raised_by=source_system,
         )
         self.reported.append(event)
-        # Deliver to every sink before surfacing any failure: one broken
+        # Deliver to every handler before surfacing any failure: one broken
         # consumer must not block fault propagation to the rest.
         first_error: Exception | None = None
-        for sink in self._sinks:
+        for handler in self.router.handlers(event.name):
             try:
-                sink(event)
+                handler(event)
             except Exception as error:
-                self.sink_errors.append((event, sink, error))
+                self.sink_errors.append((event, handler, error))
                 if first_error is None:
                     first_error = error
         if first_error is not None:

@@ -562,12 +562,12 @@ def _monitoring_process() -> dict:
     repository.load(_monitoring_document())
     service = MASCMonitoringService(env, repository, qos_lookup=_qos_lookup)
     events: list[MASCEvent] = []
-    service.add_sink(events.append)
+    service.router.subscribe(events.append)
     for direction, envelope in _messages():
         service.observe_message(direction, envelope, "submitOrder", ENDPOINT)
     # Without a QoS look-up thresholds are not checked at all.
     blind = MASCMonitoringService(env, repository)
-    blind.add_sink(events.append)
+    blind.router.subscribe(events.append)
     for direction, envelope in _messages():
         blind.observe_message(direction, envelope, "submitOrder", ENDPOINT)
     return {
@@ -596,7 +596,7 @@ def _monitoring_bus() -> dict:
     tracer.bind_clock(env)
     service = BusMonitoringService(env, repository, _TableQoS(), tracer=tracer)
     events: list[MASCEvent] = []
-    service.add_sink(events.append)
+    service.router.subscribe(events.append)
     point = MonitoringPoint(service_type="Orders", endpoint=ENDPOINT, operation="submitOrder")
     faults = []
     for direction, envelope in _messages():

@@ -111,7 +111,7 @@ class TestMonitoringService:
         repo.load(document)
         service = MASCMonitoringService(env, repo, qos_lookup=qos_lookup)
         events = []
-        service.add_sink(events.append)
+        service.router.subscribe(events.append)
         return service, events
 
     def test_detection_policy_emits_with_context(self):
@@ -171,7 +171,7 @@ class TestMonitoringService:
         repo.load(document)
         service = MASCMonitoringService(env, repo, registry=registry)
         events = []
-        service.add_sink(events.append)
+        service.router.subscribe(events.append)
         service.observe_message("request", order_envelope(), "getRecommendation", "http://svc")
         assert [(e.name, e.service_type) for e in events] == [("trade.seen", "Analysis")]
 
@@ -480,7 +480,7 @@ class TestMASCFacade:
         assert masc.engine.registry is masc.registry
         assert masc.adaptation.engine is masc.engine
         # Monitoring feeds decisions.
-        assert masc.decision_maker.handle in masc.monitoring._sinks
+        assert masc.monitoring.router.handlers("fault.ServiceFailure") == (masc.decision_maker.handle,)
 
     def test_load_policies_via_facade(self):
         masc = MASC(seed=1)

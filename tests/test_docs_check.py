@@ -233,6 +233,69 @@ class TestArchitectureDocAudit:
         assert documented == composed
 
 
+    def test_router_table_is_what_a_fully_configured_bus_and_fleet_subscribe(self):
+        """Owner, publisher and subscribers, in order, of every router."""
+        import operator
+
+        from repro.casestudies.scm import (
+            RETAILER_CONTRACT,
+            resilience_policy_document,
+            slo_policy_document,
+            traffic_policy_document,
+        )
+        from repro.core import MASC
+        from repro.core.prevention import QoSTrendDetector
+        from repro.federation import BusFleet
+        from repro.observability import MetricsRegistry, Tracer
+        from repro.policy import PolicyRepository
+        from repro.simulation import Environment
+        from repro.transport import Network
+        from repro.wsbus import WsBus
+        from repro.wsbus.conversation import ConversationManager
+        from repro.wsbus.probing import ManagementEventSource
+
+        env = Environment()
+        repository = PolicyRepository()
+        for document in (
+            resilience_policy_document(), traffic_policy_document(), slo_policy_document()
+        ):
+            repository.load(document)
+        bus = WsBus(
+            env, Network(env), repository=repository, tracer=Tracer(clock=lambda: env.now),
+            metrics=MetricsRegistry(), mediation_capacity=2,
+        )
+        bus.create_vep("retailers", RETAILER_CONTRACT, members=["http://scm/retailerA"])
+        world = {
+            "bus": bus,
+            "breaker": bus.resilience.breaker_for("http://scm/retailerA"),
+            "fleet": BusFleet(env, Network(env), shards=2),
+            "masc": MASC(seed=1),
+            "conversations": ConversationManager(env),
+            "management": ManagementEventSource(env),
+            "trends": QoSTrendDetector(env),
+        }
+        text = (DOCS_DIR / "architecture.md").read_text(encoding="utf-8")
+        table = re.search(r"<!-- routers -->\n(.*?)<!-- /routers -->", text, re.DOTALL).group(1)
+        rows = re.findall(
+            r"^\| `(\w+)` \| `([\w.]+)` \| (.+?) \| (.+?) \| (.+?) \|$", table, re.MULTILINE
+        )
+        assert len(rows) == len(table.strip().splitlines()) - 2
+        qualname = re.compile(r"`(\w+\.\w+)`")
+        for owner_name, path, kind_cell, publishers, subscribers in rows:
+            first, _, rest = path.removesuffix(".router").partition(".")
+            owner = operator.attrgetter(rest)(world[first]) if rest else world[first]
+            assert type(owner).__name__ == owner_name, path
+            for publisher in qualname.findall(publishers):
+                cls_name, method = publisher.split(".")
+                assert cls_name == owner_name, publisher
+                assert "self.router." in inspect.getsource(getattr(type(owner), method))
+            kinds = re.findall(r"`([\w.]+)`", kind_cell) or ["fault.ServiceFailure", "anyName"]
+            documented = qualname.findall(subscribers)
+            for kind in kinds:
+                subscribed = [handler.__qualname__ for handler in owner.router.handlers(kind)]
+                assert list(dict.fromkeys(subscribed)) == documented, (path, kind)
+
+
 class TestScenarioDocAudit:
     def test_field_table_is_exactly_the_scenario_dataclass(self):
         """Every field with its default, in declaration order, and no other."""

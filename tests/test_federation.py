@@ -137,7 +137,7 @@ class TestMembership:
     def test_silent_member_is_suspected(self, env):
         membership = FleetMembership(env, heartbeat_interval=1.0, suspicion_multiplier=3.0)
         events = []
-        membership.add_listener(lambda kind, name: events.append((env.now, kind, name)))
+        membership.router.subscribe(lambda kind, name: events.append((env.now, kind, name)))
         membership.join("a")
         membership.join("b")
 

@@ -204,7 +204,7 @@ class TestTrendDetector:
         env = Environment()
         detector = QoSTrendDetector(env, slope_threshold=0.01, min_samples=10)
         events = []
-        detector.add_sink(events.append)
+        detector.router.subscribe(events.append)
         for index in range(20):
             env._now = float(index)  # advance observation time
             detector.observe(self._record(float(index), 0.05 + 0.02 * index))
@@ -217,7 +217,7 @@ class TestTrendDetector:
         env = Environment()
         detector = QoSTrendDetector(env, slope_threshold=0.01, min_samples=10)
         events = []
-        detector.add_sink(events.append)
+        detector.router.subscribe(events.append)
         for index in range(30):
             detector.observe(self._record(float(index), 0.05))
         assert events == []
@@ -227,7 +227,7 @@ class TestTrendDetector:
         detector = QoSTrendDetector(env, slope_threshold=0.01, min_samples=5,
                                     cooldown_seconds=1000.0)
         events = []
-        detector.add_sink(events.append)
+        detector.router.subscribe(events.append)
         for index in range(40):
             env._now = float(index)
             detector.observe(self._record(float(index), 0.05 + 0.05 * index))
@@ -336,7 +336,7 @@ class TestPreventiveEndToEnd:
         maker = MASCPolicyDecisionMaker(env, repository)
         maker.register_enforcement_point(BusEnforcementPoint(bus))
         detector = QoSTrendDetector(env, slope_threshold=0.005, min_samples=8)
-        detector.add_sink(maker.handle)
+        detector.router.subscribe(maker.handle)
         detector.attach_to_invoker(bus.invoker)
 
         endpoint_a = network.endpoint("http://svc/a")

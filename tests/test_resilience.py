@@ -54,18 +54,27 @@ def make_breaker(clock, **overrides):
     return CircuitBreaker("http://svc/x", CircuitBreakerAction(**defaults), clock)
 
 
+def transitions_of(breaker):
+    """Every transition the breaker's router publishes from now on."""
+    transitions = []
+    breaker.router.subscribe(transitions.append)
+    return transitions
+
+
 class TestCircuitBreaker:
     def test_trips_on_consecutive_failures(self):
         breaker = make_breaker(Clock())
+        transitions = transitions_of(breaker)
         for _ in range(2):
             breaker.record_failure()
         assert breaker.state.value == "closed"
         breaker.record_failure()
         assert breaker.state.value == "open"
-        assert "consecutive" in breaker.transitions[-1].reason
+        assert "consecutive" in transitions[-1].reason
 
     def test_trips_on_failure_rate(self):
         breaker = make_breaker(Clock(), consecutive_failures=99)
+        transitions = transitions_of(breaker)
         # 2 failures / 4 calls = 50% >= threshold, min_calls satisfied.
         breaker.record_failure()
         breaker.record_success()
@@ -74,7 +83,21 @@ class TestCircuitBreaker:
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state.value == "open"
-        assert "failure rate" in breaker.transitions[-1].reason
+        assert "failure rate" in transitions[-1].reason
+
+    def test_reconfigure_keeps_the_newest_outcomes(self):
+        breaker = make_breaker(
+            Clock(), window=4, min_calls=4, failure_rate_threshold=0.6, consecutive_failures=99
+        )
+        for ok in (False, False, True, True):
+            breaker.record_success() if ok else breaker.record_failure()
+        breaker.reconfigure(CircuitBreakerAction(window=2, min_calls=2, consecutive_failures=99))
+        # The window holds the two successes, not the two failures...
+        breaker.record_success()
+        assert breaker.state.value == "closed"
+        # ...and still holds them: one failure makes 1 in 2.
+        breaker.record_failure()
+        assert breaker.state.value == "open"
 
     def test_success_resets_consecutive_count(self):
         breaker = make_breaker(Clock(), min_calls=99)
@@ -146,6 +169,7 @@ class TestCircuitBreaker:
         the normal open → half-open cycle."""
         clock = Clock()
         breaker = make_breaker(clock, open_seconds=30.0, half_open_probes=1)
+        transitions = transitions_of(breaker)
         for _ in range(3):
             breaker.record_failure()
         clock.now = 31.0
@@ -157,8 +181,8 @@ class TestCircuitBreaker:
         clock.now = 61.0
         assert not breaker.allow_request()
         assert breaker.state.value == "open"
-        assert breaker.transitions[-1].reason == "half-open probe timed out"
-        assert breaker.transitions[-1].from_state == "half_open"
+        assert transitions[-1].reason == "half-open probe timed out"
+        assert transitions[-1].from_state == "half_open"
         # The cycle restarts: a fresh probe is admitted and can close it.
         clock.now = 92.0
         assert breaker.allow_request()
@@ -171,6 +195,7 @@ class TestCircuitBreaker:
         reclaim a timed-out probe too, or the endpoint never returns."""
         clock = Clock()
         breaker = make_breaker(clock, open_seconds=30.0, half_open_probes=1)
+        transitions = transitions_of(breaker)
         for _ in range(3):
             breaker.record_failure()
         clock.now = 31.0
@@ -178,7 +203,7 @@ class TestCircuitBreaker:
         clock.now = 61.0
         assert not breaker.would_allow()
         assert breaker.state.value == "open"
-        assert breaker.transitions[-1].reason == "half-open probe timed out"
+        assert transitions[-1].reason == "half-open probe timed out"
         clock.now = 92.0
         assert breaker.would_allow()
 
@@ -187,6 +212,7 @@ class TestCircuitBreaker:
         the reclaim only fires for unresolved probes."""
         clock = Clock()
         breaker = make_breaker(clock, open_seconds=30.0, half_open_probes=1)
+        transitions = transitions_of(breaker)
         for _ in range(3):
             breaker.record_failure()
         clock.now = 31.0
@@ -197,7 +223,7 @@ class TestCircuitBreaker:
         assert breaker.allow_request()
         assert breaker.state.value == "closed"
         assert all(
-            t.reason != "half-open probe timed out" for t in breaker.transitions
+            t.reason != "half-open probe timed out" for t in transitions
         )
 
 
@@ -938,6 +964,29 @@ class TestDynamicResilience:
         breaker = bus.resilience.breaker_for("http://svc/a")
         breaker.record_failure()
         assert breaker.state.value == "open"
+
+    def test_tightened_config_resizes_a_live_breakers_window(self, env, network):
+        """A live breaker counts its failure rate over the window of its
+        current config: growing ``window`` past the old ``min_calls`` lets
+        the new ``min_calls`` be reached, so a 50% failure rate trips it."""
+        bus = WsBus(env, network, repository=PolicyRepository())
+        scope = PolicyScope(endpoint="http://svc/*")
+        tuning = dict(failure_rate_threshold=0.5, consecutive_failures=99)
+        bus.resilience.apply_action(
+            CircuitBreakerAction(window=4, min_calls=4, **tuning), scope=scope
+        )
+        breaker = bus.resilience.breaker_for("http://svc/a")
+        bus.resilience.apply_action(
+            CircuitBreakerAction(window=10, min_calls=8, **tuning), scope=scope
+        )
+        assert bus.resilience.breaker_for("http://svc/a") is breaker
+        for _ in range(10):
+            breaker.record_success()
+            breaker.record_failure()
+            if breaker.state.value == "open":
+                break
+        assert breaker.state.value == "open"
+        assert bus.resilience.transition_log()[-1][3] == "open"
 
     def test_bus_replay_dead_letters(self, env, network, container):
         deploy_echoes(env, container, names=("a",))

@@ -110,7 +110,7 @@ class TestSlaDrivenAdaptation:
         masc, qos = world
         masc.load_policies(sla_policy_document())
         events = []
-        masc.monitoring.add_sink(events.append)
+        masc.monitoring.router.subscribe(events.append)
         instance = masc.engine.start(slow_call_definition(repeats=1))
         masc.env.run()
         violations = [e for e in events if e.name == "fault.SLAViolation"]

@@ -506,6 +506,33 @@ class TestClosedLoop:
         # The exemplar points at a real recorded request trace.
         assert any(span.trace_id == exemplar_trace for span in exporter.spans)
 
+    def test_slo_event_reaches_adaptation_then_traffic_then_the_flight_recorder(
+        self, monkeypatch
+    ):
+        from repro.traffic import TrafficService
+        from repro.wsbus.adaptation import AdaptationManager
+
+        deliveries = []
+        for owner, method in (
+            (AdaptationManager, "handle_event"),
+            (TrafficService, "handle_event"),
+            (FlightRecorder, "record_event"),
+        ):
+            def spy(self, event, _original=getattr(owner, method), _owner=owner.__name__):
+                deliveries.append((_owner, event))
+                return _original(self, event)
+
+            monkeypatch.setattr(owner, method, spy)
+        result = run(SLO_STORM, flight_recorder=FlightRecorder())
+        slo_names = {event["name"] for event in result.slo["events"]}
+        slo_deliveries = [(owner, e) for owner, e in deliveries if e.name in slo_names]
+        assert slo_deliveries
+        assert [owner for owner, _ in slo_deliveries] == [
+            "AdaptationManager", "TrafficService", "FlightRecorder"
+        ] * len(result.slo["events"])
+        for index in range(0, len(slo_deliveries), 3):
+            assert len({id(e) for _, e in slo_deliveries[index : index + 3]}) == 1
+
     def test_same_seed_same_event_sequence(self):
         first = run(SLO_STORM)
         second = run(SLO_STORM)

@@ -541,8 +541,10 @@ class TestVepTrafficTier:
         # A different request body is a different key.
         assert call(env, network, vep.address, text="b") == "b@echo-a"
         assert processing.calls == 2
-        # A matching MASC event flushes the cache through the bus sink.
-        bus.monitoring.raise_event(MASCEvent(name="catalogChanged", time=env.now))
+        # A matching MASC event flushes the cache through the bus's subscription.
+        bus.monitoring.router.publish(
+            "catalogChanged", MASCEvent(name="catalogChanged", time=env.now)
+        )
         assert call(env, network, vep.address, text="a") == "a@echo-a"
         assert processing.calls == 3
         counters = metrics.snapshot()["counters"]

@@ -70,7 +70,7 @@ class TestLifecycle:
     def test_abandonment_detected(self, env):
         manager = ConversationManager(env, idle_timeout_seconds=10.0)
         events = []
-        manager.add_sink(events.append)
+        manager.router.subscribe(events.append)
         manager.observe_message(*message(pid="p"))
         env.run(until=30.0)
         assert manager.conversation("p").state is ConversationState.ABANDONED

@@ -31,7 +31,7 @@ def service_with(policies, qos=None):
     repository.load(document)
     monitoring = BusMonitoringService(env, repository, qos or QoSMeasurementService())
     events = []
-    monitoring.add_sink(events.append)
+    monitoring.router.subscribe(events.append)
     return monitoring, events
 
 

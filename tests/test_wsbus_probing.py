@@ -128,7 +128,7 @@ class TestManagementEvents:
     def test_reported_fault_becomes_masc_event(self, env):
         source = ManagementEventSource(env)
         events = []
-        source.add_sink(events.append)
+        source.router.subscribe(events.append)
         event = source.report_fault(
             "http://svc/a", FaultCode.SERVICE_UNAVAILABLE, "rack power failure",
             service_type="Echo", source_system="datacenter-monitor",
@@ -147,8 +147,8 @@ class TestManagementEvents:
             raise RuntimeError("consumer crashed")
 
         seen = []
-        source.add_sink(broken)
-        source.add_sink(seen.append)
+        source.router.subscribe(broken)
+        source.router.subscribe(seen.append)
 
         with pytest.raises(RuntimeError, match="consumer crashed"):
             source.report_fault(
@@ -186,7 +186,7 @@ class TestManagementEvents:
         maker = MASCPolicyDecisionMaker(env, repository)
         maker.register_enforcement_point(BusEnforcementPoint(bus))
         source = ManagementEventSource(env)
-        source.add_sink(maker.handle)
+        source.router.subscribe(maker.handle)
 
         source.report_fault(
             "http://svc/a", FaultCode.SERVICE_UNAVAILABLE, "disk array degraded"
