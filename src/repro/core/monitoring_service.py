@@ -60,7 +60,7 @@ class MASCMonitoringService:
 
     def attach_to_invoker(self, invoker) -> None:
         """Introspect all messages this invoker exchanges."""
-        invoker.add_message_tap(self.observe_message)
+        invoker.router.subscribe(self.observe_message, ("request", "response", "fault"))
 
     # -- observation -------------------------------------------------------------
 
@@ -162,6 +162,6 @@ class MASCMonitoringService:
         )
 
     def _raise(self, event: MASCEvent) -> None:
-        # Not ``publish``: core-to-core calls are no layer crossing in bench/tracer.py.
-        for handler in self.router.handlers(event.name):
+        # The table, not ``publish``: core-to-core calls stay inside ``core``.
+        for handler in self.router.routes.get(event.name, self.router.every):
             handler(event)

@@ -82,7 +82,7 @@ class QoSTrendDetector:
         self.reports: list[TrendReport] = []
 
     def attach_to_invoker(self, invoker) -> None:
-        invoker.add_observer(self.observe)
+        invoker.router.subscribe(self.observe, ("record",))
 
     # -- observation --------------------------------------------------------------
 

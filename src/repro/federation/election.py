@@ -47,10 +47,11 @@ class LeaderElection:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.lease: LeaderLease | None = None
         self.epoch = 0
-        #: ``(time, previous, new)`` per change, oldest first.
-        self.changes: list[tuple[float, str | None, str]] = []
         #: Publishes ``leader`` with ``(previous, new)`` on every change.
         self.router = EventRouter()
+        #: ``(time, previous, new)`` per change, oldest first.
+        self.changes: list[tuple[float, str | None, str]] = []
+        self.router.subscribe(self._log_change)
         self._running = False
 
     @property
@@ -98,7 +99,6 @@ class LeaderElection:
             granted_at=self.env.now,
             expires_at=self.env.now + self.lease_seconds,
         )
-        self.changes.append((self.env.now, previous, new))
         if self.metrics.enabled:
             self.metrics.counter("federation.leader.changes").inc()
         if self.tracer.enabled:
@@ -112,6 +112,9 @@ class LeaderElection:
             )
             span.end(status="elected")
         self.router.publish("leader", previous, new)
+
+    def _log_change(self, previous: str | None, new: str) -> None:
+        self.changes.append((self.env.now, previous, new))
 
     def summary(self) -> dict:
         return {

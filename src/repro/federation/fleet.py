@@ -111,7 +111,7 @@ class BusFleet:
         self.election.start()
         self.gossip.start(self.membership)
         # After the FederationService's own subscription, so config() is current.
-        self.repository.router.subscribe(self._retune)
+        self.repository.router.subscribe(self._retune, ("changed",))
 
     def _retune(self) -> None:
         """Apply the federation tuning to the running fleet (every repository change).

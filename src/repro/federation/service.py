@@ -33,7 +33,7 @@ class FederationService:
         self.repository = repository
         self._config_rules: list[tuple] = []
         self._routing_rules: list[tuple] = []
-        repository.router.subscribe(self.refresh_from_policies)
+        repository.router.subscribe(self.refresh_from_policies, ("changed",))
         self.refresh_from_policies()
 
     @property

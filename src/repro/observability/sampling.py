@@ -106,7 +106,7 @@ class TracingService:
         self.tracer = tracer
         self.repository = repository
         self.action: TracingAction | None = None
-        repository.router.subscribe(self.refresh_from_policies)
+        repository.router.subscribe(self.refresh_from_policies, ("changed",))
         self.refresh_from_policies()
 
     def refresh_from_policies(self) -> TracingAction | None:

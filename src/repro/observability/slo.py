@@ -166,9 +166,10 @@ class SloService:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.objectives: list[SloObjective] = []
+        self.router = EventRouter()
         #: Audit log of emitted events (plain data; determinism checks).
         self.events: list[dict] = []
-        self.router = EventRouter()
+        self.router.subscribe(self._log_event)
         self._service_types: dict[str, str] = {}
         #: endpoint -> (requests counter, failures counter, latency histogram)
         self._instruments: dict[str, tuple] = {}
@@ -177,7 +178,7 @@ class SloService:
         self._process = None
         #: Called after every refresh: the hosting bus recomposes its chains.
         self.on_refresh = lambda: None
-        repository.router.subscribe(self._on_repository_change)
+        repository.router.subscribe(self._on_repository_change, ("changed",))
         self.refresh_from_policies()
 
     # -- configuration -------------------------------------------------------
@@ -407,23 +408,19 @@ class SloService:
             raised_by=objective.policy_name,
             trace_parent=span,
         )
-        self.events.append(
-            {
-                "name": name,
-                "time": self.env.now,
-                "endpoint": target,
-                "objective": objective.slo.name,
-                "fast_burn": status.fast_burn,
-                "slow_burn": status.slow_burn,
-                "budget_consumed": status.budget_consumed,
-                "exemplar_trace_ids": [e["trace_id"] for e in exemplars],
-            }
-        )
         if self.metrics.enabled:
             self.metrics.counter(f"slo.events.{name}").inc()
         self.router.publish(name, event)
         if span is not None:
             span.end(status=name)
+
+    def _log_event(self, event: MASCEvent) -> None:
+        context = event.context
+        self.events.append(
+            {"name": event.name, "time": event.time, "endpoint": event.endpoint}
+            | {k: context[k] for k in ("objective", "fast_burn", "slow_burn", "budget_consumed")}
+            | {"exemplar_trace_ids": [e["trace_id"] for e in context["exemplars"]]}
+        )
 
     # -- reporting -----------------------------------------------------------
 

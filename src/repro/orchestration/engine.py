@@ -221,7 +221,7 @@ class WorkflowEngine:
 
     def notify(self, kind: str, instance: ProcessInstance, activity=None, **data) -> None:
         """Publish one lifecycle fact to every runtime service reading it."""
-        handlers = self.router.handlers(kind)
+        handlers = self.router.routes.get(kind, self.router.every)
         if not handlers:
             return
         event = EngineEvent(kind, instance, activity, data)

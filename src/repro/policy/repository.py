@@ -28,7 +28,7 @@ business value. The decision sites keep their dispatch and *when* they call
 sampling) read it through the one load-time scan,
 :meth:`PolicyRepository.configuration`, and subscribe to the repository's
 ``router`` (kind ``changed``) so that every ``load``/``unload`` re-runs
-their scan.
+their scan; the ``ledger`` kind carries each new ledger entry.
 """
 
 from __future__ import annotations
@@ -69,13 +69,15 @@ class PolicyRepository:
     def __init__(self) -> None:
         self._documents: dict[str, PolicyDocument] = {}
         self._states: dict[str, str] = {}
-        #: Publishes ``changed`` after every ``load``/``unload``.
+        #: Publishes ``changed`` after every ``load``/``unload``, and
+        #: ``ledger`` with each :class:`BusinessLedgerEntry`.
         self.router = EventRouter()
         #: ``(kind, event)`` -> the loaded policies of that kind the event
         #: triggers, in priority order; resolved on first use after each
         #: ``load``/``unload``.
         self._triggered: dict[tuple[str, str], tuple] = {}
         self.ledger: list[BusinessLedgerEntry] = []
+        self.router.subscribe(self.ledger.append, ("ledger",))
 
     # -- loading -----------------------------------------------------------------
 
@@ -236,9 +238,10 @@ class PolicyRepository:
         self, time: float, policy: AdaptationPolicy, subject: str = ""
     ) -> None:
         if policy.business_value is not None:
-            self.ledger.append(
-                BusinessLedgerEntry(time, policy.name, policy.business_value, subject)
-            )
+            entry = BusinessLedgerEntry(time, policy.name, policy.business_value, subject)
+            # The table, not ``publish``: customized instances book one per instance.
+            for handler in self.router.routes.get("ledger", self.router.every):
+                handler(entry)
 
     def business_totals(self) -> dict[str, float]:
         """Accumulated business value per currency."""

@@ -81,7 +81,7 @@ class ResilienceService:
         self.fail_fast_total = 0
         #: Called after every refresh: the hosting bus recomposes its chains.
         self.on_refresh = lambda: None
-        repository.router.subscribe(self.refresh_from_policies)
+        repository.router.subscribe(self.refresh_from_policies, ("changed",))
         self.refresh_from_policies()
 
     # -- configuration ----------------------------------------------------------------
@@ -238,7 +238,7 @@ class ResilienceService:
     # -- outcome feed ------------------------------------------------------------------
 
     def attach_to_invoker(self, invoker) -> None:
-        invoker.add_observer(self.observe)
+        invoker.router.subscribe(self.observe, ("record",))
 
     def observe(self, record) -> None:
         """Invoker-observer entry point feeding the breakers."""

@@ -7,18 +7,18 @@ and normalizes every failure mode into the fault taxonomy:
 - no response within the timeout         → ``Timeout``
 - fault envelope returned by the service → the fault's own code
 
-Every attempt produces an :class:`InvocationRecord`; observers (the wsBus
-QoS Measurement Service, experiment harnesses) subscribe to build
-reliability, availability and response-time statistics.
+Every attempt produces an :class:`InvocationRecord` for the readers of the
+invoker's ``record`` kind (the wsBus QoS Measurement Service, experiment
+harnesses) to build reliability, availability and response-time statistics.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 from dataclasses import dataclass
 
-from repro.simulation import Environment
+from repro.simulation import Environment, EventRouter
 from repro.soap import AddressingHeaders, FaultCode, SoapEnvelope, SoapFault
 from repro.transport import ConnectionRefused, Network, TransportTimeout
 from repro.xmlutils import Element
@@ -69,24 +69,9 @@ class Invoker:
         self.network = network
         self.caller = caller
         self.default_timeout = default_timeout
-        self._observers: list[Callable[[InvocationRecord], None]] = []
-        self._message_taps: list[Callable[[str, SoapEnvelope, str, str], None]] = []
-
-    def add_observer(self, observer: Callable[[InvocationRecord], None]) -> None:
-        """Subscribe to every invocation record this invoker produces."""
-        self._observers.append(observer)
-
-    def add_message_tap(
-        self, tap: Callable[[str, SoapEnvelope, str, str], None]
-    ) -> None:
-        """Subscribe to message contents: ``tap(direction, envelope,
-        operation, target)`` with direction ``request``/``response``/
-        ``fault``. This is the introspection point MASC monitoring uses."""
-        self._message_taps.append(tap)
-
-    def _tap(self, direction: str, envelope: SoapEnvelope, operation: str, target: str) -> None:
-        for tap in self._message_taps:
-            tap(direction, envelope, operation, target)
+        #: Publishes ``record`` with each attempt's :class:`InvocationRecord`, and
+        #: ``request``/``response``/``fault`` with ``(kind, envelope, operation, target)``.
+        self.router = EventRouter()
 
     # -- invocation ------------------------------------------------------------
 
@@ -131,7 +116,8 @@ class Invoker:
         operation_name = operation or (envelope.addressing.action or "unknown")
         target = envelope.addressing.to or ""
         started = self.env.now
-        self._tap("request", envelope, operation_name, target)
+        for tap in self.router.routes.get("request", self.router.every):
+            tap("request", envelope, operation_name, target)
         try:
             # Drive the transport exchange inline (no wrapping process): the
             # exchange is request-scoped and nothing races it at this level,
@@ -147,16 +133,16 @@ class Invoker:
             fault = SoapFault(FaultCode.TIMEOUT, str(timed_out), actor=target, source="invoker")
             self._record(target, operation_name, started, envelope, None, fault)
             raise fault.to_exception() from timed_out
-        # Observers (QoS measurement) run before taps (monitoring) so a
-        # monitoring policy evaluating QoS thresholds on this response
-        # already sees the exchange it is judging.
-        if response.is_fault:
-            assert response.fault is not None
-            self._record(target, operation_name, started, envelope, response, response.fault)
-            self._tap("fault", response, operation_name, target)
-            raise response.fault.to_exception()
-        self._record(target, operation_name, started, envelope, response, None)
-        self._tap("response", response, operation_name, target)
+        # The record (QoS measurement) goes out before the message
+        # (monitoring) so a monitoring policy evaluating QoS thresholds on
+        # this response already sees the exchange it is judging.
+        fault = response.fault
+        self._record(target, operation_name, started, envelope, response, fault)
+        kind = "response" if fault is None else "fault"
+        for tap in self.router.routes.get(kind, self.router.every):
+            tap(kind, response, operation_name, target)
+        if fault is not None:
+            raise fault.to_exception()
         return response
 
     def _record(
@@ -168,6 +154,9 @@ class Invoker:
         response: SoapEnvelope | None,
         fault: SoapFault | None,
     ) -> None:
+        observers = self.router.routes.get("record", self.router.every)
+        if not observers:
+            return
         # Direct construction (one record per attempt): skips the dataclass
         # __init__ funnel on a 9-field object built in the hottest loop.
         record = InvocationRecord.__new__(InvocationRecord)
@@ -181,5 +170,5 @@ class Invoker:
         state["fault_code"] = fault.code if fault else None
         state["request_bytes"] = request.size_bytes
         state["response_bytes"] = response.size_bytes if response is not None else 0
-        for observer in self._observers:
+        for observer in observers:
             observer(record)

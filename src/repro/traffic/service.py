@@ -58,7 +58,7 @@ class TrafficService:
         self._levelers: dict[str, LoadLeveler] = {}
         #: Called after every refresh: the hosting bus recomposes its chains.
         self.on_refresh = lambda: None
-        repository.router.subscribe(self.refresh_from_policies)
+        repository.router.subscribe(self.refresh_from_policies, ("changed",))
         self.refresh_from_policies()
 
     # -- configuration ------------------------------------------------------------

@@ -88,7 +88,7 @@ class WorkloadRunner:
                 caller=f"{self.caller_prefix}-{client_id}",
                 default_timeout=plan.timeout,
             )
-            invoker.add_observer(result.records.append)
+            invoker.router.subscribe(result.records.append, ("record",))
             processes.append(
                 self.env.process(
                     self._client_loop(invoker, plan, client_id, requests_per_client),
@@ -126,7 +126,7 @@ class WorkloadRunner:
                     caller=f"{self.caller_prefix}-p{plan_index}-{client_id}",
                     default_timeout=plan.timeout,
                 )
-                invoker.add_observer(result.records.append)
+                invoker.router.subscribe(result.records.append, ("record",))
                 processes.append(
                     self.env.process(
                         self._client_loop(invoker, plan, client_id, requests_per_client),

@@ -36,6 +36,7 @@ from repro.policy.actions import (
     SkipAction,
     SubstituteAction,
 )
+from repro.simulation import EventRouter
 from repro.soap import FaultCode, SoapEnvelope, SoapFault, SoapFaultError
 from repro.wsbus.retry import DeadLetterEntry, DeadLetterQueue, RetryQueue
 from repro.wsbus.selection import SelectionService
@@ -98,11 +99,15 @@ class AdaptationManager:
         self.resilience = resilience
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
+        #: Publishes each ``recovery`` (as it starts) and event-driven ``adaptation``.
+        self.router = EventRouter()
         self.outcomes: list[RecoveryOutcome] = []
+        self.event_adaptations: list[EventAdaptation] = []
+        self.router.subscribe(self.outcomes.append, ("recovery",))
+        self.router.subscribe(self.event_adaptations.append, ("adaptation",))
         #: VEPs eligible for event-driven adaptation (selection-strategy
         #: switches). The bus shares its live ``veps`` dict after init.
         self.veps: dict = {}
-        self.event_adaptations: list[EventAdaptation] = []
         #: Federation hooks: when this manager belongs to a *follower* bus
         #: of a fleet, ``forward_to`` names the leader's manager and
         #: :meth:`handle_event` delegates there instead of enacting
@@ -152,7 +157,7 @@ class AdaptationManager:
             fault_code=fault.code.value,
             recovered=False,
         )
-        self.outcomes.append(outcome)
+        self.router.publish("recovery", outcome)
         # The subject is the failed member, even when the envelope carries
         # a process-instance id: recovery state is kept per endpoint.
         event = MASCEvent.for_fault(
@@ -313,7 +318,7 @@ class AdaptationManager:
             # Accounted for once its actions were walked, whatever each did.
             self.repository.applied(policy, subject_key, self.env.now)
             self.metrics.counter("wsbus.adaptation.event_driven").inc()
-            self.event_adaptations.append(record)
+            self.router.publish("adaptation", record)
             enacted.append(record)
             if span is not None:
                 span.end(status="enacted")

@@ -63,7 +63,7 @@ class ConversationManager:
         self._watchdog_started = False
 
     def attach_to_invoker(self, invoker) -> None:
-        invoker.add_message_tap(self.observe_message)
+        invoker.router.subscribe(self.observe_message, ("request", "response", "fault"))
 
     # -- correlation ---------------------------------------------------------------
 

@@ -172,7 +172,7 @@ class ManagementEventSource:
         # Deliver to every handler before surfacing any failure: one broken
         # consumer must not block fault propagation to the rest.
         first_error: Exception | None = None
-        for handler in self.router.handlers(event.name):
+        for handler in self.router.routes.get(event.name, self.router.every):
             try:
                 handler(event)
             except Exception as error:

@@ -243,7 +243,7 @@ class QoSMeasurementService:
         endpoint.add(record)
 
     def attach_to_invoker(self, invoker) -> None:
-        invoker.add_observer(self.observe)
+        invoker.router.subscribe(self.observe, ("record",))
 
     # -- federation anti-entropy ---------------------------------------------------
 

@@ -88,8 +88,9 @@ class TestProcessInstanceIdPropagation:
     def test_engine_attaches_instance_id_to_messages(self, world):
         masc, bus, vep = world
         seen = []
-        masc.engine.invoker.add_message_tap(
-            lambda d, e, o, t: seen.append(e.addressing.process_instance_id)
+        masc.engine.invoker.router.subscribe(
+            lambda d, e, o, t: seen.append(e.addressing.process_instance_id),
+            ("request", "response", "fault"),
         )
         instance = masc.engine.start(definition_against(vep, timeout=30.0))
         masc.engine.run_to_completion(instance)

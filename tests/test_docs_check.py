@@ -12,6 +12,7 @@ Two enforcement mechanisms:
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import re
@@ -280,7 +281,16 @@ class TestArchitectureDocAudit:
             r"^\| `(\w+)` \| `([\w.]+)` \| (.+?) \| (.+?) \| (.+?) \|$", table, re.MULTILINE
         )
         assert len(rows) == len(table.strip().splitlines()) - 2
+        assert {row[0] for row in rows} == _router_owners()
         qualname = re.compile(r"`(\w+\.\w+)`")
+
+        def name_of(owner, handler):
+            """A handler's qualname; an audit list's ``append`` as ``<attribute>.append``."""
+            target = getattr(handler, "__self__", None)
+            if type(target) is not list:
+                return handler.__qualname__
+            return next(f"{name}.append" for name, held in vars(owner).items() if held is target)
+
         for owner_name, path, kind_cell, publishers, subscribers in rows:
             first, _, rest = path.removesuffix(".router").partition(".")
             owner = operator.attrgetter(rest)(world[first]) if rest else world[first]
@@ -292,8 +302,18 @@ class TestArchitectureDocAudit:
             kinds = re.findall(r"`([\w.]+)`", kind_cell) or ["fault.ServiceFailure", "anyName"]
             documented = qualname.findall(subscribers)
             for kind in kinds:
-                subscribed = [handler.__qualname__ for handler in owner.router.handlers(kind)]
+                subscribed = [name_of(owner, handler) for handler in owner.router.handlers(kind)]
                 assert list(dict.fromkeys(subscribed)) == documented, (path, kind)
+
+
+def _router_owners() -> set[str]:
+    """Every class in ``src/repro`` whose code builds an ``EventRouter``."""
+    owners = set()
+    for path in (DOCS_DIR.parent / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and "EventRouter()" in ast.unparse(node):
+                owners.add(node.name)
+    return owners
 
 
 class TestScenarioDocAudit:

@@ -11,6 +11,7 @@ look-ups, and must do so without touching the window again.
 from __future__ import annotations
 
 import ast
+import gc
 import sys
 from collections import deque
 from pathlib import Path
@@ -334,6 +335,12 @@ def test_an_unqueried_endpoint_maintains_nothing():
 
 
 def _python_calls(function) -> int:
+    """Python-level calls ``function`` makes, without any a collection would add.
+
+    A collection inside the profiled window runs every ``gc.callbacks``
+    entry (hypothesis installs one), whose calls would count as the
+    function's own, so the collector is emptied and then held off.
+    """
     calls = 0
 
     def profiler(frame, event, arg):
@@ -341,11 +348,16 @@ def _python_calls(function) -> int:
         if event == "call":
             calls += 1
 
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         function()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 

@@ -104,3 +104,19 @@ def test_publish_passes_every_argument_in_subscription_order():
     router.subscribe(lambda kind, name: calls.append(("second", kind, name)), kinds=("join",))
     router.publish("join", "join", "bus-0")
     assert calls == [("first", "join", "bus-0"), ("second", "join", "bus-0")]
+
+
+def test_the_table_read_the_hot_producers_use_is_handlers():
+    """``routes.get(kind, every)`` (the engine, the invoker, the two hand-looping
+    monitors and the ledger) is the very tuple :meth:`handlers` returns, and a
+    publish rebuilds none of the table."""
+    rng = random.Random(48)
+    for _ in range(500):
+        router = EventRouter()
+        for index in range(rng.randint(0, 8)):
+            router.subscribe(lambda *args, _index=index: _index, random_kinds(rng))
+        table = {kind: router.routes.get(kind, router.every) for kind in KINDS + ("undeclared",)}
+        for kind, handlers in table.items():
+            assert handlers is router.handlers(kind)
+            router.publish(kind, None)
+        assert all(table[kind] is router.routes.get(kind, router.every) for kind in table)

@@ -343,8 +343,9 @@ class TestPaddingVariable:
         scm = build_scm_deployment(seed=52, log_events=False)
         engine = WorkflowEngine(scm.env, network=scm.network)
         sizes = []
-        engine.invoker.add_message_tap(
-            lambda d, e, o, t: sizes.append(e.size_bytes) if d == "request" else None
+        engine.invoker.router.subscribe(
+            lambda d, e, o, t: sizes.append(e.size_bytes) if d == "request" else None,
+            ("request", "response", "fault"),
         )
         definition = ProcessDefinition(
             "padded",

@@ -5,6 +5,7 @@ import pytest
 from conftest import ECHO_CONTRACT, EchoService, SlowEchoService, run_process
 from repro.services import (
     InvocationOutcome,
+    InvocationRecord,
     Invoker,
     ProcessingModel,
     ServiceRegistry,
@@ -13,6 +14,9 @@ from repro.services import (
 from repro.simulation import RandomSource
 from repro.soap import FaultCode, SoapFault, SoapFaultError
 from repro.xmlutils import Element
+
+#: The invoker's message kinds, each published as ``(kind, envelope, operation, target)``.
+MESSAGES = ("request", "response", "fault")
 
 
 class TestProcessingModel:
@@ -110,7 +114,7 @@ class TestInvoker:
     def test_records_success(self, env, network, container, echo_service):
         invoker = Invoker(env, network, caller="tester")
         records = []
-        invoker.add_observer(records.append)
+        invoker.router.subscribe(records.append, ("record",))
 
         def client():
             payload = ECHO_CONTRACT.operation("echo").input.build(text="x")
@@ -126,7 +130,7 @@ class TestInvoker:
     def test_records_unavailable_fault(self, env, network):
         invoker = Invoker(env, network)
         records = []
-        invoker.add_observer(records.append)
+        invoker.router.subscribe(records.append, ("record",))
 
         def client():
             with pytest.raises(SoapFaultError):
@@ -139,7 +143,7 @@ class TestInvoker:
         container.deploy(SlowEchoService(env, "slow", "http://test/slow", delay=50))
         invoker = Invoker(env, network)
         records = []
-        invoker.add_observer(records.append)
+        invoker.router.subscribe(records.append, ("record",))
 
         def client():
             payload = ECHO_CONTRACT.operation("echo").input.build(text="x")
@@ -154,7 +158,7 @@ class TestInvoker:
     def test_message_taps_see_request_and_response(self, env, network, container, echo_service):
         invoker = Invoker(env, network)
         taps = []
-        invoker.add_message_tap(lambda d, e, o, t: taps.append((d, o, t)))
+        invoker.router.subscribe(lambda d, e, o, t: taps.append((d, o, t)), MESSAGES)
 
         def client():
             payload = ECHO_CONTRACT.operation("echo").input.build(text="x")
@@ -177,7 +181,7 @@ class TestInvoker:
         container.deploy(Faulty(env, "f", "http://test/f"))
         invoker = Invoker(env, network)
         taps = []
-        invoker.add_message_tap(lambda d, e, o, t: taps.append(d))
+        invoker.router.subscribe(lambda d, e, o, t: taps.append(d), MESSAGES)
 
         def client():
             payload = ECHO_CONTRACT.operation("echo").input.build(text="x")
@@ -187,11 +191,41 @@ class TestInvoker:
         run_process(env, client())
         assert taps == ["request", "fault"]
 
+    def test_no_record_reader_builds_no_record(
+        self, env, network, container, echo_service, monkeypatch
+    ):
+        from repro.services import invoker as invoker_module
+
+        built = []
+
+        class CountedRecord(InvocationRecord):
+            def __new__(cls, *args, **kwargs):
+                built.append(cls)
+                return super().__new__(cls)
+
+        monkeypatch.setattr(invoker_module, "InvocationRecord", CountedRecord)
+        invoker = Invoker(env, network)
+        taps = []
+        invoker.router.subscribe(lambda d, e, o, t: taps.append(d), MESSAGES)
+
+        def client():
+            payload = ECHO_CONTRACT.operation("echo").input.build(text="x")
+            yield from invoker.invoke("http://test/echo", "echo", payload)
+
+        run_process(env, client())
+        assert taps == ["request", "response"]
+        assert built == []  # message readers only, like the MASC engine's invoker
+        records = []
+        invoker.router.subscribe(records.append, ("record",))
+        run_process(env, client())
+        assert built == [CountedRecord] and records[0].succeeded
+
     def test_process_instance_id_attached(self, env, network, container, echo_service):
         invoker = Invoker(env, network)
         seen = []
-        invoker.add_message_tap(
-            lambda d, e, o, t: seen.append(e.addressing.process_instance_id)
+        invoker.router.subscribe(
+            lambda d, e, o, t: seen.append(e.addressing.process_instance_id),
+            MESSAGES,
         )
 
         def client():
