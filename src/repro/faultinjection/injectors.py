@@ -208,7 +208,7 @@ class FaultInjector:
                         source="fault-injector",
                     )
                 )
-            return (yield self.env.process(inner(request), name=f"inner:{address}"))
+            return (yield from inner(request))
 
         endpoint.handler = wrapped
 

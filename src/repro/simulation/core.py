@@ -9,9 +9,10 @@ The model follows the classic process-interaction style:
 - A :class:`Process` wraps a generator. Each ``yield`` hands an event back to
   the environment; when that event triggers, the generator is resumed with
   the event's value (or the exception is thrown into it). A process can
-  carry a deadline (:meth:`Process.expire_after`), which is how the
-  middleware expresses "response or timeout, whichever first"; the timer
-  behind it is a :class:`Timeout`, which can be cancelled.
+  also ``yield env.call(generator, timeout)``: the generator then runs
+  inline, as a call frame of the same process, bounded by a deadline. That
+  is how the middleware expresses "response or timeout, whichever first",
+  and a deadline costs no event until it can pass first.
 - :class:`AnyOf` / :class:`AllOf` compose events: broadcast invocation, and
   the orchestration engine's extensible activity deadlines.
 
@@ -57,9 +58,9 @@ class Interrupt(Exception):
 
 
 class Expired(Exception):
-    """Delivered to the waiters of a process whose deadline passed first.
+    """Thrown into the maker of a call whose deadline passed first.
 
-    See :meth:`Process.expire_after`; ``delay`` is the deadline that was set.
+    See :meth:`Environment.call`; ``delay`` is the deadline that was set.
     """
 
     def __init__(self, delay: float) -> None:
@@ -83,6 +84,9 @@ _CANCELLED = 3
 # also cost every live timer a deeper heap.
 _COMPACT_FLOOR = 16
 _COMPACT_FRACTION = 0.5
+
+#: The deadline of no call: later than every event.
+_NEVER = float("inf")
 
 
 class Event:
@@ -178,12 +182,13 @@ class Event:
 class Timeout(Event):
     """An event that succeeds after a fixed simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "at")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        # Inlined Event.__init__ + _trigger: timeouts are the most frequently
-        # allocated event type (every latency hop is one), and they are born
-        # triggered, so the generic pending-state bookkeeping is dead weight.
+        # Inlined Event.__init__ + _trigger + Environment._enqueue: timeouts
+        # are the most frequently allocated event type (every latency hop is
+        # one), and they are born triggered, so the generic pending-state
+        # bookkeeping is dead weight.
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         self.env = env
@@ -193,21 +198,62 @@ class Timeout(Event):
         self._value = value
         self.defused = False
         self.delay = delay
-        env._enqueue(self, delay)
+        env._sequence = sequence = env._sequence + 1
+        if delay == 0.0:
+            self.at = env._now
+            env._immediate.append((sequence, self))
+        else:
+            self.at = at = env._now + delay
+            heapq.heappush(env._queue, (at, sequence, self))
 
     def cancel(self) -> None:
         """Withdraw the timeout: it will not fire, and it lets go of its callbacks now.
 
         A cancelled timeout is not an event any more — the run skips it
         without counting it or moving the clock to it, and a process that
-        yields it is told so. Cancelling a timeout that has already fired
-        (or was already cancelled) does nothing.
+        yields it is told so. A process that was waiting on it now waits
+        on nothing, so every deadline of a call it has open is put in the
+        heap. Cancelling a timeout that has already fired (or was already
+        cancelled) does nothing.
         """
         if self._state != _TRIGGERED:
             return
         self._state = _CANCELLED
+        for callback in self.callbacks:
+            waiter = getattr(callback, "__self__", None)
+            if isinstance(waiter, Process):
+                waiter._waiting_on = None
+                if waiter._frames:
+                    waiter._arm(None)
         self.callbacks.clear()
         self.env._discard(self)
+
+
+class _Call:
+    """A deadline-bound call: what ``env.call`` returns and a process yields.
+
+    Once yielded it is a frame on the yielding process's call stack:
+    ``caller`` is the generator that yielded it, ``at`` and ``seq`` the
+    heap key its deadline fires at, and ``timer`` that deadline once it is
+    in the heap (None until then).
+    """
+
+    __slots__ = ("generator", "delay", "caller", "process", "at", "seq", "timer")
+
+    def __init__(self, generator: Generator, delay: float) -> None:
+        self.generator = generator
+        self.delay = delay
+        self.timer: Timeout | None = None
+
+
+def _deadline_fired(timer: Timeout) -> None:
+    call = timer._value
+    call.process._overrun(call)
+
+
+def _soonest_of(frames: list[_Call]) -> float:
+    """The soonest deadline among ``frames`` that is not in the queue yet."""
+    return min((call.at for call in frames if call.timer is None), default=_NEVER)
 
 
 class Process(Event):
@@ -215,16 +261,20 @@ class Process(Event):
 
     The process is itself an event: it triggers when the generator returns
     (success, with the generator's return value) or raises (failure). Other
-    processes can therefore ``yield`` a process to wait for it. With a
-    deadline (:meth:`expire_after`) it triggers at the generator's outcome or
-    at the deadline, whichever is first.
+    processes can therefore ``yield`` a process to wait for it.
+
+    A process also keeps a stack of call frames (:meth:`Environment.call`):
+    ``_generator`` is the generator on top, the one being driven, and each
+    frame of ``_frames`` remembers the generator that made it. A frame that
+    returns or raises hands its outcome to the frame below within the same
+    resume, with no event.
 
     ``name`` may be a string or a tuple of parts joined with ``:`` on first
     access — hot callers pass tuples so no formatting happens for the vast
     majority of processes, whose names are never read.
     """
 
-    __slots__ = ("_generator", "_name", "_waiting_on", "_deadline")
+    __slots__ = ("_generator", "_name", "_waiting_on", "_frames", "_soonest")
 
     def __init__(
         self, env: "Environment", generator: Generator, name: str | tuple | None = None
@@ -235,7 +285,9 @@ class Process(Event):
         self._generator = generator
         self._name = name
         self._waiting_on: Event | None = None
-        self._deadline: Timeout | None = None
+        self._frames: list[_Call] | None = None
+        #: The soonest deadline of an open frame that is not in the heap.
+        self._soonest = _NEVER
         # Kick the generator off at the current simulated instant. Inlined
         # Event construction + succeed(): one bootstrap event is born already
         # triggered per process, and process creation is hot (several per
@@ -263,43 +315,13 @@ class Process(Event):
 
     @property
     def is_alive(self) -> bool:
-        """True while the process has neither finished nor expired."""
+        """True while the process has not finished."""
         return self._state == _PENDING
 
-    def expire_after(self, delay: float) -> "Process":
-        """Bound the wait for this process to ``delay`` seconds from now.
-
-        Three rules. A result inside the deadline cancels the timer, so a
-        finished process leaves nothing scheduled. A deadline that passes
-        first fails the waiters with :class:`Expired` — and that is all it
-        does: the generator is *not* interrupted, it runs to its end with
-        every side effect it would have had, and its late result or late
-        failure is discarded instead of surfacing. From then on the process
-        is over as far as others can tell (``is_alive`` is False,
-        :meth:`interrupt` refuses). Returns the process, so a caller can
-        ``yield env.process(work()).expire_after(5.0)``.
-        """
-        if self._state != _PENDING:
-            raise SimulationError(f"process {self.name!r} has already finished")
-        if self._deadline is not None:
-            raise SimulationError(f"process {self.name!r} already has a deadline")
-        timer = Timeout(self.env, delay)
-        timer.callbacks.append(self._expire)
-        self._deadline = timer
-        return self
-
-    def _expire(self, timer: Timeout) -> None:
-        # A deadline bounds a wait; one that passes with nobody waiting any
-        # more (the waiter was interrupted away) is not an unhandled failure.
-        self.defused = True
-        self._trigger(False, Expired(timer.delay), 0.0)
-
     def _settle(self, ok: bool, value: Any) -> None:
-        """The generator ended: trigger, unless the deadline already did."""
+        """The generator ended: trigger, unless the process is an orphan."""
         if self._state != _PENDING:
             return
-        if self._deadline is not None:
-            self._deadline.cancel()
         self._state = _TRIGGERED
         self._ok = ok
         self._value = value
@@ -309,13 +331,21 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current instant.
 
         Interrupting a finished process is an error; interrupting a process
-        twice before it handles the first interrupt queues both.
+        twice before it handles the first interrupt queues both. Calls the
+        process has open do not see the interrupt: they run on as an
+        orphan, the outermost one's deadline is withdrawn, and the
+        interrupt is thrown into the generator that made that call.
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         event = Event(self.env)
         event.callbacks.append(self._resume)
         event.fail(Interrupt(cause))
+        if self._frames:
+            bottom = self._orphan(0)
+            if bottom.timer is not None:
+                bottom.timer.cancel()
+            return
         # Detach from whatever we were waiting on so the original event's
         # trigger does not resume us a second time.
         target = self._waiting_on
@@ -323,46 +353,179 @@ class Process(Event):
             target.callbacks.remove(self._resume)
             self._waiting_on = None
 
+    # -- call frames ---------------------------------------------------------
+
+    def _enter(self, call: _Call, caller: Generator) -> None:
+        """Push ``call``, made by ``caller``, and take its deadline's heap key."""
+        env = self.env
+        call.caller = caller
+        call.process = self
+        call.at = at = env._now + call.delay
+        frames = self._frames
+        if frames is None:
+            self._frames = [call]
+        else:
+            frames.append(call)
+        self._generator = call.generator
+        if call.delay == 0.0:
+            # Nothing can come before it but what is already queued.
+            self._schedule(call)
+            return
+        env._sequence += 1
+        call.seq = env._sequence
+        if at < self._soonest:
+            self._soonest = at
+
+    def _leave(self) -> Generator:
+        """Pop the top frame, which has ended; returns its caller, now on top."""
+        frames = self._frames
+        call = frames.pop()
+        if call.timer is not None:
+            call.timer.cancel()
+        elif call.at == self._soonest:
+            self._soonest = _soonest_of(frames) if frames else _NEVER
+        self._generator = call.caller
+        return call.caller
+
+    def _arm(self, until: Event | None) -> None:
+        """Schedule every deadline that could pass before ``until`` resumes us.
+
+        A :class:`Timeout` resumes the process at its ``at``, so only the
+        deadlines due no later need the heap; anything else (``None``: a
+        wait that will never end) may take forever.
+        """
+        horizon = until.at if type(until) is Timeout else _NEVER
+        for call in self._frames:
+            if call.timer is None and call.at <= horizon:
+                self._schedule(call)
+        self._soonest = _soonest_of(self._frames)
+
+    def _schedule(self, call: _Call) -> None:
+        """Put ``call``'s deadline in the queue under the key it took."""
+        timer = Timeout.__new__(Timeout)
+        timer.env = env = self.env
+        timer.callbacks = [_deadline_fired]
+        timer._state = _TRIGGERED
+        timer._ok = True
+        timer._value = call
+        timer.defused = False
+        timer.delay = call.delay
+        timer.at = call.at
+        call.timer = timer
+        if call.delay == 0.0:
+            env._enqueue(timer, 0.0)
+        else:
+            heapq.heappush(env._queue, (call.at, call.seq, timer))
+
+    def _overrun(self, call: _Call) -> None:
+        """``call``'s deadline passed: it and the frames above go to an orphan."""
+        self._orphan(self._frames.index(call))
+        expired = Event(self.env)
+        expired.callbacks.append(self._resume)
+        # A deadline bounds a wait; one whose waiter was interrupted away
+        # before it heard is not an unhandled failure.
+        expired.defused = True
+        expired.fail(Expired(call.delay))
+        self._waiting_on = expired
+
+    def _orphan(self, index: int) -> _Call:
+        """Give up frame ``index`` and those above: they go to a process that is already over.
+
+        The orphan takes over the top generator and what this process was
+        waiting on, and runs on to its end with every side effect, the
+        deadlines of the frames above ``index`` still live; nobody can wait
+        on it, so its late result or failure is discarded. This process
+        goes back to the generator that made frame ``index``; returns that
+        frame.
+        """
+        frames = self._frames
+        call = frames[index]
+        orphaned = frames[index + 1 :]
+        del frames[index:]
+        orphan = Process.__new__(Process)
+        orphan.env = self.env
+        orphan.callbacks = []
+        orphan._state = _PROCESSED
+        orphan._ok = False
+        orphan._value = None
+        orphan.defused = True
+        orphan._generator = self._generator
+        orphan._name = None
+        orphan._frames = orphaned
+        orphan._soonest = _soonest_of(orphaned)
+        for moved in orphaned:
+            moved.process = orphan
+        target = self._waiting_on
+        orphan._waiting_on = target
+        if target is not None:
+            callbacks = target.callbacks
+            callbacks[callbacks.index(self._resume)] = orphan._resume
+            self._waiting_on = None
+        self._generator = call.caller
+        self._soonest = _soonest_of(frames)
+        return call
+
     def _resume(self, event: Event) -> None:
         # The busiest function in the kernel: every yield of every process
         # lands here. Peeks at private state (``_ok``/``_state``) instead of
         # the guarded properties — the event is always triggered by the time
         # a callback runs.
         self._waiting_on = None
-        send = self._generator.send
+        generator = self._generator
+        ok = event._ok
+        value = event._value
+        if not ok:
+            event.defused = True
         while True:
             try:
-                if event._ok:
-                    target = send(event._value)
+                if ok:
+                    target = generator.send(value)
                 else:
-                    event.defused = True
-                    target = self._generator.throw(event._value)
+                    target = generator.throw(value)
             except StopIteration as stop:
-                self._settle(True, stop.value)
-                return
+                if not self._frames:
+                    self._settle(True, stop.value)
+                    return
+                generator = self._leave()
+                ok = True
+                value = stop.value
+                continue
             except BaseException as exc:  # noqa: BLE001 - process failure is a value
-                self._settle(False, exc)
-                return
+                if not self._frames:
+                    self._settle(False, exc)
+                    return
+                generator = self._leave()
+                ok = False
+                value = exc
+                continue
 
+            if type(target) is _Call:
+                self._enter(target, generator)
+                generator = target.generator
+                ok = True
+                value = None
+                continue
             if not isinstance(target, Event):
                 misuse = f"process {self.name!r} yielded {target!r}, expected an Event"
             elif target._state < _PROCESSED:
+                if self._frames and (type(target) is not Timeout or target.at >= self._soonest):
+                    self._arm(target)
                 target.callbacks.append(self._resume)
                 self._waiting_on = target
                 return
             elif target._state == _PROCESSED:
                 # Already happened: feed its outcome straight back in.
-                if not target._ok:
+                ok = target._ok
+                value = target._value
+                if not ok:
                     target.defused = True
-                event = target
                 continue
             else:
                 misuse = f"process {self.name!r} yielded a cancelled timeout"
             # Thrown in like any failure: a generator that catches it goes
             # on with whatever it yields next.
-            event = Event(self.env)
-            event._ok = False
-            event._value = SimulationError(misuse)
+            ok = False
+            value = SimulationError(misuse)
 
 
 class _Condition(Event):
@@ -494,6 +657,34 @@ class Environment:
         ever read (hot paths never format names they do not print).
         """
         return Process(self, generator, name=name)
+
+    def call(self, generator: Generator, timeout: float) -> _Call:
+        """Run ``generator`` inline in the yielding process, for ``timeout`` seconds at most.
+
+        ``result = yield env.call(work(), 5.0)`` drives ``work()`` on the
+        caller's own process, as a call frame: no process is spawned, and
+        its return value or exception reaches the caller in the same resume.
+        The deadline is the key ``(now + timeout, sequence)`` taken when the
+        call is yielded, so it ties with other events exactly as a
+        :class:`Timeout` created at that instant would. Three rules:
+
+        - a result inside the deadline leaves nothing scheduled: the
+          deadline enters the heap only while the process waits on
+          something that could come after it (a zero timeout at once);
+        - a deadline that passes first throws :class:`Expired` into the
+          caller, through one immediate event. That is all it does: the
+          call and any calls it made run on in an orphan process to their
+          end, with every side effect, their own deadlines still live,
+          and their late result or failure is discarded;
+        - an interrupt of the process moves its open calls to an orphan
+          the same way, withdraws the outermost deadline, and reaches the
+          generator that made the outermost call.
+        """
+        if not hasattr(generator, "throw"):
+            raise SimulationError(f"expected a generator, got {generator!r}")
+        if timeout < 0:
+            raise SimulationError(f"negative deadline {timeout!r}")
+        return _Call(generator, timeout)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Composite event: first success wins."""

@@ -2,12 +2,13 @@
 
 The :class:`Network` owns a table of addressable endpoints. Sending a message
 is a simulated process: connect (may be refused), transmit the request
-(size-dependent latency), let the endpoint's handler run (its own simulated
-process), transmit the response. An optional timeout bounds the whole round
+(size-dependent latency), let the endpoint's handler run (inline, in the
+same process), transmit the response. An optional timeout bounds the whole round
 trip, mirroring the paper's "Web services Invoker component can use timers
-to raise timeout faults": the round trip is a kernel process with a deadline
-(``Process.expire_after``), so a reply in time cancels the timer and a
-finished exchange leaves nothing scheduled.
+to raise timeout faults": the round trip is a deadline-bound call
+(``Environment.call``) that runs in the caller's own process, so a reply in
+time leaves nothing scheduled. No process exists only to be awaited: on the
+request path, every kernel event is a simulated delay.
 """
 
 from __future__ import annotations
@@ -260,16 +261,16 @@ class Network:
     def _exchange_with_timeout(
         self, address: str, envelope: SoapEnvelope, timeout: float
     ) -> Generator:
-        """Start the exchange, set its deadline, wait for whichever is first.
+        """Run the exchange as a deadline-bound call: whichever is first wins.
 
-        The deadline is the exchange process's own (``expire_after``): a
-        reply or fault in time cancels the timer; a deadline that passes
-        abandons the round trip without stopping it, so the request still
-        reaches the service and its late outcome is discarded by the kernel.
+        The exchange runs inline in the caller's process (``env.call``): a
+        reply or fault in time leaves nothing scheduled; a deadline that
+        passes abandons the round trip without stopping it, so the request
+        still reaches the service and its late outcome is discarded by the
+        kernel.
         """
-        exchange = self.env.process(self._exchange(address, envelope), name=("rtt", address))
         try:
-            return (yield exchange.expire_after(timeout))
+            return (yield self.env.call(self._exchange(address, envelope), timeout))
         except Expired:
             raise TransportTimeout(
                 f"no response from {address!r} within {timeout}s", address, timeout

@@ -536,9 +536,7 @@ class AdaptationManager:
             retargeted = envelope.copy()
             retargeted.addressing = envelope.addressing.retargeted(target)
             try:
-                response = yield self.env.process(
-                    self.sender(retargeted, operation, target), name=f"substitute:{target}"
-                )
+                response = yield from self.sender(retargeted, operation, target)
             except SoapFaultError as error:
                 last_error = error
                 outcome.actions_taken.append(f"substitute {target} also failed")

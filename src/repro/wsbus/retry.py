@@ -226,9 +226,8 @@ class RetryQueue:
                 self.redeliveries_attempted += 1
                 self.metrics.counter("wsbus.retry.attempts").inc()
                 try:
-                    response = yield self.env.process(
-                        self.sender(carrier.copy(), entry.operation, entry.target),
-                        name=("redeliver", entry.target),
+                    response = yield from self.sender(
+                        carrier.copy(), entry.operation, entry.target
                     )
                 except SoapFaultError as error:
                     entry.last_fault = error.fault

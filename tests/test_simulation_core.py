@@ -482,13 +482,15 @@ class TestCancel:
 
 
 class TestDeadline:
+    """``env.call``: a generator run inline in the caller, bounded by a deadline."""
+
     def test_result_first_cancels_the_timer(self, env):
         def work():
             yield env.timeout(1.0)
             return "reply"
 
         def waiter():
-            return (yield env.process(work()).expire_after(30.0))
+            return (yield env.call(work(), 30.0))
 
         assert env.run(env.process(waiter())) == "reply"
         assert env.now == 1.0
@@ -503,7 +505,7 @@ class TestDeadline:
 
         def waiter():
             try:
-                yield env.process(work()).expire_after(30.0)
+                yield env.call(work(), 30.0)
             except ValueError as error:
                 return str(error)
 
@@ -518,18 +520,17 @@ class TestDeadline:
             progress.append(env.now)
             return "late"
 
-        def waiter(process):
+        def waiter():
             try:
-                yield process
+                yield env.call(work(), 3.0)
             except Expired as expired:
                 return (env.now, expired.delay)
 
-        process = env.process(work()).expire_after(3.0)
-        waiters = [env.process(waiter(process)) for _ in range(2)]
+        waiters = [env.process(waiter()) for _ in range(2)]
         env.run()
         assert [w.value for w in waiters] == [(3.0, 3.0), (3.0, 3.0)]
-        assert progress == [10.0]  # ran on to its end
-        assert not process.ok and isinstance(process.value, Expired)  # late return discarded
+        assert progress == [10.0, 10.0]  # each ran on to its end
+        assert env.now == 10.0  # and the late returns were discarded without a failure
 
     def test_late_exception_is_discarded(self, env):
         def work():
@@ -538,7 +539,7 @@ class TestDeadline:
 
         def waiter():
             with pytest.raises(Expired):
-                yield env.process(work()).expire_after(3.0)
+                yield env.call(work(), 3.0)
 
         env.process(waiter())
         env.run()  # no unhandled failure at the end of the run
@@ -552,22 +553,34 @@ class TestDeadline:
         def slow():
             yield env.timeout(0.5)
 
-        # The generator is started first, so one that never waits still wins.
-        assert env.run(env.process(instant()).expire_after(0)) == "now"
+        def caller(work):
+            return (yield env.call(work, 0))
+
+        # The generator starts at once, so one that never waits still wins.
+        assert env.run(env.process(caller(instant()))) == "now"
         with pytest.raises(Expired):
-            env.run(env.process(slow()).expire_after(0))
+            env.run(env.process(caller(slow())))
         assert env.now == 0.0
         env.run()
         assert env.now == 0.5
 
     def test_interrupt_before_the_deadline(self, env):
+        progress = []
+
         def work():
             try:
                 yield env.timeout(100.0)
+            except Interrupt:  # pragma: no cover - the call never sees it
+                progress.append("callee interrupted")
+            progress.append(env.now)
+
+        def caller():
+            try:
+                yield env.call(work(), 30.0)
             except Interrupt as interrupt:
                 return interrupt.cause
 
-        process = env.process(work()).expire_after(30.0)
+        process = env.process(caller())
 
         def interrupter():
             yield env.timeout(1.0)
@@ -575,22 +588,33 @@ class TestDeadline:
 
         env.process(interrupter())
         assert env.run(process) == "stop"
-        # The 30 s deadline is gone; what is left is the plain timeout the
-        # generator was detached from, which nobody cancelled.
+        # The 30 s deadline is gone; what is left is the call, running on
+        # as an orphan to its own timeout.
         assert env.peek() == 100.0
+        env.run()
+        assert progress == [100.0]
 
     def test_expired_process_is_over_for_everyone_else(self, env):
+        woken = []
+
         def work():
             yield env.timeout(10.0)
+            return "late"
 
-        process = env.process(work()).expire_after(1.0)
-        with pytest.raises(Expired):
-            env.run(process)
+        def caller():
+            with pytest.raises(Expired):
+                yield env.call(work(), 1.0)
+            woken.append(env.now)
+            yield env.timeout(20.0)  # the orphan's end at t=10 does not wake us
+            woken.append(env.now)
+            return "done"
+
+        process = env.process(caller())
+        assert env.run(process) == "done"
+        assert woken == [1.0, 21.0]
         assert not process.is_alive
         with pytest.raises(SimulationError):
             process.interrupt()
-        with pytest.raises(SimulationError):
-            process.expire_after(5.0)
 
     def test_deadline_passing_with_the_waiter_interrupted_away_is_silent(self, env):
         def work():
@@ -598,7 +622,7 @@ class TestDeadline:
 
         def waiter():
             try:
-                yield env.process(work()).expire_after(3.0)
+                yield env.call(work(), 3.0)
             except Interrupt:
                 return "gave up"
 
@@ -609,19 +633,196 @@ class TestDeadline:
             waiting.interrupt()
 
         env.process(interrupter())
-        env.run()  # Expired with nobody waiting is not an unhandled failure
+        env.run()  # the withdrawn deadline never fires: no Expired, no failure
         assert waiting.value == "gave up"
+        assert env.now == 10.0
 
     def test_one_deadline_per_process(self, env):
         def work():
             yield env.timeout(1.0)
 
-        process = env.process(work()).expire_after(5.0)
         with pytest.raises(SimulationError):
-            process.expire_after(6.0)
+            env.call(work(), -1.0)
         with pytest.raises(SimulationError):
-            env.process(work()).expire_after(-1.0)
+            env.call(lambda: None, 1.0)
+
+        def caller():
+            # One call, one deadline: a nested call brings its own.
+            yield env.call(work(), 5.0)
+            return env.now
+
+        assert env.run(env.process(caller())) == 1.0
+
+    # -- frames ------------------------------------------------------------------------
+
+    def test_a_call_and_its_return_cost_no_event(self, env):
+        def leaf():
+            yield env.timeout(1.0)
+            return "leaf"
+
+        def middle():
+            return (yield env.call(leaf(), 5.0)) + "+middle"
+
+        def caller():
+            return (yield env.call(middle(), 10.0))
+
+        process = env.process(caller())
+        assert env.run(process) == "leaf+middle"
+        # The bootstrap, the 1 s timeout and the process's own settling.
+        assert env.events_processed == 3
+
+    def test_a_deadline_enters_the_heap_only_when_it_could_pass_first(self, env):
+        heap = []
+
+        def work():
+            yield env.timeout(1.0)  # due before the deadline: it is not queued
+            heap.append(len(env._queue))
+            yield env.event().succeed(delay=1.0)  # a plain event: it is
+            heap.append(len(env._queue))
+            return "reply"
+
+        def caller():
+            return (yield env.call(work(), 30.0))
+
+        assert env.run(env.process(caller())) == "reply"
+        assert heap == [0, 1]  # the 30 s deadline, queued while the event was awaited
+        assert env.peek() == float("inf")  # withdrawn at the return
+
+    def test_outer_deadline_passing_leaves_the_inner_deadline_live(self, env):
+        seen = []
+
+        def service():
+            yield env.timeout(50.0)
+            seen.append(("service", env.now))  # pragma: no cover - expired first
+
+        def mediation():
+            try:
+                yield env.call(service(), 8.0)
+            except Expired as expired:
+                # The abandoned mediation still hears its own member deadline.
+                seen.append(("mediation", env.now, expired.delay))
+                return "recovered"
+
+        def client():
+            try:
+                yield env.call(mediation(), 5.0)
+            except Expired as expired:
+                seen.append(("client", env.now, expired.delay))
+                yield env.timeout(10.0)
+                return "gave up"
+
+        assert env.run(env.process(client())) == "gave up"
+        assert seen == [("client", 5.0, 5.0), ("mediation", 8.0, 8.0)]
         env.run()
+        assert env.now == 50.0  # the service ran on to its end
+
+    def test_inner_deadline_reaches_the_inner_caller(self, env):
+        def service():
+            yield env.timeout(50.0)
+
+        def mediation():
+            try:
+                yield env.call(service(), 2.0)
+            except Expired:
+                yield env.timeout(1.0)
+                return ("substituted", env.now)
+
+        def client():
+            return (yield env.call(mediation(), 5.0))
+
+        assert env.run(env.process(client())) == ("substituted", 3.0)
+
+    def test_interrupt_during_a_call_reaches_the_caller_and_no_expired(self, env):
+        log = []
+
+        def callee():
+            yield env.timeout(2.0)
+            log.append(("callee on", env.now))
+            yield env.timeout(10.0)
+            log.append(("callee done", env.now))
+            return "late"
+
+        def caller():
+            try:
+                yield env.call(callee(), 5.0)
+            except Interrupt as interrupt:
+                log.append(("caller", env.now, interrupt.cause))
+            try:
+                yield env.timeout(20.0)
+            except Expired:  # pragma: no cover - the withdrawn deadline never fires
+                log.append("expired")
+            return "caller done"
+
+        process = env.process(caller())
+
+        def interrupter():
+            yield env.timeout(1.0)
+            process.interrupt("abort")
+
+        env.process(interrupter())
+        assert env.run(process) == "caller done"
+        assert log == [("caller", 1.0, "abort"), ("callee on", 2.0), ("callee done", 12.0)]
+
+    def test_a_timeout_due_exactly_at_the_deadline_loses_to_it(self, env):
+        def work():
+            yield env.timeout(3.0)
+            return "in time"  # pragma: no cover - the deadline wins the tie
+
+        def caller():
+            try:
+                return (yield env.call(work(), 3.0))
+            except Expired:
+                return ("expired", env.now)
+
+        assert env.run(env.process(caller())) == ("expired", 3.0)
+
+    def test_a_timeout_made_before_the_call_wins_the_tie(self, env):
+        early = env.timeout(3.0, value="in time")
+
+        def work():
+            return (yield early)
+
+        def caller():
+            return (yield env.call(work(), 3.0))
+
+        assert env.run(env.process(caller())) == "in time"
+
+    def test_a_zero_deadline_loses_to_a_zero_timeout(self, env):
+        def work():
+            yield env.timeout(0.0)
+            return "in time"  # pragma: no cover
+
+        def caller():
+            try:
+                return (yield env.call(work(), 0.0))
+            except Expired as expired:
+                return (env.now, expired.delay)
+
+        assert env.run(env.process(caller())) == (0.0, 0.0)
+        assert env.peek() == float("inf")
+
+    def test_a_cancelled_awaited_timeout_still_yields_expired(self, env):
+        pending = []
+
+        def work():
+            timer = env.timeout(1.0)
+            pending.append(timer)
+            yield timer  # due before the deadline: the deadline is not queued
+
+        def caller():
+            try:
+                yield env.call(work(), 4.0)
+            except Expired as expired:
+                return (env.now, expired.delay)
+
+        process = env.process(caller())
+
+        def canceller():
+            yield env.timeout(0.5)
+            pending[0].cancel()
+
+        env.process(canceller())
+        assert env.run(process) == (4.0, 4.0)
 
 
 # -- cancellation never reorders the survivors ----------------------------------------
