@@ -38,7 +38,7 @@ def render_markdown(results: dict) -> str:
         pr3 = baseline.get("event_throughput_events_per_sec")
         rows = [
             [
-                "raw kernel (timeout churn)",
+                "raw kernel (wait churn)",
                 f"{throughput['events_per_sec']:,.0f} events/sec",
                 f"{throughput['events_per_sec'] / pr3:.2f}x vs PR 3" if pr3 else "—",
             ]
@@ -57,6 +57,15 @@ def render_markdown(results: dict) -> str:
         lines.append("")
 
     micro_rows = []
+    wait = results.get("wait")
+    if wait:
+        micro_rows.append(
+            [
+                "`yield delay` vs `yield env.timeout(delay)`",
+                f"{wait['speedup']:.1f}x ({wait['delay_us_per_event']:.2f} vs "
+                f"{wait['timeout_us_per_event']:.2f} µs/event)",
+            ]
+        )
     copy = results.get("envelope_copy")
     if copy:
         micro_rows.append(

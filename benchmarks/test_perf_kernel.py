@@ -3,9 +3,10 @@
 Measures the kernel and the two hot-path fast paths, and writes the
 numbers to ``BENCH_kernel.json`` (repo root) so CI can archive them:
 
-- events/sec through the raw simulation core (timeout churn), and through
-  the timed-exchange shape (deadline churn: short processes under a far
-  deadline, with what they leave in the heap),
+- events/sec through the raw simulation core (wait churn: processes
+  yielding delays), and through the timed-exchange shape (deadline churn:
+  short processes under a far deadline, with what they leave in the heap),
+- a yielded delay against the ``Timeout`` event it replaced, per wait,
 - ``SoapEnvelope.copy`` (header-shallow, cache-carrying) against the
   reference ``deep_copy`` it replaced,
 - compiled policy-condition expressions against the reference AST walker.
@@ -44,11 +45,20 @@ def _record(section: str, payload: dict) -> None:
 
 def _ticker(env, count):
     for _ in range(count):
+        yield 0.001
+
+
+def _timeout_ticker(env, count):
+    for _ in range(count):
         yield env.timeout(0.001)
 
 
 def test_event_throughput_microbench(benchmark):
-    """Raw kernel speed: schedule and process timeout events."""
+    """Raw kernel speed: schedule and process waits.
+
+    The frozen baseline was measured with ``yield env.timeout(0.001)``; the
+    ticker now yields the delay, so ``vs_pr3`` includes that change of idiom.
+    """
     events = 20_000
 
     def run():
@@ -75,7 +85,7 @@ def test_event_throughput_microbench(benchmark):
 
 
 def _round_trip(env):
-    yield env.timeout(0.001)
+    yield 0.001
 
 
 def _timed_caller(env, count):
@@ -111,6 +121,36 @@ def test_deadline_churn_microbench(benchmark):
     assert env.now < 30.0  # no deadline was ever reached, or waited for
     assert heap_length <= 40  # left to fire dead they would all still be there
     assert events_per_sec > 50_000
+
+
+def test_wait_fast_path():
+    """One wait as a yielded delay against the Timeout event it replaced."""
+    events = 20_000
+
+    def us_per_event(ticker) -> float:
+        best = float("inf")
+        for _ in range(3):
+            env = Environment()
+            for _ in range(8):
+                env.process(ticker(env, events // 8))
+            start = time.perf_counter()
+            env.run()
+            best = min(best, time.perf_counter() - start)
+        return best * 1e6 / env.events_processed
+
+    timeout_us = us_per_event(_timeout_ticker)
+    delay_us = us_per_event(_ticker)
+    _record(
+        "wait",
+        {
+            "events": events,
+            "delay_us_per_event": delay_us,
+            "timeout_us_per_event": timeout_us,
+            "speedup": timeout_us / delay_us,
+        },
+    )
+    print(f"\n  delay {delay_us:.2f} us/event, timeout {timeout_us:.2f} us/event")
+    assert delay_us < timeout_us
 
 
 def _sample_envelope() -> SoapEnvelope:

@@ -103,7 +103,7 @@ def preventive_demo() -> None:
             source = response.body.child_text("source")
             if index % 6 == 0 or (detector.reports and index < 20):
                 print(f"  t={env.now:6.2f}s request {index:2d} served by {source}")
-            yield env.timeout(1.0)
+            yield 1.0
 
     env.run(env.process(drive()))
     report = detector.reports[0]

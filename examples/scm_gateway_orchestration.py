@@ -102,11 +102,11 @@ def main() -> None:
     def chaos():
         """Take retailers down and up while orders flow."""
         for name in ("A", "B", "C"):
-            yield deployment.env.timeout(3.0)
+            yield 3.0
             endpoint = deployment.network.endpoint(deployment.retailers[name].address)
             endpoint.available = False
             print(f"t={deployment.env.now:6.2f}s  !! Retailer{name} crashed")
-            yield deployment.env.timeout(9.0)
+            yield 9.0
             endpoint.available = True
             print(f"t={deployment.env.now:6.2f}s  !! Retailer{name} recovered")
 
@@ -123,7 +123,7 @@ def main() -> None:
                 f"t={deployment.env.now:6.2f}s  order-{index}: {result} "
                 f"(shipped from {instance.variables.get('shipped_from')})"
             )
-            yield deployment.env.timeout(4.0)
+            yield 4.0
 
     deployment.env.run(deployment.env.process(run_orders()))
 

@@ -124,7 +124,7 @@ def main() -> None:
     endpoint.available = False
 
     def repairer():
-        yield masc.env.timeout(6.0)
+        yield 6.0
         endpoint.available = True
 
     masc.env.process(repairer())

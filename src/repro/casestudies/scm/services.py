@@ -197,7 +197,7 @@ class WarehouseService(SimulatedService):
                 self.manufacturer_address, "submitPO", request, timeout=10.0
             )
             lead_time = float(response.body.child_text("leadTime", "5.0") or 5.0)
-            yield self.env.timeout(lead_time)
+            yield lead_time
             self.stock[product] = self.stock.get(product, 0) + self.restock_quantity
         except SoapFaultError:
             pass  # manufacturer unavailable: stock stays low until next trigger

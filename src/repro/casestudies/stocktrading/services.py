@@ -94,7 +94,7 @@ class StockNotificationService(SimulatedService):
 
     def _publish_cycle(self) -> Generator:
         while True:
-            yield self.env.timeout(self.notification_interval)
+            yield self.notification_interval
             self._move_prices()
             quotes = ";".join(f"{s}:{p:.2f}" for s, p in sorted(self.prices.items()))
             request = FINANCIAL_ANALYSIS_CONTRACT.operation("updateQuotes").input.build(

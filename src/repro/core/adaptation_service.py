@@ -160,7 +160,7 @@ class MASCAdaptationService(RuntimeService, EnforcementPoint):
             instance.suspend()
 
             def resume_later():
-                yield self.engine.env.timeout(action.delay_seconds)
+                yield action.delay_seconds
                 instance.resume()
 
             self.engine.env.process(resume_later(), name=f"delay:{instance.id}")

@@ -378,7 +378,7 @@ def _mediate(scenario: Scenario, deployment, members: list[str], tracer, flight_
 
 def _ticker(env, interval: float, on_tick, mediator):
     while True:
-        yield env.timeout(interval)
+        yield interval
         on_tick(mediator)
 
 

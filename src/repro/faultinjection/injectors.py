@@ -167,19 +167,19 @@ class FaultInjector:
     ) -> Generator:
         env = self.env
         if fault.start_after > 0:
-            yield env.timeout(fault.start_after)
+            yield fault.start_after
         completed = 0
         while fault.cycles is None or completed < fault.cycles:
             up = rng.expovariate(1.0 / fault.up) if fault.random else fault.up
             if up > 0:
-                yield env.timeout(up)
+                yield up
             if fault.delay is None:
                 self._holding_down[endpoint] += 1
                 endpoint.available = False
                 log.mark_down(env.now)
             else:
                 endpoint.added_delay_seconds += fault.delay
-            yield env.timeout(rng.expovariate(1.0 / fault.down) if fault.random else fault.down)
+            yield rng.expovariate(1.0 / fault.down) if fault.random else fault.down
             if fault.delay is None:
                 self._holding_down[endpoint] -= 1
                 if not self._holding_down[endpoint]:
@@ -199,7 +199,7 @@ class FaultInjector:
         def wrapped(request: SoapEnvelope) -> Generator:
             if rng.random() < fault.probability:
                 self.injected_counts[address] += 1
-                yield self.env.timeout(0.0)
+                yield 0.0
                 return request.reply_fault(
                     SoapFault(
                         FaultCode.SERVICE_FAILURE,
@@ -289,7 +289,7 @@ class BusCrashInjector:
 
     def _run(self) -> Generator:
         if self.at_time > 0:
-            yield self.env.timeout(self.at_time)
+            yield self.at_time
         self.fleet.crash_bus(self.bus_name)
         self.crash_time = self.env.now
         if not self.crashed_event.triggered:

@@ -70,7 +70,7 @@ class LeaderElection:
         # expiry and takeover happens promptly after it; read every turn,
         # so a re-tuned ``lease_seconds`` applies from the next sleep.
         while True:
-            yield self.env.timeout(self.lease_seconds / 3.0)
+            yield self.lease_seconds / 3.0
             self.evaluate()
 
     def evaluate(self) -> None:

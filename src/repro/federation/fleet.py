@@ -195,7 +195,7 @@ class BusFleet:
     def _heartbeat_loop(self, name: str):
         while name not in self._crashed and name in self.buses:
             self.membership.heartbeat(name)
-            yield self.env.timeout(self.membership.heartbeat_interval)
+            yield self.membership.heartbeat_interval
 
     # -- membership / leadership reactions ------------------------------------------
 

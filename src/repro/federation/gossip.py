@@ -98,7 +98,7 @@ class QoSGossip:
 
     def _loop(self, membership):
         while True:
-            yield self.env.timeout(self.interval_seconds)
+            yield self.interval_seconds
             self.run_round(membership.alive())
 
     def run_round(self, alive: list[str]) -> int:

@@ -115,7 +115,7 @@ class FleetMembership:
 
     def _monitor(self):
         while True:
-            yield self.env.timeout(self.heartbeat_interval)
+            yield self.heartbeat_interval
             self.check_now()
 
     def check_now(self) -> list[str]:

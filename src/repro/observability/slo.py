@@ -265,9 +265,7 @@ class SloService:
         # Re-read the objectives every tick: a reload may change the
         # interval, and an unload ends the ticker until the next reload.
         while self.objectives:
-            yield self.env.timeout(
-                min(o.alert.evaluation_interval_seconds for o in self.objectives)
-            )
+            yield min(o.alert.evaluation_interval_seconds for o in self.objectives)
             self.evaluate()
         self._process = None
 

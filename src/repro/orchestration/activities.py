@@ -253,7 +253,7 @@ class Delay(Activity):
             self.seconds_source = str(fixed)
 
     def execute(self, instance: "ProcessInstance") -> Generator:
-        yield instance.env.timeout(float(self._seconds(instance.variables)))
+        yield float(self._seconds(instance.variables))
 
 
 class Sequence(Activity):

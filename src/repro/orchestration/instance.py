@@ -306,7 +306,7 @@ class ProcessInstance:
                                 policy=verdict.policy_name,
                             )
                         if verdict.delay_seconds > 0:
-                            yield self.env.timeout(verdict.delay_seconds)
+                            yield verdict.delay_seconds
                         continue
                     if verdict.kind == "skip":
                         self.engine.notify("activity_skipped", self, activity, fault=fault)

@@ -3,8 +3,9 @@
 A service implements each contract operation as a method named
 ``op_<operation>`` taking the request payload (an Element) and a
 :class:`ServiceContext`. Operation methods are generators: they yield
-simulation events (typically via ``ctx.work()`` for processing time or
-``ctx.call()`` for nested invocations) and return the response payload.
+simulated delays (typically ``ctx.work()``, the processing time) and
+``yield from ctx.call()`` for nested invocations, and return the response
+payload.
 
 Application-level failures are raised as
 :class:`~repro.soap.SoapFaultError`; the hosting container converts them to
@@ -59,11 +60,11 @@ class ServiceContext:
         self.operation_name = operation_name
         self.env: Environment = service.env
 
-    def work(self, extra_seconds: float = 0.0):
-        """A timeout event for this request's simulated processing time."""
+    def work(self, extra_seconds: float = 0.0) -> float:
+        """This request's simulated processing time, in seconds: ``yield ctx.work()``."""
         rng = self.service.rng
         duration = self.service.processing.sample(self.request.size_bytes, rng)
-        return self.env.timeout(duration + max(0.0, extra_seconds))
+        return duration + max(0.0, extra_seconds)
 
     def call(
         self,

@@ -6,13 +6,17 @@ The model follows the classic process-interaction style:
   scheduled events.
 - An :class:`Event` is a one-shot occurrence that callbacks can be attached
   to. Events either *succeed* with a value or *fail* with an exception.
-- A :class:`Process` wraps a generator. Each ``yield`` hands an event back to
-  the environment; when that event triggers, the generator is resumed with
-  the event's value (or the exception is thrown into it). A process can
-  also ``yield env.call(generator, timeout)``: the generator then runs
-  inline, as a call frame of the same process, bounded by a deadline. That
-  is how the middleware expresses "response or timeout, whichever first",
-  and a deadline costs no event until it can pass first.
+- A :class:`Process` wraps a generator. ``yield delay`` (a non-negative
+  number of seconds) waits that long: the queue holds one entry naming the
+  process's reusable wake slot, and no event object is made. ``yield event``
+  waits for an event; when it triggers, the generator is resumed with the
+  event's value (or the exception is thrown into it). A :class:`Timeout`
+  (``env.timeout``) is the delay as an event, for when one must be
+  composed, shared or cancelled. A process can also ``yield env.call(generator,
+  timeout)``: the generator then runs inline, as a call frame of the same
+  process, bounded by a deadline. That is how the middleware expresses
+  "response or timeout, whichever first", and a deadline costs no event
+  until it can pass first.
 - :class:`AnyOf` / :class:`AllOf` compose events: broadcast invocation, and
   the orchestration engine's extensible activity deadlines.
 
@@ -152,8 +156,8 @@ class Event:
     def _trigger(self, ok: bool, value: Any, delay: float) -> None:
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # also NaN, which compares false to everything
+            raise SimulationError(f"delay {delay!r} is not a non-negative number")
         self._state = _TRIGGERED
         self._ok = ok
         self._value = value
@@ -179,6 +183,29 @@ class Event:
         return f"<{type(self).__name__} {state[self._state]} at {id(self):#x}>"
 
 
+#: What a fired wake resumes its process with: a success with no value.
+_WOKEN = Event(None)
+_WOKEN._state = _PROCESSED
+_WOKEN._ok = True
+
+
+class _Wake:
+    """A process's reusable wake slot: the queue entry of a yielded delay.
+
+    ``_process`` is the process's bound ``_resume``, so firing the slot is
+    one call, resuming with :data:`_WOKEN`: no :class:`Event`, callbacks
+    list or bound method is made per wait. A process waits on one delay at
+    a time, so one slot serves every wait; a withdrawn slot stays cancelled
+    (an entry in the heap may still name it) and its process takes a new one.
+    """
+
+    __slots__ = ("_process", "_state")
+
+    def __init__(self, resume: Callable[[], None]) -> None:
+        self._process = resume
+        self._state = _TRIGGERED
+
+
 class Timeout(Event):
     """An event that succeeds after a fixed simulated delay."""
 
@@ -189,8 +216,8 @@ class Timeout(Event):
         # are the most frequently allocated event type (every latency hop is
         # one), and they are born triggered, so the generic pending-state
         # bookkeeping is dead weight.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # also NaN, which compares false to everything
+            raise SimulationError(f"timeout delay {delay!r} is not a non-negative number")
         self.env = env
         self.callbacks = []
         self._state = _TRIGGERED
@@ -224,7 +251,7 @@ class Timeout(Event):
             if isinstance(waiter, Process):
                 waiter._waiting_on = None
                 if waiter._frames:
-                    waiter._arm(None)
+                    waiter._arm(_NEVER)
         self.callbacks.clear()
         self.env._discard(self)
 
@@ -263,6 +290,10 @@ class Process(Event):
     (success, with the generator's return value) or raises (failure). Other
     processes can therefore ``yield`` a process to wait for it.
 
+    A yielded delay wakes the process through ``_wake``, its reusable slot
+    (:class:`_Wake`); the bootstrap that starts the generator is that slot's
+    first entry in the immediate lane.
+
     A process also keeps a stack of call frames (:meth:`Environment.call`):
     ``_generator`` is the generator on top, the one being driven, and each
     frame of ``_frames`` remembers the generator that made it. A frame that
@@ -274,7 +305,7 @@ class Process(Event):
     majority of processes, whose names are never read.
     """
 
-    __slots__ = ("_generator", "_name", "_waiting_on", "_frames", "_soonest")
+    __slots__ = ("_generator", "_name", "_waiting_on", "_frames", "_soonest", "_wake")
 
     def __init__(
         self, env: "Environment", generator: Generator, name: str | tuple | None = None
@@ -288,18 +319,11 @@ class Process(Event):
         self._frames: list[_Call] | None = None
         #: The soonest deadline of an open frame that is not in the heap.
         self._soonest = _NEVER
-        # Kick the generator off at the current simulated instant. Inlined
-        # Event construction + succeed(): one bootstrap event is born already
-        # triggered per process, and process creation is hot (several per
-        # simulated request).
-        bootstrap = Event.__new__(Event)
-        bootstrap.env = env
-        bootstrap.callbacks = [self._resume]
-        bootstrap._state = _TRIGGERED
-        bootstrap._ok = True
-        bootstrap._value = None
-        bootstrap.defused = False
-        env._enqueue(bootstrap, 0.0)
+        # Kick the generator off at the current simulated instant: the wake
+        # slot's first entry, a zero delay taken at creation.
+        self._wake = wake = _Wake(self._resume)
+        env._sequence = sequence = env._sequence + 1
+        env._immediate.append((sequence, wake))
 
     @property
     def name(self) -> str:
@@ -320,6 +344,9 @@ class Process(Event):
 
     def _settle(self, ok: bool, value: Any) -> None:
         """The generator ended: trigger, unless the process is an orphan."""
+        # The slot holds our bound ``_resume``: dropping it leaves no cycle,
+        # so a finished process is freed by reference counting.
+        self._wake = None
         if self._state != _PENDING:
             return
         self._state = _TRIGGERED
@@ -334,7 +361,9 @@ class Process(Event):
         twice before it handles the first interrupt queues both. Calls the
         process has open do not see the interrupt: they run on as an
         orphan, the outermost one's deadline is withdrawn, and the
-        interrupt is thrown into the generator that made that call.
+        interrupt is thrown into the generator that made that call. A
+        delay the process was waiting out is withdrawn like a cancelled
+        :class:`Timeout`: it is not counted, and the clock does not move to it.
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
@@ -349,7 +378,14 @@ class Process(Event):
         # Detach from whatever we were waiting on so the original event's
         # trigger does not resume us a second time.
         target = self._waiting_on
-        if target is not None and self._resume in target.callbacks:
+        if target is None:
+            return
+        if target is self._wake:
+            target._state = _CANCELLED
+            self._wake = _Wake(self._resume)
+            self.env._discard(target)
+            self._waiting_on = None
+        elif self._resume in target.callbacks:
             target.callbacks.remove(self._resume)
             self._waiting_on = None
 
@@ -387,14 +423,13 @@ class Process(Event):
         self._generator = call.caller
         return call.caller
 
-    def _arm(self, until: Event | None) -> None:
-        """Schedule every deadline that could pass before ``until`` resumes us.
+    def _arm(self, horizon: float) -> None:
+        """Schedule every deadline that could pass before the wait ends.
 
-        A :class:`Timeout` resumes the process at its ``at``, so only the
-        deadlines due no later need the heap; anything else (``None``: a
-        wait that will never end) may take forever.
+        A delay or a :class:`Timeout` resumes the process at its ``at``, the
+        ``horizon``, so only the deadlines due no later need the heap; any
+        other wait may take forever (``_NEVER``).
         """
-        horizon = until.at if type(until) is Timeout else _NEVER
         for call in self._frames:
             if call.timer is None and call.at <= horizon:
                 self._schedule(call)
@@ -457,19 +492,27 @@ class Process(Event):
             moved.process = orphan
         target = self._waiting_on
         orphan._waiting_on = target
-        if target is not None:
-            callbacks = target.callbacks
-            callbacks[callbacks.index(self._resume)] = orphan._resume
-            self._waiting_on = None
+        if target is self._wake:
+            # A delay being waited out: its slot wakes the orphan now.
+            target._process = orphan._resume
+            orphan._wake = target
+            self._wake = _Wake(self._resume)
+        else:
+            orphan._wake = _Wake(orphan._resume)
+            if target is not None:
+                callbacks = target.callbacks
+                callbacks[callbacks.index(self._resume)] = orphan._resume
+        self._waiting_on = None
         self._generator = call.caller
         self._soonest = _soonest_of(frames)
         return call
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Event = _WOKEN) -> None:
         # The busiest function in the kernel: every yield of every process
-        # lands here. Peeks at private state (``_ok``/``_state``) instead of
-        # the guarded properties — the event is always triggered by the time
-        # a callback runs.
+        # lands here, and a fired wake slot calls it with no argument. Peeks
+        # at private state (``_ok``/``_state``) instead of the guarded
+        # properties — the event is always triggered by the time a callback
+        # runs.
         self._waiting_on = None
         generator = self._generator
         ok = event._ok
@@ -499,17 +542,38 @@ class Process(Event):
                 value = exc
                 continue
 
-            if type(target) is _Call:
+            if type(target) is float or type(target) is int:
+                # A delay: the key ``(now + delay, sequence)`` a Timeout made
+                # now would take, holding the wake slot. NaN fails the test.
+                if target >= 0:
+                    env = self.env
+                    env._sequence = sequence = env._sequence + 1
+                    at = env._now + target
+                    if self._frames and at >= self._soonest:
+                        self._arm(at)
+                    if target:
+                        heapq.heappush(env._queue, (at, sequence, self._wake))
+                    else:
+                        env._immediate.append((sequence, self._wake))
+                    self._waiting_on = self._wake
+                    return
+                misuse = (
+                    f"process {self.name!r} yielded the delay {target!r}, "
+                    "which is not a non-negative number"
+                )
+            elif type(target) is _Call:
                 self._enter(target, generator)
                 generator = target.generator
                 ok = True
                 value = None
                 continue
-            if not isinstance(target, Event):
-                misuse = f"process {self.name!r} yielded {target!r}, expected an Event"
+            elif not isinstance(target, Event):
+                misuse = (
+                    f"process {self.name!r} yielded {target!r}, expected an Event or a delay"
+                )
             elif target._state < _PROCESSED:
                 if self._frames and (type(target) is not Timeout or target.at >= self._soonest):
-                    self._arm(target)
+                    self._arm(target.at if type(target) is Timeout else _NEVER)
                 target.callbacks.append(self._resume)
                 self._waiting_on = target
                 return
@@ -682,8 +746,8 @@ class Environment:
         """
         if not hasattr(generator, "throw"):
             raise SimulationError(f"expected a generator, got {generator!r}")
-        if timeout < 0:
-            raise SimulationError(f"negative deadline {timeout!r}")
+        if not timeout >= 0:  # also NaN, which compares false to everything
+            raise SimulationError(f"deadline {timeout!r} is not a non-negative number")
         return _Call(generator, timeout)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
@@ -703,8 +767,8 @@ class Environment:
         else:
             heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
 
-    def _discard(self, timer: Timeout) -> None:
-        """Forget a timeout that was just cancelled.
+    def _discard(self, timer: Timeout | _Wake) -> None:
+        """Forget a timeout that was just cancelled, or a wake just withdrawn.
 
         One in the heap stays where it is and is skipped when it surfaces
         (lazy deletion: a heap cannot give up an inner entry cheaply); once
@@ -712,15 +776,15 @@ class Environment:
         in place because :meth:`run` holds the list — and the survivors keep
         their unique ``(time, sequence)`` keys, so their order is untouched.
         A zero-delay timeout sits in the short immediate lane and is removed
-        at once, which keeps that lane free of a per-event liveness check.
+        at once, which keeps that lane free of a per-event liveness check;
+        a wake, which does not record its delay, is looked for there first.
         """
-        if timer.delay == 0.0:
+        if type(timer) is _Wake or timer.delay == 0.0:
             immediate = self._immediate
             for index, entry in enumerate(immediate):
                 if entry[1] is timer:
                     del immediate[index]
-                    break
-            return
+                    return
         queue = self._queue
         self._cancelled += 1
         if self._cancelled > _COMPACT_FLOOR and self._cancelled > len(queue) * _COMPACT_FRACTION:
@@ -811,8 +875,8 @@ class Environment:
                 raise stop._value
             if until is not None:
                 horizon = float(until)
-                if horizon < self._now:
-                    raise SimulationError(f"cannot run backwards to {horizon}")
+                if not horizon >= self._now:  # also NaN
+                    raise SimulationError(f"cannot run from {self._now} to {horizon}")
                 while immediate or (queue and queue[0][0] <= horizon):
                     if immediate and not (
                         queue and queue[0][0] == self._now and queue[0][1] < immediate[0][0]

@@ -40,10 +40,10 @@ class LoadLeveler:
         self.shed = 0
         self.total_delay_seconds = 0.0
 
-    def admit(self):
-        """Admit one request: None to proceed now, or a timeout to yield.
+    def admit(self) -> float | None:
+        """Admit one request: None to proceed now, or a delay to yield.
 
-        The caller must call :meth:`release` after a returned timeout
+        The caller must call :meth:`release` after a returned delay
         elapses (or fails). Raises :class:`SoapFaultError` when the
         request must be rejected instead.
         """
@@ -81,7 +81,7 @@ class LoadLeveler:
             self.max_waiting = self.waiting
         self.delayed += 1
         self.total_delay_seconds += wait
-        return self.env.timeout(wait)
+        return wait
 
     def release(self) -> None:
         """A delayed request finished (or abandoned) its wait."""

@@ -1,14 +1,16 @@
 """Discrete-event simulated network.
 
 The :class:`Network` owns a table of addressable endpoints. Sending a message
-is a simulated process: connect (may be refused), transmit the request
-(size-dependent latency), let the endpoint's handler run (inline, in the
-same process), transmit the response. An optional timeout bounds the whole round
-trip, mirroring the paper's "Web services Invoker component can use timers
-to raise timeout faults": the round trip is a deadline-bound call
-(``Environment.call``) that runs in the caller's own process, so a reply in
-time leaves nothing scheduled. No process exists only to be awaited: on the
-request path, every kernel event is a simulated delay.
+is one generator per leg (``Network._exchange``), run in the sender's
+process: connect (may be refused), transmit the request (size-dependent
+latency), let the endpoint's handler run inline, transmit the response.
+Each latency is a plain ``yield seconds``, one kernel wake and no event
+object. An optional timeout bounds the whole round trip, mirroring the
+paper's "Web services Invoker component can use timers to raise timeout
+faults": the round trip is a deadline-bound call (``Environment.call``)
+that runs in the caller's own process, so a reply in time leaves nothing
+scheduled. No process exists only to be awaited: on the request path,
+every kernel event is a simulated delay.
 """
 
 from __future__ import annotations
@@ -111,8 +113,8 @@ class NetworkEndpoint:
 class Network:
     """The simulated wire connecting clients, wsBus and services.
 
-    A timed :meth:`send` owns no timer of its own: the deadline lives on the
-    exchange's kernel process, which cancels it when the reply arrives.
+    A timed :meth:`send` owns no timer of its own: the deadline is a call
+    frame of the sender's process, and a reply in time withdraws it.
     """
 
     def __init__(
@@ -202,6 +204,7 @@ class Network:
         return self._exchange_with_timeout(address, envelope, timeout)
 
     def _exchange(self, address: str, envelope: SoapEnvelope) -> Generator:
+        """One leg: connect, request, the handler inline, reply; one generator."""
         span = None
         if self.tracer.enabled:
             context = envelope.trace_context
@@ -209,53 +212,49 @@ class Network:
                 span = self.tracer.start_span(
                     "net.exchange", parent=context, attributes={"address": address}
                 )
+        endpoint = self._endpoints.get(address)
+        latency = self.latency
+        if endpoint is not None and endpoint.latency is not None:
+            latency = endpoint.latency
         try:
-            response = yield from self._exchange_inner(address, envelope, span)
+            # Even a refused connect costs one base latency (TCP SYN and reset).
+            yield latency.sample(0, self._rng)
+            if endpoint is None:
+                raise ConnectionRefused(f"no endpoint at {address!r}", address)
+            if not endpoint.available:
+                endpoint.requests_refused += 1
+                raise ConnectionRefused(f"endpoint {address!r} is unavailable", address)
+            yield latency.sample(envelope.size_bytes, self._rng)
+            if endpoint.added_delay_seconds > 0:
+                yield endpoint.added_delay_seconds
+            endpoint.requests_handled += 1
+            # The handler generator runs inline in this exchange: it is scoped
+            # to exactly this request, so wrapping it in its own process only
+            # added allocation and event traffic per message.
+            if span is None:
+                response = yield from endpoint.handler(envelope)
+            else:
+                # The handler leg is the service actually executing (or a
+                # downstream VEP mediating); its span separates service time
+                # from the transit time that stays in ``net.exchange``.
+                execute = self.tracer.start_span(
+                    "service.execute", parent=span, attributes={"address": address}
+                )
+                try:
+                    response = yield from endpoint.handler(envelope)
+                except BaseException as error:
+                    execute.end(status=f"error:{type(error).__name__}")
+                    raise
+                execute.end()
+            if not isinstance(response, SoapEnvelope):
+                raise TransportError(f"handler at {address!r} returned {response!r}", address)
+            yield latency.sample(response.size_bytes, self._rng)
         except BaseException as error:
             if span is not None:
                 span.end(status=f"error:{type(error).__name__}")
             raise
         if span is not None:
             span.end()
-        return response
-
-    def _exchange_inner(self, address: str, envelope: SoapEnvelope, span) -> Generator:
-        endpoint = self._endpoints.get(address)
-        latency = self.latency
-        if endpoint is not None and endpoint.latency is not None:
-            latency = endpoint.latency
-        # Even a refused connect costs one base latency (TCP SYN and reset).
-        yield self.env.timeout(latency.sample(0, self._rng))
-        if endpoint is None:
-            raise ConnectionRefused(f"no endpoint at {address!r}", address)
-        if not endpoint.available:
-            endpoint.requests_refused += 1
-            raise ConnectionRefused(f"endpoint {address!r} is unavailable", address)
-        yield self.env.timeout(latency.sample(envelope.size_bytes, self._rng))
-        if endpoint.added_delay_seconds > 0:
-            yield self.env.timeout(endpoint.added_delay_seconds)
-        endpoint.requests_handled += 1
-        # The handler generator runs inline in this exchange: it is scoped to
-        # exactly this request, so wrapping it in its own process only added
-        # allocation and event traffic per message.
-        if span is None:
-            response = yield from endpoint.handler(envelope)
-        else:
-            # The handler leg is the service actually executing (or a
-            # downstream VEP mediating); its span separates service time
-            # from the transit time that stays in ``net.exchange``.
-            execute = self.tracer.start_span(
-                "service.execute", parent=span, attributes={"address": address}
-            )
-            try:
-                response = yield from endpoint.handler(envelope)
-            except BaseException as error:
-                execute.end(status=f"error:{type(error).__name__}")
-                raise
-            execute.end()
-        if not isinstance(response, SoapEnvelope):
-            raise TransportError(f"handler at {address!r} returned {response!r}", address)
-        yield self.env.timeout(latency.sample(response.size_bytes, self._rng))
         return response
 
     def _exchange_with_timeout(

@@ -154,4 +154,4 @@ class WorkloadRunner:
             except SoapFaultError:
                 pass  # failures are visible through the invocation records
             if plan.think_time_seconds > 0:
-                yield self.env.timeout(plan.think_time_seconds)
+                yield plan.think_time_seconds

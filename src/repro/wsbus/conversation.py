@@ -141,7 +141,7 @@ class ConversationManager:
     def _watchdog(self):
         interval = max(1.0, self.idle_timeout_seconds / 4.0)
         while True:
-            yield self.env.timeout(interval)
+            yield interval
             now = self.env.now
             for conversation in self.conversations.values():
                 if conversation.state is not ConversationState.ACTIVE:

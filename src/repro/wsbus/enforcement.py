@@ -94,7 +94,7 @@ class BusEnforcementPoint(EnforcementPoint):
         return True
 
     def _release(self, endpoint: str, veps, duration: float):
-        yield self.bus.env.timeout(duration)
+        yield duration
         for vep in veps:
             vep.add_member(endpoint)
         self._active_quarantines.discard(endpoint)

@@ -90,7 +90,7 @@ class QoSProbe:
 
     def _cycle(self) -> Generator:
         while self._running:
-            yield self.env.timeout(self.interval_seconds)
+            yield self.interval_seconds
             if not self._running:
                 return
             started = self.env.now

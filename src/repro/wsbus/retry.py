@@ -222,7 +222,7 @@ class RetryQueue:
                 entry.attempts_made += 1
                 delay = entry.policy.delay_for_attempt(entry.attempts_made, rng=self._jitter_rng)
                 if delay > 0:
-                    yield self.env.timeout(delay)
+                    yield delay
                 self.redeliveries_attempted += 1
                 self.metrics.counter("wsbus.retry.attempts").inc()
                 try:

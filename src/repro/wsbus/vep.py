@@ -104,12 +104,11 @@ class VirtualEndpoint:
         self.address: str | None = None  # set by the bus on deployment
         self.stats = VepStats()
 
-    def _mediation_delay(self, size_bytes: int):
-        """A timeout event for one mediation pass, or None if free."""
+    def _mediation_delay(self, size_bytes: int) -> float | None:
+        """The delay of one mediation pass, in seconds, or None if free."""
         if self.mediation_overhead is None:
             return None
-        rng = self.overhead_rng
-        return self.env.timeout(self.mediation_overhead.sample(size_bytes, rng))
+        return self.mediation_overhead.sample(size_bytes, self.overhead_rng)
 
     # -- membership ---------------------------------------------------------------
 

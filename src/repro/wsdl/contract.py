@@ -171,22 +171,32 @@ class ServiceContract:
     service_type: str
     operations: tuple[Operation, ...] = ()
     namespace: str = ""
+    #: Each operation by name and by SOAP action, built once per contract;
+    #: the first of two operations sharing a name or action wins.
+    _by_name: dict[str, Operation] = field(init=False, repr=False, compare=False)
+    _by_action: dict[str, Operation] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_name: dict[str, Operation] = {}
+        by_action: dict[str, Operation] = {}
+        for operation in self.operations:
+            by_name.setdefault(operation.name, operation)
+            by_action.setdefault(operation.soap_action(self.service_type), operation)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_action", by_action)
 
     def operation(self, name: str) -> Operation:
-        for operation in self.operations:
-            if operation.name == name:
-                return operation
-        raise KeyError(f"contract {self.service_type!r} has no operation {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"contract {self.service_type!r} has no operation {name!r}") from None
 
     def has_operation(self, name: str) -> bool:
-        return any(operation.name == name for operation in self.operations)
+        return name in self._by_name
 
     def operation_for_action(self, action: str) -> Operation | None:
         """Resolve a WSA action URI back to an operation."""
-        for operation in self.operations:
-            if operation.soap_action(self.service_type) == action:
-                return operation
-        return None
+        return self._by_action.get(action)
 
     def validate_request(self, operation_name: str, payload: Element) -> None:
         schema = self.operation(operation_name).input

@@ -121,6 +121,21 @@ class TestSimulationDocAudit:
         )
         assert "def test_any_of_pending_timeout_does_not_count_as_fired" in corpus
 
+    def test_one_way_to_wait(self):
+        """A wait in ``src/repro`` yields the delay; ``env.timeout`` is for a
+        Timeout that must be an event (composed, shared or cancelled)."""
+        source = DOCS_DIR.parent / "src" / "repro"
+        # A timeout made only to be yielded, here or by a helper that hands
+        # it to its caller: ``yield …timeout(`` / ``return …timeout(``.
+        waited = re.compile(r"\b(?:yield|return)\b[^\n#]*\.timeout\(")
+        offenders = [
+            f"{path.relative_to(source)}:{text.count(chr(10), 0, match.start()) + 1}"
+            for path in sorted(source.rglob("*.py"))
+            for text in [path.read_text(encoding="utf-8")]
+            for match in waited.finditer(text)
+        ]
+        assert offenders == [], "wait with `yield delay`, not a Timeout: " + ", ".join(offenders)
+
 
 class TestPolicyLanguageDocAudit:
     def test_loading_entry_points(self):

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -823,6 +825,248 @@ class TestDeadline:
 
         env.process(canceller())
         assert env.run(process) == (4.0, 4.0)
+
+
+
+class TestNaN:
+    """NaN compares false to everything, so each entry point rejects it outright."""
+
+    def test_timeout(self, env):
+        with pytest.raises(SimulationError, match="nan"):
+            env.timeout(float("nan"))
+
+    def test_succeed_and_fail(self, env):
+        with pytest.raises(SimulationError, match="nan"):
+            env.event().succeed(delay=float("nan"))
+        with pytest.raises(SimulationError, match="nan"):
+            env.event().fail(RuntimeError("x"), delay=float("nan"))
+
+    def test_call(self, env):
+        def work():
+            yield 1.0
+
+        with pytest.raises(SimulationError, match="nan"):
+            env.call(work(), float("nan"))
+
+    def test_run_until(self, env):
+        with pytest.raises(SimulationError, match="nan"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0
+
+    def test_the_clock_never_becomes_nan(self, env):
+        seen = []
+
+        def sleeper(name, delay):
+            try:
+                yield delay
+            except SimulationError:
+                seen.append((name, "rejected"))
+                return
+            seen.append((name, env.now))
+
+        for name, delay in (("a", 3.0), ("nan", float("nan")), ("b", 1.0), ("c", 2.0)):
+            env.process(sleeper(name, delay))
+        env.run()
+        assert seen == [("nan", "rejected"), ("b", 1.0), ("c", 2.0), ("a", 3.0)]
+        assert env.now == 3.0
+
+    def test_infinity_keeps_its_meaning(self, env):
+        def forever():
+            yield float("inf")
+
+        process = env.process(forever())
+        env.run(until=10.0)
+        assert env.now == 10.0 and process.is_alive
+        assert env.timeout(float("inf")).at == float("inf")
+
+
+def _traced_schedule(initial_time, plans, as_timeout):
+    """Run ``plans`` (one list of delays per process); returns the ``(now, label)`` trace.
+
+    After each wait a process also triggers a plain event, whose callback
+    is traced: an immediate-lane entry that ties with zero delays and with
+    delays that collapse onto ``now``.
+    """
+    env = Environment(initial_time)
+    trace = []
+
+    def process(index, delays):
+        for step, delay in enumerate(delays):
+            yield env.timeout(delay) if as_timeout else delay
+            trace.append((env.now, index, step))
+            event = env.event()
+            event.callbacks.append(lambda _event, label=(index, step, "event"): trace.append(label))
+            event.succeed()
+
+    for index, delays in enumerate(plans):
+        env.process(process(index, delays))
+    env.run()
+    return trace, env.events_processed
+
+
+class TestDelay:
+    """``yield delay``: one queue entry holding the process's wake slot, no event."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((0.0, 2.0**53)),
+        st.lists(
+            st.lists(st.sampled_from((0, 0.0, 0.5, 1, 1.0, 2.0, 3.5)), max_size=6),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_a_delay_is_ordered_as_a_timeout_made_at_the_yield(self, initial_time, plans):
+        assert _traced_schedule(initial_time, plans, as_timeout=False) == _traced_schedule(
+            initial_time, plans, as_timeout=True
+        )
+
+    def test_an_int_delay_works(self, env):
+        def sleeper():
+            yield 3
+            yield 0
+            return env.now
+
+        assert env.run(env.process(sleeper())) == 3.0
+        assert type(env.now) is float
+
+    @pytest.mark.parametrize("bad", [-1.0, -3, float("nan"), True, False])
+    def test_a_bad_delay_is_thrown_in_and_can_be_caught(self, env, bad):
+        caught = []
+
+        def sleeper():
+            try:
+                yield bad
+            except SimulationError as error:
+                caught.append(str(error))
+            yield 1.0
+            return "went on"
+
+        assert env.run(env.process(sleeper())) == "went on"
+        assert env.now == 1.0
+        assert repr(bad) in caught[0]
+
+    def test_a_delay_creates_no_event(self, env, monkeypatch):
+        def sleeper():
+            for _ in range(3):
+                yield 1.5
+
+        process = env.process(sleeper())
+
+        def refuse(*args, **kwargs):  # pragma: no cover - the point is that it is not called
+            raise AssertionError("a yielded delay made an Event")
+
+        monkeypatch.setattr(Event, "__init__", refuse)
+        env.run(until=10.0)
+        assert env.now == 10.0 and not process.is_alive
+        # The bootstrap, three wakes and the end are one kernel event each.
+        assert env.events_processed == 5
+
+    def test_a_finished_process_is_freed_without_the_cycle_collector(self, env):
+        def sleeper():
+            yield 1.0
+
+        generator = sleeper()
+        freed = weakref.ref(generator)
+        gc.collect()
+        gc.disable()
+        try:
+            env.process(generator)
+            del generator
+            env.run()
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_a_delay_equal_to_the_deadline_loses_to_it(self, env):
+        def work():
+            yield 3.0
+            return "in time"  # pragma: no cover - the deadline wins the tie
+
+        def caller():
+            try:
+                return (yield env.call(work(), 3.0))
+            except Expired:
+                return ("expired", env.now)
+
+        assert env.run(env.process(caller())) == ("expired", 3.0)
+
+    def test_a_zero_delay_loses_to_a_zero_deadline(self, env):
+        def work():
+            yield 0
+            return "in time"  # pragma: no cover - the deadline was queued first
+
+        def caller():
+            try:
+                return (yield env.call(work(), 0.0))
+            except Expired:
+                return ("expired", env.now)
+
+        assert env.run(env.process(caller())) == ("expired", 0.0)
+
+    def test_a_delay_inside_the_deadline_leaves_nothing_queued(self, env):
+        def work():
+            yield 1.0
+            return "reply"
+
+        def caller():
+            return (yield env.call(work(), 30.0))
+
+        assert env.run(env.process(caller())) == "reply"
+        assert env.peek() == float("inf")
+
+    def test_the_orphan_takes_the_wake_over_and_runs_on(self, env):
+        log = []
+
+        def work():
+            yield 10.0
+            log.append(("orphan", env.now))
+            yield 1.0
+            log.append(("orphan done", env.now))
+
+        def caller():
+            try:
+                yield env.call(work(), 3.0)
+            except Expired as expired:
+                log.append(("expired", env.now, expired.delay))
+            yield 2.0  # the caller waits on a fresh wake of its own
+            log.append(("caller", env.now))
+
+        env.process(caller())
+        env.run()
+        assert log == [
+            ("expired", 3.0, 3.0),
+            ("caller", 5.0),
+            ("orphan", 10.0),
+            ("orphan done", 11.0),
+        ]
+
+    @pytest.mark.parametrize("delay", [100.0, 0.0])
+    def test_an_interrupt_withdraws_the_wake(self, env, delay):
+        log = []
+
+        def sleeper():
+            try:
+                yield delay
+            except Interrupt as interrupt:
+                log.append((env.now, interrupt.cause))
+            yield 1.0  # a fresh wake after the withdrawn one
+            log.append(env.now)
+
+        process = env.process(sleeper())
+
+        def interrupter():
+            process.interrupt("stop")
+            yield 2.0
+
+        env.process(interrupter())
+        env.run()
+        assert log == [(0.0, "stop"), 1.0]
+        assert env.now == 2.0  # nothing went to t=100
+        # Bootstraps 2, the interrupt 1, the sleeper's 1 s wake 1, the
+        # interrupter's 2 s wake 1, two ends: the withdrawn wake is no event.
+        assert env.events_processed == 7
+        assert not env._queue and not env._immediate and env._cancelled == 0
 
 
 # -- cancellation never reorders the survivors ----------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for service contracts and message validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.soap import FaultCode
@@ -80,6 +82,29 @@ class TestServiceContract:
         action = CONTRACT.operation("submit").soap_action("Orders")
         assert CONTRACT.operation_for_action(action).name == "submit"
         assert CONTRACT.operation_for_action("urn:other:thing") is None
+
+    def test_lookups_agree_with_a_scan_of_the_operations(self):
+        # The maps are built once per contract; the scan is the reference,
+        # the first of two same-named operations winning as it would.
+        first, second = Operation("get", SCHEMA, SCHEMA), Operation("get", SCHEMA, SCHEMA)
+        put = Operation("put", SCHEMA, SCHEMA)
+        contract = ServiceContract("Store", (first, second, put))
+        renamed = dataclasses.replace(contract, service_type="Shop")
+        for subject in (contract, renamed):
+            for operation in subject.operations:
+                action = operation.soap_action(subject.service_type)
+                expected = next(
+                    o
+                    for o in subject.operations
+                    if o.soap_action(subject.service_type) == action
+                )
+                assert subject.operation_for_action(action) is expected
+                assert subject.operation(operation.name) is expected
+                assert subject.has_operation(operation.name)
+        assert contract.operation("get") is first
+        assert renamed.operation_for_action("urn:Store:put") is None
+        assert renamed.operation_for_action("urn:Shop:put") is put
+        assert contract == ServiceContract("Store", (first, second, put))
 
     def test_validate_request_raises_with_details(self):
         bad = Element("orderRequest")
