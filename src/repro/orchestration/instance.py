@@ -512,19 +512,7 @@ class ProcessInstance:
         handle = DeadlineHandle(activity_name, self.env.now + timeout_seconds)
         self._deadlines[activity_name] = handle
         try:
-            while True:
-                remaining = handle.deadline - self.env.now
-                if remaining <= 0:
-                    self._abandon(awaited, interrupt_on_expiry)
-                    raise ProcessFault(
-                        SoapFault(
-                            FaultCode.TIMEOUT,
-                            f"activity {activity_name!r} exceeded its "
-                            f"{timeout_seconds}s deadline",
-                            source="process-engine",
-                        ),
-                        activity_name,
-                    )
+            while (remaining := handle.deadline - self.env.now) > 0:
                 timer = self.env.timeout(remaining)
                 composite = self.env.any_of([awaited, timer])
                 try:
@@ -545,28 +533,23 @@ class ProcessInstance:
                 if awaited in outcome:
                     return outcome[awaited]
                 # Timer fired; if the deadline moved, loop and keep waiting.
-                if self.env.now >= handle.deadline:
-                    self._abandon(awaited, interrupt_on_expiry)
-                    raise ProcessFault(
-                        SoapFault(
-                            FaultCode.TIMEOUT,
-                            f"activity {activity_name!r} exceeded its "
-                            f"{timeout_seconds}s deadline",
-                            source="process-engine",
-                        ),
-                        activity_name,
-                    )
+            self._abandon(awaited, interrupt_on_expiry)
+            raise ProcessFault(
+                SoapFault(
+                    FaultCode.TIMEOUT,
+                    f"activity {activity_name!r} exceeded its "
+                    f"{timeout_seconds}s deadline",
+                    source="process-engine",
+                ),
+                activity_name,
+            )
         finally:
             handle.active = False
 
     def _abandon(self, awaited, interrupt: bool) -> None:
-        if awaited.is_alive:
-            if interrupt:
-                awaited.interrupt("deadline expired")
-            else:
-                awaited.callbacks.append(_defuse)
-        elif not awaited.processed:
-            awaited.defused = True
+        if interrupt and awaited.is_alive:
+            awaited.interrupt("deadline expired")
+        awaited.defused = True
 
     # -- compensation ------------------------------------------------------------------
 
@@ -673,7 +656,3 @@ class ProcessInstance:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ProcessInstance {self.id} {self.definition_name!r} {self.status.value}>"
-
-
-def _defuse(event) -> None:
-    event.defused = True

@@ -110,7 +110,8 @@ class Event:
         self._ok: bool | None = None
         self._value: Any = None
         #: Set when a failure was handed to a waiting process or inspected,
-        #: used to surface unhandled failures at the end of a run.
+        #: or when its waiter abandons the event: a failure nobody defused
+        #: and nobody listens for surfaces from the run.
         self.defused = False
 
     # -- introspection -----------------------------------------------------
@@ -141,27 +142,25 @@ class Event:
 
     # -- triggering --------------------------------------------------------
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Schedule this event to succeed after ``delay`` simulated seconds."""
-        self._trigger(True, value, delay)
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger this event now, succeeding with ``value``."""
+        self._trigger(True, value)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Schedule this event to fail with ``exception`` after ``delay``."""
+    def fail(self, exception: BaseException) -> "Event":
+        """Trigger this event now, failing with ``exception``."""
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() requires an exception, got {exception!r}")
-        self._trigger(False, exception, delay)
+        self._trigger(False, exception)
         return self
 
-    def _trigger(self, ok: bool, value: Any, delay: float) -> None:
+    def _trigger(self, ok: bool, value: Any) -> None:
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
-        if not delay >= 0:  # also NaN, which compares false to everything
-            raise SimulationError(f"delay {delay!r} is not a non-negative number")
         self._state = _TRIGGERED
         self._ok = ok
         self._value = value
-        self.env._enqueue(self, delay)
+        self.env._enqueue(self)
 
     def _process(self) -> None:
         self._state = _PROCESSED
@@ -187,6 +186,9 @@ class Event:
 _WOKEN = Event(None)
 _WOKEN._state = _PROCESSED
 _WOKEN._ok = True
+
+#: What a run without an event to wait for waits for: an event never triggered.
+_UNTIL_EMPTY = Event(None)
 
 
 class _Wake:
@@ -216,7 +218,7 @@ class Timeout(Event):
         # are the most frequently allocated event type (every latency hop is
         # one), and they are born triggered, so the generic pending-state
         # bookkeeping is dead weight.
-        if not delay >= 0:  # also NaN, which compares false to everything
+        if type(delay) is bool or not delay >= 0:  # NaN compares false to everything
             raise SimulationError(f"timeout delay {delay!r} is not a non-negative number")
         self.env = env
         self.callbacks = []
@@ -260,27 +262,31 @@ class _Call:
     """A deadline-bound call: what ``env.call`` returns and a process yields.
 
     Once yielded it is a frame on the yielding process's call stack:
-    ``caller`` is the generator that yielded it, ``at`` and ``seq`` the
-    heap key its deadline fires at, and ``timer`` that deadline once it is
-    in the heap (None until then).
+    ``caller`` is the generator that yielded it, and ``at`` and ``seq`` the
+    heap key its deadline fires at. The call is its own deadline's queue
+    entry: ``_state`` is pending until the deadline is queued, triggered
+    while it is, and cancelled once withdrawn; firing it overruns the call.
     """
 
-    __slots__ = ("generator", "delay", "caller", "process", "at", "seq", "timer")
+    __slots__ = ("generator", "delay", "caller", "process", "at", "seq", "_state")
 
     def __init__(self, generator: Generator, delay: float) -> None:
         self.generator = generator
         self.delay = delay
-        self.timer: Timeout | None = None
+        self._state = _PENDING
 
+    def _process(self) -> None:
+        self.process._overrun(self)
 
-def _deadline_fired(timer: Timeout) -> None:
-    call = timer._value
-    call.process._overrun(call)
+    def _withdraw(self) -> None:
+        """Take the queued deadline back: it will not fire."""
+        self._state = _CANCELLED
+        self.process.env._discard(self)
 
 
 def _soonest_of(frames: list[_Call]) -> float:
     """The soonest deadline among ``frames`` that is not in the queue yet."""
-    return min((call.at for call in frames if call.timer is None), default=_NEVER)
+    return min((call.at for call in frames if call._state == _PENDING), default=_NEVER)
 
 
 class Process(Event):
@@ -352,31 +358,41 @@ class Process(Event):
         self._state = _TRIGGERED
         self._ok = ok
         self._value = value
-        self.env._enqueue(self, 0.0)
+        self.env._enqueue(self)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant.
 
         Interrupting a finished process is an error; interrupting a process
-        twice before it handles the first interrupt queues both. Calls the
-        process has open do not see the interrupt: they run on as an
-        orphan, the outermost one's deadline is withdrawn, and the
-        interrupt is thrown into the generator that made that call. A
-        delay the process was waiting out is withdrawn like a cancelled
-        :class:`Timeout`: it is not counted, and the clock does not move to it.
+        twice before it handles the first interrupt queues both. The process
+        stops waiting (:meth:`_detach`) when the interrupt is raised, and
+        again when it is delivered, in case it started a wait in between.
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
+        self._detach()
         event = Event(self.env)
-        event.callbacks.append(self._resume)
+        event.callbacks.append(self._interrupted)
         event.fail(Interrupt(cause))
+
+    def _interrupted(self, event: Event) -> None:
+        self._detach()
+        self._resume(event)
+
+    def _detach(self) -> None:
+        """Stop waiting, so that what the process waited on cannot resume it.
+
+        Open calls run on as an orphan, the outermost one's deadline is
+        withdrawn, and the interrupt reaches the generator that made that
+        call. A delay being waited out is withdrawn like a cancelled
+        :class:`Timeout` (not counted, the clock does not move to it); the
+        callback on an awaited event is taken off.
+        """
         if self._frames:
             bottom = self._orphan(0)
-            if bottom.timer is not None:
-                bottom.timer.cancel()
+            if bottom._state == _TRIGGERED:
+                bottom._withdraw()
             return
-        # Detach from whatever we were waiting on so the original event's
-        # trigger does not resume us a second time.
         target = self._waiting_on
         if target is None:
             return
@@ -416,8 +432,8 @@ class Process(Event):
         """Pop the top frame, which has ended; returns its caller, now on top."""
         frames = self._frames
         call = frames.pop()
-        if call.timer is not None:
-            call.timer.cancel()
+        if call._state == _TRIGGERED:
+            call._withdraw()
         elif call.at == self._soonest:
             self._soonest = _soonest_of(frames) if frames else _NEVER
         self._generator = call.caller
@@ -431,26 +447,17 @@ class Process(Event):
         other wait may take forever (``_NEVER``).
         """
         for call in self._frames:
-            if call.timer is None and call.at <= horizon:
+            if call._state == _PENDING and call.at <= horizon:
                 self._schedule(call)
         self._soonest = _soonest_of(self._frames)
 
     def _schedule(self, call: _Call) -> None:
         """Put ``call``'s deadline in the queue under the key it took."""
-        timer = Timeout.__new__(Timeout)
-        timer.env = env = self.env
-        timer.callbacks = [_deadline_fired]
-        timer._state = _TRIGGERED
-        timer._ok = True
-        timer._value = call
-        timer.defused = False
-        timer.delay = call.delay
-        timer.at = call.at
-        call.timer = timer
+        call._state = _TRIGGERED
         if call.delay == 0.0:
-            env._enqueue(timer, 0.0)
+            self.env._enqueue(call)
         else:
-            heapq.heappush(env._queue, (call.at, call.seq, timer))
+            heapq.heappush(self.env._queue, (call.at, call.seq, call))
 
     def _overrun(self, call: _Call) -> None:
         """``call``'s deadline passed: it and the frames above go to an orphan."""
@@ -595,7 +602,7 @@ class Process(Event):
 class _Condition(Event):
     """Base for AnyOf/AllOf composite events."""
 
-    __slots__ = ("events", "_pending")
+    __slots__ = ("events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
@@ -603,22 +610,18 @@ class _Condition(Event):
         for event in self.events:
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
-        self._pending = 0
         if not self.events:
             self.succeed(self._collect())
             return
         for event in self.events:
             if event.processed:
-                self._observe(event, immediate=True)
+                self._observe(event)
             else:
-                self._pending += 1
                 event.callbacks.append(self._observe)
         if self._state == _PENDING and self._satisfied():
             self.succeed(self._collect())
 
-    def _observe(self, event: Event, immediate: bool = False) -> None:
-        if not immediate:
-            self._pending -= 1
+    def _observe(self, event: Event) -> None:
         if self._state != _PENDING:
             if not event.ok:
                 event.defused = True
@@ -677,10 +680,9 @@ class Environment:
       lane before the clock may advance is also what batches same-timestamp
       cascades through one tight loop.
 
-    The merge rule at every pop — take the immediate head unless the heap
-    holds an event at the same instant with a smaller sequence number —
-    reproduces the single-heap order bit for bit, which the byte-identical
-    equivalence suite pins down.
+    The merge rule at every pop (see :meth:`run`) reproduces the
+    single-heap order bit for bit, which the byte-identical equivalence
+    suite pins down.
     """
 
     #: Events processed by every environment in this process, accumulated
@@ -746,7 +748,7 @@ class Environment:
         """
         if not hasattr(generator, "throw"):
             raise SimulationError(f"expected a generator, got {generator!r}")
-        if not timeout >= 0:  # also NaN, which compares false to everything
+        if type(timeout) is bool or not timeout >= 0:  # NaN compares false to everything
             raise SimulationError(f"deadline {timeout!r} is not a non-negative number")
         return _Call(generator, timeout)
 
@@ -760,22 +762,20 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _enqueue(self, event: Event, delay: float) -> None:
+    def _enqueue(self, entry: Event | _Call) -> None:
+        """Queue ``entry`` in the immediate lane: it occurs at the current instant."""
         self._sequence += 1
-        if delay == 0.0:
-            self._immediate.append((self._sequence, event))
-        else:
-            heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
+        self._immediate.append((self._sequence, entry))
 
-    def _discard(self, timer: Timeout | _Wake) -> None:
-        """Forget a timeout that was just cancelled, or a wake just withdrawn.
+    def _discard(self, timer: Timeout | _Wake | _Call) -> None:
+        """Forget a timeout that was just cancelled, or a wake or deadline just withdrawn.
 
         One in the heap stays where it is and is skipped when it surfaces
         (lazy deletion: a heap cannot give up an inner entry cheaply); once
         such entries outnumber the live ones the heap is rebuilt in place —
         in place because :meth:`run` holds the list — and the survivors keep
         their unique ``(time, sequence)`` keys, so their order is untouched.
-        A zero-delay timeout sits in the short immediate lane and is removed
+        A zero-delay entry sits in the short immediate lane and is removed
         at once, which keeps that lane free of a per-event liveness check;
         a wake, which does not record its delay, is looked for there first.
         """
@@ -792,44 +792,6 @@ class Environment:
             heapq.heapify(queue)
             self._cancelled = 0
 
-    def _drop_cancelled_head(self) -> None:
-        """Pop cancelled timeouts off the top of the heap."""
-        queue = self._queue
-        while queue and queue[0][2]._state == _CANCELLED:
-            heapq.heappop(queue)
-            self._cancelled -= 1
-
-    def _pop_next(self) -> Event:
-        """The globally next event by ``(time, sequence)`` across both lanes.
-
-        Advances the clock. Immediate-lane entries are always scheduled at
-        the current instant, so the only contest is a heap event at the same
-        time with a smaller sequence number (a positive delay that collapsed
-        onto ``now`` in float arithmetic, enqueued earlier).
-        """
-        self._drop_cancelled_head()
-        immediate = self._immediate
-        queue = self._queue
-        if immediate:
-            if queue:
-                time, seq, event = queue[0]
-                if time == self._now and seq < immediate[0][0]:
-                    heapq.heappop(queue)
-                    return event
-            return immediate.popleft()[1]
-        if not queue:
-            raise SimulationError("no scheduled events")
-        time, _seq, event = heapq.heappop(queue)
-        self._now = time
-        return event
-
-    def step(self) -> None:
-        """Process the single next event, advancing the clock to it."""
-        event = self._pop_next()
-        self.events_processed += 1
-        Environment.total_events_processed += 1
-        event._process()
-
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
 
@@ -838,81 +800,69 @@ class Environment:
         - ``until`` is an :class:`Event` (e.g. a :class:`Process`): run until
           it triggers, then return its value (raising its failure).
         """
-        # The three loops below are the simulation's hottest code: they
-        # inline the two-lane pop with local bindings for both lanes and
-        # heappop, which measurably raises events/sec on long runs. Each
-        # iteration drains the immediate lane first (the same-timestamp
-        # batch) unless the heap holds an earlier-sequenced event at the
-        # current instant. A cancelled timeout coming off the heap is dropped
-        # before the clock moves to it and before it is counted.
+        stop = _UNTIL_EMPTY
+        horizon = _NEVER
+        if isinstance(until, Event):
+            stop = until
+        elif until is not None:
+            horizon = float(until)
+            if type(until) is bool or not horizon >= self._now:  # also NaN
+                raise SimulationError(f"cannot run from {self._now} to {until!r}")
+        # The simulation's hottest loop: it inlines the two-lane pop with
+        # local bindings for both lanes and heappop. Immediate-lane entries
+        # all occur at the current instant, so the only contest is a heap
+        # entry at the same instant with a smaller sequence number (a
+        # positive delay that collapsed onto ``now`` in float arithmetic,
+        # queued earlier): unless there is one, the immediate lane is
+        # drained first, the same-timestamp batch. A cancelled entry coming
+        # off the heap is dropped before the clock moves to it and before it
+        # is counted; the first live one past the horizon goes back, once
+        # per run, and ends it.
         queue = self._queue
         immediate = self._immediate
         pop = heapq.heappop
         processed = 0
         try:
-            if isinstance(until, Event):
-                stop = until
-                while stop._state != _PROCESSED:
-                    if immediate and not (
-                        queue and queue[0][0] == self._now and queue[0][1] < immediate[0][0]
-                    ):
-                        event = immediate.popleft()[1]
-                    elif queue:
-                        time, _seq, event = pop(queue)
-                        if event._state == _CANCELLED:
-                            self._cancelled -= 1
-                            continue
-                        self._now = time
-                    else:
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited event triggered"
-                        )
-                    processed += 1
-                    event._process()
-                if stop._ok:
-                    return stop._value
-                stop.defused = True
-                raise stop._value
-            if until is not None:
-                horizon = float(until)
-                if not horizon >= self._now:  # also NaN
-                    raise SimulationError(f"cannot run from {self._now} to {horizon}")
-                while immediate or (queue and queue[0][0] <= horizon):
-                    if immediate and not (
-                        queue and queue[0][0] == self._now and queue[0][1] < immediate[0][0]
-                    ):
-                        event = immediate.popleft()[1]
-                    else:
-                        time, _seq, event = pop(queue)
-                        if event._state == _CANCELLED:
-                            self._cancelled -= 1
-                            continue
-                        self._now = time
-                    processed += 1
-                    event._process()
-                self._now = horizon
-                return None
-            while immediate or queue:
+            while stop._state != _PROCESSED:
                 if immediate and not (
                     queue and queue[0][0] == self._now and queue[0][1] < immediate[0][0]
                 ):
                     event = immediate.popleft()[1]
-                else:
-                    time, _seq, event = pop(queue)
+                elif queue:
+                    time, seq, event = pop(queue)
                     if event._state == _CANCELLED:
                         self._cancelled -= 1
                         continue
+                    if time > horizon:
+                        heapq.heappush(queue, (time, seq, event))
+                        break
                     self._now = time
+                else:
+                    break
                 processed += 1
                 event._process()
-            return None
         finally:
             self.events_processed += processed
             Environment.total_events_processed += processed
+        if stop is until:
+            if stop._state != _PROCESSED:
+                raise SimulationError(
+                    "simulation ran out of events before the awaited event triggered"
+                )
+            if stop._ok:
+                return stop._value
+            stop.defused = True
+            raise stop._value
+        if until is not None:
+            self._now = horizon
+        return None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         if self._immediate:
             return self._now
-        self._drop_cancelled_head()
-        return self._queue[0][0] if self._queue else float("inf")
+        queue = self._queue
+        while queue and queue[0][2]._state == _CANCELLED:
+            heapq.heappop(queue)
+            self._cancelled -= 1
+        return queue[0][0] if queue else _NEVER

@@ -618,14 +618,7 @@ def broadcast_first_response(
         response = result[winner_process]
         winner = pending.pop(winner_process)
         for process in pending:
-            if process.is_alive:
-                process.callbacks.append(_defuse)
-            elif not process.processed:
-                process.defused = True
+            process.defused = True
         return response, winner
     assert last_error is not None
     raise last_error
-
-
-def _defuse(event) -> None:
-    event.defused = True

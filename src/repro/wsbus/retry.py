@@ -119,13 +119,9 @@ class DeadLetterQueue:
                 policy,
                 parent_span=parent_span,
             )
-            completion.callbacks.append(_defuse_failure)
+            completion.defused = True
             completions.append(completion)
         return completions
-
-
-def _defuse_failure(event) -> None:
-    event.defused = True
 
 
 class RetryQueue:

@@ -144,8 +144,10 @@ class TestFixedSchedule:
         (endpoint,) = _register(network, "http://a")
         injector = FaultInjector(env, network, RandomSource(0))
         injector.inject(EndpointFault("http://a", 0.0, 2.0, cycles=1))
-        env.step()  # the process's first resumption: no zero-second timeout first
+        env.run(until=0.0)
         assert not endpoint.available
+        # The process's first resumption only: no zero-second wait first.
+        assert env.events_processed == 1
         env.run(until=5.0)
         assert endpoint.available
         assert injector.logs["http://a"].windows == [(0.0, 2.0)]

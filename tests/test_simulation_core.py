@@ -17,6 +17,7 @@ from repro.simulation import (
     SimulationError,
     Timeout,
 )
+from repro.simulation.core import _Call
 
 
 class TestEnvironmentClock:
@@ -41,10 +42,6 @@ class TestEnvironmentClock:
     def test_peek_returns_next_event_time(self, env):
         env.timeout(3.0)
         assert env.peek() == 3.0
-
-    def test_step_without_events_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
 
 
 class TestEvents:
@@ -74,11 +71,6 @@ class TestEvents:
         with pytest.raises(SimulationError):
             env.event().value
 
-    def test_negative_delay_rejected(self, env):
-        event = env.event()
-        with pytest.raises(SimulationError):
-            event.succeed(delay=-1)
-
     def test_unhandled_failure_surfaces(self, env):
         event = env.event()
         event.fail(RuntimeError("boom"))
@@ -90,12 +82,6 @@ class TestEvents:
         event.fail(RuntimeError("boom"))
         event.defused = True
         env.run()  # no exception
-
-    def test_delayed_succeed_fires_at_offset(self, env):
-        event = env.event()
-        event.succeed("v", delay=7.5)
-        env.run()
-        assert env.now == 7.5
 
     def test_callbacks_receive_event(self, env):
         event = env.event()
@@ -297,6 +283,46 @@ class TestInterrupt:
         assert resumed == ["post-interrupt"]
         assert env.now == 11.0
 
+    def test_an_interrupt_before_the_start_leaves_no_wait_live(self, env):
+        ends = []
+
+        def sleeper():
+            try:
+                yield 5.0
+            except Interrupt:
+                pass
+            yield 1.0
+            yield 100.0  # not cut short by the 5 s wait the interrupt withdrew
+            ends.append(env.now)
+
+        process = env.process(sleeper())
+        process.interrupt("early")  # raised before the first resume
+        env.run()
+        assert ends == [101.0] and env.now == 101.0
+
+    def test_a_second_interrupt_leaves_no_wait_live(self, env):
+        def sleeper():
+            causes = []
+            while len(causes) < 2:
+                try:
+                    yield 10.0
+                except Interrupt as interrupt:
+                    causes.append(interrupt.cause)
+            yield 100.0  # not cut short by the wait between the two deliveries
+            return causes, env.now
+
+        process = env.process(sleeper())
+
+        def interrupter():
+            yield 2.0
+            process.interrupt("a")
+            process.interrupt("b")
+
+        env.process(interrupter())
+        assert env.run(process) == (["a", "b"], 102.0)
+        env.run()
+        assert env.now == 102.0
+
 
 class TestConditions:
     def test_any_of_first_wins(self, env):
@@ -429,14 +455,6 @@ class TestCancel:
         target = env.timeout(2.0, value="live")
         assert env.run(until=target) == "live"
         assert env.events_processed == 1
-
-    def test_step_skips_cancelled_timers(self, env):
-        env.timeout(1.0).cancel()
-        live = env.timeout(2.0)
-        env.step()
-        assert live.processed and env.now == 2.0
-        with pytest.raises(SimulationError):
-            env.step()
 
     def test_cancel_after_firing_is_a_noop(self, env):
         timeout = env.timeout(1.0, value="fired")
@@ -675,20 +693,47 @@ class TestDeadline:
 
     def test_a_deadline_enters_the_heap_only_when_it_could_pass_first(self, env):
         heap = []
+        signal = env.event()
 
         def work():
             yield env.timeout(1.0)  # due before the deadline: it is not queued
-            heap.append(len(env._queue))
-            yield env.event().succeed(delay=1.0)  # a plain event: it is
-            heap.append(len(env._queue))
+            heap.append([entry[0] for entry in env._queue])
+            yield signal  # a plain event: it is
+            heap.append([entry[0] for entry in env._queue])
             return "reply"
 
         def caller():
             return (yield env.call(work(), 30.0))
 
-        assert env.run(env.process(caller())) == "reply"
-        assert heap == [0, 1]  # the 30 s deadline, queued while the event was awaited
+        def signaller():
+            yield 2.0
+            signal.succeed()
+
+        process = env.process(caller())
+        env.process(signaller())
+        assert env.run(process) == "reply"
+        # The signaller's wake; then the 30 s deadline, queued while the
+        # event was awaited.
+        assert heap == [[2.0], [30.0]]
         assert env.peek() == float("inf")  # withdrawn at the return
+
+    def test_a_queued_deadline_is_the_call_itself(self, env):
+        signal = env.event()
+
+        def waiter():
+            return (yield signal)
+
+        def caller():
+            return (yield env.call(waiter(), 30.0))
+
+        process = env.process(caller())
+        env.run(until=1.0)
+        ((at, _seq, entry),) = env._queue
+        assert at == 30.0 and type(entry) is _Call and entry.delay == 30.0
+        assert not [o for o in gc.get_objects() if isinstance(o, Timeout) and o.env is env]
+        signal.succeed("in time")
+        assert env.run(process) == "in time"
+        assert env.peek() == float("inf")
 
     def test_outer_deadline_passing_leaves_the_inner_deadline_live(self, env):
         seen = []
@@ -835,12 +880,6 @@ class TestNaN:
         with pytest.raises(SimulationError, match="nan"):
             env.timeout(float("nan"))
 
-    def test_succeed_and_fail(self, env):
-        with pytest.raises(SimulationError, match="nan"):
-            env.event().succeed(delay=float("nan"))
-        with pytest.raises(SimulationError, match="nan"):
-            env.event().fail(RuntimeError("x"), delay=float("nan"))
-
     def test_call(self, env):
         def work():
             yield 1.0
@@ -945,6 +984,21 @@ class TestDelay:
         assert env.run(env.process(sleeper())) == "went on"
         assert env.now == 1.0
         assert repr(bad) in caught[0]
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda env, flag: env.timeout(flag),
+            lambda env, flag: env.call((step for step in ()), flag),
+            lambda env, flag: env.run(until=flag),
+        ],
+        ids=["timeout", "call", "run_until"],
+    )
+    def test_a_bool_is_no_delay_anywhere(self, env, entry, flag):
+        with pytest.raises(SimulationError, match=repr(flag)):
+            entry(env, flag)
+        assert env.now == 0.0 and env.peek() == float("inf")
 
     def test_a_delay_creates_no_event(self, env, monkeypatch):
         def sleeper():
